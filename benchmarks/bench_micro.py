@@ -31,6 +31,13 @@ from repro.linalg import strassen_matmul
 from repro.pebbling import CacheExecutor
 from repro.routing import lemma3_routing, theorem2_routing
 from repro.schedules import rank_order_schedule, recursive_schedule
+from repro.simcore import (
+    HAVE_NUMBA,
+    SchedulePlan,
+    forced_mode,
+    run_grid,
+    simulate_plan,
+)
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
 
 
@@ -147,14 +154,12 @@ def make_cases() -> dict:
     # of magnitude *slower* than the fallback loops), and a pair that
     # labels that "njit" would be noise, so the pair (and the derived
     # ratio) is emitted on compiled installs only.
-    from repro.pebbling import kernels
-
     def kernel_e09_python():
-        with kernels.forced_mode("off"):
+        with forced_mode("off"):
             e9_n32_core()
 
     def kernel_e09_njit():
-        with kernels.forced_mode("jit"):
+        with forced_mode("jit"):
             e9_n32_core()
 
     # Paired lockstep cases: one E9-shaped configuration grid (cache
@@ -162,9 +167,7 @@ def make_cases() -> dict:
     # lockstep run_grid call vs one compiled per-config pass per cell.
     # Both legs are jit; the ratio ("grid_lockstep_speedup") isolates
     # what the (config, slot) batching + chunk threading buy over the
-    # PR-8 style per-configuration kernel loop.
-    from repro.simcore import SchedulePlan
-
+    # per-configuration kernel loop.
     plan5 = SchedulePlan(g5, sched5, validated=False)
     arrays5 = plan5.kernel_arrays()
     is_input5 = g5.in_degree() == 0
@@ -179,14 +182,13 @@ def make_cases() -> dict:
     lock_codes = np.array([0, 1, 2] * 8, dtype=np.int64)
 
     def grid_lockstep_batched():
-        with kernels.forced_mode("jit"):
-            kernels.run_grid(arrays5, iu8_5, ou8_5, lock_Ms, lock_codes)
+        with forced_mode("jit"):
+            run_grid(arrays5, iu8_5, ou8_5, lock_Ms, lock_codes)
 
     def grid_lockstep_per_config():
-        with kernels.forced_mode("jit"):
+        with forced_mode("jit"):
             for M, code in zip(lock_Ms, lock_codes):
-                kernels.simulate_plan(arrays5, iu8_5, ou8_5, int(M),
-                                      int(code))
+                simulate_plan(arrays5, iu8_5, ou8_5, int(M), int(code))
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
     # pre-warmed bundle store through a *fresh* GraphCache instance per
@@ -255,7 +257,7 @@ def make_cases() -> dict:
                 "grid_lockstep_batched": grid_lockstep_batched,
                 "grid_lockstep_per_config": grid_lockstep_per_config,
             }
-            if kernels.HAVE_NUMBA
+            if HAVE_NUMBA
             else {}
         ),
         "graphcache_e9_cold_compile": graphcache_cold,

@@ -11,7 +11,7 @@ bundle kinds share the format:
   (:func:`repro.cdag.graph.slab_layout`);
 - **schedule bundles** — one compiled schedule array for a named
   schedule family on one graph;
-- **plan bundles** — the executor's :class:`_SchedulePlan` occurrence
+- **plan bundles** — the executor's :class:`SchedulePlan` occurrence
   arrays for one ``(graph, schedule, executor version)`` triple.
 
 Design properties:

@@ -610,9 +610,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro import simcore
     from repro.bounds import io_lower_bound
     from repro.cdag import build_cdag
-    from repro.pebbling import kernels, simulate_io
+    from repro.pebbling import simulate_io
     from repro.schedules import (
         random_topological_schedule,
         rank_order_schedule,
@@ -620,7 +621,7 @@ def _cmd_simulate(args) -> int:
     )
 
     if args.no_jit:
-        kernels.set_mode("off")
+        simcore.set_mode("off")
     alg = by_name(args.alg)
     g = build_cdag(alg, args.r)
     sched = {
@@ -636,7 +637,7 @@ def _cmd_simulate(args) -> int:
           f"{res.spill_reads}r/{res.spill_writes}w, outputs "
           f"{res.output_writes})")
     print(f"  Theorem 1 lower bound: {io_lower_bound(alg, n, args.M):.1f}")
-    mode = kernels.active_mode()
+    mode = simcore.active_mode()
     path = "pure-Python fallback" if mode == "off" else f"compiled kernels ({mode})"
     print(f"  simulator path: {path}")
     return 0
@@ -681,9 +682,9 @@ def _cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
     if args.no_jit:
-        from repro.pebbling import kernels
+        from repro import simcore
 
-        kernels.set_mode("off")
+        simcore.set_mode("off")
     argv = list(args.ids)
     if args.list_only:
         argv.append("--list")

@@ -2,11 +2,17 @@
 
 Sweep ``r`` and ``M`` for Strassen's algorithm; measure pebble-game I/O
 of the recursive schedule (Belady and LRU) and of the naive schedules;
-compare against the Ω-form lower bound and the recurrence upper bound.
-Shape checks: (a) no measurement falls below the Ω-form with constant 1
-in the scaling regime; (b) the recursive schedule's log-log slope in
-``n`` approaches ``ω0 = log2 7``; (c) naive schedules are asymptotically
-worse.
+compare against the lower bounds and the recurrence upper bound.
+
+What the paper proves is checked as stated: every measurement must be
+at least the Section 6 bound with the paper's explicit constants
+(:func:`~repro.bounds.io_lower_bound_paper_constants`).  That bound is
+0 at every default point — it first becomes non-zero at n = 128 — so
+the check is sound but vacuous here.  The rest are shape checks: (a) no
+measurement falls below the Ω-form with constant 1 (a constant the paper
+does not prove) in the scaling regime; (b) the recursive schedule's
+log-log slope in ``n`` approaches ``ω0 = log2 7``; (c) naive schedules
+are asymptotically worse.
 
 The sweep is batched through :meth:`CacheExecutor.run_many` (one
 schedule validation and use-list precompute per schedule, shared across
@@ -26,9 +32,8 @@ schedule steps every configuration row together
 makes the extended grid — ``r_big=7`` (n = 128), the crossover regime
 against the tight classical bound of Smith et al. and the
 memory-independent parallel bounds of Demmel et al. — complete in
-seconds instead of minutes.  ``workers`` partitions each ``run_many``
-grid across a process pool on top of that (``workers=None`` defers to
-``REPRO_RUN_MANY_WORKERS``).
+seconds instead of minutes.  On the pure-Python fallback,
+``REPRO_GRID_THREADS=N`` partitions each grid across ``N`` processes.
 """
 
 from __future__ import annotations
@@ -36,7 +41,11 @@ from __future__ import annotations
 import math
 
 from repro.bilinear import strassen
-from repro.bounds import io_lower_bound, recursive_io_recurrence
+from repro.bounds import (
+    io_lower_bound,
+    io_lower_bound_paper_constants,
+    recursive_io_recurrence,
+)
 from repro.cdag import build_cdag
 from repro.experiments.harness import ExperimentResult, register
 from repro.pebbling import CacheExecutor
@@ -52,12 +61,12 @@ def run(
     cache_sizes=(12, 24, 48, 96),
     r_big: int | None = 6,
     big_cache_sizes=(12, 96),
-    workers: int | None = None,
 ) -> ExperimentResult:
     alg = strassen()
     table = TextTable(
-        ["n", "M", "lower Ω-form", "recursive (belady)", "recursive (lru)",
-         "rank-order (lru)", "upper recurrence"],
+        ["n", "M", "paper bound (Sec. 6)", "lower Ω-form",
+         "recursive (belady)", "recursive (lru)", "rank-order (lru)",
+         "upper recurrence"],
         title="E9: sequential I/O — measurements vs Theorem 1 bounds",
     )
     checks: dict[str, bool] = {}
@@ -66,27 +75,25 @@ def run(
     def measure(r: int, Ms, with_rank: bool) -> None:
         g = build_cdag(alg, r)
         executor = CacheExecutor(g)
-        rec = executor.run_many(
-            recursive_schedule(g), Ms, ("belady", "lru"), workers=workers
-        )
+        rec = executor.run_many(recursive_schedule(g), Ms, ("belady", "lru"))
         rank = (
-            executor.run_many(
-                rank_order_schedule(g), Ms, ("lru",), workers=workers
-            )
+            executor.run_many(rank_order_schedule(g), Ms, ("lru",))
             if with_rank
             else {}
         )
         n = alg.n0**r
         for M in Ms:
+            paper = io_lower_bound_paper_constants(alg, n, M, clamp=True)
             lower = io_lower_bound(alg, n, M)
             upper = recursive_io_recurrence(alg, n, M)
             rank_lru = rank[(M, "lru")].total if with_rank else None
             table.add_row(
-                [n, M, round(lower), rec[(M, "belady")].total,
+                [n, M, paper, round(lower), rec[(M, "belady")].total,
                  rec[(M, "lru")].total,
                  rank_lru if rank_lru is not None else "—", upper]
             )
             cell = {
+                "paper": paper,
                 "lower": lower,
                 "rec_belady": rec[(M, "belady")].total,
                 "rec_lru": rec[(M, "lru")].total,
@@ -102,15 +109,25 @@ def run(
         big_Ms = [M for M in big_cache_sizes if M >= cache_sizes[0]]
         measure(r_big, big_Ms, with_rank=False)
 
-    # (a) soundness: measured >= Ω-form (constant 1) wherever the bound
-    # is in its regime (M = o(n^2): use M <= n^2 / 4).
-    sound = all(
+    # The theorem as proved: every measurement is at least the Section 6
+    # explicit-constant bound (0 until n = 128, so vacuous by default).
+    checks["every measurement >= the paper's explicit-constant bound"] = all(
+        m[key] >= m["paper"]
+        for m in measurements.values()
+        for key in ("rec_belady", "rec_lru", "rank_lru")
+        if key in m
+    )
+
+    # (a) shape: measured >= Ω-form with constant 1 (not a proven
+    # constant) wherever the bound is in its regime (M = o(n^2): use
+    # M <= n^2 / 4).
+    shape = all(
         m["rec_belady"] >= m["lower"]
         and m.get("rank_lru", math.inf) >= m["lower"]
         for (n, M), m in measurements.items()
         if M <= n * n / 4
     )
-    checks["no measurement beats the Ω-form lower bound"] = sound
+    checks["shape: no measurement beats the Ω-form with constant 1"] = shape
 
     # (b) slope of recursive-schedule I/O in n at fixed M.
     M0 = cache_sizes[0]

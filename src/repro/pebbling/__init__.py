@@ -4,8 +4,6 @@
 - :mod:`repro.pebbling.executor`: I/O counting for a schedule — a thin
   view over the unified simulation core (:mod:`repro.simcore`, which
   owns the one LRU/FIFO/Belady policy implementation);
-- :mod:`repro.pebbling.kernels`: back-compat surface over the core's
-  compiled kernels and dispatch;
 - :mod:`repro.pebbling.pebble_game`: strict red-blue pebble game [10];
 - :mod:`repro.pebbling.segments`: the paper's segment-counting argument
   (Definition 1, Equations 1-2) measured on real executions.
@@ -16,7 +14,6 @@ The golden reference eviction policies live under
 
 from repro.pebbling.machine import MachineModel, min_cache_size
 from repro.pebbling.executor import IOResult, CacheExecutor, simulate_io
-from repro.pebbling import kernels
 from repro.pebbling.pebble_game import (
     Move,
     MoveKind,
@@ -40,7 +37,6 @@ __all__ = [
     "IOResult",
     "CacheExecutor",
     "simulate_io",
-    "kernels",
     "Move",
     "MoveKind",
     "PebbleGame",

@@ -32,54 +32,39 @@ arrays gathered from the CDAG's predecessor CSR, per-occurrence
 per-vertex Python lists or cursor dicts), per-vertex first-use times
 and initial use counts.
 
-Two simulation paths run over a plan:
+Every simulation then goes through one core entry point,
+:func:`repro.simcore.run_configs`, which checks the policy name, picks
+the path (compiled or interpreted kernels, lockstep grid for a batch,
+pure-Python loops on the fallback), maps failures onto
+:class:`ScheduleError` / :class:`CacheError` and owns grid parallelism
+(``REPRO_GRID_THREADS``).  Every path makes the exact victim choices of
+the golden reference simulator retained under
+``tests/pebbling/_reference.py`` — the golden-equivalence tests enforce
+bit-identity across schedules x policies x cache sizes, and the core's
+``simcore.kernel.{jit,interp,fallback}`` counters record which path
+each run took.
 
-- **compiled kernels** (:mod:`repro.simcore.grid`): numba ``@njit``
-  step loops over flat int64 arrays, taken whenever numba is importable
-  and ``REPRO_NO_JIT`` is unset.  Batched sweeps go through the
-  *lockstep* grid kernel — ``(config, slot)`` 2-D state advanced
-  through each schedule step for every configuration at once.  Plans
-  loaded from graph-cache bundles feed the kernels straight from their
-  read-only memmaps — no ``ensure_lists`` materialisation on this path;
-- **pure-Python loops** (:mod:`repro.simcore.pyloops`, the fallback,
-  kept bit-identical): dense flat structures indexed by vertex id (flat
-  bitmaps for cached/dirty/in-slow, per-vertex stamp/key lists) with a
-  lazy min-heap replacing the reference implementation's
-  O(|candidates|) scans.
-
-Both paths make the exact victim choices of the golden reference
-simulator retained under ``tests/pebbling/_reference.py`` — the
-golden-equivalence tests enforce bit-identity across schedules x
-policies x cache sizes, and the
-``pebbling.kernel.{jit,interp,fallback}`` counters record which path
-each run took (mirroring the core's ``simcore.kernel.*`` counters).
-
-Plans are cached on the executor and shared across cache sizes and
-policies; :meth:`CacheExecutor.run_many` exposes that reuse as a batched
-sweep API (validate once, precompute once, run every ``(M, policy)``
-configuration — in one lockstep ``run_grid`` call on the kernel path,
-and optionally partitioned across a ``ProcessPoolExecutor`` via
-``workers=`` for multi-core scaling).
+The executor keeps what is specific to one CDAG: schedule validation,
+a content-keyed plan cache shared across cache sizes and policies, the
+machine model's I/O accounting, and one ``pebbling.run`` span per
+configuration.  :meth:`CacheExecutor.run_many` exposes the plan reuse
+as a batched sweep API (validate once, precompute once, run every
+``(M, policy)`` configuration in one core call).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-import repro.pebbling.kernels as kernels
 from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError, ScheduleError
 from repro.pebbling.machine import MachineModel
-from repro.simcore import dispatch as _dispatch
-from repro.simcore.plan import SchedulePlan, gather_operands
-from repro.simcore.pyloops import simulate_py
+from repro.simcore import SchedulePlan, gather_operands, run_configs
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 from repro.telemetry.spans import span
@@ -87,15 +72,9 @@ from repro.telemetry.spans import span
 __all__ = ["EXECUTOR_VERSION", "IOResult", "CacheExecutor", "simulate_io"]
 
 #: Version of the compiled-plan format; folded into plan bundle keys so
-#: any change to :class:`_SchedulePlan`'s arrays (meaning, dtype, order)
+#: any change to :class:`SchedulePlan`'s arrays (meaning, dtype, order)
 #: re-keys every on-disk plan instead of mis-decoding it.
 EXECUTOR_VERSION = "1"
-
-#: Environment variable: default worker count for
-#: :meth:`CacheExecutor.run_many` grid partitioning (0/unset = serial).
-ENV_RUN_MANY_WORKERS = "REPRO_RUN_MANY_WORKERS"
-
-_POLICY_CODES = {"lru": 0, "fifo": 1, "belady": 2}
 
 
 @dataclass(frozen=True)
@@ -134,19 +113,6 @@ class IOResult:
         return self.reads + self.writes
 
 
-# The plan precompute moved to the unified core; the executor keeps the
-# pre-unification names bound for its consumers (the graph cache's plan
-# bundles, the artifact layer, tests).
-_SchedulePlan = SchedulePlan
-_gather_operands = gather_operands
-
-
-# ----------------------------------------------------------------------
-# Simulation core (module-level so pool workers can run configurations
-# without shipping a CDAG or CacheExecutor across the process boundary).
-# ----------------------------------------------------------------------
-
-
 def _counts_to_result(
     counts, cache_size: int, policy: str, machine: MachineModel
 ) -> tuple[IOResult, int]:
@@ -172,73 +138,6 @@ def _counts_to_result(
     return result, evictions
 
 
-def _raise_kernel_status(sc) -> None:
-    """Map a kernel status code onto the executor's exception contract."""
-    status = int(sc[kernels.STATUS])
-    if status == kernels.STATUS_OPERAND_MISSING:
-        raise ScheduleError(
-            f"operand {int(sc[kernels.ERR_A])} of {int(sc[kernels.ERR_B])} "
-            "is neither cached nor in slow memory"
-        )
-    if status == kernels.STATUS_NO_VICTIM:
-        raise CacheError("no eviction candidate available")
-
-
-def _simulate(plan, is_input, is_output, cache_size, policy, io_trace):
-    """Run one configuration over a compiled plan, dispatching to the
-    compiled kernels when active and to the pure-Python loops otherwise
-    (``REPRO_NO_JIT=1`` or numba absent).  Returns the raw count tuple
-    ``(reads, writes, input_reads, spill_reads, spill_writes,
-    output_writes, peak, evictions)``."""
-    code = _POLICY_CODES.get(policy)
-    if code is None:
-        raise CacheError(f"unknown eviction policy {policy!r}")
-    mode = kernels.active_mode()
-    if mode != "off":
-        trace_arr = (
-            np.zeros(plan.n_steps, dtype=np.int64)
-            if io_trace is not None else None
-        )
-        sc = kernels.simulate_plan(
-            plan.kernel_arrays(),
-            np.ascontiguousarray(is_input).view(np.uint8),
-            np.ascontiguousarray(is_output).view(np.uint8),
-            cache_size, code, trace_arr,
-        )
-        _raise_kernel_status(sc)
-        if io_trace is not None:
-            io_trace.extend(trace_arr.tolist())
-        if _telemetry_enabled():
-            metrics().inc(f"pebbling.kernel.{mode}")
-        return tuple(int(x) for x in sc[:8])
-    if _telemetry_enabled():
-        metrics().inc("pebbling.kernel.fallback")
-    return simulate_py(plan, is_input, is_output, cache_size, code, io_trace)
-
-
-def _partition_worker(arrays, is_input, is_output, configs):
-    """Pool-worker entry for :meth:`CacheExecutor.run_many` grid
-    partitioning: rebuild the plan from its (validated) arrays and run
-    this partition's ``(M, policy)`` configurations.
-
-    Telemetry is disabled in the worker — the parent re-emits the
-    per-configuration spans and counters from the returned raw counts,
-    so the batched sweep stays counter-identical to its serial
-    equivalent.  Returns ``(wall_s, kernel_mode, [counts, ...])``.
-    """
-    from repro.telemetry import spans as _spans
-
-    _spans.disable()
-    t0 = time.perf_counter()
-    plan = _SchedulePlan.from_arrays(arrays, validated=True)
-    out = []
-    for cache_size, policy in configs:
-        out.append(
-            _simulate(plan, is_input, is_output, cache_size, policy, None)
-        )
-    return time.perf_counter() - t0, kernels.active_mode(), out
-
-
 class CacheExecutor:
     """Reusable executor for one CDAG (precomputes use lists once)."""
 
@@ -249,7 +148,7 @@ class CacheExecutor:
         self.is_output = np.zeros(cdag.n_vertices, dtype=bool)
         self.is_output[cdag.outputs()] = True
         self.is_input = cdag.in_degree() == 0
-        self._plans: dict[bytes, _SchedulePlan] = {}
+        self._plans: dict[bytes, SchedulePlan] = {}
 
     # ------------------------------------------------------------------
 
@@ -282,7 +181,7 @@ class CacheExecutor:
             raise ScheduleError(f"vertex {v} scheduled twice (or is an input)")
         # Topological: every non-input operand must be scheduled
         # strictly before its use.
-        _, step_ops, occ_time = _gather_operands(self.cdag, schedule)
+        _, step_ops, occ_time = gather_operands(self.cdag, schedule)
         viol = ~self.is_input[step_ops]
         viol &= first_occ[step_ops] >= occ_time
         if viol.any():
@@ -295,8 +194,8 @@ class CacheExecutor:
 
     # ------------------------------------------------------------------
 
-    def _plan(self, schedule, validate: bool) -> _SchedulePlan:
-        """Fetch or build the :class:`_SchedulePlan` for ``schedule``
+    def _plan(self, schedule, validate: bool) -> SchedulePlan:
+        """Fetch or build the :class:`SchedulePlan` for ``schedule``
         (small content-keyed cache, so repeated ``run`` calls on the
         same schedule reuse the precompute like ``run_many`` does).
 
@@ -315,7 +214,7 @@ class CacheExecutor:
             if plan is None:
                 if validate:
                     schedule = self.validate_schedule(schedule)
-                plan = _SchedulePlan(self.cdag, schedule, validated=validate)
+                plan = SchedulePlan(self.cdag, schedule, validated=validate)
             if len(self._plans) >= self._MAX_CACHED_PLANS:
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
@@ -331,7 +230,7 @@ class CacheExecutor:
                 plan.validated = True
         return plan
 
-    def compile(self, schedule, validate: bool = True) -> _SchedulePlan:
+    def compile(self, schedule, validate: bool = True) -> SchedulePlan:
         """Public access to the compiled plan for ``schedule``.
 
         Used by cache warming and the cold/warm benchmarks to pay the
@@ -375,23 +274,19 @@ class CacheExecutor:
         cache_sizes,
         policies=("lru",),
         validate: bool = True,
-        workers: int | None = None,
     ) -> dict[tuple[int, str], IOResult]:
         """Batched sweep: run every ``(cache_size, policy)``
         configuration over one schedule, validating it and building the
         use-list precompute exactly once.
 
-        On the compiled path the whole grid is stepped by one
-        ``run_grid`` kernel call.  With ``workers > 1`` (or
-        ``REPRO_RUN_MANY_WORKERS`` set) the grid is partitioned
-        round-robin across a ``ProcessPoolExecutor`` — one
-        ``pebbling.run_many.partition`` span per partition records the
-        worker wall time and path taken.
+        The whole grid is one :func:`~repro.simcore.run_configs` call: a
+        lockstep ``run_grid`` on the kernel path, and on the fallback
+        serial loops or — with ``REPRO_GRID_THREADS`` > 1 — round-robin
+        process partitions.
 
         Returns ``{(cache_size, policy): IOResult}``.  Telemetry is
         identical to the equivalent sequence of :meth:`run` calls (one
-        ``pebbling.run`` span per configuration, counters included —
-        the parent re-emits them for partitioned runs).
+        ``pebbling.run`` span per configuration, counters included).
         """
         plan = self._plan(schedule, validate)
         configs = [(int(M), str(p)) for M in cache_sizes for p in policies]
@@ -400,108 +295,20 @@ class CacheExecutor:
             if M not in machines:
                 machines[M] = MachineModel(cache_size=M)
                 machines[M].check_executable(self.cdag)
-        if workers is None:
-            workers = int(os.environ.get(ENV_RUN_MANY_WORKERS, "0") or 0)
         record = _telemetry_enabled()
+        counts = run_configs(plan, self.is_input, self.is_output, configs)
         results: dict[tuple[int, str], IOResult] = {}
-
-        if workers and workers > 1 and len(configs) > 1:
-            raw = self._run_partitions(plan, configs, workers, record)
-            for M, policy in configs:
-                with span("pebbling.run", policy=policy, cache_size=M) as sp:
-                    result, evictions = _counts_to_result(
-                        raw[(M, policy)], M, policy, machines[M]
-                    )
-                    if record:
-                        self._record_run_counters(sp, result, evictions)
-                results[(M, policy)] = result
-            return results
-
-        mode = kernels.active_mode()
-        if mode != "off":
-            # One compiled call for the entire grid.
-            grid = kernels.run_grid(
-                plan.kernel_arrays(),
-                np.ascontiguousarray(self.is_input).view(np.uint8),
-                np.ascontiguousarray(self.is_output).view(np.uint8),
-                [M for M, _ in configs],
-                [_POLICY_CODES[p] for _, p in configs],
-            )
-            for j, (M, policy) in enumerate(configs):
-                sc = grid[j]
-                _raise_kernel_status(sc)
-                with span("pebbling.run", policy=policy, cache_size=M) as sp:
-                    result, evictions = _counts_to_result(
-                        tuple(int(x) for x in sc[:8]), M, policy, machines[M]
-                    )
-                    if record:
-                        metrics().inc(f"pebbling.kernel.{mode}")
-                        self._record_run_counters(sp, result, evictions)
-                results[(M, policy)] = result
-            return results
-
         for M, policy in configs:
             with span("pebbling.run", policy=policy, cache_size=M) as sp:
-                result, evictions = self._execute(
-                    plan, M, policy, machines[M], None
+                # next() inside the span: on the serial fallback it runs
+                # this configuration's simulation.
+                result, evictions = _counts_to_result(
+                    next(counts), M, policy, machines[M]
                 )
                 if record:
                     self._record_run_counters(sp, result, evictions)
             results[(M, policy)] = result
         return results
-
-    def _run_partitions(self, plan, configs, workers: int, record: bool):
-        """Fan a config grid out over a process pool; returns the raw
-        count tuples ``{(M, policy): counts}``."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        n_parts = min(int(workers), len(configs))
-        parts = [configs[i::n_parts] for i in range(n_parts)]
-        # Plans may wrap read-only memmaps; to_arrays() yields plain
-        # contiguous arrays that pickle by value.
-        arrays = plan.to_arrays()
-        raw: dict[tuple[int, str], tuple] = {}
-        with span(
-            "pebbling.run_many", partitions=n_parts, configs=len(configs)
-        ):
-            with ProcessPoolExecutor(max_workers=n_parts) as pool:
-                futures = [
-                    pool.submit(
-                        _partition_worker, arrays, self.is_input,
-                        self.is_output, part,
-                    )
-                    for part in parts
-                ]
-                for i, (future, part) in enumerate(zip(futures, parts)):
-                    wall, mode, counts_list = future.result()
-                    # Throughput, not just raw counts: the partition's
-                    # configs-per-second is the quantity worker-count
-                    # tuning actually optimises, so each partition span
-                    # carries it and the registry keeps the last value
-                    # as a gauge.
-                    configs_per_s = len(part) / wall if wall > 0 else 0.0
-                    with span(
-                        "pebbling.run_many.partition", partition=i
-                    ) as sp:
-                        sp.set("configs", len(part))
-                        sp.set("worker_wall_s", round(wall, 6))
-                        sp.set("configs_per_s", round(configs_per_s, 3))
-                        sp.set("path", mode)
-                    if record:
-                        name = (
-                            f"pebbling.kernel.{mode}" if mode != "off"
-                            else "pebbling.kernel.fallback"
-                        )
-                        metrics().inc(name, len(part))
-                        # Workers run with telemetry disabled, so the
-                        # parent re-emits the core's path counters too.
-                        _dispatch.count_path(mode, len(part))
-                        metrics().gauge(
-                            "pebbling.run_many.configs_per_s"
-                        ).set(configs_per_s)
-                    for cfg, counts in zip(part, counts_list):
-                        raw[cfg] = counts
-        return raw
 
     def _record_run_counters(self, sp, result: IOResult, evictions: int) -> None:
         sp.add("scheduled", self.cdag.n_vertices - int(self.is_input.sum()))
@@ -536,14 +343,10 @@ class CacheExecutor:
         if machine.cache_size != cache_size:
             raise CacheError("machine.cache_size disagrees with cache_size")
         plan = self._plan(schedule, validate)
-        return self._execute(plan, cache_size, policy, machine, io_trace)
-
-    def _execute(
-        self, plan, cache_size, policy, machine, io_trace
-    ) -> tuple[IOResult, int]:
         machine.check_executable(self.cdag)
-        counts = _simulate(
-            plan, self.is_input, self.is_output, cache_size, policy, io_trace
+        (counts,) = run_configs(
+            plan, self.is_input, self.is_output, [(cache_size, policy)],
+            io_trace,
         )
         return _counts_to_result(counts, cache_size, policy, machine)
 

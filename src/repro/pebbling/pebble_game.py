@@ -27,8 +27,9 @@ from enum import Enum
 import numpy as np
 
 from repro.cdag.graph import CDAG
-from repro.errors import CacheError, PebbleGameError, ScheduleError
+from repro.errors import PebbleGameError, ScheduleError
 from repro.simcore.plan import SchedulePlan
+from repro.simcore.policies import policy_code
 from repro.simcore.pyloops import simulate_py
 
 __all__ = ["Move", "MoveKind", "PebbleGame", "trace_from_executor"]
@@ -142,9 +143,7 @@ def trace_from_executor(
     ``IOResult.total`` — asserted by the integration tests.  Raises
     :class:`PebbleGameError` if any implied move would be illegal.
     """
-    codes = {"lru": 0, "fifo": 1, "belady": 2}
-    if policy not in codes:
-        raise CacheError(f"unknown eviction policy {policy!r}")
+    code = policy_code(policy)
     schedule = np.ascontiguousarray(schedule, dtype=np.int64)
     game = PebbleGame(cdag, cache_size)
     is_input = cdag.in_degree() == 0
@@ -164,7 +163,7 @@ def trace_from_executor(
 
     try:
         simulate_py(
-            plan, is_input, is_output, cache_size, codes[policy],
+            plan, is_input, is_output, cache_size, code,
             events=forward,
         )
     except ScheduleError as exc:

@@ -12,7 +12,7 @@ under one root directory:
       <graph key>/            # CDAG CSR arrays + copy flags
         meta.json  *.npy
       schedules/<key>/        # named schedule arrays (recursive, rank)
-      plans/<key>/            # executor _SchedulePlan occurrence arrays
+      plans/<key>/            # executor SchedulePlan occurrence arrays
       corrupt/                # quarantined bundles (post-mortem)
 
 Workers ``np.load(..., mmap_mode="r")`` the arrays, so however many
@@ -298,9 +298,10 @@ class GraphCache:
 
     def get_plan(self, executor, schedule: np.ndarray, schedule_digest: str,
                  validate: bool):
-        """The compiled :class:`_SchedulePlan` for ``schedule`` on
+        """The compiled :class:`SchedulePlan` for ``schedule`` on
         ``executor``'s CDAG (compiled and published on a miss)."""
-        from repro.pebbling.executor import EXECUTOR_VERSION, _SchedulePlan
+        from repro.pebbling.executor import EXECUTOR_VERSION
+        from repro.simcore import SchedulePlan
 
         gkey = artifact.cdag_graph_key(executor.cdag)
         pkey = artifact.plan_key(gkey, schedule_digest, EXECUTOR_VERSION)
@@ -325,7 +326,7 @@ class GraphCache:
                 # (shm segments carry arrays, not metadata documents).
                 flag = shm_arrays.pop("_validated", None)
                 was_validated = bool(flag is not None and int(flag[0]))
-                plan = _SchedulePlan.from_arrays(
+                plan = SchedulePlan.from_arrays(
                     shm_arrays, validated=was_validated
                 )
                 self._remember(self._plans, _MAX_LOCAL_PLANS, pkey, plan)
@@ -342,7 +343,7 @@ class GraphCache:
                     self._quarantine(path, "unreadable plan bundle")
                     sp.set("quarantined", True)
                 else:
-                    plan = _SchedulePlan.from_arrays(
+                    plan = SchedulePlan.from_arrays(
                         arrays, validated=bool(meta.get("validated", False))
                     )
                     self._remember(self._plans, _MAX_LOCAL_PLANS, pkey, plan)
@@ -358,7 +359,7 @@ class GraphCache:
             t0 = time.perf_counter()
             if validate:
                 schedule = executor.validate_schedule(schedule)
-            plan = _SchedulePlan(executor.cdag, schedule, validated=validate)
+            plan = SchedulePlan(executor.cdag, schedule, validated=validate)
             self._count("miss", "plan", time.perf_counter() - t0)
             sp.set("outcome", "miss")
             meta = {

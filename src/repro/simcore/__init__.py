@@ -12,11 +12,16 @@ One simulation engine serves every simulator in the repository:
 - :mod:`repro.simcore.policies` — the one implementation of LRU / FIFO
   / Belady as lazy int64-encoded min-heaps over flat arrays, written as
   per-step ``njit`` bodies that operate on single rows of state;
-- :mod:`repro.simcore.grid` — per-config kernels plus the lockstep
-  whole-grid kernel: ``(config, slot)`` 2-D state stepped through the
-  schedule time-major, thread-chunked under numba;
-- :mod:`repro.simcore.pyloops` — the bit-identical pure-Python fallback
-  (also the pebble-game event source);
+- :mod:`repro.simcore.grid` — :func:`run_configs`, the one entry point
+  that runs ``(cache_size, policy)`` configurations over a plan (policy
+  check, path choice, status-to-exception mapping, grid parallelism
+  under ``REPRO_GRID_THREADS``), plus the per-config kernels and the
+  lockstep whole-grid kernel it picks from;
+- :mod:`repro.simcore.pyloops` — the Python specialisation of the
+  ``policies`` step bodies: the same eviction rules over Python lists
+  and lazy tuple heaps, bit-identical to the kernels and ~10x faster
+  than running the kernel code interpreted (also the pebble-game event
+  source);
 - :mod:`repro.simcore.trace` — the address-trace LRU engine
   (:class:`CacheStats`, the dict core, and the columnar multi-capacity
   trace kernel);
@@ -32,11 +37,10 @@ reference implementations they are bit-identical to live under
 from repro.simcore.dispatch import (
     HAVE_NUMBA,
     active_mode,
-    available,
     forced_mode,
     set_mode,
 )
-from repro.simcore.grid import run_grid, simulate_plan
+from repro.simcore.grid import run_configs, run_grid, simulate_plan
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
 from repro.simcore.trace import CacheStats, LRUCacheCore, run_trace_grid
@@ -44,11 +48,11 @@ from repro.simcore.trace import CacheStats, LRUCacheCore, run_trace_grid
 __all__ = [
     "HAVE_NUMBA",
     "active_mode",
-    "available",
     "forced_mode",
     "set_mode",
     "SchedulePlan",
     "gather_operands",
+    "run_configs",
     "simulate_plan",
     "run_grid",
     "simulate_py",

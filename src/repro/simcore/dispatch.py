@@ -13,17 +13,15 @@ numba is an *optional* dependency (the ``speed`` extra).  Three modes:
 - ``off`` — numba absent, or ``REPRO_NO_JIT=1``: callers fall back to
   the pure-Python loops (:mod:`repro.simcore.pyloops` and the
   dict-based trace engine);
-- ``interp`` — test-only (``REPRO_FORCE_KERNELS=1`` or
-  ``set_mode("interp")``): run the kernel *code* under the plain
-  interpreter even without numba, so the equivalence suites exercise
-  the kernel algorithm everywhere.
+- ``interp`` — test-only (``set_mode("interp")`` / ``forced_mode``):
+  run the kernel *code* under the plain interpreter even without numba,
+  so the equivalence suites exercise the kernel algorithm everywhere.
 
-Callers count the path taken per simulation
-(``simcore.kernel.{jit,interp,fallback}``, mirrored as
-``pebbling.kernel.*`` by the executor for dashboard continuity) and the
-wall time of the first kernel invocation per process
-(``simcore.kernel.compile_s`` / legacy ``pebbling.kernel.compile_s`` —
-on a cold numba cache this is dominated by JIT compilation).
+Every simulation counts the path it took, once per configuration
+(``simcore.kernel.{jit,interp,fallback}``), and the first kernel
+invocation per process publishes its wall time as the
+``simcore.kernel.compile_s`` gauge (on a cold numba cache this is
+dominated by JIT compilation).
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "HAVE_NUMBA",
     "njit",
     "active_mode",
-    "available",
     "set_mode",
     "forced_mode",
     "note_first_call",
@@ -65,10 +62,6 @@ except Exception:  # ImportError, or a broken numba install
         return deco
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0")
-
-
 #: ``set_mode`` override; None means "decide from numba + environment".
 _MODE_OVERRIDE: str | None = None
 
@@ -76,19 +69,11 @@ _MODE_OVERRIDE: str | None = None
 def active_mode() -> str:
     """The simulation path core consumers will take: ``"jit"``,
     ``"interp"`` or ``"off"`` (= pure-Python fallback loops)."""
-    mode = _MODE_OVERRIDE
-    if mode is None:
-        if _env_flag("REPRO_NO_JIT"):
-            return "off"
-        if HAVE_NUMBA:
-            return "jit"
-        return "interp" if _env_flag("REPRO_FORCE_KERNELS") else "off"
-    return mode
-
-
-def available() -> bool:
-    """Whether the kernel path (compiled or interpreted) is active."""
-    return active_mode() != "off"
+    if _MODE_OVERRIDE is not None:
+        return _MODE_OVERRIDE
+    if not HAVE_NUMBA or os.environ.get("REPRO_NO_JIT", "") not in ("", "0"):
+        return "off"
+    return "jit"
 
 
 def set_mode(mode: str | None) -> None:
@@ -135,16 +120,14 @@ _compile_s: float | None = None
 def note_first_call(elapsed: float) -> None:
     """Remember the first kernel invocation's wall time (on a cold numba
     cache this is dominated by JIT compilation) and publish it as the
-    ``simcore.kernel.compile_s`` gauge — plus the legacy
-    ``pebbling.kernel.compile_s`` name — once per registry life."""
+    ``simcore.kernel.compile_s`` gauge once per registry life."""
     global _compile_s
     if _compile_s is None:
         _compile_s = elapsed
     if _telemetry_enabled():
-        for name in ("simcore.kernel.compile_s", "pebbling.kernel.compile_s"):
-            gauge = metrics().gauge(name)
-            if gauge.count == 0:
-                gauge.set(_compile_s)
+        gauge = metrics().gauge("simcore.kernel.compile_s")
+        if gauge.count == 0:
+            gauge.set(_compile_s)
 
 
 def count_path(mode: str, n: int = 1) -> None:

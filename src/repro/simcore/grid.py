@@ -1,30 +1,41 @@
-"""Batched grid simulation: ``(config, slot)`` 2-D state stepped in
-lockstep by one compiled kernel.
+"""Batched grid simulation, and the core's one entry point.
 
-The PR-8 grid entry point compiled the *loop over configurations* —
-each ``(cache_size, policy)`` cell still ran start-to-finish on one
-core.  Here the batch is columnar: every kind of per-vertex state is
-one ``(config, slot)`` matrix (row = configuration, slot axis = vertex
-/ heap entry / scalar index), and ``_grid_lockstep`` advances *all*
-rows through schedule step ``t`` before moving to ``t + 1``.  The
-schedule, operand CSR and next-use arrays are read once per step and
-shared across every row, so a thousand-configuration sweep costs one
-pass over the plan instead of a thousand.
+:func:`run_configs` is how every ``(cache_size, policy)`` simulation of
+a :class:`~repro.simcore.plan.SchedulePlan` is run: it checks the policy
+names, picks the path, maps kernel status codes onto
+:class:`~repro.errors.ScheduleError` / :class:`~repro.errors.CacheError`
+and owns grid parallelism.  The paths it chooses between:
+
+- the lockstep grid kernel for a batch on the kernel path: every kind
+  of per-vertex state is one ``(config, slot)`` matrix (row =
+  configuration, slot axis = vertex / heap entry / scalar index), and
+  ``_grid_lockstep`` advances *all* rows through schedule step ``t``
+  before moving to ``t + 1``.  The schedule, operand CSR and next-use
+  arrays are read once per step and shared across every row, so a
+  thousand-configuration sweep costs one pass over the plan instead of
+  a thousand;
+- the per-config kernel for a single configuration or an ``io_trace``;
+- the pure-Python loops (:mod:`repro.simcore.pyloops`) on the fallback.
 
 Configurations are independent, so the interleaving cannot change any
 row's result — bit-identity with single-config runs is structural, and
 the hypothesis suite (``tests/simcore/``) asserts it anyway.
 
-Scaling knobs
--------------
-Under numba the kernel releases the GIL, so the Python wrapper splits
-the config rows into chunks and steps the chunks on a thread pool: a
-whole grid saturates the machine's cores from one process.
-``REPRO_GRID_THREADS`` pins the thread count (default: up to 8, bounded
-by ``os.cpu_count()``); chunks also bound peak state memory to
-``chunk_rows x n_vertices``.  Without numba the threads would just
-contend for the GIL, so the fallback and ``interp`` modes run the grid
-single-threaded.
+Parallelism
+-----------
+One knob, ``REPRO_GRID_THREADS``; a grid that reads anything but a
+positive integer there raises :class:`ValueError`:
+
+- under numba the kernel releases the GIL, so :func:`run_grid` splits
+  the config rows into chunks and steps them on a thread pool (default:
+  up to 8, bounded by ``os.cpu_count()``); chunks also bound peak state
+  memory to ``chunk_rows x n_vertices``;
+- on the fallback, threads would just contend for the GIL, so a value
+  above 1 partitions a batch round-robin across that many processes
+  instead (unset: serial).  On a 2-core host without numba, E9's r = 5
+  recursive grid (8 configurations) takes 6.45 s serial and 3.0 s with
+  ``REPRO_GRID_THREADS=2``;
+- the ``interp`` test mode always runs single-threaded.
 """
 
 from __future__ import annotations
@@ -35,25 +46,36 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.errors import CacheError, ScheduleError
 from repro.simcore.dispatch import (
-    HAVE_NUMBA,
     active_mode,
     count_path,
     njit,
     note_first_call,
 )
+from repro.simcore.plan import SchedulePlan
 from repro.simcore.policies import (
+    ERR_A,
+    ERR_B,
     READS,
     SC_LEN,
     STATUS,
+    STATUS_NO_VICTIM,
     STATUS_OK,
+    STATUS_OPERAND_MISSING,
     WRITES,
     _belady_step,
     _drain_outputs,
     _recency_step,
+    policy_code,
 )
+from repro.simcore.pyloops import simulate_py
+from repro.telemetry.metrics import metrics
+from repro.telemetry.spans import disable as _disable_telemetry
+from repro.telemetry.spans import enabled as _telemetry_enabled
+from repro.telemetry.spans import span
 
-__all__ = ["simulate_plan", "run_grid"]
+__all__ = ["run_configs", "simulate_plan", "run_grid"]
 
 
 # ----------------------------------------------------------------------
@@ -200,15 +222,134 @@ _DUMMY_TRACE = np.empty(1, dtype=np.int64)
 #: per-chunk state setup would dominate.
 _MIN_CHUNK = 4
 
+#: The one parallelism knob (see the module docstring).
+ENV_GRID_THREADS = "REPRO_GRID_THREADS"
 
-def _n_threads() -> int:
-    env = os.environ.get("REPRO_GRID_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return max(1, min(os.cpu_count() or 1, 8))
+
+def _n_threads(default: int) -> int:
+    """``REPRO_GRID_THREADS``, or ``default`` when it is unset."""
+    env = os.environ.get(ENV_GRID_THREADS, "")
+    if not env:
+        return default
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(
+            f"{ENV_GRID_THREADS} must be an integer >= 1, got {env!r}"
+        )
+    return n
+
+
+def run_configs(plan, is_input, is_output, configs, io_trace=None):
+    """Run ``(cache_size, policy)`` configurations over one plan.
+
+    Returns an iterator of raw count tuples ``(reads, writes,
+    input_reads, spill_reads, spill_writes, output_writes, peak,
+    evictions)``, one per configuration, in order.  When ``io_trace`` is
+    a list, the cumulative I/O count after each schedule step is appended
+    to it.  Unknown policy names raise :class:`CacheError` at the call;
+    a configuration that cannot run raises :class:`ScheduleError` or
+    :class:`CacheError` no later than when the iterator reaches it.
+    Each configuration adds one ``simcore.kernel.*`` count.
+
+    Batched paths (the lockstep grid, process partitions) run the whole
+    batch before returning.  The serial fallback simulates each
+    configuration when the iterator reaches it, so a caller timing each
+    ``next()`` times that configuration alone.
+    """
+    Ms = [int(M) for M, _ in configs]
+    codes = [policy_code(p) for _, p in configs]
+    batch = len(Ms) > 1 and io_trace is None
+    if active_mode() == "off":
+        workers = _n_threads(1) if batch else 1
+        if workers > 1:
+            return iter(_run_partitions(plan, is_input, is_output, Ms, codes,
+                                        workers))
+        return (simulate_py(plan, is_input, is_output, M, code, io_trace)
+                for M, code in zip(Ms, codes))
+    args = (plan.kernel_arrays(),
+            np.ascontiguousarray(is_input).view(np.uint8),
+            np.ascontiguousarray(is_output).view(np.uint8))
+    if batch:
+        return map(_counts, run_grid(*args, Ms, codes))
+    return (_run_one(args, M, code, plan.n_steps, io_trace)
+            for M, code in zip(Ms, codes))
+
+
+def _run_one(args, cache_size, code, n_steps, io_trace):
+    trace = None if io_trace is None else np.zeros(n_steps, dtype=np.int64)
+    counts = _counts(simulate_plan(*args, cache_size, code, trace))
+    if trace is not None:
+        io_trace.extend(trace.tolist())
+    return counts
+
+
+def _counts(sc) -> tuple:
+    """The count tuple of a kernel scalar vector; a failed run raises."""
+    status = int(sc[STATUS])
+    if status == STATUS_OPERAND_MISSING:
+        raise ScheduleError(
+            f"operand {int(sc[ERR_A])} of {int(sc[ERR_B])} "
+            "is neither cached nor in slow memory"
+        )
+    if status == STATUS_NO_VICTIM:
+        raise CacheError("no eviction candidate available")
+    return tuple(int(x) for x in sc[:8])
+
+
+def _partition_worker(arrays, is_input, is_output, Ms, codes):
+    """Process-pool entry for a fallback partition: rebuild the plan
+    from its (validated) arrays and run this partition's configurations.
+
+    Telemetry is disabled in the worker — the parent re-emits the path
+    counters, and its caller the per-configuration spans, from the
+    returned raw counts.  Returns ``(wall_s, [counts, ...])``.
+    """
+    _disable_telemetry()
+    t0 = time.perf_counter()
+    plan = SchedulePlan.from_arrays(arrays, validated=True)
+    out = [simulate_py(plan, is_input, is_output, M, code)
+           for M, code in zip(Ms, codes)]
+    return time.perf_counter() - t0, out
+
+
+def _run_partitions(plan, is_input, is_output, Ms, codes, workers: int):
+    """Fan a fallback grid out round-robin over a process pool; returns
+    the count tuples in configuration order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    n_parts = min(workers, len(Ms))
+    # Plans may wrap read-only memmaps; to_arrays() yields plain
+    # contiguous arrays that pickle by value.
+    arrays = plan.to_arrays()
+    out = [None] * len(Ms)
+    with span("simcore.grid", partitions=n_parts, configs=len(Ms)):
+        with ProcessPoolExecutor(max_workers=n_parts) as pool:
+            futures = [
+                pool.submit(_partition_worker, arrays, is_input, is_output,
+                            Ms[i::n_parts], codes[i::n_parts])
+                for i in range(n_parts)
+            ]
+            for i, future in enumerate(futures):
+                wall, counts = future.result()
+                out[i::n_parts] = counts
+                # Throughput, not just raw counts: configs per second is
+                # the quantity a REPRO_GRID_THREADS choice optimises, so
+                # each partition span carries it and the registry keeps
+                # the last value as a gauge.
+                configs_per_s = len(counts) / wall if wall > 0 else 0.0
+                with span("simcore.grid.partition", partition=i) as sp:
+                    sp.set("configs", len(counts))
+                    sp.set("worker_wall_s", round(wall, 6))
+                    sp.set("configs_per_s", round(configs_per_s, 3))
+                count_path("off", len(counts))
+                if _telemetry_enabled():
+                    metrics().gauge("simcore.grid.configs_per_s").set(
+                        configs_per_s
+                    )
+    return out
 
 
 def simulate_plan(plan_arrays, is_input_u8, is_output_u8, cache_size,
@@ -243,7 +384,7 @@ def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
 
     Under numba the grid's config rows are chunked across a thread pool
     (the kernel is ``nogil``), so large sweeps use every core from one
-    process; see the module docstring for the knobs.
+    process; see the module docstring for the knob.
     """
     sched, indptr, ops, occ_next, first_use, uses_left0 = plan_arrays
     Ms = np.ascontiguousarray(cache_sizes, dtype=np.int64)
@@ -270,7 +411,8 @@ def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
                        stampkey, pinned, heaps, aside, out[lo:hi])
 
     mode = active_mode()
-    threads = _n_threads() if (mode == "jit" and HAVE_NUMBA) else 1
+    threads = (_n_threads(max(1, min(os.cpu_count() or 1, 8)))
+               if mode == "jit" else 1)
     n_chunks = min(threads, max(1, C // _MIN_CHUNK))
     t0 = time.perf_counter()
     if n_chunks <= 1:

@@ -8,11 +8,6 @@ a plan serves every ``(cache_size, policy)`` configuration of a sweep:
 the lockstep grid kernel (:mod:`repro.simcore.grid`), the pure-Python
 fallback loops (:mod:`repro.simcore.pyloops`) and the pebble-game
 trace replay all read the same arrays.
-
-The class lived inside :mod:`repro.pebbling.executor` (as
-``_SchedulePlan``) before the simulation core was unified; the
-executor re-exports it under the old name for its consumers (the graph
-cache's plan bundles, the artifact layer).
 """
 
 from __future__ import annotations

@@ -41,14 +41,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import CacheError
 from repro.simcore.dispatch import njit
 
 __all__ = [
+    "POLICY_CODES", "policy_code",
     "READS", "WRITES", "INPUT_READS", "SPILL_READS", "SPILL_WRITES",
     "OUTPUT_WRITES", "PEAK", "EVICTIONS", "NCACHED", "HEAPN", "STATUS",
     "ERR_A", "ERR_B", "SC_LEN",
     "STATUS_OK", "STATUS_OPERAND_MISSING", "STATUS_NO_VICTIM",
 ]
+
+#: Policy name -> the integer code every simulation path dispatches on.
+POLICY_CODES = {"lru": 0, "fifo": 1, "belady": 2}
+
+
+def policy_code(policy: str) -> int:
+    """The code of an eviction policy name; raises :class:`CacheError`
+    for a name no path implements."""
+    code = POLICY_CODES.get(policy)
+    if code is None:
+        raise CacheError(f"unknown eviction policy {policy!r}")
+    return code
 
 # ----------------------------------------------------------------------
 # Scalar-state layout (one int64 vector per simulation, stacked as one

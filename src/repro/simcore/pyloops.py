@@ -1,13 +1,17 @@
 """Pure-Python fallback loops of the simulation core.
 
-Two near-identical loops (recency-stamped LRU/FIFO vs next-use keyed
-Belady) over a :class:`~repro.simcore.plan.SchedulePlan`.  State is flat
-and dense: bytearray bitmaps plus per-vertex stamp/key lists, with a
-lazy heap replacing the reference implementation's O(|candidates|) min
-scans.  Victim choices are bit-identical to the golden reference
-policies kept under ``tests/`` *and* to the compiled kernels; the
-golden-equivalence tests enforce this across schedules x policies x
-cache sizes.
+The Python specialisation of the :mod:`repro.simcore.policies` step
+bodies, not a second design: the same recency-stamped LRU/FIFO and
+next-use keyed Belady rules over a
+:class:`~repro.simcore.plan.SchedulePlan`, with state held in the forms
+the interpreter is fast on — bytearray bitmaps, per-vertex stamp/key
+lists and lazy heaps of tuples.  Running the kernel code itself under
+the interpreter (the ``interp`` mode) is about ten times slower (E9's
+r = 4 recursive grid, 8 configurations: ~6 s against ~0.6 s on a
+2-vCPU host), which is why the fallback keeps these loops.  Victim
+choices are bit-identical to the golden reference policies kept under
+``tests/`` *and* to the compiled kernels; the golden-equivalence tests
+enforce this across schedules x policies x cache sizes.
 
 The optional ``events`` callback receives every implied machine move —
 ``("load", v)``, ``("store", v)``, ``("delete", v)``, ``("compute",

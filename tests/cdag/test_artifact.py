@@ -16,8 +16,9 @@ from repro.bilinear import strassen
 from repro.bilinear.compose import strassen_x_classical
 from repro.cdag import artifact, build_cdag
 from repro.errors import GraphCacheError
-from repro.pebbling.executor import EXECUTOR_VERSION, CacheExecutor, _SchedulePlan
+from repro.pebbling.executor import EXECUTOR_VERSION, CacheExecutor
 from repro.schedules import rank_order_schedule, recursive_schedule
+from repro.simcore import SchedulePlan
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +92,7 @@ class TestPlanRoundTrip:
         path = tmp_path / "plan"
         artifact.write_bundle(path, plan.to_arrays(), {"kind": "plan"})
         arrays, _ = artifact.read_bundle(path, artifact.PLAN_ARRAY_NAMES)
-        loaded = _SchedulePlan.from_arrays(arrays, validated=True)
+        loaded = SchedulePlan.from_arrays(arrays, validated=True)
         assert loaded.n_steps == plan.n_steps
         for name, arr in plan.to_arrays().items():
             np.testing.assert_array_equal(arrays[name], arr)

@@ -21,15 +21,29 @@ class TestRegistry:
             get_experiment("E99")
 
 
+@pytest.fixture(scope="module")
+def default_results():
+    """One default-parameter run per experiment id, shared by every
+    reproduction test in this module (E9 and E14 alone take ~40 s)."""
+    cache: dict[str, ExperimentResult] = {}
+
+    def get(experiment_id: str) -> ExperimentResult:
+        if experiment_id not in cache:
+            cache[experiment_id] = get_experiment(experiment_id)()
+        return cache[experiment_id]
+
+    return get
+
+
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
 class TestReproduction:
-    def test_all_checks_pass(self, experiment_id):
-        result = get_experiment(experiment_id)()
+    def test_all_checks_pass(self, experiment_id, default_results):
+        result = default_results(experiment_id)
         failed = [name for name, ok in result.checks.items() if not ok]
         assert not failed, f"{experiment_id} failed checks: {failed}"
 
-    def test_result_structure(self, experiment_id):
-        result = get_experiment(experiment_id)()
+    def test_result_structure(self, experiment_id, default_results):
+        result = default_results(experiment_id)
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == experiment_id
         assert result.tables, "every experiment reports at least one table"

@@ -9,18 +9,20 @@ cumulative ``io_trace`` agree exactly — not approximately.  Any
 divergence in victim selection shows up here long before it would bend
 an experiment curve.
 
-The whole grid runs against *both* executor paths: the pure-Python
+The whole grid runs against *both* simulation paths: the pure-Python
 fallback loops (``off``) and the kernel algorithm from
-:mod:`repro.pebbling.kernels` (``interp`` when numba is absent, so the
+:mod:`repro.simcore.grid` (``interp`` when numba is absent, so the
 exact code numba would compile runs under the plain interpreter; the
 compiled ``jit`` path when numba is installed).
 """
 
 import pytest
 
+from repro import simcore
 from repro.bilinear import classical, strassen
 from repro.cdag import build_cdag
-from repro.pebbling import CacheExecutor, kernels, min_cache_size
+from repro.errors import CacheError
+from repro.pebbling import CacheExecutor, min_cache_size
 from repro.schedules import (
     random_topological_schedule,
     rank_order_schedule,
@@ -30,13 +32,13 @@ from repro.schedules import (
 from ._reference import reference_run
 
 POLICIES = ("lru", "fifo", "belady")
-PATHS = ("off", "jit" if kernels.HAVE_NUMBA else "interp")
+PATHS = ("off", "jit" if simcore.HAVE_NUMBA else "interp")
 
 
 @pytest.fixture(params=PATHS)
 def sim_path(request):
-    """Run the test body under one executor dispatch mode."""
-    with kernels.forced_mode(request.param):
+    """Run the test body under one simulation dispatch mode."""
+    with simcore.forced_mode(request.param):
         yield request.param
 
 
@@ -99,12 +101,27 @@ def test_run_matches_run_many(sim_path):
         assert ex.run(sched, M, policy) == res
 
 
-def test_partitioned_run_many_matches_reference(sim_path):
-    """The ProcessPoolExecutor grid partitioning returns exactly what
-    the serial sweep does (workers rebuild the plan from its arrays)."""
+def test_partitioned_run_many_matches_reference(sim_path, monkeypatch):
+    """REPRO_GRID_THREADS > 1 (process partitions on the fallback,
+    thread chunks under numba) returns exactly what the serial sweep
+    does — on the fallback, workers rebuild the plan from its arrays."""
     g = build_cdag(strassen(), 2)
     sched = recursive_schedule(g)
     ex = CacheExecutor(g)
+    monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
     serial = ex.run_many(sched, (8, 12, 24), POLICIES)
-    parallel = ex.run_many(sched, (8, 12, 24), POLICIES, workers=3)
+    monkeypatch.setenv("REPRO_GRID_THREADS", "3")
+    parallel = ex.run_many(sched, (8, 12, 24), POLICIES)
     assert parallel == serial
+
+
+def test_unknown_policy_is_a_cache_error(sim_path):
+    """run() and run_many() reject an unknown policy name with the same
+    CacheError on every path."""
+    g = build_cdag(strassen(), 1)
+    sched = recursive_schedule(g)
+    ex = CacheExecutor(g)
+    with pytest.raises(CacheError, match="lruu"):
+        ex.run(sched, 12, "lruu")
+    with pytest.raises(CacheError, match="lruu"):
+        ex.run_many(sched, (8, 12), ("lru", "lruu"))

@@ -1,6 +1,6 @@
 """Hypothesis property suite for the compiled pebbling kernels.
 
-The kernel algorithm (:mod:`repro.pebbling.kernels`) must be
+The kernel algorithm (:mod:`repro.simcore.grid`) must be
 bit-for-bit identical to the retained reference simulator on *every*
 observable — IOResult fields, eviction counts and the cumulative
 ``io_trace`` — not just on the curated golden grid.  These tests
@@ -19,21 +19,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import simcore
 from repro.bilinear import classical, strassen, winograd
 from repro.bilinear.synthetic import with_duplicate_product, with_split_output
 from repro.cdag import build_cdag
-from repro.pebbling import CacheExecutor, kernels, min_cache_size
-from repro.pebbling.executor import _POLICY_CODES
+from repro.pebbling import CacheExecutor, min_cache_size
 from repro.schedules import (
     random_product_order_schedule,
     random_topological_schedule,
     rank_order_schedule,
     recursive_schedule,
 )
+from repro.simcore.policies import POLICY_CODES, STATUS, STATUS_OK
 
 from ._reference import reference_run
 
-KERNEL_MODE = "jit" if kernels.HAVE_NUMBA else "interp"
+KERNEL_MODE = "jit" if simcore.HAVE_NUMBA else "interp"
 
 _GRAPH_CACHE: dict = {}
 
@@ -82,7 +83,7 @@ class TestKernelBitIdentity:
         cache_size = min_cache_size(g) + m_extra
         trace_kernel: list[int] = []
         trace_ref: list[int] = []
-        with kernels.forced_mode(KERNEL_MODE):
+        with simcore.forced_mode(KERNEL_MODE):
             res, ev = CacheExecutor(g)._run(
                 sched, cache_size, policy, True, None, trace_kernel
             )
@@ -105,7 +106,7 @@ class TestKernelBitIdentity:
         runs = {}
         for mode in (KERNEL_MODE, "off"):
             trace: list[int] = []
-            with kernels.forced_mode(mode):
+            with simcore.forced_mode(mode):
                 res, ev = CacheExecutor(g)._run(
                     sched, cache_size, policy, True, None, trace
                 )
@@ -125,17 +126,17 @@ class TestKernelEntryPoints:
         plan = ex.compile(sched)
         is_input = np.ascontiguousarray(ex.is_input).view(np.uint8)
         is_output = np.ascontiguousarray(ex.is_output).view(np.uint8)
-        configs = [(M, p) for M in (8, 16, 48) for p in _POLICY_CODES]
-        with kernels.forced_mode(KERNEL_MODE):
-            grid = kernels.run_grid(
+        configs = [(M, p) for M in (8, 16, 48) for p in POLICY_CODES]
+        with simcore.forced_mode(KERNEL_MODE):
+            grid = simcore.run_grid(
                 plan.kernel_arrays(), is_input, is_output,
                 [M for M, _ in configs],
-                [_POLICY_CODES[p] for _, p in configs],
+                [POLICY_CODES[p] for _, p in configs],
             )
             for row, (M, p) in zip(grid, configs):
-                one = kernels.simulate_plan(
+                one = simcore.simulate_plan(
                     plan.kernel_arrays(), is_input, is_output,
-                    M, _POLICY_CODES[p],
+                    M, POLICY_CODES[p],
                 )
                 assert list(row) == list(one), (M, p)
 
@@ -148,41 +149,37 @@ class TestKernelEntryPoints:
         arrays = ex.compile(sched).to_arrays()
         for arr in arrays.values():
             arr.setflags(write=False)
-        from repro.pebbling.executor import _SchedulePlan
-
-        plan = _SchedulePlan.from_arrays(arrays, validated=True)
-        with kernels.forced_mode(KERNEL_MODE):
-            sc = kernels.simulate_plan(
+        plan = simcore.SchedulePlan.from_arrays(arrays, validated=True)
+        with simcore.forced_mode(KERNEL_MODE):
+            sc = simcore.simulate_plan(
                 plan.kernel_arrays(),
                 np.ascontiguousarray(ex.is_input).view(np.uint8),
                 np.ascontiguousarray(ex.is_output).view(np.uint8),
-                12, _POLICY_CODES["belady"],
+                12, POLICY_CODES["belady"],
             )
-        assert int(sc[kernels.STATUS]) == kernels.STATUS_OK
+        assert int(sc[STATUS]) == STATUS_OK
         ref, _ = reference_run(g, sched, 12, "belady")
         assert tuple(int(x) for x in sc[:2]) == (ref.reads, ref.writes)
 
     def test_mode_gating(self, monkeypatch):
         """REPRO_NO_JIT forces the fallback; set_mode validates."""
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.delenv("REPRO_FORCE_KERNELS", raising=False)
-        assert kernels.active_mode() == (
-            "jit" if kernels.HAVE_NUMBA else "off"
+        assert simcore.active_mode() == (
+            "jit" if simcore.HAVE_NUMBA else "off"
         )
         monkeypatch.setenv("REPRO_NO_JIT", "1")
-        assert kernels.active_mode() == "off"
-        assert not kernels.available()
+        assert simcore.active_mode() == "off"
         monkeypatch.delenv("REPRO_NO_JIT")
-        monkeypatch.setenv("REPRO_FORCE_KERNELS", "1")
-        if not kernels.HAVE_NUMBA:
-            assert kernels.active_mode() == "interp"
-        with kernels.forced_mode("off"):
-            assert kernels.active_mode() == "off"
+        with simcore.forced_mode("interp"):
+            assert simcore.active_mode() == "interp"
+            with simcore.forced_mode("off"):
+                assert simcore.active_mode() == "off"
+            assert simcore.active_mode() == "interp"
         with pytest.raises(ValueError):
-            kernels.set_mode("sideways")
-        if not kernels.HAVE_NUMBA:
+            simcore.set_mode("sideways")
+        if not simcore.HAVE_NUMBA:
             with pytest.raises(RuntimeError):
-                kernels.set_mode("jit")
+                simcore.set_mode("jit")
 
     def test_schedule_error_surfaces_from_kernel(self):
         """An invalid (non-topological) schedule run without validation
@@ -193,7 +190,7 @@ class TestKernelEntryPoints:
         g = _graph("strassen", 1)
         sched = recursive_schedule(g)[::-1].copy()
         for mode in (KERNEL_MODE, "off"):
-            with kernels.forced_mode(mode):
+            with simcore.forced_mode(mode):
                 with pytest.raises(ScheduleError):
                     CacheExecutor(g).run(
                         sched, 12, "lru", validate=False

@@ -10,11 +10,11 @@ simulator implies — per configuration, and identically through
 
 import pytest
 
-from repro import telemetry
+from repro import simcore, telemetry
 from repro.bilinear import strassen
 from repro.bounds.theorem1 import io_lower_bound
 from repro.cdag import build_cdag
-from repro.pebbling import CacheExecutor, kernels
+from repro.pebbling import CacheExecutor
 from repro.schedules import recursive_schedule
 
 from ..pebbling._reference import reference_run
@@ -127,33 +127,67 @@ def test_plan_cache_counters(workload):
     assert reg.counter("pebbling.plan.hit").value == 3
 
 
-KERNEL_MODE = "jit" if kernels.HAVE_NUMBA else "interp"
+KERNEL_MODE = "jit" if simcore.HAVE_NUMBA else "interp"
 
 
 def test_kernel_path_counter_per_simulation(workload):
     """Each simulation increments exactly one
-    ``pebbling.kernel.{jit,interp,fallback}`` path counter — through
+    ``simcore.kernel.{jit,interp,fallback}`` path counter — through
     run() and once per configuration through run_many()."""
     g, sched = workload
     telemetry.enable()
     ex = CacheExecutor(g)
 
-    with kernels.forced_mode(KERNEL_MODE):
+    with simcore.forced_mode(KERNEL_MODE):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         reg = telemetry.metrics()
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 1
-        assert reg.counter("pebbling.kernel.fallback").value == 0
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 1
+        assert reg.counter("simcore.kernel.fallback").value == 0
         ex.run_many(sched, (8, 12), ("lru", "belady"))
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 5
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 5
 
-    with kernels.forced_mode("off"):
+    with simcore.forced_mode("off"):
         telemetry.reset()
         ex.run(sched, 8, "belady")
         ex.run_many(sched, (8, 12), ("lru", "belady"))
         reg = telemetry.metrics()
-        assert reg.counter("pebbling.kernel.fallback").value == 5
-        assert reg.counter(f"pebbling.kernel.{KERNEL_MODE}").value == 0
+        assert reg.counter("simcore.kernel.fallback").value == 5
+        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 0
+
+
+def test_partitioned_run_many_counters(workload, monkeypatch):
+    """On the fallback, REPRO_GRID_THREADS=2 runs the grid in two
+    process partitions; the parent re-emits exactly the serial run's
+    spans and one ``simcore.kernel.fallback`` per configuration, plus
+    one ``simcore.grid.partition`` span per partition."""
+    g, sched = workload
+    telemetry.enable()
+    ex = CacheExecutor(g)
+    Ms, policies = (8, 12, 24), ("lru", "fifo", "belady")
+
+    def spans_and_path_count():
+        telemetry.reset()
+        ex.run_many(sched, Ms, policies)
+        runs = {
+            (s["attrs"]["cache_size"], s["attrs"]["policy"]): s["counters"]
+            for s in _finished()
+        }
+        return runs, telemetry.metrics().counter("simcore.kernel.fallback").value
+
+    with simcore.forced_mode("off"):
+        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
+        serial = spans_and_path_count()
+        assert _finished("simcore.grid.partition") == []
+        monkeypatch.setenv("REPRO_GRID_THREADS", "2")
+        partitioned = spans_and_path_count()
+
+    assert partitioned == serial
+    assert partitioned[1] == len(Ms) * len(policies)
+    parts = _finished("simcore.grid.partition")
+    assert sorted(s["attrs"]["partition"] for s in parts) == [0, 1]
+    assert sum(s["counters"]["configs"] for s in parts) == 9
+    assert telemetry.metrics().gauge("simcore.grid.configs_per_s").count == 2
 
 
 def test_kernel_counters_identical_across_paths(workload):
@@ -163,7 +197,7 @@ def test_kernel_counters_identical_across_paths(workload):
     telemetry.enable()
     ex = CacheExecutor(g)
     for cache_size, policy in CONFIGS:
-        with kernels.forced_mode(KERNEL_MODE):
+        with simcore.forced_mode(KERNEL_MODE):
             telemetry.reset()
             ex.run(sched, cache_size, policy)
             (sp,) = _finished()
@@ -174,16 +208,16 @@ def test_kernel_counters_identical_across_paths(workload):
 
 def test_kernel_compile_gauge_set_once(workload):
     """The first kernel invocation publishes the
-    ``pebbling.kernel.compile_s`` gauge exactly once per registry life
+    ``simcore.kernel.compile_s`` gauge exactly once per registry life
     (on a cold numba cache the value is dominated by JIT compilation)."""
     g, sched = workload
     telemetry.enable()
     telemetry.reset()
     ex = CacheExecutor(g)
-    with kernels.forced_mode(KERNEL_MODE):
+    with simcore.forced_mode(KERNEL_MODE):
         ex.run(sched, 8, "lru")
         ex.run(sched, 12, "belady")
-    gauge = telemetry.metrics().gauge("pebbling.kernel.compile_s")
+    gauge = telemetry.metrics().gauge("simcore.kernel.compile_s")
     assert gauge.count == 1
     assert gauge.last >= 0.0
 
@@ -201,7 +235,7 @@ def test_disabled_telemetry_skips_run_counters(workload):
     reg = telemetry.metrics()
     assert reg.gauge("pebbling.belady_gap").count == 0
     for path in ("jit", "interp", "fallback"):
-        assert reg.counter(f"pebbling.kernel.{path}").value == 0
+        assert reg.counter(f"simcore.kernel.{path}").value == 0
     # Plan cache accounting stays unconditional (cheap, and the
     # autotuner's dedupe contract reads it).
     assert reg.counter("pebbling.plan.miss").value == 1
