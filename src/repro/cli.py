@@ -60,6 +60,7 @@ import sys
 
 from repro.bilinear import by_name, list_catalog
 from repro.bilinear.compose import named_compositions
+from repro.telemetry.baseline import DEFAULT_PERF_IDS
 from repro.utils.tables import TextTable
 
 __all__ = ["main", "build_parser"]
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_perf.add_argument(
-        "ids", nargs="*", help="experiment ids (default: E1 E2 E3)"
+        "ids", nargs="*",
+        help=f"experiment ids (default: {' '.join(DEFAULT_PERF_IDS)})",
     )
     p_perf.add_argument(
         "--repeats", type=int, default=3, metavar="K",

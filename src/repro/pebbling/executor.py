@@ -44,7 +44,8 @@ bit-identity across schedules x policies x cache sizes, and the core's
 ``simcore.kernel.{jit,interp,fallback}`` counters record which path
 each run took.
 
-The executor keeps what is specific to one CDAG: schedule validation,
+The executor keeps what is specific to one CDAG: schedule validation
+(through :func:`repro.schedules.validate_schedule`, the one validator),
 a content-keyed plan cache shared across cache sizes and policies, the
 machine model's I/O accounting, and one ``pebbling.run`` span per
 configuration.  :meth:`CacheExecutor.run_many` exposes the plan reuse
@@ -62,9 +63,10 @@ import numpy as np
 
 from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
-from repro.errors import CacheError, ScheduleError
+from repro.errors import CacheError
 from repro.pebbling.machine import MachineModel
-from repro.simcore import SchedulePlan, gather_operands, run_configs
+from repro.schedules.base import validate_schedule
+from repro.simcore import SchedulePlan, run_configs
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 from repro.telemetry.spans import span
@@ -154,43 +156,9 @@ class CacheExecutor:
 
     def validate_schedule(self, schedule: np.ndarray) -> np.ndarray:
         """Check the schedule is a topological permutation of the
-        non-input vertices; returns it as an int64 array."""
-        schedule = np.ascontiguousarray(schedule, dtype=np.int64)
-        n = self.cdag.n_vertices
-        n_computable = int((~self.is_input).sum())
-        if len(schedule) != n_computable:
-            raise ScheduleError(
-                f"schedule has {len(schedule)} entries; CDAG has "
-                f"{n_computable} computable vertices"
-            )
-        out_of_range = (schedule < 0) | (schedule >= n)
-        if out_of_range.any():
-            v = int(schedule[int(np.argmax(out_of_range))])
-            raise ScheduleError(f"vertex {v} out of range")
-        T = len(schedule)
-        # First occurrence of each vertex (reverse assignment: the
-        # earliest index wins); an occurrence that is not the first, or
-        # that names an input, is rejected exactly as the reference
-        # per-step scan did.
-        first_occ = np.full(n, -1, dtype=np.int64)
-        first_occ[schedule[::-1]] = np.arange(T - 1, -1, -1, dtype=np.int64)
-        bad = self.is_input[schedule]
-        bad |= first_occ[schedule] != np.arange(T, dtype=np.int64)
-        if bad.any():
-            v = int(schedule[int(np.argmax(bad))])
-            raise ScheduleError(f"vertex {v} scheduled twice (or is an input)")
-        # Topological: every non-input operand must be scheduled
-        # strictly before its use.
-        _, step_ops, occ_time = gather_operands(self.cdag, schedule)
-        viol = ~self.is_input[step_ops]
-        viol &= first_occ[step_ops] >= occ_time
-        if viol.any():
-            i = int(np.argmax(viol))
-            raise ScheduleError(
-                f"vertex {int(schedule[occ_time[i]])} scheduled before "
-                f"its predecessor {int(step_ops[i])}"
-            )
-        return schedule
+        non-input vertices (:func:`repro.schedules.validate_schedule`);
+        returns it as a contiguous int64 array."""
+        return validate_schedule(self.cdag, schedule)
 
     # ------------------------------------------------------------------
 

@@ -6,7 +6,8 @@ them, so the library ships several families (rank-order, random
 topological, recursive depth-first, loop-order) built on the two
 primitives here:
 
-- :func:`validate_schedule` — permutation + topological checks;
+- :func:`validate_schedule` — vectorised permutation + topological
+  checks;
 - :func:`demand_driven_schedule` — given an order over the *product*
   vertices, emit each product's not-yet-computed encoder ancestors
   before it and every decoder vertex as soon as its operands complete.
@@ -22,30 +23,55 @@ import numpy as np
 
 from repro.cdag.graph import CDAG, Region
 from repro.errors import ScheduleError
+from repro.simcore.plan import gather_operands
 
 __all__ = ["validate_schedule", "demand_driven_schedule"]
 
 
 def validate_schedule(cdag: CDAG, schedule) -> np.ndarray:
     """Check ``schedule`` is a topological permutation of all computable
-    (non-input) vertices; return it as an int64 array."""
-    schedule = np.asarray(schedule, dtype=np.int64)
+    (non-input) vertices; return it as a contiguous int64 array.
+
+    Vectorised over the whole schedule: first occurrences come from one
+    reverse scatter and the topological check from the operand gather
+    every simulation plan uses.  Each kind of violation reports its
+    earliest schedule position.
+    """
+    schedule = np.ascontiguousarray(schedule, dtype=np.int64)
+    n = cdag.n_vertices
     is_input = cdag.in_degree() == 0
-    n_computable = int(np.count_nonzero(~is_input))
+    n_computable = n - int(np.count_nonzero(is_input))
     if len(schedule) != n_computable:
         raise ScheduleError(
-            f"schedule length {len(schedule)} != computable vertices "
-            f"{n_computable}"
+            f"schedule has {len(schedule)} entries; CDAG has "
+            f"{n_computable} computable vertices"
         )
-    done = is_input.copy()
-    for v in schedule.tolist():
-        if not 0 <= v < cdag.n_vertices:
-            raise ScheduleError(f"vertex {v} out of range")
-        if done[v]:
-            raise ScheduleError(f"vertex {v} repeated or is an input")
-        if not all(done[p] for p in cdag.predecessors(v)):
-            raise ScheduleError(f"vertex {v} scheduled before a predecessor")
-        done[v] = True
+    out_of_range = (schedule < 0) | (schedule >= n)
+    if out_of_range.any():
+        v = int(schedule[int(np.argmax(out_of_range))])
+        raise ScheduleError(f"vertex {v} out of range")
+    T = len(schedule)
+    # First occurrence of each vertex (reverse assignment: the earliest
+    # index wins); an occurrence that is not the first, or that names
+    # an input, is rejected.
+    first_occ = np.full(n, -1, dtype=np.int64)
+    first_occ[schedule[::-1]] = np.arange(T - 1, -1, -1, dtype=np.int64)
+    bad = is_input[schedule]
+    bad |= first_occ[schedule] != np.arange(T, dtype=np.int64)
+    if bad.any():
+        v = int(schedule[int(np.argmax(bad))])
+        raise ScheduleError(f"vertex {v} scheduled twice (or is an input)")
+    # Topological: every non-input operand must be scheduled strictly
+    # before its use.
+    _, step_ops, occ_time = gather_operands(cdag, schedule)
+    viol = ~is_input[step_ops]
+    viol &= first_occ[step_ops] >= occ_time
+    if viol.any():
+        i = int(np.argmax(viol))
+        raise ScheduleError(
+            f"vertex {int(schedule[occ_time[i]])} scheduled before "
+            f"its predecessor {int(step_ops[i])}"
+        )
     return schedule
 
 

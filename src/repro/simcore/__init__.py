@@ -9,17 +9,18 @@ One simulation engine serves every simulator in the repository:
 - :mod:`repro.simcore.plan` — :class:`SchedulePlan`, the
   policy-independent ``(graph, schedule)`` precompute (operand CSR,
   next-use and first-use arrays) every path reads;
-- :mod:`repro.simcore.policies` — the one implementation of LRU / FIFO
-  / Belady as lazy int64-encoded min-heaps over flat arrays, written as
-  per-step ``njit`` bodies that operate on single rows of state;
+- :mod:`repro.simcore.policies` — the one machine step, an ``njit``
+  body over single rows of state with a lazy int64-encoded min-heap;
+  LRU, FIFO and Belady differ only in the key a touch gives a vertex
+  and in how the victim is popped;
 - :mod:`repro.simcore.grid` — :func:`run_configs`, the one entry point
   that runs ``(cache_size, policy)`` configurations over a plan (policy
   check, path choice, status-to-exception mapping, grid parallelism
-  under ``REPRO_GRID_THREADS``), plus the per-config kernels and the
+  under ``REPRO_GRID_THREADS``), plus the per-config kernel and the
   lockstep whole-grid kernel it picks from;
-- :mod:`repro.simcore.pyloops` — the Python specialisation of the
-  ``policies`` step bodies: the same eviction rules over Python lists
-  and lazy tuple heaps, bit-identical to the kernels and ~10x faster
+- :mod:`repro.simcore.pyloops` — the Python specialisation of that
+  step: one loop with the same keys and victim pops over Python lists
+  and a lazy tuple heap, bit-identical to the kernels and ~10x faster
   than running the kernel code interpreted (also the pebble-game event
   source);
 - :mod:`repro.simcore.trace` — the address-trace LRU engine

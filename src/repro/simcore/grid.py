@@ -10,12 +10,16 @@ and owns grid parallelism.  The paths it chooses between:
   of per-vertex state is one ``(config, slot)`` matrix (row =
   configuration, slot axis = vertex / heap entry / scalar index), and
   ``_grid_lockstep`` advances *all* rows through schedule step ``t``
-  before moving to ``t + 1``.  The schedule, operand CSR and next-use
-  arrays are read once per step and shared across every row, so a
-  thousand-configuration sweep costs one pass over the plan instead of
-  a thousand;
+  before moving to ``t + 1``, whatever their policies.  The schedule,
+  operand CSR and next-use arrays are read once per step and shared
+  across every row, so a thousand-configuration sweep costs one pass
+  over the plan instead of a thousand;
 - the per-config kernel for a single configuration or an ``io_trace``;
-- the pure-Python loops (:mod:`repro.simcore.pyloops`) on the fallback.
+- the pure-Python loop (:mod:`repro.simcore.pyloops`) on the fallback.
+
+Both kernels step each row through the one machine step
+(:func:`repro.simcore.policies._step`), which takes the row's policy
+code as an argument.
 
 Configurations are independent, so the interleaving cannot change any
 row's result — bit-identity with single-config runs is structural, and
@@ -64,9 +68,8 @@ from repro.simcore.policies import (
     STATUS_OK,
     STATUS_OPERAND_MISSING,
     WRITES,
-    _belady_step,
     _drain_outputs,
-    _recency_step,
+    _step,
     policy_code,
 )
 from repro.simcore.pyloops import simulate_py
@@ -79,42 +82,16 @@ __all__ = ["run_configs", "simulate_plan", "run_grid"]
 
 
 # ----------------------------------------------------------------------
-# Per-config kernels (single row of state; io_trace support).
+# Per-config kernel (single row of state; io_trace support).
 # ----------------------------------------------------------------------
 
 
 @njit(cache=True, nogil=True)
-def _recency_kernel(sched, indptr, ops, uses_left0, is_input, is_output,
-                    n, cache_size, refresh_on_use, trace, want_trace, sc):
-    T = sched.shape[0]
-    cached = np.zeros(n, dtype=np.uint8)
-    dirty = np.zeros(n, dtype=np.uint8)
-    in_slow = np.empty(n, dtype=np.uint8)
-    output_written = np.zeros(n, dtype=np.uint8)
-    uses_left = np.empty(n, dtype=np.int64)
-    stamp = np.zeros(n, dtype=np.int64)
-    pinned = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        in_slow[i] = is_input[i]
-        uses_left[i] = uses_left0[i]
-    heap = np.empty(ops.shape[0] + T + 2, dtype=np.int64)
-    aside = np.empty(n, dtype=np.int64)
-
-    for t in range(T):
-        if _recency_step(sched[t], t, indptr[t], indptr[t + 1], ops, n,
-                         cache_size, refresh_on_use, is_input, is_output,
-                         cached, dirty, in_slow, output_written, uses_left,
-                         stamp, pinned, heap, aside, sc) < 0:
-            return
-        if want_trace:
-            trace[t] = sc[READS] + sc[WRITES]
-
-    _drain_outputs(n, is_output, dirty, output_written, sc)
-
-
-@njit(cache=True, nogil=True)
-def _belady_kernel(sched, indptr, ops, occ_next, first_use, uses_left0,
-                   is_input, is_output, n, cache_size, trace, want_trace, sc):
+def _simulate_one(sched, indptr, ops, occ_next, first_use, uses_left0,
+                  is_input, is_output, n, cache_size, policy_code,
+                  trace, want_trace, sc):
+    """One configuration (policy codes: 0 = LRU, 1 = FIFO, 2 = Belady)
+    over one row of state."""
     T = sched.shape[0]
     cached = np.zeros(n, dtype=np.uint8)
     dirty = np.zeros(n, dtype=np.uint8)
@@ -127,32 +104,18 @@ def _belady_kernel(sched, indptr, ops, occ_next, first_use, uses_left0,
         in_slow[i] = is_input[i]
         uses_left[i] = uses_left0[i]
     heap = np.empty(ops.shape[0] + T + 2, dtype=np.int64)
+    aside = np.empty(n, dtype=np.int64)
 
     for t in range(T):
-        if _belady_step(sched[t], t, indptr[t], indptr[t + 1], ops, occ_next,
-                        first_use, n, T, cache_size, is_input, is_output,
-                        cached, dirty, in_slow, output_written, uses_left,
-                        key, pinned, heap, sc) < 0:
+        if _step(sched[t], t, indptr[t], indptr[t + 1], ops, occ_next,
+                 first_use, n, T, cache_size, policy_code, is_input,
+                 is_output, cached, dirty, in_slow, output_written,
+                 uses_left, key, pinned, heap, aside, sc) < 0:
             return
         if want_trace:
             trace[t] = sc[READS] + sc[WRITES]
 
     _drain_outputs(n, is_output, dirty, output_written, sc)
-
-
-@njit(cache=True, nogil=True)
-def _simulate_one(sched, indptr, ops, occ_next, first_use, uses_left0,
-                  is_input, is_output, n, cache_size, policy_code,
-                  trace, want_trace, sc):
-    """Policy dispatch: 0 = LRU, 1 = FIFO, 2 = Belady."""
-    if policy_code == 2:
-        _belady_kernel(sched, indptr, ops, occ_next, first_use, uses_left0,
-                       is_input, is_output, n, cache_size, trace, want_trace,
-                       sc)
-    else:
-        _recency_kernel(sched, indptr, ops, uses_left0, is_input, is_output,
-                        n, cache_size, policy_code == 0, trace, want_trace,
-                        sc)
 
 
 # ----------------------------------------------------------------------
@@ -164,16 +127,14 @@ def _simulate_one(sched, indptr, ops, occ_next, first_use, uses_left0,
 def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
                    is_input, is_output, n, cache_sizes, policy_codes,
                    cached, dirty, in_slow, output_written, uses_left,
-                   stampkey, pinned, heaps, aside, sc):
+                   key, pinned, heaps, aside, sc):
     """Step every configuration row through the schedule in lockstep.
 
     All state matrices are ``(n_configs, slots)``; row ``j`` is
     configuration ``(cache_sizes[j], policy_codes[j])``'s private state,
-    initialised here so callers can pass ``np.empty`` storage.
-    ``stampkey`` row ``j`` is the recency stamp for LRU/FIFO rows and
-    the next-use key for Belady rows — the policies never mix within a
-    row.  Rows whose ``STATUS`` goes non-OK stop stepping; the rest of
-    the grid continues.
+    initialised here so callers can pass ``np.empty`` storage.  Rows
+    whose ``STATUS`` goes non-OK stop stepping; the rest of the grid
+    continues.
     """
     T = sched.shape[0]
     C = cache_sizes.shape[0]
@@ -186,7 +147,7 @@ def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
             in_slow[j, i] = is_input[i]
             output_written[j, i] = 0
             uses_left[j, i] = uses_left0[i]
-            stampkey[j, i] = 0
+            key[j, i] = 0
             pinned[j, i] = -1
     for t in range(T):
         v = sched[t]
@@ -195,18 +156,11 @@ def _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
         for j in range(C):
             if sc[j, STATUS] != STATUS_OK:
                 continue
-            if policy_codes[j] == 2:
-                _belady_step(v, t, start, end, ops, occ_next, first_use,
-                             n, T, cache_sizes[j], is_input, is_output,
-                             cached[j], dirty[j], in_slow[j],
-                             output_written[j], uses_left[j], stampkey[j],
-                             pinned[j], heaps[j], sc[j])
-            else:
-                _recency_step(v, t, start, end, ops, n, cache_sizes[j],
-                              policy_codes[j] == 0, is_input, is_output,
-                              cached[j], dirty[j], in_slow[j],
-                              output_written[j], uses_left[j], stampkey[j],
-                              pinned[j], heaps[j], aside[j], sc[j])
+            _step(v, t, start, end, ops, occ_next, first_use, n, T,
+                  cache_sizes[j], policy_codes[j], is_input, is_output,
+                  cached[j], dirty[j], in_slow[j], output_written[j],
+                  uses_left[j], key[j], pinned[j], heaps[j], aside[j],
+                  sc[j])
     for j in range(C):
         if sc[j, STATUS] == STATUS_OK:
             _drain_outputs(n, is_output, dirty[j], output_written[j], sc[j])
@@ -401,14 +355,14 @@ def run_grid(plan_arrays, is_input_u8, is_output_u8, cache_sizes,
         in_slow = np.empty((c, n), dtype=np.uint8)
         output_written = np.empty((c, n), dtype=np.uint8)
         uses_left = np.empty((c, n), dtype=np.int64)
-        stampkey = np.empty((c, n), dtype=np.int64)
+        key = np.empty((c, n), dtype=np.int64)
         pinned = np.empty((c, n), dtype=np.int64)
         heaps = np.empty((c, heap_cap), dtype=np.int64)
         aside = np.empty((c, n), dtype=np.int64)
         _grid_lockstep(sched, indptr, ops, occ_next, first_use, uses_left0,
                        is_input_u8, is_output_u8, n, Ms[lo:hi], pols[lo:hi],
                        cached, dirty, in_slow, output_written, uses_left,
-                       stampkey, pinned, heaps, aside, out[lo:hi])
+                       key, pinned, heaps, aside, out[lo:hi])
 
     mode = active_mode()
     threads = (_n_threads(max(1, min(os.cpu_count() or 1, 8)))

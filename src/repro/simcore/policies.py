@@ -1,28 +1,34 @@
-"""The columnar core's single policy implementation.
+"""The columnar core's machine step: one implementation of the
+two-level machine for every eviction policy.
 
-LRU, FIFO and Belady eviction as lazy int64-encoded min-heaps over flat
-arrays — lifted from the PR-8 pebbling kernels and shared, through
-:mod:`repro.simcore.grid`, by every consumer (the pebble-game executor,
-and indirectly the trace engine, whose stamp-heap recency rule is the
-same decision procedure at line granularity).
+:func:`_step` plays one scheduled computation — pin, load missing
+operands, evict on demand, write back dirty values that are still live,
+compute — and :func:`_drain_outputs` finishes a run.  A policy is two
+things: the key a touch gives a vertex (the step of its last touch for
+LRU, its insertion step for FIFO, ``T - next_use`` for Belady), and the
+victim pop in :func:`_evict`.  Both run over lazy int64-encoded
+min-heaps on flat arrays, shared through :mod:`repro.simcore.grid` by
+every consumer (the pebble-game executor, and indirectly the trace
+engine, whose stamp-heap recency rule is the same decision procedure at
+line granularity).
 
 Bit-for-bit identity with the golden reference
 ----------------------------------------------
 The kernels must be indistinguishable from the retained reference
 simulator (``tests/pebbling/_reference.py``) on every ``IOResult``
 field, the eviction count and the cumulative ``io_trace``.  The
-pure-Python loops achieve this with lazy min-heaps of tuples; here each
-heap entry is encoded into a single ``int64``:
+pure-Python loop achieves this with a lazy min-heap of ``(key, v)``
+tuples; here each heap entry is encoded into a single ``int64``,
+``key * n + v``, which orders exactly like the tuple because ``v < n``:
 
-- recency: ``stamp * n + v`` — orders exactly like the tuple
-  ``(stamp, v)`` because ``v < n``;
-- belady: ``(T - next_use) * n + v`` — ``T`` is the "never used again"
-  sentinel, so ``T - next_use`` ascends as ``-next_use`` does and the
-  encoding orders exactly like ``(-next_use, v)``.
+- recency: ``key`` is a step, so entries order like ``(stamp, v)``;
+- belady: ``key = T - next_use`` — ``T`` is the "never used again"
+  sentinel, so the key ascends as ``-next_use`` does and entries order
+  exactly like ``(-next_use, v)``.
 
 A binary min-heap over a total order pops the same value sequence
 regardless of its internal layout, so the victim choices (and hence
-every downstream count) match the Python loops exactly; the golden
+every downstream count) match the Python loop exactly; the golden
 equivalence and hypothesis suites assert this across schedules x
 policies x cache sizes.
 
@@ -32,9 +38,9 @@ Every simulation's mutable state is *rows*: one slot axis per state kind
 (``cached``/``dirty``/… over vertices, the heap, the scalar vector
 ``sc``).  A single configuration owns one row of each;
 :mod:`repro.simcore.grid` stacks the rows into ``(config, slot)``
-matrices and steps thousands of configurations in lockstep through the
-per-step bodies below (``_recency_step`` / ``_belady_step``), which are
-the *only* implementation of the eviction rules on the kernel path.
+matrices and steps thousands of configurations in lockstep through
+:func:`_step`, the *only* implementation of the machine on the kernel
+path.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def policy_code(policy: str) -> int:
 # ----------------------------------------------------------------------
 # Scalar-state layout (one int64 vector per simulation, stacked as one
 # matrix row per configuration by the batched grid kernel).  The first
-# eight slots match the count tuple the Python loops return.
+# eight slots match the count tuple the Python loop returns.
 # ----------------------------------------------------------------------
 
 READS = 0
@@ -137,88 +143,68 @@ def _heap_pop(heap, size):
 
 
 # ----------------------------------------------------------------------
-# Eviction helpers.  These are line-for-line transcriptions of
-# ``evict_one`` in the Python loops; state travels in the arrays plus
-# the ``sc`` scalar vector (numba cannot pass scalars by reference).
+# The machine step.  ``key[v]`` is the key of v's one fresh heap entry
+# ``key[v] * n + v``: the step of its last touch (LRU), its insertion
+# step (FIFO), or ``T - next_use`` (Belady).  State travels in the
+# arrays plus the ``sc`` scalar vector (numba cannot pass scalars by
+# reference).  ``simulate_py`` in the Python loop transcribes these line
+# for line.
 # ----------------------------------------------------------------------
 
 
 @njit(cache=True, nogil=True)
-def _recency_evict(heap, sc, cached, dirty, in_slow, output_written,
-                   uses_left, is_output, stamp, pinned, aside, t, n):
-    """One recency-policy eviction; returns 0, or -1 with ``sc[STATUS]``
-    set.  Fresh entries of pinned vertices are set aside and re-pushed,
-    exactly like the Python loop's ``aside`` list."""
-    n_aside = 0
+def _evict(heap, sc, cached, dirty, in_slow, output_written, uses_left,
+           is_output, key, pinned, aside, t, n, belady):
+    """One eviction; returns 0, or -1 with ``sc[STATUS]`` set.
+
+    Recency policies drop stale entries and set fresh pinned ones aside
+    (re-pushed after the pop, exactly like the Python loop's ``aside``
+    list).  Belady pops pinned entries destructively, re-keys stale
+    ones and, with the heap exhausted, falls back to the smallest
+    cached unpinned vertex id — the reference policy's lazy
+    invalidation.
+    """
     u = np.int64(-1)
-    while True:
-        if sc[HEAPN] == 0:
-            sc[STATUS] = STATUS_NO_VICTIM
-            return -1
-        e = heap[0]
-        tm = e // n
-        u = e % n
-        if cached[u] == 0 or stamp[u] != tm:
-            sc[HEAPN] = _heap_pop(heap, sc[HEAPN])  # stale entry
-            continue
-        if pinned[u] == t:
-            aside[n_aside] = e
-            n_aside += 1
-            sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
-            continue
-        break
-    for i in range(n_aside):
-        sc[HEAPN] = _heap_push(heap, sc[HEAPN], aside[i])
-    sc[EVICTIONS] += 1
-    cached[u] = 0
-    sc[NCACHED] -= 1
-    if dirty[u] == 1:
-        if uses_left[u] > 0 or (is_output[u] == 1 and output_written[u] == 0):
-            sc[WRITES] += 1
-            in_slow[u] = 1
-            if is_output[u] == 1:
-                sc[OUTPUT_WRITES] += 1
-                output_written[u] = 1
+    if belady:
+        found = False
+        while sc[HEAPN] > 0:
+            e = heap[0]
+            u = e % n
+            if cached[u] == 0 or pinned[u] == t:
+                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
+            elif e // n != key[u]:
+                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
+                sc[HEAPN] = _heap_push(heap, sc[HEAPN], key[u] * n + u)
             else:
-                sc[SPILL_WRITES] += 1
-        dirty[u] = 0
-    return 0
-
-
-@njit(cache=True, nogil=True)
-def _belady_evict(heap, sc, cached, dirty, in_slow, output_written,
-                  uses_left, is_output, key, pinned, t, n, T):
-    """One Belady eviction (max next-use first, ties on smaller vertex
-    id); destructive pops for non-candidates and re-keyed pushes for
-    stale entries match the reference policy's lazy invalidation."""
-    u = np.int64(-1)
-    found = False
-    while sc[HEAPN] > 0:
-        e = heap[0]
-        u = e % n
-        nxt = T - e // n
-        if cached[u] == 0 or pinned[u] == t:
-            sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
-            continue
-        cur = key[u]
-        if nxt != cur:
-            sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
-            sc[HEAPN] = _heap_push(heap, sc[HEAPN], (T - cur) * n + u)
-            continue
-        found = True
-        break
-    if not found:
-        # Heap exhausted (candidate entries were destructively popped
-        # while pinned): deterministic fallback, smallest cached
-        # unpinned vertex id.
-        u = np.int64(-1)
-        for w in range(n):
-            if cached[w] == 1 and pinned[w] != t:
-                u = w
+                found = True
                 break
-        if u < 0:
-            sc[STATUS] = STATUS_NO_VICTIM
-            return -1
+        if not found:
+            u = np.int64(-1)
+            for w in range(n):
+                if cached[w] == 1 and pinned[w] != t:
+                    u = w
+                    break
+            if u < 0:
+                sc[STATUS] = STATUS_NO_VICTIM
+                return -1
+    else:
+        n_aside = 0
+        while True:
+            if sc[HEAPN] == 0:
+                sc[STATUS] = STATUS_NO_VICTIM
+                return -1
+            e = heap[0]
+            u = e % n
+            if cached[u] == 0 or key[u] != e // n:
+                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
+            elif pinned[u] == t:
+                aside[n_aside] = e
+                n_aside += 1
+                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
+            else:
+                break
+        for i in range(n_aside):
+            sc[HEAPN] = _heap_push(heap, sc[HEAPN], aside[i])
     sc[EVICTIONS] += 1
     cached[u] = 0
     sc[NCACHED] -= 1
@@ -235,119 +221,71 @@ def _belady_evict(heap, sc, cached, dirty, in_slow, output_written,
     return 0
 
 
-# ----------------------------------------------------------------------
-# Per-step bodies: one scheduled computation of one configuration.
-# These are the shared core — the per-config kernels and the lockstep
-# grid kernel both step through them, so there is exactly one
-# implementation of each policy's simulation rule on the kernel path.
-# All state arguments are 1-D rows (a single config's slice of the
-# grid's (config, slot) matrices).
-# ----------------------------------------------------------------------
-
-
 @njit(cache=True, nogil=True)
-def _recency_step(v, t, start, end, ops, n, cache_size, refresh_on_use,
-                  is_input, is_output, cached, dirty, in_slow,
-                  output_written, uses_left, stamp, pinned, heap, aside, sc):
-    """One LRU/FIFO step; returns 0, or -1 with ``sc[STATUS]`` set."""
+def _step(v, t, start, end, ops, occ_next, first_use, n, T, cache_size,
+          policy, is_input, is_output, cached, dirty, in_slow,
+          output_written, uses_left, key, pinned, heap, aside, sc):
+    """One scheduled computation of one configuration (policy codes:
+    0 = LRU, 1 = FIFO, 2 = Belady); returns 0, or -1 with ``sc[STATUS]``
+    set.  All state arguments are 1-D rows: a single configuration's
+    slice of the grid's ``(config, slot)`` matrices."""
+    belady = policy == 2
+    refresh_on_use = policy == 0
     pinned[v] = t
     for i in range(start, end):
         pinned[ops[i]] = t
-    # Load missing operands.
+    # Load missing operands.  A recency policy keys a load (and, for
+    # LRU, a hit) with the step; Belady keys operands after the compute.
     for i in range(start, end):
         p = ops[i]
         if cached[p] == 1:
-            if refresh_on_use and stamp[p] != t:
-                stamp[p] = t
+            if refresh_on_use and key[p] != t:
+                key[p] = t
                 sc[HEAPN] = _heap_push(heap, sc[HEAPN], t * n + p)
-        else:
-            if in_slow[p] == 0:
-                sc[STATUS] = STATUS_OPERAND_MISSING
-                sc[ERR_A] = p
-                sc[ERR_B] = v
+            continue
+        if in_slow[p] == 0:
+            sc[STATUS] = STATUS_OPERAND_MISSING
+            sc[ERR_A] = p
+            sc[ERR_B] = v
+            return -1
+        while sc[NCACHED] >= cache_size:
+            if _evict(heap, sc, cached, dirty, in_slow, output_written,
+                      uses_left, is_output, key, pinned, aside, t, n,
+                      belady) < 0:
                 return -1
-            while sc[NCACHED] >= cache_size:
-                if _recency_evict(heap, sc, cached, dirty, in_slow,
-                                  output_written, uses_left, is_output,
-                                  stamp, pinned, aside, t, n) < 0:
-                    return -1
-            cached[p] = 1
-            sc[NCACHED] += 1
-            stamp[p] = t
+        cached[p] = 1
+        sc[NCACHED] += 1
+        if not belady:
+            key[p] = t
             sc[HEAPN] = _heap_push(heap, sc[HEAPN], t * n + p)
-            sc[READS] += 1
-            if is_input[p] == 1:
-                sc[INPUT_READS] += 1
-            else:
-                sc[SPILL_READS] += 1
+        sc[READS] += 1
+        if is_input[p] == 1:
+            sc[INPUT_READS] += 1
+        else:
+            sc[SPILL_READS] += 1
     # Make room for the result and compute.
     while sc[NCACHED] >= cache_size:
-        if _recency_evict(heap, sc, cached, dirty, in_slow,
-                          output_written, uses_left, is_output,
-                          stamp, pinned, aside, t, n) < 0:
+        if _evict(heap, sc, cached, dirty, in_slow, output_written,
+                  uses_left, is_output, key, pinned, aside, t, n,
+                  belady) < 0:
             return -1
     if cached[v] == 0:
         cached[v] = 1
         sc[NCACHED] += 1
     dirty[v] = 1
-    stamp[v] = t
-    sc[HEAPN] = _heap_push(heap, sc[HEAPN], t * n + v)
+    k = T - first_use[v] if belady else t
+    key[v] = k
+    sc[HEAPN] = _heap_push(heap, sc[HEAPN], k * n + v)
     if sc[NCACHED] > sc[PEAK]:
         sc[PEAK] = sc[NCACHED]
     for i in range(start, end):
-        uses_left[ops[i]] -= 1
-    return 0
-
-
-@njit(cache=True, nogil=True)
-def _belady_step(v, t, start, end, ops, occ_next, first_use, n, T,
-                 cache_size, is_input, is_output, cached, dirty, in_slow,
-                 output_written, uses_left, key, pinned, heap, sc):
-    """One Belady step; returns 0, or -1 with ``sc[STATUS]`` set."""
-    pinned[v] = t
-    for i in range(start, end):
-        pinned[ops[i]] = t
-    for i in range(start, end):
         p = ops[i]
-        if cached[p] == 0:
-            if in_slow[p] == 0:
-                sc[STATUS] = STATUS_OPERAND_MISSING
-                sc[ERR_A] = p
-                sc[ERR_B] = v
-                return -1
-            while sc[NCACHED] >= cache_size:
-                if _belady_evict(heap, sc, cached, dirty, in_slow,
-                                 output_written, uses_left, is_output,
-                                 key, pinned, t, n, T) < 0:
-                    return -1
-            cached[p] = 1
-            sc[NCACHED] += 1
-            sc[READS] += 1
-            if is_input[p] == 1:
-                sc[INPUT_READS] += 1
-            else:
-                sc[SPILL_READS] += 1
-    while sc[NCACHED] >= cache_size:
-        if _belady_evict(heap, sc, cached, dirty, in_slow,
-                         output_written, uses_left, is_output,
-                         key, pinned, t, n, T) < 0:
-            return -1
-    if cached[v] == 0:
-        cached[v] = 1
-        sc[NCACHED] += 1
-    dirty[v] = 1
-    nxt = first_use[v]
-    key[v] = nxt
-    sc[HEAPN] = _heap_push(heap, sc[HEAPN], (T - nxt) * n + v)
-    if sc[NCACHED] > sc[PEAK]:
-        sc[PEAK] = sc[NCACHED]
-    # Refresh: exactly one heap entry per operand use, pushed after
-    # the compute so it survives this step's evictions.
-    for i in range(start, end):
-        p = ops[i]
-        nxt = occ_next[i]
-        key[p] = nxt
-        sc[HEAPN] = _heap_push(heap, sc[HEAPN], (T - nxt) * n + p)
+        if belady:
+            # One entry per operand use, pushed after the compute so
+            # that this step's destructive pinned pops cannot drop it.
+            k = T - occ_next[i]
+            key[p] = k
+            sc[HEAPN] = _heap_push(heap, sc[HEAPN], k * n + p)
         uses_left[p] -= 1
     return 0
 

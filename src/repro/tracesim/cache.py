@@ -10,7 +10,9 @@ large-``n`` regime of experiment E10 with realistic cache organisations:
 - :class:`SetAssociativeLRU` — hardware-shaped (sets + ways + lines),
   for the ablation of how much the idealised model under-counts.
 
-Both are thin views over the simulation core's one LRU engine
+The fully associative cache is the one-set case of the set-associative
+one, so there is one ``access``/``flush``/``run`` body.  Both are thin
+views over the simulation core's one LRU engine
 (:class:`repro.simcore.trace.LRUCacheCore`): this module owns the
 address-to-line mapping, the :class:`CacheStats` accumulation and the
 ``tracesim.run`` spans; the core owns the eviction rule, exactly once
@@ -36,23 +38,21 @@ from repro.utils.validation import check_positive_int
 __all__ = ["CacheStats", "FullyAssociativeLRU", "SetAssociativeLRU"]
 
 
-class FullyAssociativeLRU:
-    """Fully associative, write-back, write-allocate LRU cache.
+class SetAssociativeLRU:
+    """Set-associative, write-back, write-allocate LRU cache."""
 
-    Parameters
-    ----------
-    capacity_lines:
-        Number of cache lines.
-    line_size:
-        Words per line; ``1`` reproduces the theoretical machine model
-        (every word its own transfer unit).
-    """
+    organisation = "set-associative"
 
-    def __init__(self, capacity_lines: int, line_size: int = 1):
-        self.capacity = check_positive_int(capacity_lines, "capacity_lines")
+    def __init__(self, n_sets: int, ways: int, line_size: int = 1):
+        self.n_sets = check_positive_int(n_sets, "n_sets")
+        self.ways = check_positive_int(ways, "ways")
         self.line_size = check_positive_int(line_size, "line_size")
-        self._core = LRUCacheCore(1, self.capacity)
+        self._core = LRUCacheCore(self.n_sets, self.ways)
         self.stats = CacheStats()
+
+    @property
+    def capacity_lines(self) -> int:
+        return self.n_sets * self.ways
 
     def access(self, address: int, is_write: bool = False) -> bool:
         """Touch ``address``; returns True on hit."""
@@ -76,90 +76,74 @@ class FullyAssociativeLRU:
         """Consume an iterable of ``(address, is_write)`` pairs and
         flush; returns the statistics.
 
-        The hot loop lives in :meth:`LRUCacheCore.run_counts` (the
-        E10 traces run to 10^7 accesses).  With the compiled kernels on
-        and the cache cold, the trace is materialised once and handed to
-        the columnar lockstep kernel instead — bit-identical by the
-        tracesim equivalence suite.
+        The hot loop lives in :meth:`LRUCacheCore.run_counts` (the E10
+        traces run to 10^7 accesses), with the set lookup
+        (``line % n_sets``) resolved inside the core.
         """
         with span(
-            "tracesim.run", organisation="fully-associative",
-            capacity_lines=self.capacity, line_size=self.line_size,
+            "tracesim.run", organisation=self.organisation,
+            capacity_lines=self.capacity_lines, line_size=self.line_size,
         ) as sp:
-            if active_mode() == "jit" and not self._core.buckets[0]:
-                # Pack (address, is_write) into one int64 stream so a
-                # single fromiter pass materialises the generator.
-                enc = np.fromiter(
-                    (addr * 2 + bool(w) for addr, w in trace),
-                    dtype=np.int64,
-                )
-                g = run_trace_grid(
-                    enc >> 1, (enc & 1).astype(np.uint8),
-                    [self.capacity], line_size=self.line_size,
-                )[0]
-                stats = self.stats
-                stats.accesses += g.accesses
-                stats.hits += g.hits
-                stats.misses += g.misses
-                stats.writebacks += g.writebacks
-            else:
-                counts = self._core.run_counts(trace, self.line_size)
-                stats = self.stats
-                stats.accesses += counts[0]
-                stats.hits += counts[1]
-                stats.misses += counts[2]
-                stats.writebacks += counts[3]
-                self.flush()
+            self._consume(trace)
             _record_cache_counters(sp, self.stats)
             return self.stats
 
+    def _consume(self, trace) -> None:
+        """Add a whole trace to :attr:`stats`, flush included."""
+        self._add(self._core.run_counts(trace, self.line_size))
+        self.flush()
 
-class SetAssociativeLRU:
-    """Set-associative, write-back, write-allocate LRU cache."""
+    def _add(self, counts) -> None:
+        stats = self.stats
+        stats.accesses += counts[0]
+        stats.hits += counts[1]
+        stats.misses += counts[2]
+        stats.writebacks += counts[3]
 
-    def __init__(self, n_sets: int, ways: int, line_size: int = 1):
-        self.n_sets = check_positive_int(n_sets, "n_sets")
-        self.ways = check_positive_int(ways, "ways")
-        self.line_size = check_positive_int(line_size, "line_size")
-        self._core = LRUCacheCore(self.n_sets, self.ways)
-        self.stats = CacheStats()
+
+class FullyAssociativeLRU(SetAssociativeLRU):
+    """Fully associative, write-back, write-allocate LRU cache: the
+    one-set case of :class:`SetAssociativeLRU`.
+
+    Parameters
+    ----------
+    capacity_lines:
+        Number of cache lines.
+    line_size:
+        Words per line; ``1`` reproduces the theoretical machine model
+        (every word its own transfer unit).
+    """
+
+    organisation = "fully-associative"
+
+    def __init__(self, capacity_lines: int, line_size: int = 1):
+        super().__init__(
+            1, check_positive_int(capacity_lines, "capacity_lines"),
+            line_size,
+        )
 
     @property
-    def capacity_lines(self) -> int:
-        return self.n_sets * self.ways
+    def capacity(self) -> int:
+        return self.ways
 
-    def access(self, address: int, is_write: bool = False) -> bool:
-        line = address // self.line_size
-        hit, wrote_back = self._core.access(line, is_write)
-        stats = self.stats
-        stats.accesses += 1
-        if hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-            if wrote_back:
-                stats.writebacks += 1
-        return hit
-
-    def flush(self) -> None:
-        self.stats.writebacks += self._core.flush()
-
-    def run(self, trace) -> CacheStats:
-        """Same core hot loop, with the set lookup (``line % n_sets``)
-        resolved inside the core."""
-        with span(
-            "tracesim.run", organisation="set-associative",
-            capacity_lines=self.capacity_lines, line_size=self.line_size,
-        ) as sp:
-            counts = self._core.run_counts(trace, self.line_size)
-            stats = self.stats
-            stats.accesses += counts[0]
-            stats.hits += counts[1]
-            stats.misses += counts[2]
-            stats.writebacks += counts[3]
-            self.flush()
-            _record_cache_counters(sp, stats)
-            return stats
+    def _consume(self, trace) -> None:
+        """With the compiled kernels on and the cache cold, the trace is
+        materialised once and handed to the columnar lockstep kernel
+        (which flushes itself) — bit-identical by the tracesim
+        equivalence suite."""
+        if active_mode() != "jit" or self._core.buckets[0]:
+            super()._consume(trace)
+            return
+        # Pack (address, is_write) into one int64 stream so a single
+        # fromiter pass materialises the generator.
+        enc = np.fromiter(
+            (addr * 2 + bool(w) for addr, w in trace), dtype=np.int64,
+        )
+        g = run_trace_grid(
+            enc >> 1, (enc & 1).astype(np.uint8),
+            [self.capacity], line_size=self.line_size,
+        )[0]
+        self._add((g.accesses, g.hits, g.misses, g.writebacks))
 
 
 def _record_cache_counters(sp, stats: CacheStats) -> None:

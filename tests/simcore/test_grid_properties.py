@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bilinear import strassen, winograd
 from repro.cdag import build_cdag
+from repro.errors import CacheError
 from repro.simcore import HAVE_NUMBA, SchedulePlan, forced_mode
 from repro.simcore.grid import run_grid, simulate_plan
-from repro.simcore.policies import SC_LEN, STATUS, STATUS_OK
+from repro.simcore.policies import SC_LEN, STATUS, STATUS_NO_VICTIM, STATUS_OK
 from repro.simcore.pyloops import simulate_py
 from repro.schedules import (
     random_product_order_schedule,
@@ -134,10 +135,12 @@ class TestGridLockstepProperties:
         assert np.array_equal(out[0], out[2])
         assert np.array_equal(out[0], out[4])
 
+    @pytest.mark.parametrize("code", sorted(POLICY_NAMES))
     @pytest.mark.parametrize("mode", MODES)
-    def test_failed_row_does_not_stop_the_grid(self, mode):
-        """A row with an impossibly small cache goes non-OK; its
-        neighbours still finish with correct counts."""
+    def test_failed_row_does_not_stop_the_grid(self, mode, code):
+        """A row with an impossibly small cache goes non-OK under every
+        policy; its neighbours still finish with correct counts, and the
+        fallback loop raises for the same configuration."""
         g = graph("strassen")
         sched = make_schedule(g, "topo", 7)
         is_input, is_output = masks(g)
@@ -146,13 +149,15 @@ class TestGridLockstepProperties:
         plan = SchedulePlan(g, sched, validated=False)
         arrays = plan.kernel_arrays()
         Ms = np.array([1, 24], dtype=np.int64)
-        codes = np.array([0, 0], dtype=np.int64)
+        codes = np.array([code, code], dtype=np.int64)
         with forced_mode(mode):
             out = run_grid(arrays, iu8, ou8, Ms, codes)
-        assert int(out[0, STATUS]) != STATUS_OK
+        assert int(out[0, STATUS]) == STATUS_NO_VICTIM
         assert int(out[1, STATUS]) == STATUS_OK
-        res, evictions = reference_run(g, sched, 24, "lru")
+        res, evictions = reference_run(g, sched, 24, POLICY_NAMES[code])
         assert tuple(int(x) for x in out[1, :8]) == (
             res.reads, res.writes, res.input_reads, res.spill_reads,
             res.spill_writes, res.output_writes, res.peak_cache, evictions,
         )
+        with pytest.raises(CacheError):
+            simulate_py(plan, is_input, is_output, 1, code)

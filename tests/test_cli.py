@@ -14,6 +14,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_perf_help_names_every_default_id(self, capsys):
+        from repro.telemetry.baseline import DEFAULT_PERF_IDS
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["perf", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {' '.join(DEFAULT_PERF_IDS)})" in out
+
 
 class TestCommands:
     def test_catalog(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from repro.simcore import dispatch
 from repro.simcore.trace import run_trace_grid
 from repro.tracesim import FullyAssociativeLRU, SetAssociativeLRU, trace_blocked
+from repro.tracesim import cache as tracesim_cache
 
 from tests.tracesim._reference import (
     ReferenceFullyAssociativeLRU,
@@ -37,6 +38,26 @@ def test_sa_matches_reference(seed, n_sets, ways, line_size):
     trace = random_trace(seed)
     got = SetAssociativeLRU(n_sets, ways, line_size).run(iter(trace))
     want = ReferenceSetAssociativeLRU(n_sets, ways, line_size).run(iter(trace))
+    assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("capacity,line_size", [(8, 1), (8, 4)])
+def test_fa_kernel_route_matches_reference(monkeypatch, capacity, line_size):
+    """The cold-run route a compiled install takes through the lockstep
+    trace kernel, driven on the interpreted kernel."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return run_trace_grid(*args, **kwargs)
+
+    monkeypatch.setattr(tracesim_cache, "active_mode", lambda: "jit")
+    monkeypatch.setattr(tracesim_cache, "run_trace_grid", spy)
+    trace = random_trace(5)
+    with dispatch.forced_mode("interp"):
+        got = FullyAssociativeLRU(capacity, line_size).run(iter(trace))
+    want = ReferenceFullyAssociativeLRU(capacity, line_size).run(iter(trace))
+    assert calls == [[capacity]]
     assert got.as_dict() == want.as_dict()
 
 
