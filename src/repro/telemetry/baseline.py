@@ -45,9 +45,10 @@ __all__ = [
 BENCH_SCHEMA = 1
 
 #: The cheap structural experiments every perf run covers by default,
-#: plus the routing-certificate check (E4) and the executor-bound I/O
-#: sweep (E9) at reduced parameters.
-DEFAULT_PERF_IDS = ("E1", "E2", "E3", "E4", "E9")
+#: plus the routing-certificate check (E4), the executor-bound I/O
+#: sweep (E9) at reduced parameters, and the flow-bound Hong-Kung
+#: dominator cuts (E14).
+DEFAULT_PERF_IDS = ("E1", "E2", "E3", "E4", "E9", "E14")
 
 #: Reduced parameters used when measuring an experiment that would be
 #: too slow at its defaults.  ``run_perf`` falls back to these when the

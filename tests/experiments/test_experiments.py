@@ -24,7 +24,7 @@ class TestRegistry:
 @pytest.fixture(scope="module")
 def default_results():
     """One default-parameter run per experiment id, shared by every
-    reproduction test in this module (E9 and E14 alone take ~40 s)."""
+    reproduction test in this module (E9 alone takes ~30 s)."""
     cache: dict[str, ExperimentResult] = {}
 
     def get(experiment_id: str) -> ExperimentResult:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bilinear import strassen
 from repro.cdag import Region, build_cdag, compute_metavertices
@@ -20,6 +21,7 @@ from repro.schedules import (
     random_topological_schedule,
     recursive_schedule,
 )
+from tests.bounds._reference import reference_boundary_sets
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,29 @@ class TestBoundarySets:
         r_set, w_set = boundary_sets(g3, segment)
         assert all(v not in sset for v in r_set.tolist())
         assert all(v in sset for v in w_set.tolist())
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_vertex_loop(self, g3, meta3, data):
+        """Random subsets, schedule slices and their meta-closures (what
+        SegmentAnalysis measures) give the reference loop's sets."""
+        n = g3.n_vertices
+        if data.draw(st.booleans()):
+            segment = np.array(
+                data.draw(st.lists(st.integers(0, n - 1), max_size=300)), dtype=np.int64
+            )
+        else:
+            sched = recursive_schedule(g3)
+            start = data.draw(st.integers(0, len(sched) - 1))
+            segment = sched[start : start + data.draw(st.integers(1, 400))]
+        if data.draw(st.booleans()):
+            segment = meta3.closure(segment)
+        for got, want in zip(
+            boundary_sets(g3, segment), reference_boundary_sets(g3, segment)
+        ):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMetaBoundary:
