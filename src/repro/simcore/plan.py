@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cdag import artifact as _artifact
-from repro.cdag.graph import CDAG
+from repro.cdag.graph import CDAG, csr_rows
 
 __all__ = ["SchedulePlan", "gather_operands"]
 
@@ -149,15 +149,5 @@ def gather_operands(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten the predecessor lists of a schedule into occurrence
     arrays: ``(step_indptr, step_ops, occ_time)``."""
-    indptr, indices = cdag.pred_csr()
-    T = len(schedule)
-    starts = indptr[schedule]
-    counts = indptr[schedule + 1] - starts
-    step_indptr = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(counts, out=step_indptr[1:])
-    total = int(step_indptr[-1])
-    gather = np.repeat(starts - step_indptr[:-1], counts)
-    gather += np.arange(total, dtype=np.int64)
-    step_ops = indices[gather]
-    occ_time = np.repeat(np.arange(T, dtype=np.int64), counts)
+    step_indptr, occ_time, step_ops = csr_rows(*cdag.pred_csr(), schedule)
     return step_indptr, step_ops, occ_time
