@@ -87,59 +87,67 @@ def demand_driven_schedule(cdag: CDAG, product_order) -> np.ndarray:
     within ``cdag.products()``).
     """
     product_order = np.asarray(product_order, dtype=np.int64)
-    products = cdag.products()
+    products = cdag.products().tolist()
     if sorted(product_order.tolist()) != list(range(len(products))):
         raise ScheduleError(
             "product_order must be a permutation of range(#products)"
         )
 
+    # The walks index Python lists and bytearrays, which the interpreter
+    # reads faster than numpy scalars; CSR rows are list slices.
+    pred_indptr = cdag.pred_indptr.tolist()
+    pred_indices = cdag.pred_indices.tolist()
+    succ_indptr = cdag.succ_indptr.tolist()
+    succ_indices = cdag.succ_indices.tolist()
     is_input = cdag.in_degree() == 0
-    computed = is_input.copy()  # inputs start available
+    computed = bytearray(is_input.tobytes())  # inputs start available
     # pending[v]: operands of v not yet computed (inputs pre-discounted).
-    pending = np.diff(cdag.pred_indptr).astype(np.int64)
     edge_parents = np.repeat(
         np.arange(cdag.n_vertices), np.diff(cdag.pred_indptr)
     )
-    input_edges = is_input[cdag.pred_indices]
-    pending -= np.bincount(
-        edge_parents[input_edges], minlength=cdag.n_vertices
+    pending = np.bincount(
+        edge_parents[~is_input[cdag.pred_indices]],
+        minlength=cdag.n_vertices,
+    ).tolist()
+    # Decoder vertices above the products are released eagerly.
+    release = bytearray(
+        ((cdag.region == Region.DEC) & (cdag.rank > cdag.r + 1)).tobytes()
     )
-    is_dec = cdag.region == Region.DEC
-    dec_rank_positive = is_dec & (cdag.rank > cdag.r + 1)
     out: list[int] = []
 
-    def emit(v: int) -> None:
-        """Record v as computed and eagerly release ready decoder
-        vertices above it."""
-        computed[v] = True
-        out.append(v)
+    for idx in product_order.tolist():
+        v = products[idx]
+        if computed[v]:  # pragma: no cover - products are never decoder-released
+            continue
+        # DFS over uncomputed ancestors, emitting bottom-up, then v.  A
+        # stack entry ``node`` expands it; ``~node`` emits it.
         stack = [v]
         while stack:
             node = stack.pop()
-            for s in cdag.successors(node).tolist():
-                pending[s] -= 1
-                if pending[s] == 0 and dec_rank_positive[s] and not computed[s]:
-                    computed[s] = True
-                    out.append(s)
-                    stack.append(s)
-
-    for idx in product_order.tolist():
-        v = int(products[idx])
-        if computed[v]:  # pragma: no cover - products are never decoder-released
-            continue
-        # DFS over uncomputed ancestors, emitting bottom-up, then v.
-        stack: list[tuple[int, bool]] = [(v, False)]
-        while stack:
-            node, expanded = stack.pop()
+            if node < 0:
+                node = ~node
+                if computed[node]:
+                    continue
+                # Emit: record node as computed and release ready
+                # decoder vertices above it.
+                computed[node] = 1
+                out.append(node)
+                ready = [node]
+                while ready:
+                    u = ready.pop()
+                    for s in succ_indices[succ_indptr[u]:succ_indptr[u + 1]]:
+                        pending[s] -= 1
+                        if not pending[s] and release[s] and not computed[s]:
+                            computed[s] = 1
+                            out.append(s)
+                            ready.append(s)
+                continue
             if computed[node]:
                 continue
-            if expanded:
-                emit(node)
-                continue
-            stack.append((node, True))
-            for p in cdag.predecessors(node).tolist():
+            stack.append(~node)
+            for p in pred_indices[pred_indptr[node]:pred_indptr[node + 1]]:
                 if not computed[p]:
-                    stack.append((p, False))
+                    stack.append(p)
 
     expected = int(np.count_nonzero(cdag.in_degree() > 0))
     if len(out) != expected:

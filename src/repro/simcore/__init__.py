@@ -19,10 +19,10 @@ One simulation engine serves every simulator in the repository:
   under ``REPRO_GRID_THREADS``), plus the per-config kernel and the
   lockstep whole-grid kernel it picks from;
 - :mod:`repro.simcore.pyloops` — the Python specialisation of that
-  step: one loop with the same keys and victim pops over Python lists
-  and a lazy tuple heap, bit-identical to the kernels and ~10x faster
-  than running the kernel code interpreted (also the pebble-game event
-  source);
+  step: one loop with the same keys and victim pops over Python lists,
+  a recency queue (LRU, FIFO) and an int heap (Belady), bit-identical to
+  the kernels and ~10x faster than running the kernel code interpreted
+  (also the pebble-game event source);
 - :mod:`repro.simcore.trace` — the address-trace LRU engine
   (:class:`CacheStats`, the dict core, and the columnar multi-capacity
   trace kernel);

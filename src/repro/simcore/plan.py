@@ -42,7 +42,8 @@ class SchedulePlan:
     them as Python lists (cheaper per element than numpy scalars),
     materialised lazily on first fallback simulate by
     :meth:`ensure_lists`; a plan that only ever runs on the kernel path
-    (or is loaded but never run) never pays that materialisation.
+    (or is loaded but never run) never pays that materialisation, and
+    one that never runs Belady never builds Belady's next-use lists.
     """
 
     __slots__ = (
@@ -82,7 +83,7 @@ class SchedulePlan:
         self.occ_next = occ_next
         self.first_use = first_use
         self.uses_left0 = np.bincount(step_ops, minlength=n).astype(np.int64)
-        self._sched_l = None
+        self._sched_l = self._occ_next_l = self._first_use_l = None
         self._kernel_arrays = None
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -111,20 +112,22 @@ class SchedulePlan:
         self.uses_left0 = arrays["uses_left0"]
         self.n_steps = len(self.schedule)
         self.validated = validated
-        self._sched_l = None
+        self._sched_l = self._occ_next_l = self._first_use_l = None
         self._kernel_arrays = None
         return self
 
-    def ensure_lists(self) -> None:
+    def ensure_lists(self, belady: bool = False) -> None:
         """Materialise the fallback loops' Python lists (idempotent;
-        the kernel path never calls this)."""
+        the kernel path never calls this).  Belady's next-use lists are
+        built only once a Belady configuration asks for them."""
         if self._sched_l is None:
             self._sched_l = self.schedule.tolist()
             self._indptr_l = self.step_indptr.tolist()
             self._ops_l = self.step_ops.tolist()
+            self._uses_l = self.uses_left0.tolist()
+        if belady and self._occ_next_l is None:
             self._occ_next_l = self.occ_next.tolist()
             self._first_use_l = self.first_use.tolist()
-            self._uses_l = self.uses_left0.tolist()
 
     def kernel_arrays(self) -> tuple[np.ndarray, ...]:
         """The plan's arrays as the compiled kernels consume them:

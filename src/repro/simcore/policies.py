@@ -16,10 +16,10 @@ Bit-for-bit identity with the golden reference
 ----------------------------------------------
 The kernels must be indistinguishable from the retained reference
 simulator (``tests/pebbling/_reference.py``) on every ``IOResult``
-field, the eviction count and the cumulative ``io_trace``.  The
-pure-Python loop achieves this with a lazy min-heap of ``(key, v)``
-tuples; here each heap entry is encoded into a single ``int64``,
-``key * n + v``, which orders exactly like the tuple because ``v < n``:
+field, the eviction count and the cumulative ``io_trace``.  Both order
+evictions by ``(key, v)``: here each heap entry is encoded into a
+single ``int64``, ``key * n + v``, which orders exactly like the tuple
+because ``v < n``:
 
 - recency: ``key`` is a step, so entries order like ``(stamp, v)``;
 - belady: ``key = T - next_use`` — ``T`` is the "never used again"
@@ -28,9 +28,10 @@ tuples; here each heap entry is encoded into a single ``int64``,
 
 A binary min-heap over a total order pops the same value sequence
 regardless of its internal layout, so the victim choices (and hence
-every downstream count) match the Python loop exactly; the golden
-equivalence and hypothesis suites assert this across schedules x
-policies x cache sizes.
+every downstream count) match the Python loop exactly — its Belady
+``heapq`` holds the same ints, and its LRU/FIFO recency queue is kept
+in the same ``(stamp, v)`` order; the golden equivalence and hypothesis
+suites assert this across schedules x policies x cache sizes.
 
 Layout
 ------
@@ -147,8 +148,9 @@ def _heap_pop(heap, size):
 # ``key[v] * n + v``: the step of its last touch (LRU), its insertion
 # step (FIFO), or ``T - next_use`` (Belady).  State travels in the
 # arrays plus the ``sc`` scalar vector (numba cannot pass scalars by
-# reference).  ``simulate_py`` in the Python loop transcribes these line
-# for line.
+# reference).  ``simulate_py`` in the Python loop is the same machine
+# step over a different recency structure: a queue in ``(stamp, v)``
+# order for LRU and FIFO, a ``heapq`` of these encoded ints for Belady.
 # ----------------------------------------------------------------------
 
 
@@ -158,9 +160,9 @@ def _evict(heap, sc, cached, dirty, in_slow, output_written, uses_left,
     """One eviction; returns 0, or -1 with ``sc[STATUS]`` set.
 
     Recency policies drop stale entries and set fresh pinned ones aside
-    (re-pushed after the pop, exactly like the Python loop's ``aside``
-    list).  Belady pops pinned entries destructively, re-keys stale
-    ones and, with the heap exhausted, falls back to the smallest
+    (re-pushed after the pop; the Python loop's recency queue leaves
+    them in place).  Belady pops pinned entries destructively, re-keys
+    stale ones and, with the heap exhausted, falls back to the smallest
     cached unpinned vertex id — the reference policy's lazy
     invalidation.
     """

@@ -5,19 +5,42 @@ step, not a second design: one loop plays the two-level machine over a
 :class:`~repro.simcore.plan.SchedulePlan` — pin the step's vertices,
 load missing operands, evict on demand, write back dirty values that
 are still live, compute, and drain the outputs at the end.  State is
-held in the forms the interpreter is fast on: bytearray bitmaps, a
-per-vertex key list and one lazy heap of ``(key, v)`` tuples.
+held in the forms the interpreter is fast on: bytearray bitmaps, Python
+lists and one list slice of operands per step.
 
 A policy is two things.  The key a touch gives a vertex: the step of
-its last touch (LRU), its insertion step (FIFO), or ``-next_use``
-(Belady, with ``plan.n_steps`` as the "never used again" sentinel).
-And the victim pop in ``evict_one``.  Running the kernel code itself
-under the interpreter (the ``interp`` mode) is about ten times slower
-(E9's r = 4 recursive grid, 8 configurations: ~6 s against ~0.6 s on a
-2-vCPU host), which is why the fallback keeps this loop.  Victim
-choices are bit-identical to the golden reference policies kept under
-``tests/`` *and* to the compiled kernels; the golden-equivalence tests
-enforce this across schedules x policies x cache sizes.
+its last touch (LRU), its insertion step (FIFO), or ``T - next_use``
+(Belady, with ``T = plan.n_steps`` as the "never used again"
+sentinel).  And the victim pop in ``evict_one``, over the structure
+that orders those keys:
+
+- **LRU and FIFO: a recency queue.**  The kernels' lazy min-heap of
+  ``(stamp, v)`` entries degenerates here, as the trace LRU's does in
+  :mod:`repro.simcore.trace`: stamps are steps, pushed in nondecreasing
+  order, and every entry stamped at step ``t`` belongs to a vertex
+  pinned during step ``t``, so no eviction of that step may take it.
+  The queue is two parallel lists (vertex ids and stamps) plus a head
+  cursor; a step collects its stamped vertices and appends them, sorted
+  by id, once its compute is done.  The queue is then sorted by
+  ``(stamp, v)``, exactly the heap's order, and holds the same fresh
+  entries as the heap outside the current step, whose entries the heap
+  would only set aside as pinned.  So "first fresh unpinned entry from
+  the head" is the heap's pop: stale entries (evicted, or re-stamped
+  since) are skipped, the head advances over a stale prefix and past
+  the victim, and fresh pinned entries stay where they are.  Once the
+  head passes half the list the consumed prefix is deleted.
+- **Belady: a heap of ints.**  Entries are encoded like the kernels',
+  ``key * n + v``, which orders exactly like ``(key, v)`` because
+  ``v < n``; ``key[v]`` holds v's fresh encoded entry, so the staleness
+  test is one compare and a re-key is one ``heapreplace``.
+
+Running the kernel code itself under the interpreter (the ``interp``
+mode) is about ten times slower (E9's r = 4 recursive grid, 8
+configurations: ~6 s against ~0.6 s on a 2-vCPU host), which is why the
+fallback keeps this loop.  Victim choices are bit-identical to the
+golden reference policies kept under ``tests/`` *and* to the compiled
+kernels; the golden-equivalence tests enforce this across schedules x
+policies x cache sizes.
 
 The optional ``events`` callback receives every implied machine move —
 ``("load", v)``, ``("store", v)``, ``("delete", v)``, ``("compute",
@@ -29,7 +52,7 @@ these events, with no second policy implementation involved.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -46,7 +69,9 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
     input_reads, spill_reads, spill_writes, output_writes, peak,
     evictions)``.  Policy codes: 0 = LRU, 1 = FIFO, 2 = Belady."""
     count_path("off")
-    plan.ensure_lists()
+    belady = policy_code == 2
+    refresh_on_use = policy_code == 0
+    plan.ensure_lists(belady)
     sched = plan._sched_l
     indptr = plan._indptr_l
     ops = plan._ops_l
@@ -54,19 +79,21 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
     first_use = plan._first_use_l
     uses_left = list(plan._uses_l)
     n = len(is_input_arr)
+    T = plan.n_steps
     is_input = is_input_arr.tolist()
     is_output = is_output_arr.tolist()
     cached = bytearray(n)
     dirty = bytearray(n)
     in_slow = bytearray(np.ascontiguousarray(is_input_arr).tobytes())
     output_written = bytearray(n)
-    belady = policy_code == 2
-    refresh_on_use = policy_code == 0
-    # key[v] is the key of v's one fresh heap entry; any other entry
-    # of v is stale.
+    # key[v]: v's one fresh heap entry (Belady), or the stamp of its one
+    # fresh queue entry (LRU, FIFO); any other entry of v is stale.
     key = [0] * n
     pinned_mark = [-1] * n
-    heap: list[tuple[int, int]] = []
+    heap: list[int] = []
+    queue_v: list[int] = []
+    queue_s: list[int] = []
+    head = 0
 
     reads = writes = input_reads = spill_reads = spill_writes = 0
     output_writes = 0
@@ -75,18 +102,19 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
 
     def evict_one() -> None:
         nonlocal writes, spill_writes, output_writes, evictions, n_cached
+        nonlocal head
         if belady:
             # Top entry = furthest next use, ties on the smaller id.
             # Pinned entries are popped for good and stale ones
             # re-keyed, matching the reference's lazy invalidation; an
             # exhausted heap falls back to the smallest unpinned id.
             while heap:
-                k, u = heap[0]
+                e = heap[0]
+                u = e % n
                 if not cached[u] or pinned_mark[u] == t:
                     heappop(heap)
-                elif k != key[u]:
-                    heappop(heap)
-                    heappush(heap, (key[u], u))
+                elif e != key[u]:
+                    heapreplace(heap, key[u])
                 else:
                     break
             else:
@@ -96,25 +124,26 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
                 if u < 0:
                     raise CacheError("no eviction candidate available")
         else:
-            # Top fresh unpinned entry = min((key, v)), the reference
-            # policies' scan.  Stale entries are dropped; fresh pinned
-            # ones are set aside and re-pushed so they stay eligible.
-            aside = None
+            # The queue is in (stamp, v) order: its first fresh unpinned
+            # entry is the heap's pop.
+            i = head
+            end = len(queue_v)
             while True:
-                if not heap:
+                if i == end:
                     raise CacheError("no eviction candidate available")
-                k, u = heap[0]
-                if not cached[u] or key[u] != k:
-                    heappop(heap)
-                elif pinned_mark[u] == t:
-                    if aside is None:
-                        aside = []
-                    aside.append(heappop(heap))
-                else:
-                    break
-            if aside:
-                for entry in aside:
-                    heappush(heap, entry)
+                u = queue_v[i]
+                if cached[u] and key[u] == queue_s[i]:
+                    if pinned_mark[u] != t:
+                        break
+                elif i == head:
+                    head += 1
+                i += 1
+            if i == head:
+                head += 1
+            if head > end >> 1:
+                del queue_v[:head]
+                del queue_s[:head]
+                head = 0
         evictions += 1
         cached[u] = 0
         n_cached -= 1
@@ -134,20 +163,19 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
             events("delete", u)
 
     for t, v in enumerate(sched):
-        start = indptr[t]
-        end = indptr[t + 1]
+        step_ops = ops[indptr[t]:indptr[t + 1]]
         pinned_mark[v] = t
-        for i in range(start, end):
-            pinned_mark[ops[i]] = t
-        # Load missing operands.  A recency policy keys a load (and,
+        for p in step_ops:
+            pinned_mark[p] = t
+        # Load missing operands.  A recency policy stamps a load (and,
         # for LRU, a hit) with the step; Belady keys operands after the
         # compute.
-        for i in range(start, end):
-            p = ops[i]
+        stamped = []
+        for p in step_ops:
             if cached[p]:
                 if refresh_on_use and key[p] != t:
                     key[p] = t
-                    heappush(heap, (t, p))
+                    stamped.append(p)
                 continue
             if not in_slow[p]:
                 raise ScheduleError(
@@ -161,7 +189,7 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
             n_cached += 1
             if not belady:
                 key[p] = t
-                heappush(heap, (t, p))
+                stamped.append(p)
             reads += 1
             if is_input[p]:
                 input_reads += 1
@@ -176,26 +204,35 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
             cached[v] = 1
             n_cached += 1
         dirty[v] = 1
-        k = -first_use[v] if belady else t
-        key[v] = k
-        heappush(heap, (k, v))
         if n_cached > peak:
             peak = n_cached
-        for i in range(start, end):
-            p = ops[i]
-            if belady:
-                # One entry per operand use, pushed after the compute so
-                # that this step's destructive pinned pops cannot drop it.
-                k = -occ_next[i]
-                key[p] = k
-                heappush(heap, (k, p))
+        if belady:
+            e = (T - first_use[v]) * n + v
+            key[v] = e
+            heappush(heap, e)
+            # One entry per operand use, pushed after the compute so
+            # that this step's destructive pinned pops cannot drop it.
+            for p, nxt in zip(step_ops,
+                              occ_next[indptr[t]:indptr[t + 1]]):
+                e = (T - nxt) * n + p
+                key[p] = e
+                heappush(heap, e)
+        else:
+            # This step's stamped vertices were pinned all step; appended
+            # now, sorted, they keep the queue in (stamp, v) order.
+            key[v] = t
+            stamped.append(v)
+            stamped.sort()
+            queue_v += stamped
+            queue_s += [t] * len(stamped)
+        for p in step_ops:
             uses_left[p] -= 1
         if io_trace is not None:
             io_trace.append(reads + writes)
 
     # Drain: outputs still dirty must reach slow memory.
-    for u in range(n):
-        if dirty[u] and is_output[u] and not output_written[u]:
+    for u in np.flatnonzero(is_output_arr).tolist():
+        if dirty[u] and not output_written[u]:
             if events is not None:
                 events("store", u)
             writes += 1

@@ -16,11 +16,13 @@ exact code numba would compile runs under the plain interpreter; the
 compiled ``jit`` path when numba is installed).
 """
 
+import numpy as np
 import pytest
 
 from repro import simcore
 from repro.bilinear import classical, strassen
 from repro.cdag import build_cdag
+from repro.cdag.graph import CDAG
 from repro.errors import CacheError
 from repro.pebbling import CacheExecutor, min_cache_size
 from repro.schedules import (
@@ -42,9 +44,22 @@ def sim_path(request):
         yield request.param
 
 
+def _reversed_rows(g):
+    """``g`` with every predecessor row reversed.  ``build_cdag`` sorts
+    each row and numbers a vertex above its operands, so only on this
+    graph do a step's operands come out of id order: the one input on
+    which the fallback's per-step sort of its recency stamps decides a
+    victim."""
+    indptr, indices = g.pred_csr()
+    rows = [indices[a:b][::-1] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    return CDAG(g.alg, g.r, g.slabs, indptr, np.concatenate(rows), g.is_copy)
+
+
 def _cases():
     """(label, cdag, schedule) grid: two algorithms, three schedule
-    families, two recursion depths."""
+    families, two recursion depths; plus Strassen r = 3, whose runs are
+    ~8x longer (many more evictions and recency-queue trims per run),
+    and Strassen r = 2 with reversed operand rows."""
     cases = []
     for alg_name, alg, rs in (("strassen", strassen(), (1, 2)),
                               ("classical", classical(2), (1, 2))):
@@ -55,6 +70,11 @@ def _cases():
             cases.append(
                 (f"{alg_name}-r{r}-rand", g, random_topological_schedule(g, seed=7))
             )
+    g = build_cdag(strassen(), 3)
+    cases.append(("strassen-r3-rec", g, recursive_schedule(g)))
+    cases.append(("strassen-r3-rand", g, random_topological_schedule(g, seed=7)))
+    g = _reversed_rows(build_cdag(strassen(), 2))
+    cases.append(("strassen-r2-revrows-rand", g, random_topological_schedule(g, seed=7)))
     return cases
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bilinear import strassen, winograd
 from repro.cdag import build_cdag
 from repro.errors import CacheError
+from repro.pebbling import min_cache_size
 from repro.simcore import HAVE_NUMBA, SchedulePlan, forced_mode
 from repro.simcore.grid import run_grid, simulate_plan
 from repro.simcore.policies import SC_LEN, STATUS, STATUS_NO_VICTIM, STATUS_OK
@@ -57,8 +58,14 @@ def masks(g):
     return is_input, is_output
 
 
+#: The smallest cache every schedule of both families runs in (5).  The
+#: smaller the cache, the more often the fallback's FIFO victim scan
+#: finds a pinned entry at the head of its recency queue: on random
+#: schedules, ~5% of evictions at M = 5 against ~3% at M = 8.
+MIN_M = max(min_cache_size(graph(f)) for f in ("strassen", "winograd"))
+
 configs_strategy = st.lists(
-    st.tuples(st.integers(min_value=8, max_value=64),
+    st.tuples(st.integers(min_value=MIN_M, max_value=64),
               st.sampled_from([0, 1, 2])),
     min_size=1, max_size=5,
 )
