@@ -12,12 +12,11 @@ digits all match — which is what makes Claim 2's recursive lifting work.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.cdag.graph import CDAG, Region
-from repro.utils.indexing import pair_unindex
 
 __all__ = [
     "input_row_col",
@@ -28,15 +27,76 @@ __all__ = [
 ]
 
 
-def _digits_row_col(digits: tuple[int, ...], n0: int) -> tuple[int, int]:
-    """Global (row, col) of an entry-tuple, most significant digit
-    first."""
+def _digits_row_col(digits: Sequence, n0: int) -> tuple:
+    """Global (row, col) of entry tuples, most significant digit first.
+
+    ``digits`` holds one entry digit per level: ints for one vertex, or
+    equal-length int arrays (one per level) for many vertices at once.
+    """
     row = col = 0
     for e in digits:
-        r, c = pair_unindex(e, n0)
-        row = row * n0 + r
-        col = col * n0 + c
+        row = row * n0 + e // n0
+        col = col * n0 + e % n0
     return row, col
+
+
+def _row_col_digits(row: np.ndarray, col: np.ndarray, n0: int, r: int) -> list[np.ndarray]:
+    """Inverse of :func:`_digits_row_col`: the ``r`` per-level entry
+    digits of global ``(row, col)`` arrays, most significant first."""
+    weights = [n0 ** (r - 1 - i) for i in range(r)]
+    return [(row // w % n0) * n0 + col // w % n0 for w in weights]
+
+
+def _entry_row_col(
+    cdag: CDAG, ids: np.ndarray, region: int, local_rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global (row, col) arrays of vertices of one entry slab (a side's
+    inputs, or the outputs)."""
+    slab = cdag.slab(region, local_rank)
+    return _digits_row_col(slab.radix.unpack_array(ids - slab.offset), cdag.alg.n0)
+
+
+def _check_rank(cdag: CDAG, ids: np.ndarray, rank: int, what: str) -> None:
+    """Raise ValueError at the first id that is not a vertex of global
+    rank ``rank`` (0 for inputs, ``2r + 1`` for outputs)."""
+    ok = (ids >= 0) & (ids < cdag.n_vertices)
+    ok[ok] = cdag.rank[ids[ok]] == rank
+    if not ok.all():
+        raise ValueError(f"vertex {int(ids[np.argmin(ok)])} is not an {what}")
+
+
+def _input_coords(cdag: CDAG, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectorised :func:`input_row_col`: ``(side, row, col)`` arrays with
+    side 0 for A and 1 for B."""
+    _check_rank(cdag, v, 0, "input")
+    side = (cdag.region[v] == Region.ENC_B).astype(np.int64)
+    b_shift = cdag.slab(Region.ENC_B, 0).offset - cdag.slab(Region.ENC_A, 0).offset
+    row, col = _entry_row_col(cdag, v - side * b_shift, Region.ENC_A, 0)
+    return side, row, col
+
+
+def _output_coords(cdag: CDAG, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`output_row_col`."""
+    _check_rank(cdag, w, 2 * cdag.r + 1, "output")
+    return _entry_row_col(cdag, w, Region.DEC, cdag.r)
+
+
+def _dependency_arrays(cdag: CDAG, side: str) -> tuple[np.ndarray, ...]:
+    """One side's guaranteed dependencies as aligned arrays ``(inputs,
+    outputs, row, col, out_row, out_col)``, in
+    :func:`guaranteed_dependencies` order: row, then col, then the free
+    index (output col for A, output row for B)."""
+    n = cdag.alg.n0**cdag.r
+    row, col, free = (x.ravel() for x in np.indices((n, n, n), dtype=np.int64))
+    out_row, out_col = (row, free) if side == "A" else (free, col)
+    inputs = cdag.inputs(side)
+    outputs = cdag.outputs()
+    region = Region.ENC_A if side == "A" else Region.ENC_B
+    input_at = np.empty((n, n), dtype=np.int64)
+    input_at[_entry_row_col(cdag, inputs, region, 0)] = inputs
+    output_at = np.empty((n, n), dtype=np.int64)
+    output_at[_entry_row_col(cdag, outputs, Region.DEC, cdag.r)] = outputs
+    return input_at[row, col], output_at[out_row, out_col], row, col, out_row, out_col
 
 
 def input_row_col(cdag: CDAG, v: int) -> tuple[str, int, int]:
@@ -73,27 +133,10 @@ def guaranteed_dependencies(
     pairs per side: one per (row, col, output-col) for A, per
     (row, col, output-row) for B.
     """
-    n = cdag.alg.n0**cdag.r
     sides = ("A", "B") if side is None else (side,)
-    inputs_by_rc: dict[tuple[str, int, int], int] = {}
     for s in sides:
-        for v in cdag.inputs(s).tolist():
-            _, row, col = input_row_col(cdag, v)
-            inputs_by_rc[(s, row, col)] = v
-    outputs_by_rc: dict[tuple[int, int], int] = {}
-    for w in cdag.outputs().tolist():
-        outputs_by_rc[output_row_col(cdag, w)] = w
-
-    for s in sides:
-        for row in range(n):
-            for col in range(n):
-                v = inputs_by_rc[(s, row, col)]
-                if s == "A":
-                    for out_col in range(n):
-                        yield v, outputs_by_rc[(row, out_col)]
-                else:
-                    for out_row in range(n):
-                        yield v, outputs_by_rc[(out_row, col)]
+        inputs, outputs, *_ = _dependency_arrays(cdag, s)
+        yield from zip(inputs.tolist(), outputs.tolist())
 
 
 def count_guaranteed_dependencies(cdag: CDAG, side: str | None = None) -> int:

@@ -13,6 +13,12 @@ exactly three of the patterns, once per free index, so each chain is
 used exactly ``3 n0^k`` times — :func:`chain_usage_counts` verifies
 this, and composing with Lemma 3's ``2 n0^k`` vertex bound gives
 Theorem 2's ``6 a^k``.
+
+The pattern is written once, in :meth:`_ChainStore.path_chains`: the
+three chain positions of every path, for all paths at once.
+:func:`lemma4_routing` gathers every path from those positions in one
+pass over the chains' flat vertex array, and :func:`chain_usage_counts`
+bincounts the same positions.
 """
 
 from __future__ import annotations
@@ -21,35 +27,80 @@ import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.errors import RoutingError
-from repro.routing.guaranteed import input_row_col, output_row_col
-from repro.routing.paths import Routing, concatenate_paths
+from repro.routing.guaranteed import _input_coords, _output_coords
+from repro.routing.paths import Routing
 
 __all__ = ["lemma4_routing", "chain_usage_counts"]
 
+_A, _B = 0, 1
+
 
 class _ChainStore:
-    """Index Lemma-3 chains by (side, in_row, in_col, out_row, out_col)."""
+    """Dense tables over the Lemma-3 chains.
+
+    ``position[side, row, col, orow, ocol]`` is the index of the chain
+    ``side[row, col] -> C[orow, ocol]`` in ``chains`` (-1 when missing;
+    the last one when declared twice); ``inputs[side, row, col]`` and
+    ``outputs[row, col]`` are vertex ids.  Side 0 is A, 1 is B.
+    """
 
     def __init__(self, cdag: CDAG, chains: Routing):
-        self.cdag = cdag
-        self.by_key: dict[tuple[str, int, int, int, int], np.ndarray] = {}
-        self.inputs: dict[tuple[str, int, int], int] = {}
-        self.outputs: dict[tuple[int, int], int] = {}
-        for (v, w), path in zip(chains.endpoints, chains.paths):
-            side, row, col = input_row_col(cdag, v)
-            orow, ocol = output_row_col(cdag, w)
-            self.by_key[(side, row, col, orow, ocol)] = path
-            self.inputs[(side, row, col)] = v
-            self.outputs[(orow, ocol)] = w
+        n = self.n = cdag.alg.n0**cdag.r
+        if len(chains.endpoints) != len(chains.paths):
+            raise RoutingError(
+                f"{len(chains.paths)} chains but "
+                f"{len(chains.endpoints)} endpoint declarations"
+            )
+        ends = np.array(chains.endpoints, dtype=np.int64).reshape(-1, 2)
+        side, row, col = _input_coords(cdag, ends[:, 0])
+        orow, ocol = _output_coords(cdag, ends[:, 1])
+        self.position = np.full((2, n, n, n, n), -1, dtype=np.int64)
+        np.maximum.at(
+            self.position, (side, row, col, orow, ocol), np.arange(len(ends))
+        )
+        self.inputs = np.full((2, n, n), -1, dtype=np.int64)
+        self.inputs[side, row, col] = ends[:, 0]
+        self.outputs = np.full((n, n), -1, dtype=np.int64)
+        self.outputs[orow, ocol] = ends[:, 1]
 
-    def chain(self, side: str, row: int, col: int, orow: int, ocol: int) -> np.ndarray:
-        try:
-            return self.by_key[(side, row, col, orow, ocol)]
-        except KeyError:
+    def path_chains(self) -> np.ndarray:
+        """The three chain positions of every Lemma-4 path, shape
+        ``(paths, 3)``, paths in (side, i, j, oi, oj) order.
+
+        Raises :class:`RoutingError` naming the first missing chain.
+        """
+        n = self.n
+        i, j, oi, oj = (x.ravel() for x in np.indices((n, n, n, n)))
+        pattern = (
+            # a_ij -> c_i(oj) <- b_j(oj) -> c_(oi)(oj)
+            ((_A, i, j, i, oj), (_B, j, oj, i, oj), (_B, j, oj, oi, oj)),
+            # b_ij -> c_(oi)j <- a_(oi)i -> c_(oi)(oj)
+            ((_B, i, j, oi, j), (_A, oi, i, oi, j), (_A, oi, i, oi, oj)),
+        )
+        pos = np.stack(
+            [np.stack([self.position[key] for key in keys], axis=1)
+             for keys in pattern]
+        ).reshape(-1, 3)
+        missing = pos < 0
+        if missing.any():
+            path, piece = divmod(int(np.argmax(missing)), 3)
+            side, p = divmod(path, n**4)
+            s, row, col, orow, ocol = (
+                int(x if np.isscalar(x) else x[p]) for x in pattern[side][piece]
+            )
             raise RoutingError(
                 f"missing guaranteed-dependence chain "
-                f"{side}[{row},{col}] -> C[{orow},{ocol}]"
-            ) from None
+                f"{'AB'[s]}[{row},{col}] -> C[{orow},{ocol}]"
+            )
+        return pos
+
+    def path_endpoints(self) -> list[tuple[int, int]]:
+        """``(input, output)`` of every Lemma-4 path, in
+        :meth:`path_chains` order."""
+        n = self.n
+        v = np.repeat(self.inputs.reshape(-1), n * n)
+        w = np.tile(self.outputs.reshape(-1), 2 * n * n)
+        return list(zip(v.tolist(), w.tolist()))
 
 
 def lemma4_routing(cdag: CDAG, chains: Routing) -> Routing:
@@ -57,66 +108,57 @@ def lemma4_routing(cdag: CDAG, chains: Routing) -> Routing:
 
     ``chains`` must contain a chain for *every* guaranteed dependence of
     ``cdag`` (both sides) — as produced by
-    :func:`repro.routing.lemma3.lemma3_routing`.
+    :func:`repro.routing.lemma3.lemma3_routing`.  Each path is chain 1
+    forward, then chain 2 reversed without its first vertex, then chain
+    3 without its first vertex; all are gathered at once into one buffer
+    and returned as views of it.
     """
     store = _ChainStore(cdag, chains)
-    n = cdag.alg.n0**cdag.r
-    routing = Routing(cdag, label=f"lemma4 r={cdag.r}")
+    pos = store.path_chains()
+    flat, lengths = chains.flat()
+    if not lengths[pos].all():
+        raise RoutingError("cannot concatenate: empty chain")
+    starts = np.cumsum(lengths) - lengths
+    c1, c2, c3 = pos.T
 
-    for side in ("A", "B"):
-        for i in range(n):
-            for j in range(n):
-                v = store.inputs[(side, i, j)]
-                for oi in range(n):
-                    for oj in range(n):
-                        w = store.outputs[(oi, oj)]
-                        if side == "A":
-                            # a_ij -> c_i(oj) <- b_j(oj) -> c_(oi)(oj)
-                            pieces = (
-                                store.chain("A", i, j, i, oj),
-                                store.chain("B", j, oj, i, oj),
-                                store.chain("B", j, oj, oi, oj),
-                            )
-                        else:
-                            # b_ij -> c_(oi)j <- a_(oi)i -> c_(oi)(oj)
-                            pieces = (
-                                store.chain("B", i, j, oi, j),
-                                store.chain("A", oi, i, oi, j),
-                                store.chain("A", oi, i, oi, oj),
-                            )
-                        path = concatenate_paths(
-                            pieces, (False, True, False)
-                        )
-                        routing.add(path, source=v, target=w)
+    # Junctions: chain 1 and chain 2 share their output, chains 2 and 3
+    # their input.
+    end1 = flat[starts[c1] + lengths[c1] - 1]
+    end2 = flat[starts[c2] + lengths[c2] - 1]
+    head2, head3 = flat[starts[c2]], flat[starts[c3]]
+    bad = (end1 != end2) | (head2 != head3)
+    if bad.any():
+        p = int(np.argmax(bad))
+        x, y = (end1[p], end2[p]) if end1[p] != end2[p] else (head2[p], head3[p])
+        raise RoutingError(f"cannot concatenate: junction mismatch ({x} != {y})")
+
+    # One segment per piece: its first flat index, direction and length.
+    step = np.tile(np.array([1, -1, 1], dtype=np.int64), len(c1))
+    first = np.stack([starts[c1], starts[c2] + lengths[c2] - 2, starts[c3] + 1], axis=1)
+    seg_len = np.stack([lengths[c1], lengths[c2] - 1, lengths[c3] - 1], axis=1).reshape(-1)
+    out_start = np.cumsum(seg_len) - seg_len
+    idx = np.arange(int(seg_len.sum()), dtype=np.int64)
+    idx *= np.repeat(step, seg_len)
+    idx += np.repeat(first.reshape(-1) - step * out_start, seg_len)
+    buf = flat[idx]
+
+    bounds = np.cumsum(seg_len.reshape(-1, 3).sum(axis=1)).tolist()
+    routing = Routing(cdag, label=f"lemma4 r={cdag.r}")
+    routing.paths = [buf[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+    routing.endpoints = store.path_endpoints()
     return routing
 
 
 def chain_usage_counts(cdag: CDAG, chains: Routing) -> dict[tuple[int, int], int]:
     """How many Lemma-4 paths use each guaranteed-dependence chain.
 
-    Recomputes the usage pattern symbolically (without materialising the
-    big routing): per the paper, every chain should be used exactly
-    ``3 n0^k`` times.  Returns ``(input_vertex, output_vertex) -> count``.
+    Counts the chain positions of the Lemma-4 pattern (without
+    materialising the big routing): per the paper, every chain should be
+    used exactly ``3 n0^k`` times.  Returns ``(input_vertex,
+    output_vertex) -> count``.
     """
     store = _ChainStore(cdag, chains)
-    n = cdag.alg.n0**cdag.r
-    counts: dict[tuple[int, int], int] = {
-        pair: 0 for pair in chains.endpoints
-    }
-
-    def bump(side, row, col, orow, ocol):
-        v = store.inputs[(side, row, col)]
-        w = store.outputs[(orow, ocol)]
-        counts[(v, w)] += 1
-
-    for i in range(n):
-        for j in range(n):
-            for oi in range(n):
-                for oj in range(n):
-                    bump("A", i, j, i, oj)
-                    bump("B", j, oj, i, oj)
-                    bump("B", j, oj, oi, oj)
-                    bump("B", i, j, oi, j)
-                    bump("A", oi, i, oi, j)
-                    bump("A", oi, i, oi, oj)
-    return counts
+    counts = np.bincount(
+        store.path_chains().reshape(-1), minlength=len(chains.endpoints)
+    )
+    return dict(zip(chains.endpoints, counts.tolist()))

@@ -11,6 +11,12 @@ used at most ``m`` times across all paths (occurrences counted with
 multiplicity).  :class:`Routing` stores the paths with their declared
 endpoints and provides the hit-count ledgers all verification is built
 on.
+
+The ledgers read one flat view of the paths (:meth:`Routing.flat`: all
+vertices in one int64 array plus each path's length) instead of
+walking the paths one at a time.  Meta-vertex hits count each path at
+most once per meta-vertex by sorting ``path_id * n + label`` keys and
+keeping the first of each run (:func:`meta_hits`).
 """
 
 from __future__ import annotations
@@ -72,13 +78,24 @@ class Routing:
     # Ledgers
     # ------------------------------------------------------------------
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every path in one int64 vertex array, plus each path's length.
+
+        The ledgers and :func:`repro.routing.verify.verify_routing` read
+        this view instead of walking ``paths`` one array at a time.
+        """
+        lengths = np.fromiter(
+            map(len, self.paths), dtype=np.int64, count=len(self.paths)
+        )
+        if not self.paths:
+            return np.zeros(0, dtype=np.int64), lengths
+        flat = np.concatenate(self.paths, dtype=np.int64, casting="unsafe")
+        return flat, lengths
+
     def vertex_hits(self) -> np.ndarray:
         """How many times each vertex is used across all paths
         (occurrences counted with multiplicity)."""
-        if not self.paths:
-            return np.zeros(self.cdag.n_vertices, dtype=np.int64)
-        flat = np.concatenate(self.paths)
-        return np.bincount(flat, minlength=self.cdag.n_vertices)
+        return np.bincount(self.flat()[0], minlength=self.cdag.n_vertices)
 
     def max_vertex_hits(self) -> int:
         """The routing's effective ``m`` at vertex granularity."""
@@ -93,10 +110,8 @@ class Routing:
         Routing Theorem's proof bounds the number of *paths* through each
         meta-vertex via its root.
         """
-        hits = np.zeros(self.cdag.n_vertices, dtype=np.int64)
-        for path in self.paths:
-            hits[np.unique(meta.label[path])] += 1
-        return hits
+        flat, lengths = self.flat()
+        return meta_hits(flat, lengths, meta.label, self.cdag.n_vertices)
 
     def max_meta_hits(self, meta: MetaVertexPartition) -> int:
         """The routing's effective ``m`` at meta-vertex granularity."""
@@ -104,7 +119,7 @@ class Routing:
 
     def total_path_length(self) -> int:
         """Total number of vertex occurrences (ledger mass)."""
-        return int(sum(len(p) for p in self.paths))
+        return len(self.flat()[0])
 
     # ------------------------------------------------------------------
 
@@ -127,6 +142,35 @@ class Routing:
             f"Routing({self.label or 'unlabeled'}, paths={len(self.paths)}, "
             f"max_hits={self.max_vertex_hits()})"
         )
+
+
+def meta_hits(
+    flat: np.ndarray, lengths: np.ndarray, label: np.ndarray, n_vertices: int
+) -> np.ndarray:
+    """Paths through each meta-vertex label, each path counted once per
+    label, over a :meth:`Routing.flat` view.
+
+    Every occurrence becomes the key ``path_id * n_vertices + label``;
+    a path's repeats of one label share a key, so the distinct keys are
+    the (path, label) hits.
+    """
+    n = np.int64(n_vertices)
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
+    keys += label[flat]
+    return np.bincount(sorted_distinct(keys) % n, minlength=n_vertices)
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, which is sorted in place.
+
+    A sort and a neighbour compare, not ``np.unique``: numpy 2's
+    hash-based unique is many times slower on these int64 keys.
+    """
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def concatenate_paths(

@@ -112,11 +112,8 @@ def theorem2_certificate(
             )
 
         routing = lemma4_routing(cdag, chains)
-        expected_pairs = {
-            (int(v), int(w))
-            for v in cdag.inputs()
-            for w in cdag.outputs()
-        }
+        outputs = cdag.outputs().tolist()
+        expected_pairs = {(v, w) for v in cdag.inputs().tolist() for w in outputs}
         report = verify_routing(
             cdag,
             routing,

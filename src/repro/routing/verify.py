@@ -5,10 +5,16 @@ module confirms (a) every path is a genuine undirected walk of the CDAG,
 (b) endpoints match declarations, (c) the vertex- and meta-vertex-level
 hit maxima are within the claimed ``m`` — the content of Definition 2
 and the Routing Theorem's meta-vertex clause.
+
+:func:`verify_routing` reads the routing once as a flat vertex array
+(:meth:`Routing.flat`) and runs every check over it as a few numpy
+passes; every path is always checked edge by edge (a full check of a
+16,384-path certificate costs tens of milliseconds).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,46 +22,47 @@ import numpy as np
 from repro.cdag.graph import CDAG
 from repro.cdag.metavertex import MetaVertexPartition
 from repro.errors import RoutingError
-from repro.routing.paths import Routing
+from repro.routing.paths import Routing, meta_hits, sorted_distinct
 
 __all__ = ["RoutingReport", "verify_path", "verify_routing"]
 
 
-def _check_edges(cdag: CDAG, u: np.ndarray, v: np.ndarray) -> None:
-    """Raise :class:`RoutingError` unless every ``(u[i], v[i])`` pair is
-    adjacent in the CDAG (direction ignored).
+def _check_edges(cdag: CDAG, flat: np.ndarray, joins: np.ndarray | None = None) -> None:
+    """Raise :class:`RoutingError` unless every vertex of ``flat`` is a
+    CDAG vertex and every step ``flat[i] -> flat[i + 1]`` is an adjacency
+    of the CDAG (direction ignored), except the steps at positions
+    ``joins`` — where one path of a flat view ends and the next begins.
 
-    One vectorised membership test over the CDAG's sorted
-    both-orientation edge-key index (:meth:`CDAG.edge_key_index`)
-    replaces the former per-edge ``in predecessors()`` scans — the
-    routing certificate checks of E4/E6 walk millions of path steps, so
-    this is a batch ``np.searchsorted`` instead of a Python loop.
+    The step keys ``u * n_vertices + v`` are formed in place, the joins
+    overwritten with a key that is in the index, and the distinct keys
+    searched in the CDAG's sorted both-orientation edge-key index
+    (:meth:`CDAG.edge_key_index`).
     """
-    if len(u) == 0:
-        return
     n = np.int64(cdag.n_vertices)
-    in_range = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-    if not in_range.all():
-        i = int(np.argmin(in_range))
+    outside = (flat < 0) | (flat >= n)
+    if outside.any():
         raise RoutingError(
-            f"path step {int(u[i])} -> {int(v[i])} is not a CDAG edge"
+            f"path vertex {int(flat[np.argmax(outside)])} is not a CDAG vertex"
         )
-    keys = cdag.edge_key_index()
-    wanted = u * n + v
-    pos = np.searchsorted(keys, wanted)
-    found = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == wanted)
-    if not found.all():
-        i = int(np.argmin(found))
-        raise RoutingError(
-            f"path step {int(u[i])} -> {int(v[i])} is not a CDAG edge"
-        )
+    if len(flat) < 2:
+        return
+    index = cdag.edge_key_index()
+    keys = flat[:-1] * n
+    keys += flat[1:]
+    if joins is not None:
+        keys[joins] = index[0]
+    keys = sorted_distinct(keys)
+    pos = np.minimum(np.searchsorted(index, keys), len(index) - 1)
+    missing = keys[index[pos] != keys]
+    if len(missing):
+        u, v = divmod(int(missing[0]), int(n))
+        raise RoutingError(f"path step {u} -> {v} is not a CDAG edge")
 
 
 def verify_path(cdag: CDAG, path: np.ndarray) -> None:
     """Raise :class:`RoutingError` unless consecutive vertices are
     adjacent in the CDAG (direction ignored)."""
-    path = np.asarray(path, dtype=np.int64)
-    _check_edges(cdag, path[:-1], path[1:])
+    _check_edges(cdag, np.asarray(path, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,6 @@ def verify_routing(
     claimed_m: int,
     meta: MetaVertexPartition | None = None,
     expected_pairs: set[tuple[int, int]] | None = None,
-    check_paths: bool = True,
 ) -> RoutingReport:
     """Full certificate check.
 
@@ -105,47 +111,55 @@ def verify_routing(
     expected_pairs:
         When given, the declared endpoint pairs must cover this set
         exactly once each (the "|X||Y| paths, one per pair" clause).
-    check_paths:
-        Edge-by-edge validity check (O(total length); disable only in
-        benchmarks that verified the same construction before).
 
-    Raises on any violation; returns the measured report otherwise.
+    Checks, in order: every path is nonempty and has one declaration;
+    the declared endpoints; every step of every path; pair coverage; the
+    vertex and meta-vertex hit bounds.  Raises on any violation; returns
+    the measured report otherwise.
     """
-    if check_paths:
-        # Endpoint declarations first (cheap, per path), then a single
-        # batched edge-membership test over every step of every path.
-        heads = []
-        tails = []
-        for path, (src, dst) in zip(routing.paths, routing.endpoints):
-            if int(path[0]) != src or int(path[-1]) != dst:
-                raise RoutingError(
-                    f"path endpoints ({path[0]}, {path[-1]}) disagree with "
-                    f"declaration ({src}, {dst})"
-                )
-            path = np.asarray(path, dtype=np.int64)
-            if len(path) > 1:
-                heads.append(path[:-1])
-                tails.append(path[1:])
-        if heads:
-            _check_edges(cdag, np.concatenate(heads), np.concatenate(tails))
+    flat, lengths = routing.flat()
+    n_paths = len(lengths)
+    if len(routing.endpoints) != n_paths:
+        raise RoutingError(
+            f"routing has {n_paths} paths but "
+            f"{len(routing.endpoints)} endpoint declarations"
+        )
+    if not lengths.all():
+        raise RoutingError(f"path {int(np.argmin(lengths))} is empty")
+    ends = np.cumsum(lengths)
+    declared = np.fromiter(
+        itertools.chain.from_iterable(routing.endpoints),
+        dtype=np.int64,
+        count=2 * n_paths,
+    ).reshape(-1, 2)
+    heads, tails = flat[ends - lengths], flat[ends - 1]
+    wrong = (heads != declared[:, 0]) | (tails != declared[:, 1])
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise RoutingError(
+            f"path endpoints ({heads[i]}, {tails[i]}) disagree with "
+            f"declaration ({declared[i, 0]}, {declared[i, 1]})"
+        )
+    _check_edges(cdag, flat, ends[:-1] - 1)
 
     if expected_pairs is not None:
-        declared = list(routing.endpoints)
-        if len(declared) != len(expected_pairs) or set(declared) != expected_pairs:
+        declared_pairs = set(routing.endpoints)
+        if n_paths != len(expected_pairs) or declared_pairs != expected_pairs:
             raise RoutingError(
-                f"routing declares {len(declared)} paths over "
-                f"{len(set(declared))} pairs; expected exactly "
+                f"routing declares {n_paths} paths over "
+                f"{len(declared_pairs)} pairs; expected exactly "
                 f"{len(expected_pairs)} pairs"
             )
 
-    max_hits = routing.max_vertex_hits()
+    n = cdag.n_vertices
+    max_hits = int(np.bincount(flat, minlength=n).max(initial=0))
     if max_hits > claimed_m:
         raise RoutingError(
             f"vertex hit count {max_hits} exceeds claimed m={claimed_m}"
         )
     max_meta = None
     if meta is not None:
-        max_meta = routing.max_meta_hits(meta)
+        max_meta = int(meta_hits(flat, lengths, meta.label, n).max(initial=0))
         if max_meta > claimed_m:
             raise RoutingError(
                 f"meta-vertex hit count {max_meta} exceeds claimed "
@@ -153,9 +167,9 @@ def verify_routing(
             )
     return RoutingReport(
         label=routing.label,
-        n_paths=len(routing),
+        n_paths=n_paths,
         claimed_m=claimed_m,
         max_vertex_hits=max_hits,
         max_meta_hits=max_meta,
-        total_length=routing.total_path_length(),
+        total_length=len(flat),
     )

@@ -7,6 +7,7 @@ import pytest
 from repro.bilinear import classical, laderman, strassen, winograd
 from repro.cdag import build_cdag, compute_metavertices
 from repro.routing import (
+    Routing,
     chain_usage_counts,
     count_guaranteed_dependencies,
     dependency_chain,
@@ -69,6 +70,20 @@ class TestDependencyChain:
         with pytest.raises(RoutingError):
             dependency_chain(g2, v, w, matching)
 
+    @pytest.mark.parametrize("entry", [((0, 0), 7), ((0, -1), 0), ((4, 0), 0)],
+                             ids=["multiplication", "negative_entry", "entry_past_a"])
+    def test_matching_entry_out_of_range_raises(self, g2, entry):
+        """A caller-supplied matching must name entries in [0, a) and
+        multiplications in [0, b): a dense table would silently wrap or
+        build ids outside the slab otherwise."""
+        key, m = entry
+        matching = {**base_matching(strassen(), "A"), key: m}
+        v, w = next(iter(guaranteed_dependencies(g2, side="A")))
+        with pytest.raises(ValueError, match="out of range"):
+            dependency_chain(g2, v, w, matching)
+        with pytest.raises(ValueError, match="out of range"):
+            lemma3_routing(g2, side="A", matchings={"A": matching})
+
     def test_non_input_raises(self, g2):
         matching = base_matching(strassen(), "A")
         with pytest.raises(RoutingError):
@@ -116,7 +131,7 @@ class TestLemma3Routing:
         """The m^k growth of Claim 2: bound 2 n0^3 at k = 3."""
         g = build_cdag(strassen(), 3)
         routing = lemma3_routing(g)
-        report = verify_routing(g, routing, 2 * 2**3, check_paths=False)
+        report = verify_routing(g, routing, 2 * 2**3)
         assert report.max_vertex_hits <= 16
 
 
@@ -152,5 +167,39 @@ class TestLemma4Routing:
 
     def test_vertex_bound_6ak(self, g2, chains2):
         routing = lemma4_routing(g2, chains2)
-        report = verify_routing(g2, routing, 6 * 4**g2.r, check_paths=False)
+        report = verify_routing(g2, routing, 6 * 4**g2.r)
         assert report.max_vertex_hits <= 6 * 4**g2.r
+
+    @pytest.mark.parametrize("drop", ["one_chain", "all_chains_of_one_input"])
+    @pytest.mark.parametrize("fn", [chain_usage_counts, lemma4_routing],
+                             ids=["chain_usage_counts", "lemma4_routing"])
+    def test_missing_chain_raises_routing_error(self, fn, drop):
+        """A chains routing that lacks a guaranteed dependence is rejected
+        with a RoutingError naming the chain (a_00 -> c_00 here)."""
+        g1 = build_cdag(strassen(), 1)
+        chains = lemma3_routing(g1)
+        v0, _ = chains.endpoints[0]
+        keep = [
+            i for i, (v, _) in enumerate(chains.endpoints)
+            if (i != 0 if drop == "one_chain" else v != v0)
+        ]
+        partial = Routing(
+            g1,
+            [chains.paths[i] for i in keep],
+            [chains.endpoints[i] for i in keep],
+        )
+        with pytest.raises(RoutingError, match=r"chain A\[0,0\] -> C\[0,0\]"):
+            fn(g1, partial)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_junction_mismatch_raises_routing_error(self, end):
+        """Chains that do not meet at their shared input (first vertex)
+        or output (last vertex) cannot be concatenated."""
+        g1 = build_cdag(strassen(), 1)
+        chains = lemma3_routing(g1)
+        b0 = len(chains) // 2  # the first B chain
+        path = chains.paths[b0].copy()
+        path[0 if end == "first" else -1] += 1
+        chains.paths[b0] = path
+        with pytest.raises(RoutingError, match="junction mismatch"):
+            lemma4_routing(g1, chains)

@@ -85,6 +85,36 @@ class TestRoutingTransport:
         assert not (used[0] & used[1])
 
 
+def _one_broken_path(g1):
+    r = Routing(g1)
+    ins = g1.inputs()
+    r.paths.append(np.array([int(ins[0]), int(ins[1])]))
+    r.endpoints.append((int(ins[0]), int(ins[1])))
+    return r
+
+
+def _broken_last_step_of_middle_path(g1):
+    """Only the last step breaks: the path's final piece climbs one
+    rank per step, so two ranks below the output is not adjacent to
+    it, and the steps before stay valid."""
+    r = theorem2_routing(g1)
+    mid = len(r) // 2
+    path = r.paths[mid].copy()
+    path[-2] = path[-4]
+    verify_path(g1, path[:-1])
+    with pytest.raises(RoutingError):
+        verify_path(g1, path[-2:])
+    r.paths[mid] = path
+    return r
+
+
+def _empty_path(g1):
+    r = theorem2_routing(g1)
+    r.paths.append(np.array([], dtype=np.int64))
+    r.endpoints.append(r.endpoints[0])
+    return r
+
+
 class TestVerifyRoutingNegatives:
     @pytest.fixture(scope="class")
     def g1(self):
@@ -98,18 +128,35 @@ class TestVerifyRoutingNegatives:
         with pytest.raises(RoutingError):
             verify_routing(g1, r, 100)
 
-    def test_rejects_broken_path(self, g1):
+    @pytest.mark.parametrize(
+        "make",
+        [_one_broken_path, _broken_last_step_of_middle_path, _empty_path],
+        ids=["one_path", "middle_path_last_step", "empty_path"],
+    )
+    def test_rejects_broken_path(self, g1, make):
+        r = make(g1)
+        with pytest.raises(RoutingError):
+            verify_routing(g1, r, 100)
+
+    @pytest.mark.parametrize("case", ["single_vertex_path", "step_key_collision"])
+    def test_rejects_vertex_outside_the_cdag(self, g1, case):
+        """An id past the last vertex is rejected even where no step
+        check sees it: alone on its path, or as the tail of a step whose
+        key ``u * n + n`` equals the key of a real edge ``(u + 1, 0)``."""
+        n = g1.n_vertices
+        if case == "single_vertex_path":
+            path = [n]
+        else:
+            path = [int(g1.successors(0)[0]) - 1, n]
         r = Routing(g1)
-        ins = g1.inputs()
-        r.paths.append(np.array([int(ins[0]), int(ins[1])]))
-        r.endpoints.append((int(ins[0]), int(ins[1])))
+        r.add(path)
         with pytest.raises(RoutingError):
             verify_routing(g1, r, 100)
 
     def test_rejects_exceeded_bound(self, g1):
         r = theorem2_routing(g1)
         with pytest.raises(RoutingError):
-            verify_routing(g1, r, 1, check_paths=False)
+            verify_routing(g1, r, 1)
 
     def test_rejects_missing_pairs(self, g1):
         r = theorem2_routing(g1)
@@ -119,13 +166,10 @@ class TestVerifyRoutingNegatives:
             (int(v), int(w)) for v in g1.inputs() for w in g1.outputs()
         }
         with pytest.raises(RoutingError):
-            verify_routing(
-                g1, r, 1000, expected_pairs=expected, check_paths=False
-            )
+            verify_routing(g1, r, 1000, expected_pairs=expected)
 
     def test_report_slack(self, g1):
-        report = verify_routing(g1, theorem2_routing(g1), 1000,
-                                check_paths=False)
+        report = verify_routing(g1, theorem2_routing(g1), 1000)
         assert report.slack == 1000 / report.max_vertex_hits
 
 
