@@ -15,6 +15,7 @@ Run:  python examples/routing_certificate.py [algorithm] [k]
 """
 
 import sys
+from collections import Counter
 
 from repro.bilinear import by_name, strassen
 from repro.cdag import build_cdag, compute_metavertices
@@ -25,7 +26,6 @@ from repro.routing import (
     lemma3_routing,
     theorem2_certificate,
 )
-from repro.utils.flow import degree_histogram
 from repro.utils.tables import TextTable
 
 
@@ -38,7 +38,7 @@ def main(name: str = "strassen", k: int = 2) -> None:
     for side in ("A", "B"):
         deps, adjacency = hall_graph(alg, side)
         matching = base_matching(alg, side)
-        loads = degree_histogram(list(matching.values()))
+        loads = Counter(matching.values())
         print(f"Hall matching side {side}: {len(deps)} dependencies -> "
               f"{alg.b} multiplications, max load "
               f"{max(loads.values())} (capacity n0 = {alg.n0})")

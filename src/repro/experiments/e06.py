@@ -9,11 +9,12 @@ Claim 2.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.bilinear import classical, laderman, strassen, winograd
 from repro.cdag import build_cdag
 from repro.experiments.harness import ExperimentResult, register
 from repro.routing import base_matching, hall_graph, lemma3_routing, verify_routing
-from repro.utils.flow import degree_histogram
 from repro.utils.tables import TextTable
 
 __all__ = ["run"]
@@ -31,7 +32,7 @@ def run(k_max: int = 3) -> ExperimentResult:
         for side in ("A", "B"):
             deps, adjacency = hall_graph(alg, side)
             matching = base_matching(alg, side)
-            loads = degree_histogram(list(matching.values()))
+            loads = Counter(matching.values())
             matching_table.add_row(
                 [alg.name, side, len(deps), alg.b, max(loads.values()),
                  alg.n0]

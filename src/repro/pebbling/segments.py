@@ -73,20 +73,19 @@ def meta_boundary(
     cdag: CDAG, meta: MetaVertexPartition, segment: np.ndarray
 ) -> np.ndarray:
     """``δ'(S')``: meta-vertices adjacent to the segment's meta-closure
-    but not inside it.  Returned as sorted meta roots."""
+    but not inside it.  Returned as sorted meta roots.
+
+    The closure holds every vertex of its metas, so a neighbour outside
+    it belongs to a meta outside it too."""
     closed = meta.closure(segment)
     in_closed = np.zeros(cdag.n_vertices, dtype=bool)
     in_closed[closed] = True
-    inside_metas = set(np.unique(meta.label[closed]).tolist())
-    adjacent: set[int] = set()
-    for v in closed.tolist():
-        for u in cdag.predecessors(v).tolist():
-            if not in_closed[u]:
-                adjacent.add(int(meta.label[u]))
-        for u in cdag.successors(v).tolist():
-            if not in_closed[u]:
-                adjacent.add(int(meta.label[u]))
-    return np.array(sorted(adjacent - inside_metas), dtype=np.int64)
+    _, _, preds = csr_rows(*cdag.pred_csr(), closed)
+    _, _, succs = csr_rows(cdag.succ_indptr, cdag.succ_indices, closed)
+    neighbours = np.concatenate([preds, succs])
+    adjacent = np.zeros(cdag.n_vertices, dtype=bool)
+    adjacent[meta.label[neighbours[~in_closed[neighbours]]]] = True
+    return np.flatnonzero(adjacent)
 
 
 def counted_mask_section5(cdag: CDAG, k: int) -> np.ndarray:

@@ -145,8 +145,9 @@ def _heap_pop(heap, size):
 
 # ----------------------------------------------------------------------
 # The machine step.  ``key[v]`` is the key of v's one fresh heap entry
-# ``key[v] * n + v``: the step of its last touch (LRU), its insertion
-# step (FIFO), or ``T - next_use`` (Belady).  State travels in the
+# ``key[v] * n + v``: the step of its last touch (LRU) or its insertion
+# step (FIFO); Belady's entries are keyed ``T - next_use`` and need no
+# ``key`` row (see :func:`_evict`).  State travels in the
 # arrays plus the ``sc`` scalar vector (numba cannot pass scalars by
 # reference).  ``simulate_py`` in the Python loop is the same machine
 # step over a different recency structure: a queue in ``(stamp, v)``
@@ -161,34 +162,25 @@ def _evict(heap, sc, cached, dirty, in_slow, output_written, uses_left,
 
     Recency policies drop stale entries and set fresh pinned ones aside
     (re-pushed after the pop; the Python loop's recency queue leaves
-    them in place).  Belady pops pinned entries destructively, re-keys
-    stale ones and, with the heap exhausted, falls back to the smallest
-    cached unpinned vertex id — the reference policy's lazy
-    invalidation.
+    them in place).  Belady pops entries of evicted or pinned vertices
+    destructively and stops at the first other one.
     """
     u = np.int64(-1)
     if belady:
-        found = False
-        while sc[HEAPN] > 0:
-            e = heap[0]
-            u = e % n
-            if cached[u] == 0 or pinned[u] == t:
-                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
-            elif e // n != key[u]:
-                sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
-                sc[HEAPN] = _heap_push(heap, sc[HEAPN], key[u] * n + u)
-            else:
-                found = True
-                break
-        if not found:
-            u = np.int64(-1)
-            for w in range(n):
-                if cached[w] == 1 and pinned[w] != t:
-                    u = w
-                    break
-            if u < 0:
+        # A vertex's key, T - next_use, only falls over its life, so its
+        # stale entries sit behind its fresh one; and every vertex pinned
+        # at step t is pushed again at the end of step t, so a cached
+        # unpinned vertex always has its fresh entry in the heap.  The
+        # first entry of such a vertex is therefore fresh, and an
+        # exhausted heap means no victim.
+        while True:
+            if sc[HEAPN] == 0:
                 sc[STATUS] = STATUS_NO_VICTIM
                 return -1
+            u = heap[0] % n
+            if cached[u] == 1 and pinned[u] != t:
+                break
+            sc[HEAPN] = _heap_pop(heap, sc[HEAPN])
     else:
         n_aside = 0
         while True:
@@ -275,9 +267,11 @@ def _step(v, t, start, end, ops, occ_next, first_use, n, T, cache_size,
         cached[v] = 1
         sc[NCACHED] += 1
     dirty[v] = 1
-    k = T - first_use[v] if belady else t
-    key[v] = k
-    sc[HEAPN] = _heap_push(heap, sc[HEAPN], k * n + v)
+    if belady:
+        sc[HEAPN] = _heap_push(heap, sc[HEAPN], (T - first_use[v]) * n + v)
+    else:
+        key[v] = t
+        sc[HEAPN] = _heap_push(heap, sc[HEAPN], t * n + v)
     if sc[NCACHED] > sc[PEAK]:
         sc[PEAK] = sc[NCACHED]
     for i in range(start, end):
@@ -285,9 +279,7 @@ def _step(v, t, start, end, ops, occ_next, first_use, n, T, cache_size,
         if belady:
             # One entry per operand use, pushed after the compute so
             # that this step's destructive pinned pops cannot drop it.
-            k = T - occ_next[i]
-            key[p] = k
-            sc[HEAPN] = _heap_push(heap, sc[HEAPN], k * n + p)
+            sc[HEAPN] = _heap_push(heap, sc[HEAPN], (T - occ_next[i]) * n + p)
         uses_left[p] -= 1
     return 0
 

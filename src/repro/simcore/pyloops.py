@@ -31,8 +31,9 @@ that orders those keys:
   head passes half the list the consumed prefix is deleted.
 - **Belady: a heap of ints.**  Entries are encoded like the kernels',
   ``key * n + v``, which orders exactly like ``(key, v)`` because
-  ``v < n``; ``key[v]`` holds v's fresh encoded entry, so the staleness
-  test is one compare and a re-key is one ``heapreplace``.
+  ``v < n``.  The pop drops entries of evicted or pinned vertices and
+  stops at the first other one, which is always fresh (the argument is
+  next to the pop).
 
 Running the kernel code itself under the interpreter (the ``interp``
 mode) is about ten times slower (E9's r = 4 recursive grid, 8
@@ -52,7 +53,7 @@ these events, with no second policy implementation involved.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -86,8 +87,8 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
     dirty = bytearray(n)
     in_slow = bytearray(np.ascontiguousarray(is_input_arr).tobytes())
     output_written = bytearray(n)
-    # key[v]: v's one fresh heap entry (Belady), or the stamp of its one
-    # fresh queue entry (LRU, FIFO); any other entry of v is stale.
+    # key[v]: the stamp of v's one fresh queue entry (LRU, FIFO); any
+    # other entry of v is stale.  Belady keeps no key (see evict_one).
     key = [0] * n
     pinned_mark = [-1] * n
     heap: list[int] = []
@@ -105,24 +106,20 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
         nonlocal head
         if belady:
             # Top entry = furthest next use, ties on the smaller id.
-            # Pinned entries are popped for good and stale ones
-            # re-keyed, matching the reference's lazy invalidation; an
-            # exhausted heap falls back to the smallest unpinned id.
-            while heap:
-                e = heap[0]
-                u = e % n
-                if not cached[u] or pinned_mark[u] == t:
-                    heappop(heap)
-                elif e != key[u]:
-                    heapreplace(heap, key[u])
-                else:
-                    break
-            else:
-                u = cached.find(1)
-                while u >= 0 and pinned_mark[u] == t:
-                    u = cached.find(1, u + 1)
-                if u < 0:
+            # Entries of evicted or pinned vertices are popped for good;
+            # the first other entry is the victim's fresh one.  A
+            # vertex's key, T - next_use, only falls over its life, so
+            # its stale entries sit behind its fresh one; and every
+            # vertex pinned at step t is pushed again at the end of step
+            # t, so a cached unpinned vertex always has its fresh entry
+            # in the heap.  An exhausted heap therefore means no victim.
+            while True:
+                if not heap:
                     raise CacheError("no eviction candidate available")
+                u = heap[0] % n
+                if cached[u] and pinned_mark[u] != t:
+                    break
+                heappop(heap)
         else:
             # The queue is in (stamp, v) order: its first fresh unpinned
             # entry is the heap's pop.
@@ -207,16 +204,12 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
         if n_cached > peak:
             peak = n_cached
         if belady:
-            e = (T - first_use[v]) * n + v
-            key[v] = e
-            heappush(heap, e)
+            heappush(heap, (T - first_use[v]) * n + v)
             # One entry per operand use, pushed after the compute so
             # that this step's destructive pinned pops cannot drop it.
             for p, nxt in zip(step_ops,
                               occ_next[indptr[t]:indptr[t + 1]]):
-                e = (T - nxt) * n + p
-                key[p] = e
-                heappush(heap, e)
+                heappush(heap, (T - nxt) * n + p)
         else:
             # This step's stamped vertices were pinned all step; appended
             # now, sorted, they keep the queue in (stamp, v) order.

@@ -17,7 +17,7 @@ from repro.utils.indexing import (
 )
 from repro.utils.unionfind import UnionFind
 from repro.utils.flow import (
-    hopcroft_karp,
+    maximum_matching,
     capacitated_matching,
     hall_violator,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "digits_to_int",
     "int_to_digits",
     "UnionFind",
-    "hopcroft_karp",
+    "maximum_matching",
     "capacitated_matching",
     "hall_violator",
     "check_positive_int",

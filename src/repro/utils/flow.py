@@ -1,114 +1,72 @@
-"""Bipartite matching machinery for Hall's theorem (Theorem 3 of the paper).
+"""Max flow: Hall matchings (Theorem 3 of the paper) and minimum cuts.
 
-The paper's many-to-one version of Hall's Matching Theorem is proved by
-"duplicating all vertices in Y p times"; :func:`capacitated_matching`
-implements exactly that reduction on top of a from-scratch Hopcroft-Karp
-maximum-matching solver, but without materialising the duplicates (each Y
-vertex simply carries a capacity counter inside the augmenting search).
+The paper proves its many-to-one Hall theorem by "duplicating all
+vertices in Y p times".  Here the duplicates are one arc: the network
+source -> x (capacity 1) -> y (capacity 1, one arc per edge) -> sink
+(capacity ``p``) is solved by :class:`Dinic`, and a flow of ``|X|`` is a
+matching that assigns every left vertex and uses every right one at
+most ``p`` times (:func:`capacitated_matching`, :func:`maximum_matching`).
 
-:func:`hall_violator` extracts, from a failed matching, an explicit subset
-``D ⊆ X`` with ``|N(D)| < |D| / p`` — the certificate that Lemma 5 would be
-violated.  By Lemma 5 this never happens for CDAGs of correct
-matrix-multiplication algorithms satisfying the paper's assumptions, and
-the routing code raises :class:`repro.errors.HallConditionError` carrying
-this certificate if it ever does (e.g. for a deliberately broken
-algorithm in the tests).
+:func:`hall_violator` reads from the same network's minimum cut an
+explicit ``D ⊆ X`` with ``|N(D)| < |D| / p`` — the certificate that
+Lemma 5 would be violated.  By Lemma 5 this never happens for CDAGs of
+correct matrix-multiplication algorithms satisfying the paper's
+assumptions; the routing code raises
+:class:`repro.errors.HallConditionError` carrying it if it ever does
+(e.g. for a deliberately broken algorithm in the tests).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.telemetry.spans import add_counter
-
-__all__ = [
-    "hopcroft_karp",
-    "capacitated_matching",
-    "hall_violator",
-    "Dinic",
-]
-
-_INF = float("inf")
+__all__ = ["maximum_matching", "capacitated_matching", "hall_violator", "Dinic"]
 
 
-def hopcroft_karp(
-    adjacency: Sequence[Sequence[int]], n_right: int
-) -> tuple[list[int], list[int]]:
-    """Maximum bipartite matching via Hopcroft-Karp.
-
-    Parameters
-    ----------
-    adjacency:
-        ``adjacency[x]`` lists the right-side neighbours (ints in
-        ``[0, n_right)``) of left vertex ``x``.
-    n_right:
-        Number of right-side vertices.
-
-    Returns
-    -------
-    (match_left, match_right):
-        ``match_left[x]`` is the right partner of ``x`` or ``-1``;
-        ``match_right[y]`` is the left partner of ``y`` or ``-1``.
-
-    Notes
-    -----
-    Runs in ``O(E * sqrt(V))``.  Deterministic: ties are broken by
-    adjacency order, so results are reproducible run to run.
+def _solve(
+    adjacency: Sequence[Sequence[int]], n_right: int, capacity: int
+) -> tuple["Dinic", list[list[int]], int]:
+    """Build and solve the matching network of ``adjacency`` with right
+    capacity ``capacity``: source 0, sink 1, left ``x`` at ``2 + x``,
+    right ``y`` at ``2 + n_left + y``.  Returns the solved network, the
+    indices of each x's arcs in adjacency order, and the flow value.
     """
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    if any(not 0 <= y < n_right for row in adjacency for y in row):
+        raise ValueError(f"right vertex id outside [0, {n_right})")
     n_left = len(adjacency)
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-    dist = [0] * n_left
+    right = 2 + n_left
+    dinic = Dinic(right + n_right)
+    arcs = []
+    for x, row in enumerate(adjacency):
+        dinic.add_edge(0, 2 + x, 1)
+        arcs.append([dinic.add_edge(2 + x, right + y, 1) for y in row])
+    for y in range(n_right):
+        dinic.add_edge(right + y, 1, capacity)
+    return dinic, arcs, dinic.max_flow(0, 1)
 
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        found_free = False
-        for x in range(n_left):
-            if match_left[x] == -1:
-                dist[x] = 0
-                queue.append(x)
-            else:
-                dist[x] = -1
-        layer_of_free = _INF
-        while queue:
-            x = queue.popleft()
-            if dist[x] >= layer_of_free:
-                continue
-            for y in adjacency[x]:
-                nxt = match_right[y]
-                if nxt == -1:
-                    layer_of_free = min(layer_of_free, dist[x] + 1)
-                    found_free = True
-                elif dist[nxt] == -1:
-                    dist[nxt] = dist[x] + 1
-                    queue.append(nxt)
-        return found_free
 
-    def dfs(x: int) -> bool:
-        for y in adjacency[x]:
-            nxt = match_right[y]
-            if nxt == -1 or (dist[nxt] == dist[x] + 1 and dfs(nxt)):
-                match_left[x] = y
-                match_right[y] = x
-                return True
-        dist[x] = -1
-        return False
+def maximum_matching(
+    adjacency: Sequence[Sequence[int]], n_right: int, capacity: int = 1
+) -> list[int]:
+    """A maximum many-to-one matching: ``match[x]`` is the right partner
+    of left vertex ``x``, or ``-1``; every right vertex has at most
+    ``capacity`` partners.
 
-    while bfs():
-        # One Hopcroft-Karp phase (a BFS layering plus its DFS
-        # augmentations) — surfaced to the telemetry span, if any.
-        add_counter("matching_phases")
-        for x in range(n_left):
-            if match_left[x] == -1:
-                dfs(x)
-    return match_left, match_right
+    ``adjacency[x]`` lists the right-side neighbours (ints in
+    ``[0, n_right)``) of ``x``; any other id raises ``ValueError``.
+    Deterministic: ties follow adjacency order.
+    """
+    dinic, arcs, _ = _solve(adjacency, n_right, capacity)
+    return [
+        next((y for y, arc in zip(row, row_arcs) if dinic.cap[arc] == 0), -1)
+        for row, row_arcs in zip(adjacency, arcs)
+    ]
 
 
 def capacitated_matching(
-    adjacency: Sequence[Sequence[int]],
-    n_right: int,
-    capacity: int,
+    adjacency: Sequence[Sequence[int]], n_right: int, capacity: int
 ) -> list[int] | None:
     """Many-to-one matching saturating the left side, or ``None``.
 
@@ -117,28 +75,13 @@ def capacitated_matching(
     *every* left vertex is assigned — the object guaranteed by the paper's
     Theorem 3 when Hall's condition ``|N(D)| >= |D|/capacity`` holds for
     all ``D ⊆ X``.
-
-    Implemented as Hopcroft-Karp on the implicit graph where each right
-    vertex is split into ``capacity`` slots (the paper's own reduction),
-    realised lazily via slot counters.
     """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    # Expand right side into capacity slots: slot id = y * capacity + s.
-    expanded = [
-        [y * capacity + s for y in row for s in range(capacity)]
-        for row in adjacency
-    ]
-    match_left, _ = hopcroft_karp(expanded, n_right * capacity)
-    if any(m == -1 for m in match_left):
-        return None
-    return [m // capacity for m in match_left]
+    match = maximum_matching(adjacency, n_right, capacity)
+    return None if -1 in match else match
 
 
 def hall_violator(
-    adjacency: Sequence[Sequence[int]],
-    n_right: int,
-    capacity: int,
+    adjacency: Sequence[Sequence[int]], n_right: int, capacity: int
 ) -> tuple[list[int], list[int]] | None:
     """Find a Hall-condition violator, or ``None`` if none exists.
 
@@ -146,58 +89,34 @@ def hall_violator(
     ``|N| < |D| / capacity``, or ``None`` when the capacitated matching
     saturates the left side (so no violator exists, by Hall's theorem).
 
-    The violator is obtained by the standard alternating-reachability
-    argument: run the matching; from every unmatched left vertex, follow
-    alternating (non-matching, matching) edges; the reachable left
-    vertices form a deficient set.
+    ``D`` is the set of left vertices in the minimum cut's source side
+    ``S`` (what the source reaches in the residual network), and it is
+    a violator:
+
+    - no arc from ``D`` leaves ``S``, so ``N(D)`` lies inside it: an arc
+      without flow has residual capacity, and a left vertex whose arc
+      carries flow is only reached backwards over that arc.  A right
+      vertex enters ``S`` only over an arc from ``D``, so ``N(D)`` is
+      all of ``S`` on the right;
+    - the cut, ``|X - D| + capacity * |N(D)|``, equals the flow, which
+      is below ``|X|``; hence ``capacity * |N(D)| < |D|``.
     """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    expanded = [
-        [y * capacity + s for y in row for s in range(capacity)]
-        for row in adjacency
-    ]
-    match_left, match_right = hopcroft_karp(expanded, n_right * capacity)
-    if all(m != -1 for m in match_left):
-        return None
-    # Alternating BFS from unmatched left vertices in the expanded graph.
+    dinic, _, flow = _solve(adjacency, n_right, capacity)
     n_left = len(adjacency)
-    seen_left = [False] * n_left
-    seen_slot = [False] * (n_right * capacity)
-    queue: deque[int] = deque(
-        x for x in range(n_left) if match_left[x] == -1
-    )
-    for x in queue:
-        seen_left[x] = True
-    while queue:
-        x = queue.popleft()
-        for slot in expanded[x]:
-            if seen_slot[slot] or slot == match_left[x]:
-                continue
-            seen_slot[slot] = True
-            owner = match_right[slot]
-            # slot is matched (else an augmenting path would exist).
-            if owner != -1 and not seen_left[owner]:
-                seen_left[owner] = True
-                queue.append(owner)
-    D = [x for x in range(n_left) if seen_left[x]]
-    neighbourhood = sorted(
-        {y for x in D for y in adjacency[x]}
-    )
-    # Sanity of the certificate: |N(D)| * capacity < |D|.
-    if len(neighbourhood) * capacity >= len(D):  # pragma: no cover
-        raise AssertionError(
-            "internal error: extracted set is not a Hall violator"
-        )
+    if flow == n_left:
+        return None
+    D = [v - 2 for v in dinic.min_cut_source_side(0) if 2 <= v < 2 + n_left]
+    neighbourhood = sorted({y for x in D for y in adjacency[x]})
     return D, neighbourhood
 
 
 class Dinic:
     """Dinic's max-flow on an integer-capacity directed graph.
 
-    Used for dominator-set computation (minimum vertex cuts via vertex
-    splitting) in :mod:`repro.bounds.dominators`.  Capacities may be
-    large ints; ``INF`` edges model uncuttable arcs.
+    Solves the Hall matching network of this module and the dominator
+    cuts (minimum vertex cuts via vertex splitting) of
+    :mod:`repro.bounds.dominators`.  Capacities may be large ints;
+    ``INF`` edges model uncuttable arcs.
 
     Examples
     --------
@@ -319,13 +238,3 @@ class Dinic:
                 # Retreat; the edge into u now fails the level test.
                 level[u] = -1
                 u = to[path.pop() ^ 1]
-
-
-def degree_histogram(assignment: Sequence[int]) -> Mapping[int, int]:
-    """Count how many left vertices each right vertex received in a
-    many-to-one ``assignment`` (as returned by
-    :func:`capacitated_matching`).  Convenience for tests/benchmarks."""
-    out: dict[int, int] = {}
-    for y in assignment:
-        out[y] = out.get(y, 0) + 1
-    return out

@@ -145,26 +145,33 @@ class TestGridLockstepProperties:
     @pytest.mark.parametrize("code", sorted(POLICY_NAMES))
     @pytest.mark.parametrize("mode", MODES)
     def test_failed_row_does_not_stop_the_grid(self, mode, code):
-        """A row with an impossibly small cache goes non-OK under every
-        policy; its neighbours still finish with correct counts, and the
-        fallback loop raises for the same configuration."""
+        """Rows with an impossibly small cache go non-OK under every
+        policy; their neighbours still finish with correct counts, and the
+        fallback loop raises for the same configurations.  M = 1 fails at
+        the first step; one below ``min_cache_size`` fails only at a step
+        whose operands and result fill the cache, when the eviction heap
+        holds the pinned operands' entries from earlier steps (product
+        order 4 reaches such a step with a cached operand)."""
         g = graph("strassen")
-        sched = make_schedule(g, "topo", 7)
         is_input, is_output = masks(g)
         iu8 = np.ascontiguousarray(is_input).view(np.uint8)
         ou8 = np.ascontiguousarray(is_output).view(np.uint8)
-        plan = SchedulePlan(g, sched, validated=False)
-        arrays = plan.kernel_arrays()
-        Ms = np.array([1, 24], dtype=np.int64)
-        codes = np.array([code, code], dtype=np.int64)
-        with forced_mode(mode):
-            out = run_grid(arrays, iu8, ou8, Ms, codes)
-        assert int(out[0, STATUS]) == STATUS_NO_VICTIM
-        assert int(out[1, STATUS]) == STATUS_OK
-        res, evictions = reference_run(g, sched, 24, POLICY_NAMES[code])
-        assert tuple(int(x) for x in out[1, :8]) == (
-            res.reads, res.writes, res.input_reads, res.spill_reads,
-            res.spill_writes, res.output_writes, res.peak_cache, evictions,
-        )
-        with pytest.raises(CacheError):
-            simulate_py(plan, is_input, is_output, 1, code)
+        Ms = np.array([1, min_cache_size(g) - 1, 24], dtype=np.int64)
+        codes = np.full(len(Ms), code, dtype=np.int64)
+        for sched in (make_schedule(g, "topo", 7),
+                      make_schedule(g, "product", 4)):
+            plan = SchedulePlan(g, sched, validated=False)
+            with forced_mode(mode):
+                out = run_grid(plan.kernel_arrays(), iu8, ou8, Ms, codes)
+            assert [int(s) for s in out[:, STATUS]] == [
+                STATUS_NO_VICTIM, STATUS_NO_VICTIM, STATUS_OK,
+            ]
+            res, evictions = reference_run(g, sched, 24, POLICY_NAMES[code])
+            assert tuple(int(x) for x in out[2, :8]) == (
+                res.reads, res.writes, res.input_reads, res.spill_reads,
+                res.spill_writes, res.output_writes, res.peak_cache,
+                evictions,
+            )
+            for M in Ms[:2].tolist():
+                with pytest.raises(CacheError):
+                    simulate_py(plan, is_input, is_output, M, code)

@@ -1,4 +1,6 @@
-"""Tests for Hopcroft-Karp matching and the capacitated (Theorem 3) form."""
+"""Tests for maximum matching and the capacitated (Theorem 3) form."""
+
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -6,23 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.flow import (
     capacitated_matching,
-    degree_histogram,
     hall_violator,
-    hopcroft_karp,
+    maximum_matching,
 )
 
 
-def _matching_size(adjacency, n_right):
-    match_left, match_right = hopcroft_karp(adjacency, n_right)
-    size = sum(1 for m in match_left if m != -1)
-    # Internal consistency: match_right must mirror match_left.
-    for x, y in enumerate(match_left):
-        if y != -1:
-            assert match_right[y] == x
-    return size
+def _matching_size(adjacency, n_right, capacity=1):
+    match = maximum_matching(adjacency, n_right, capacity)
+    partners = [y for y in match if y != -1]
+    # Partners are neighbours, and no right vertex is used more than
+    # ``capacity`` times (with capacity 1: no right vertex repeats).
+    for x, y in enumerate(match):
+        assert y == -1 or y in adjacency[x]
+    assert all(count <= capacity for count in Counter(partners).values())
+    return len(partners)
 
 
 class TestHopcroftKarp:
+    """Maximum-matching cases (kept under their original class name);
+    they now cover :func:`maximum_matching`."""
+
     def test_perfect_matching_complete_graph(self):
         adj = [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
         assert _matching_size(adj, 3) == 3
@@ -50,10 +55,13 @@ class TestHopcroftKarp:
     @given(
         st.integers(min_value=0, max_value=8),
         st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=3),
         st.data(),
     )
-    def test_matches_networkx(self, n_left, n_right, data):
-        """Maximum matching size must equal networkx's on random graphs."""
+    def test_matches_networkx(self, n_left, n_right, capacity, data):
+        """Maximum matching size must equal networkx's on random graphs,
+        with each right vertex copied ``capacity`` times for networkx
+        (the paper's reduction in Theorem 3)."""
         adj = [
             sorted(
                 data.draw(
@@ -65,14 +73,17 @@ class TestHopcroftKarp:
             )
             for _ in range(n_left)
         ]
-        size = _matching_size(adj, n_right)
+        size = _matching_size(adj, n_right, capacity)
 
         g = nx.Graph()
         g.add_nodes_from(f"L{x}" for x in range(n_left))
-        g.add_nodes_from(f"R{y}" for y in range(n_right))
+        g.add_nodes_from(
+            f"R{y}.{c}" for y in range(n_right) for c in range(capacity)
+        )
         for x, row in enumerate(adj):
             for y in row:
-                g.add_edge(f"L{x}", f"R{y}")
+                for c in range(capacity):
+                    g.add_edge(f"L{x}", f"R{y}.{c}")
         nx_size = len(
             nx.bipartite.maximum_matching(
                 g, top_nodes=[f"L{x}" for x in range(n_left)]
@@ -92,8 +103,7 @@ class TestCapacitatedMatching:
         adj = [[0, 1]] * 4
         assignment = capacitated_matching(adj, 2, 2)
         assert assignment is not None
-        hist = degree_histogram(assignment)
-        assert all(count <= 2 for count in hist.values())
+        assert all(count <= 2 for count in Counter(assignment).values())
 
     def test_infeasible_returns_none(self):
         # 3 left vertices only adjacent to right 0, capacity 2.
@@ -108,6 +118,11 @@ class TestCapacitatedMatching:
     def test_zero_capacity_raises(self):
         with pytest.raises(ValueError):
             capacitated_matching([[0]], 1, 0)
+
+    def test_out_of_range_neighbour_raises(self):
+        for adj in ([[-1], [0]], [[2]]):
+            with pytest.raises(ValueError):
+                capacitated_matching(adj, 2, 1)
 
     @settings(max_examples=40)
     @given(
@@ -147,7 +162,7 @@ class TestCapacitatedMatching:
             for x, y in enumerate(assignment):
                 assert y in adj[x]
             assert all(
-                c <= capacity for c in degree_histogram(assignment).values()
+                c <= capacity for c in Counter(assignment).values()
             )
 
 
@@ -167,6 +182,11 @@ class TestHallViolator:
     def test_zero_capacity_raises(self):
         with pytest.raises(ValueError):
             hall_violator([[0]], 1, 0)
+
+    def test_out_of_range_neighbour_raises(self):
+        # Without the check this returns a certificate naming vertex -1.
+        with pytest.raises(ValueError):
+            hall_violator([[-1]] * 3, 2, 1)
 
     @settings(max_examples=40)
     @given(
