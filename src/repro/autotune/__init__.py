@@ -27,7 +27,6 @@ from repro.autotune.evaluate import (
     EvalRecord,
     LocalEvaluator,
     PoolEvaluator,
-    ServiceEvaluator,
     evaluate_candidate,
 )
 from repro.autotune.genome import (
@@ -52,7 +51,6 @@ __all__ = [
     "EvalRecord",
     "LocalEvaluator",
     "PoolEvaluator",
-    "ServiceEvaluator",
     "evaluate_candidate",
     "GENOME_VERSION",
     "GenomeContext",

@@ -5,7 +5,7 @@ the evaluation budget, the **ledger** (genome key → measured I/O, so a
 re-proposed candidate costs no simulation), the checksummed journal,
 telemetry, and best-so-far tracking.  Per generation it asks the
 strategy for proposals, answers what it can from the ledger, sends the
-rest to the evaluator (local pool / resident service / in-process),
+rest to the evaluator (a worker pool or in-process),
 folds the results back into the strategy, and checkpoints.
 
 Budget semantics match the original hill-climb: **every proposal

@@ -15,7 +15,7 @@ a crash, re-visited by a neighbourhood, or submitted by another search
 without simulating.  Compiled plans come from the graph-bundle cache
 when one is active (workers inherit ``REPRO_GRAPH_CACHE``).
 
-Three dispatch backends share one interface (``evaluate(orders)`` →
+Two dispatch backends share one interface (``evaluate(orders)`` →
 records, in proposal order):
 
 - :class:`LocalEvaluator` — in-process, one shared
@@ -24,9 +24,7 @@ records, in proposal order):
   evaluations cheap; used by :func:`repro.schedules.search.search_schedule`
   and the E15 experiment;
 - :class:`PoolEvaluator` — a worker pool per generation through
-  :func:`repro.runner.run_sweep` with the on-disk result store;
-- :class:`ServiceEvaluator` — submits to a resident ``repro serve``
-  daemon for warm-worker reuse (store hits never wake a worker).
+  :func:`repro.runner.run_sweep` with the on-disk result store.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "candidate_spec",
     "LocalEvaluator",
     "PoolEvaluator",
-    "ServiceEvaluator",
 ]
 
 #: Version of the evaluation semantics; part of every job's params so a
@@ -271,67 +268,3 @@ class PoolEvaluator:
 
     def close(self) -> None:
         pass
-
-
-class ServiceEvaluator:
-    """Dispatch generations to a resident ``repro serve`` daemon.
-
-    Store hits are answered on the daemon's event loop without waking a
-    worker; misses run on its warm pool with pre-attached graph
-    bundles.  Raises :class:`~repro.errors.ServiceError` when the
-    daemon is unreachable (the CLI maps that to exit code 2, matching
-    ``repro submit``).
-    """
-
-    def __init__(
-        self,
-        alg: str,
-        r: int,
-        cache_size: int,
-        policy: str = "belady",
-        *,
-        socket_path: str,
-        timeout: float = 600.0,
-        fresh: bool = False,
-    ):
-        from repro.service import ServiceClient
-
-        self.alg = alg
-        self.r = int(r)
-        self.cache_size = int(cache_size)
-        self.policy = policy
-        self.fresh = fresh
-        self._client = ServiceClient(socket_path, timeout=timeout)
-
-    def evaluate(self, orders) -> list[EvalRecord]:
-        orders = list(orders)
-        if not orders:
-            return []
-        specs = [
-            candidate_spec(
-                self.alg, self.r, self.cache_size, self.policy, order
-            )
-            for order in orders
-        ]
-        summary = self._client.submit(specs, fresh=self.fresh)
-        by_key = {msg.get("key"): msg for msg in summary["results"]}
-        out = []
-        for order, spec in zip(orders, specs):
-            key = genome_key(order)
-            msg = by_key.get(spec.cache_key)
-            if msg is None or msg.get("op") == "rejected":
-                reason = (msg or {}).get("reason", "no result")
-                out.append(EvalRecord(key, 0, 0.0, 0.0, False,
-                                      error=f"rejected: {reason}"))
-            elif msg.get("status") == "failed":
-                out.append(EvalRecord(key, 0, 0.0, 0.0, False,
-                                      error=msg.get("error") or "failed"))
-            else:
-                data = msg["payload"]["data"]
-                out.append(_record_from_data(
-                    key, data, msg.get("source") == "store"
-                ))
-        return out
-
-    def close(self) -> None:
-        self._client.close()

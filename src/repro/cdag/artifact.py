@@ -332,7 +332,7 @@ def active_cache():
             try:
                 from repro.runner.graphcache import activate
 
-                activate(root, shm_root=os.environ.get("REPRO_SHM_LEDGER"))
+                activate(root)
             except Exception:
                 # A bad env var must never break graph building.
                 pass

@@ -63,24 +63,6 @@ def apply_worker_fault(doc: Mapping) -> None:
     if kind == "slow":
         time.sleep(float(doc.get("slow_seconds", 0.3)))
         return
-    if kind == "shm_leak":
-        # Publish a ledger-recorded shared-memory segment, then die
-        # segfault-style without any cleanup — the exact leak a crashed
-        # warm worker leaves behind, which the service's ledger-driven
-        # drain/gc must unlink.  Opt-in (not in the default worker kind
-        # tuple): it needs a shm root in the fault doc to mean anything.
-        shm_root = doc.get("shm")
-        if shm_root:
-            import numpy as np
-
-            from repro.service.shm import ShmTier
-
-            ShmTier(shm_root).put(
-                "chaos",
-                f"leak-{os.getpid()}",
-                {"ballast": np.zeros(4096, dtype=np.uint8)},
-            )
-        os._exit(23)
     raise ValueError(f"unknown worker fault kind {kind!r}")
 
 

@@ -69,12 +69,7 @@ class ChaosMonkey:
         kind = self.plan.decide("worker", key, attempt)
         if kind is None:
             return
-        fault = self.plan.worker_fault_doc(kind)
-        if "shm" in job_doc:
-            # The shm_leak fault needs the tier's ledger root so the
-            # leaked segment is recorded where drain/gc will look.
-            fault.setdefault("shm", job_doc["shm"])
-        job_doc["chaos"] = fault
+        job_doc["chaos"] = self.plan.worker_fault_doc(kind)
         self._record("worker", kind)
 
     def corrupt_artifact(self, path, key: str) -> None:

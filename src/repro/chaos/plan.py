@@ -16,12 +16,7 @@ Sites and kinds:
   ``os._exit``), ``hang`` (heartbeat stops, sleeps past the watchdog),
   ``oom`` (over-allocates then raises ``MemoryError``), ``slow``
   (sleeps with a live heartbeat, then completes normally — the case
-  the watchdog must *not* kill); plus the opt-in ``shm_leak``
-  (publishes a ledger-recorded shared-memory segment, then dies
-  without cleanup — exercises the service tier's drain/gc).  It is
-  *not* in :data:`WORKER_KINDS`: adding a kind would reshuffle the
-  PRF draws of every committed fixed-seed soak, so leak tests arm it
-  explicitly via ``FaultPlan(worker_kinds=("shm_leak",))``;
+  the watchdog must *not* kill);
 - ``store`` — artifact corruption applied right after a successful
   ``put``: ``truncate``, ``bitflip`` (flips a byte inside the result
   payload), ``orphan`` (drops a stray ``.tmp-*.json`` next to the

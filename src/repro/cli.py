@@ -20,29 +20,20 @@ Subcommands:
   pre-build (``warm``) the compiled-graph bundle store that
   ``sweep --graph-cache`` and the ``REPRO_GRAPH_CACHE`` environment
   variable activate (see :mod:`repro.runner.graphcache`);
-- ``serve``                 — run the long-lived sweep daemon on a unix
-  socket: warm worker pool, store fast path, shared-memory bundle
-  tier, admission control, graceful SIGTERM drain (see
-  :mod:`repro.service`);
-- ``submit``                — thin client for a running daemon: submit
-  jobs (same id/``--param``/``--seeds`` grammar as ``sweep``), stream
-  results, or ``--status`` / ``--drain`` / ``--ping`` it;
 - ``tune``                  — restartable schedule search minimising the
   Belady gap: candidates are content-addressed jobs deduped through the
-  sweep store (or a running daemon via ``--socket``), search state
-  checkpoints to a checksummed journal, ``--resume`` continues a killed
-  search exactly (see :mod:`repro.autotune`);
+  sweep store, search state checkpoints to a checksummed journal,
+  ``--resume`` continues a killed search exactly (see
+  :mod:`repro.autotune`);
 - ``render``                — DOT/ASCII rendering of a base graph.
 
-``sweep``, ``submit`` and ``tune`` accept ``--json``: after the
-human-readable output, one final machine-readable JSON line with the
-job/hit/failure counts and wall time.  Their exit codes: **0** — every
-job reached a successful terminal state (for ``tune``: the search
-completed, improved or not); **1** — at least one job failed or was
-rejected (for ``tune``: the search failed — no successful evaluation,
-journal mismatch, external-solver error); **2** (``submit`` and
-``tune --socket``) — could not talk to the daemon (connection or
-protocol error).
+``sweep`` and ``tune`` accept ``--json``: after the human-readable
+output, one final machine-readable JSON line with the job/hit/failure
+counts and wall time.  Their exit codes: **0** — every job reached a
+successful terminal state (for ``tune``: the search completed, improved
+or not); **1** — at least one job failed (for ``tune``: the search
+failed — no successful evaluation, journal mismatch, external-solver
+error).
 
 ``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--profile``
 (collect telemetry) and ``--trace-out PATH`` (write the collected spans
@@ -341,125 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default recursive,rank)",
     )
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the long-lived sweep daemon on a unix socket",
-        description=(
-            "Bind a unix socket and serve sweep submissions: cached "
-            "artifacts are answered without touching a worker, misses "
-            "run on a resident warm pool (pre-imported experiments, "
-            "pre-attached graph bundles, shared-memory hot tier), and "
-            "every scheduler decision streams to subscribed clients as "
-            "seq-numbered JSONL events.  SIGTERM finishes in-flight "
-            "jobs, journals the final state, unlinks every shared "
-            "memory segment, and exits 0."
-        ),
-    )
-    p_serve.add_argument(
-        "--socket", default=".repro-cache/service.sock", metavar="PATH",
-        help="unix socket path (default .repro-cache/service.sock)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="resident warm workers (default 2)",
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=".repro-cache", metavar="DIR",
-        help="result-store root (default .repro-cache)",
-    )
-    p_serve.add_argument(
-        "--graph-cache", default=None, metavar="DIR",
-        help="compiled-graph bundle store workers pre-attach at spawn",
-    )
-    p_serve.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory hot tier in front of the graph "
-             "cache",
-    )
-    p_serve.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="max jobs queued or running before submissions are "
-             "rejected with reason queue_full (default 64)",
-    )
-    p_serve.add_argument(
-        "--client-quota", type=int, default=16, metavar="N",
-        help="max outstanding jobs per client before rejections with "
-             "reason quota (default 16)",
-    )
-    p_serve.add_argument(
-        "--retries", type=int, default=1, metavar="K",
-        help="failed attempts each job may absorb beyond the first "
-             "(default 1)",
-    )
-    p_serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock limit (default: none)",
-    )
-    p_serve.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="SECONDS",
-        help="max seconds a drain waits for in-flight jobs (default 30)",
-    )
-    p_serve.add_argument(
-        "--events", default=None, metavar="PATH",
-        help="JSONL service journal "
-             "(default <cache-dir>/service-events.jsonl)",
-    )
-
-    p_submit = sub.add_parser(
-        "submit",
-        help="submit jobs to a running sweep daemon",
-        description=(
-            "Thin client for 'repro serve': expands the same "
-            "id/--param/--seeds grammar as 'repro sweep' into job "
-            "specs, submits them over the daemon's unix socket, and "
-            "streams per-job results.  Exit codes: 0 all ok, 1 any "
-            "failure or rejection, 2 daemon unreachable or protocol "
-            "error."
-        ),
-    )
-    p_submit.add_argument("ids", nargs="*", help="experiment ids")
-    p_submit.add_argument(
-        "--socket", default=".repro-cache/service.sock", metavar="PATH",
-        help="daemon socket path (default .repro-cache/service.sock)",
-    )
-    p_submit.add_argument(
-        "--param", action="append", default=[], metavar="[EXP:]key=v1,v2",
-        help="sweep a parameter over values (same grammar as sweep)",
-    )
-    p_submit.add_argument(
-        "--seeds", default=None, metavar="S1,S2,...",
-        help="fan seed-aware experiments over explicit seeds",
-    )
-    p_submit.add_argument(
-        "--fresh", action="store_true",
-        help="bypass the store fast path and recompute",
-    )
-    p_submit.add_argument(
-        "--json", action="store_true", dest="json_line",
-        help="after the per-job lines, print one machine-readable JSON "
-             "summary line (jobs, hits, failures, wall time)",
-    )
-    p_submit.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-job result lines",
-    )
-    p_submit.add_argument(
-        "--client-timeout", type=float, default=600.0, metavar="SECONDS",
-        help="client-side receive timeout (default 600)",
-    )
-    p_submit.add_argument(
-        "--status", action="store_true",
-        help="print the daemon's status JSON and exit",
-    )
-    p_submit.add_argument(
-        "--ping", action="store_true",
-        help="exit 0 if a daemon answers on the socket, 2 otherwise",
-    )
-    p_submit.add_argument(
-        "--drain", action="store_true",
-        help="ask the daemon to drain and exit",
-    )
-
     p_tune = sub.add_parser(
         "tune",
         help="restartable schedule search that closes the Belady gap",
@@ -473,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             "resumes exactly with --resume.  Exit codes: 0 — search "
             "completed (improved or not); 1 — search failed (no "
             "successful evaluation, journal/config mismatch, solver "
-            "error); 2 — daemon unreachable (--socket only)."
+            "error)."
         ),
     )
     p_tune.add_argument("--alg", default="strassen")
@@ -537,11 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--local", action="store_true",
         help="evaluate in-process against one shared executor instead "
              "of the worker pool (fastest for small grids)",
-    )
-    p_tune.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="dispatch evaluations to the resident daemon on this "
-             "unix socket instead of a local pool",
     )
     p_tune.add_argument(
         "--solver-cmd", default=None, metavar="CMD",
@@ -730,8 +597,8 @@ def _parse_param_specs(specs: list[str], ids: list[str]) -> dict[str, dict]:
 
 
 def _build_specs(args) -> list:
-    """Expand the shared ``ids``/``--param``/``--seeds`` grammar into
-    job specs (used by both ``sweep`` and ``submit``)."""
+    """Expand the ``ids``/``--param``/``--seeds`` grammar into job
+    specs."""
     from repro.experiments import list_experiments
     from repro.runner import expand_grid, experiment_accepts_seed
 
@@ -922,100 +789,6 @@ def _cmd_graph_cache(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service import ServiceConfig, serve
-
-    config = ServiceConfig(
-        socket_path=args.socket,
-        cache_dir=args.cache_dir,
-        workers=args.jobs,
-        graph_cache=args.graph_cache,
-        shm_root=None if args.no_shm else "auto",
-        queue_limit=args.queue_limit,
-        client_quota=args.client_quota,
-        retries=args.retries,
-        timeout=args.timeout,
-        drain_grace=args.drain_grace,
-        events_path=args.events,
-    )
-    print(
-        f"serving on {args.socket} "
-        f"(cache {args.cache_dir}, {config.workers} warm workers, "
-        f"shm {'off' if args.no_shm else 'on'}); SIGTERM drains",
-        flush=True,
-    )
-    return serve(config)
-
-
-def _cmd_submit(args) -> int:
-    import json
-    import time
-
-    from repro.errors import ServiceError
-    from repro.service import ServiceClient
-
-    t0 = time.monotonic()
-    client = ServiceClient(args.socket, timeout=args.client_timeout)
-    if args.ping:
-        ok = client.ping()
-        client.close()
-        print("pong" if ok else f"no daemon on {args.socket}")
-        return 0 if ok else 2
-    try:
-        if args.status:
-            print(json.dumps(client.status(), sort_keys=True, indent=2))
-            return 0
-        if args.drain:
-            client.drain()
-            print("daemon draining")
-            return 0
-        specs = _build_specs(args)
-
-        def _show(msg: dict) -> None:
-            if args.quiet:
-                return
-            op = msg.get("op")
-            if op == "result":
-                status = msg.get("status")
-                src = msg.get("source")
-                extra = (
-                    f" ({msg.get('error')})" if status == "failed" else ""
-                )
-                print(f"  {msg.get('job')}: {status} [{src}]{extra}")
-            elif op == "rejected":
-                print(f"  {msg.get('job')}: rejected ({msg.get('reason')})")
-
-        summary = client.submit(specs, fresh=args.fresh, on_message=_show)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-    wall = time.monotonic() - t0
-    failures = summary.get("failed", 0) + summary.get("rejected", 0)
-    code = 0 if failures == 0 else 1
-    print(
-        f"submitted {summary.get('jobs', 0)} jobs: "
-        f"{summary.get('hits', 0)} store hits, "
-        f"{summary.get('dispatched', 0)} dispatched, "
-        f"{summary.get('coalesced', 0)} coalesced, "
-        f"{summary.get('failed', 0)} failed, "
-        f"{summary.get('rejected', 0)} rejected "
-        f"({wall:.2f}s)"
-    )
-    if args.json_line:
-        _emit_json_line("submit", {
-            "jobs": summary.get("jobs", 0),
-            "hits": summary.get("hits", 0),
-            "dispatched": summary.get("dispatched", 0),
-            "coalesced": summary.get("coalesced", 0),
-            "failures": failures,
-            "wall_s": round(wall, 6),
-            "exit_code": code,
-        })
-    return code
-
-
 def _cmd_tune(args) -> int:
     import hashlib
     import json
@@ -1027,10 +800,9 @@ def _cmd_tune(args) -> int:
         AutoTuner,
         LocalEvaluator,
         PoolEvaluator,
-        ServiceEvaluator,
         TuneConfig,
     )
-    from repro.errors import ReproError, ServiceError
+    from repro.errors import ReproError
 
     t0 = time.monotonic()
     config = TuneConfig(
@@ -1061,12 +833,7 @@ def _cmd_tune(args) -> int:
     profiled = _begin_profile(args)
     evaluator = None
     try:
-        if args.socket:
-            evaluator = ServiceEvaluator(
-                args.alg, args.r, args.cache_size, args.policy,
-                socket_path=args.socket, fresh=args.fresh,
-            )
-        elif args.local:
+        if args.local:
             from repro.cdag import build_cdag
 
             evaluator = LocalEvaluator(
@@ -1091,9 +858,6 @@ def _cmd_tune(args) -> int:
             resume=args.resume,
         )
         result = tuner.run()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
@@ -1173,10 +937,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_perf(args)
     if args.command == "graph-cache":
         return _cmd_graph_cache(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
     if args.command == "tune":
         return _cmd_tune(args)
     if args.command == "render":

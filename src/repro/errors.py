@@ -21,8 +21,6 @@ __all__ = [
     "HallConditionError",
     "BoundError",
     "PartitionError",
-    "ServiceError",
-    "ProtocolError",
 ]
 
 
@@ -136,22 +134,3 @@ class BoundError(ReproError):
 class PartitionError(ReproError):
     """A parallel work partition is malformed (not load balanced per rank,
     overlapping ownership, or not covering the computation)."""
-
-
-class ServiceError(ReproError):
-    """The sweep service (daemon, client, or shared-memory tier) failed.
-
-    Raised for daemon-side lifecycle problems (socket already bound,
-    drain timeout) and client-side connection failures.  Admission
-    rejections (backpressure, quota) are *not* errors — they are ordinary
-    protocol responses the client surfaces to its caller.
-    """
-
-
-class ProtocolError(ServiceError):
-    """A service peer sent a malformed or unexpected protocol message.
-
-    The wire format is newline-delimited JSON objects; anything that is
-    not one JSON object per line, lacks the required ``op`` field, or
-    answers with an ``op`` the caller cannot interpret raises this.
-    """

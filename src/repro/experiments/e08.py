@@ -19,7 +19,7 @@ from repro.cdag import (
     verify_fact1,
 )
 from repro.experiments.harness import ExperimentResult, register
-from repro.pebbling import SegmentAnalysis
+from repro.pebbling import SegmentAnalysis, min_cache_size
 from repro.schedules import (
     random_topological_schedule,
     rank_order_schedule,
@@ -49,7 +49,7 @@ def run(
         len(family) * alg.b**2 >= subcomputation_count(g, k)
     )
 
-    analysis = SegmentAnalysis(g, meta, cache_size=max(1, threshold // 36) or 1,
+    analysis = SegmentAnalysis(g, meta, cache_size=min_cache_size(g),
                                k=k, threshold=threshold)
     table = TextTable(
         ["schedule", "segments", "min |S̄|", "min |δ'|", "min ratio",

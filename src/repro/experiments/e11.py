@@ -65,7 +65,9 @@ def run(n: int = 2**10) -> ExperimentResult:
                 [P, M, run_.schedule_string, run_.bandwidth_cost,
                  round(mem_bound), round(mem_indep), round(ratio, 2)]
             )
-    checks["measured BW always >= combined lower bound"] = all(
+    # Shape check: the Ω-forms are taken with constant 1, which the
+    # paper does not prove.
+    checks["shape: measured BW >= combined Ω-forms with constant 1"] = all(
         r >= 1.0 for r in ratios
     )
     checks["measured BW within constant factor (< 64x) of bound"] = all(

@@ -128,11 +128,11 @@ def run(seed: int = 2) -> ExperimentResult:
     threshold_table = TextTable(
         ["threshold (|S̄| per segment)", "segments", "certified I/O",
          "eq2 holds"],
-        title="E13.3: segment-threshold sensitivity (paper uses 36M)",
+        title="E13.3: segment-threshold sensitivity at M = 8 (paper uses 36M)",
     )
     certified = {}
     for threshold in (12, 24, 48, 96):
-        analysis = SegmentAnalysis(g3, meta3, cache_size=2, k=1,
+        analysis = SegmentAnalysis(g3, meta3, cache_size=8, k=1,
                                    threshold=threshold)
         records = analysis.analyze(sched)
         total = sum(rec.implied_io for rec in records)
@@ -157,13 +157,20 @@ def run(seed: int = 2) -> ExperimentResult:
         title="E13.4: cache-line granularity (blocked classical, n=32)",
     )
     n, words = 32, 192
+    word_io = {}
     for line in (1, 2, 4, 8):
         cache = FullyAssociativeLRU(words // line, line_size=line)
         stats = cache.run(trace_blocked(n, 6))
+        word_io[line] = stats.io * line
         line_table.add_row(
-            [line, words, stats.misses, stats.writebacks, stats.io * line]
+            [line, words, stats.misses, stats.writebacks, word_io[line]]
         )
-    checks["line-size ablation runs"] = True
+    checks["line size 2 within 1% of word-I/O at line size 1"] = (
+        abs(word_io[2] - word_io[1]) * 100 <= word_io[1]
+    )
+    checks["line size 8 costs >= 2x word-I/O at line size 1"] = (
+        word_io[8] >= 2 * word_io[1]
+    )
 
     return ExperimentResult(
         experiment_id="E13",

@@ -106,11 +106,11 @@ def run(M: int = 8) -> ExperimentResult:
     g3 = build_cdag(strassen(), 3)
     meta = compute_metavertices(g3)
     sched = recursive_schedule(g3)
-    analysis = SegmentAnalysis(g3, meta, cache_size=2, k=1, threshold=24)
+    analysis = SegmentAnalysis(g3, meta, cache_size=M, k=1, threshold=24)
     routing_certified = analysis.implied_lower_bound(sched)
-    measured = simulate_io(g3, sched, max(M, 6)).total
+    measured = simulate_io(g3, sched, M, policy="belady").total
     compare_table = TextTable(
-        ["certifier", "certified I/O lower bound", "measured I/O"],
+        ["certifier", "certified I/O lower bound", "measured I/O (Belady)"],
         title="E14.3: certified bounds on strassen G_3 (recursive schedule)",
     )
     parts = partition_by_io(g3, sched, M)

@@ -9,7 +9,7 @@ each segment performs at least ``M`` I/Os.
 This module implements the *measurable* side on real executions:
 
 - :func:`boundary_sets` — ``R(S)``, ``W(S)``, ``δ(S)`` per Definition 1;
-- :func:`meta_boundary` — ``δ'(S')`` on meta-vertices;
+- :func:`meta_boundary` — ``δ'(S')``, Definition 1 on meta-vertices;
 - :func:`partition_schedule` — cut a schedule into segments with
   ``|S̄| >= threshold`` counted vertices (meta-closure included, per the
   paper's convention);
@@ -72,20 +72,33 @@ def boundary_sets(
 def meta_boundary(
     cdag: CDAG, meta: MetaVertexPartition, segment: np.ndarray
 ) -> np.ndarray:
-    """``δ'(S')``: meta-vertices adjacent to the segment's meta-closure
-    but not inside it.  Returned as sorted meta roots.
+    """``δ'(S') = R'(S') ∪ W'(S')``: Definition 1 lifted to the
+    segment's meta-closure ``S'``.  Returned as sorted meta roots.
 
-    The closure holds every vertex of its metas, so a neighbour outside
-    it belongs to a meta outside it too."""
+    ``R'(S')`` is the metas of predecessors outside the closure;
+    ``W'(S')`` is the metas of closure vertices with an edge leaving it.
+    The closure holds every vertex of its metas, so the two are disjoint,
+    and a meta is one value however many copies it has.  Each meta of
+    ``R'`` holds a value the closure consumes, so it sits in cache when
+    the segment starts or is read during it; each meta of ``W'`` holds a
+    value consumed outside the closure, so it sits in cache when the
+    segment ends or is written during it.  A cache of ``M`` covers at
+    most ``M`` of each, which leaves ``|δ'(S')| - 2M`` I/Os per segment.
+    A meta counts once however many of its vertices cross the boundary,
+    as Definition 1 needs one write per value, not one per consumer.
+    The argument is exact for metas whose root the segment computes; a
+    meta computed earlier and only copied during the segment is charged
+    the same way, and the property tests check that case against Belady
+    and LRU runs rather than prove it."""
     closed = meta.closure(segment)
     in_closed = np.zeros(cdag.n_vertices, dtype=bool)
     in_closed[closed] = True
     _, _, preds = csr_rows(*cdag.pred_csr(), closed)
-    _, _, succs = csr_rows(cdag.succ_indptr, cdag.succ_indices, closed)
-    neighbours = np.concatenate([preds, succs])
-    adjacent = np.zeros(cdag.n_vertices, dtype=bool)
-    adjacent[meta.label[neighbours[~in_closed[neighbours]]]] = True
-    return np.flatnonzero(adjacent)
+    _, pos, succs = csr_rows(cdag.succ_indptr, cdag.succ_indices, closed)
+    boundary = np.zeros(cdag.n_vertices, dtype=bool)
+    boundary[meta.label[preds[~in_closed[preds]]]] = True
+    boundary[meta.label[closed[pos[~in_closed[succs]]]]] = True
+    return np.flatnonzero(boundary)
 
 
 def counted_mask_section5(cdag: CDAG, k: int) -> np.ndarray:
@@ -134,27 +147,32 @@ def partition_schedule(
     credited to the segment in which their meta-vertex first appears.
     Segments are returned as arrays of *scheduled* vertices (the meta
     closure is applied by the analysis functions, not here).
+
+    Each counted vertex is credited at the first step its meta (or, with
+    no partition, the vertex itself) appears; the credits are summed
+    per step and accumulated, and each cut is the first step at which
+    the running total reaches the previous cut's total plus
+    ``threshold``.
     """
     check_positive_int(threshold, "threshold")
     schedule = np.asarray(schedule, dtype=np.int64)
-    segments: list[np.ndarray] = []
-    start = 0
-    count = 0
-    counted_seen = np.zeros(cdag.n_vertices, dtype=bool)
-    for t, v in enumerate(schedule.tolist()):
-        group = meta.members(int(meta.label[v])) if meta is not None else [v]
-        for w in (int(x) for x in np.atleast_1d(group)):
-            if counted_mask[w] and not counted_seen[w]:
-                counted_seen[w] = True
-                count += 1
-        if count >= threshold:
-            segments.append(schedule[start : t + 1])
-            start = t + 1
-            count = 0
-    if start < len(schedule):
-        segments.append(schedule[start:])
-    if not segments:
+    n_steps = len(schedule)
+    if n_steps == 0:
         raise PartitionError("empty schedule cannot be partitioned")
+    label = meta.label if meta is not None else np.arange(cdag.n_vertices)
+    first = np.full(cdag.n_vertices, n_steps, dtype=np.int64)
+    np.minimum.at(first, label[schedule], np.arange(n_steps))
+    credit = first[label[np.flatnonzero(counted_mask)]]
+    total = np.cumsum(np.bincount(credit, minlength=n_steps + 1)[:n_steps])
+    segments: list[np.ndarray] = []
+    start, base = 0, 0
+    while start < n_steps:
+        cut = int(np.searchsorted(total, base + threshold))
+        if cut >= n_steps:
+            segments.append(schedule[start:])
+            break
+        segments.append(schedule[start : cut + 1])
+        start, base = cut + 1, int(total[cut])
     return segments
 
 

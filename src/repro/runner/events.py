@@ -51,12 +51,6 @@ EVENT_SCHEMA: dict[str, frozenset] = {
     ),
     "job_retry": frozenset({"job", "experiment", "key", "attempt", "kind", "reason"}),
     "job_failed": frozenset({"job", "experiment", "key", "attempts", "reason"}),
-    # Sweep-service (daemon) lifecycle — see repro.service.server.
-    "service_start": frozenset({"socket", "workers", "pid"}),
-    "service_submit": frozenset({"client", "jobs"}),
-    "service_reject": frozenset({"client", "reason", "key"}),
-    "service_drain": frozenset({"queued", "inflight"}),
-    "service_stop": frozenset({"duration"}),
 }
 
 #: Events that mark a job's terminal state in the journal.

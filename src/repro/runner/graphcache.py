@@ -94,13 +94,10 @@ class GraphCache:
     :func:`repro.cdag.artifact.active_cache`.
     """
 
-    def __init__(self, root: str | os.PathLike, verify: bool = True, shm=None):
+    def __init__(self, root: str | os.PathLike, verify: bool = True):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.verify = verify
-        #: optional :class:`repro.service.shm.ShmTier` hot tier; consulted
-        #: between the process-local maps and the on-disk bundles.
-        self.shm = shm
         self._graphs: dict[str, object] = {}
         self._schedules: dict[str, np.ndarray] = {}
         self._plans: dict[str, object] = {}
@@ -144,25 +141,6 @@ class GraphCache:
             table.pop(next(iter(table)))
         table[key] = value
 
-    def _shm_get(self, kind: str, key: str):
-        """Arrays from the shared-memory hot tier, or None.  The tier
-        is an optimisation: any trouble reads as a miss, never an
-        error (the memmap tier below is the durable copy)."""
-        if self.shm is None:
-            return None
-        try:
-            return self.shm.get(kind, key)
-        except Exception:
-            return None
-
-    def _shm_put(self, kind: str, key: str, arrays) -> None:
-        if self.shm is None:
-            return
-        try:
-            self.shm.put(kind, key, dict(arrays))
-        except Exception:
-            pass
-
     # ------------------------------------------------------------------
     # Graph bundles
     # ------------------------------------------------------------------
@@ -181,15 +159,6 @@ class GraphCache:
         with span("graphcache.graph", alg=alg.name) as sp:
             sp.set("key", gkey)
             sp.set("r", int(r))
-            t0 = time.perf_counter()
-            shm_arrays = self._shm_get("graph", gkey)
-            if shm_arrays is not None:
-                g = artifact.graph_from_arrays(alg, r, shm_arrays)
-                g._graph_key = gkey
-                self._graphs[gkey] = g
-                self._count("hit", "graph_shm", time.perf_counter() - t0)
-                sp.set("outcome", "shm")
-                return g
             if path.is_dir():
                 t0 = time.perf_counter()
                 try:
@@ -203,7 +172,6 @@ class GraphCache:
                 else:
                     g._graph_key = gkey
                     self._graphs[gkey] = g
-                    self._shm_put("graph", gkey, arrays)
                     self._count("hit", "graph", time.perf_counter() - t0)
                     sp.set("outcome", "hit")
                     return g
@@ -227,7 +195,6 @@ class GraphCache:
                 artifact.write_bundle(path, artifact.graph_to_arrays(g), meta)
             except OSError:
                 pass  # publication is best effort (read-only root etc.)
-            self._shm_put("graph", gkey, artifact.graph_to_arrays(g))
             return g
 
     # ------------------------------------------------------------------
@@ -248,14 +215,6 @@ class GraphCache:
         path = self.root / SCHEDULES_DIR / skey
         with span("graphcache.schedule", family=name) as sp:
             sp.set("key", skey)
-            t0 = time.perf_counter()
-            shm_arrays = self._shm_get("schedule", skey)
-            if shm_arrays is not None and "schedule" in shm_arrays:
-                arr = shm_arrays["schedule"]
-                self._remember(self._schedules, _MAX_LOCAL_SCHEDULES, skey, arr)
-                self._count("hit", "schedule_shm", time.perf_counter() - t0)
-                sp.set("outcome", "shm")
-                return arr
             if path.is_dir():
                 t0 = time.perf_counter()
                 try:
@@ -268,7 +227,6 @@ class GraphCache:
                 else:
                     arr = arrays["schedule"]
                     self._remember(self._schedules, _MAX_LOCAL_SCHEDULES, skey, arr)
-                    self._shm_put("schedule", skey, {"schedule": arr})
                     self._count("hit", "schedule", time.perf_counter() - t0)
                     sp.set("outcome", "hit")
                     return arr
@@ -288,7 +246,6 @@ class GraphCache:
                 artifact.write_bundle(path, {"schedule": arr}, meta)
             except OSError:
                 pass
-            self._shm_put("schedule", skey, {"schedule": arr})
             self._remember(self._schedules, _MAX_LOCAL_SCHEDULES, skey, arr)
             return arr
 
@@ -319,20 +276,6 @@ class GraphCache:
         path = self.root / PLANS_DIR / pkey
         with span("graphcache.plan") as sp:
             sp.set("key", pkey)
-            t0 = time.perf_counter()
-            shm_arrays = self._shm_get("plan", pkey)
-            if shm_arrays is not None:
-                # The validated bit travels as a one-element side array
-                # (shm segments carry arrays, not metadata documents).
-                flag = shm_arrays.pop("_validated", None)
-                was_validated = bool(flag is not None and int(flag[0]))
-                plan = SchedulePlan.from_arrays(
-                    shm_arrays, validated=was_validated
-                )
-                self._remember(self._plans, _MAX_LOCAL_PLANS, pkey, plan)
-                self._count("hit", "plan_shm", time.perf_counter() - t0)
-                sp.set("outcome", "shm")
-                return _validated(plan)
             if path.is_dir():
                 t0 = time.perf_counter()
                 try:
@@ -347,12 +290,6 @@ class GraphCache:
                         arrays, validated=bool(meta.get("validated", False))
                     )
                     self._remember(self._plans, _MAX_LOCAL_PLANS, pkey, plan)
-                    self._shm_put("plan", pkey, {
-                        **dict(arrays),
-                        "_validated": np.asarray(
-                            [int(plan.validated)], dtype=np.int8
-                        ),
-                    })
                     self._count("hit", "plan", time.perf_counter() - t0)
                     sp.set("outcome", "hit")
                     return _validated(plan)
@@ -375,10 +312,6 @@ class GraphCache:
                 artifact.write_bundle(path, plan.to_arrays(), meta)
             except OSError:
                 pass
-            self._shm_put("plan", pkey, {
-                **plan.to_arrays(),
-                "_validated": np.asarray([int(plan.validated)], dtype=np.int8),
-            })
             self._remember(self._plans, _MAX_LOCAL_PLANS, pkey, plan)
             return plan
 
@@ -476,29 +409,12 @@ class GraphCache:
         return removed
 
 
-def activate(
-    root: str | os.PathLike, shm_root: str | os.PathLike | None = None
-) -> GraphCache:
-    """Install (or reuse) the process-global cache rooted at ``root``.
-
-    With ``shm_root``, a shared-memory hot tier
-    (:class:`repro.service.shm.ShmTier`, ledger under ``shm_root``) is
-    layered in front of the on-disk bundles — how the sweep service's
-    warm workers share one physical copy of each compiled bundle.
-    """
-    want_root = Path(root).expanduser()
-    want_shm = Path(shm_root).expanduser() if shm_root is not None else None
+def activate(root: str | os.PathLike) -> GraphCache:
+    """Install (or reuse) the process-global cache rooted at ``root``."""
     current = artifact.active_cache()
-    if isinstance(current, GraphCache) and current.root == want_root:
-        current_shm = getattr(current.shm, "root", None)
-        if want_shm is None or current_shm == want_shm:
-            return current
-    shm = None
-    if want_shm is not None:
-        from repro.service.shm import ShmTier  # lazy: avoids import cycle
-
-        shm = ShmTier(want_shm)
-    cache = GraphCache(root, shm=shm)
+    if isinstance(current, GraphCache) and current.root == Path(root).expanduser():
+        return current
+    cache = GraphCache(root)
     artifact.set_active_cache(cache)
     return cache
 

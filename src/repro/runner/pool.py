@@ -203,7 +203,7 @@ def _execute_job(job_doc: dict) -> dict:
     if graph_cache_root is not None:
         from repro.runner import graphcache as _graphcache
 
-        _graphcache.activate(graph_cache_root, shm_root=job_doc.get("shm"))
+        _graphcache.activate(graph_cache_root)
     profile = bool(job_doc.get("telemetry"))
     job_span = None
     if profile:
@@ -311,7 +311,6 @@ def run_sweep(
     mp_context=None,
     profile: bool = False,
     graph_cache: str | os.PathLike | None = None,
-    shm_root: str | os.PathLike | None = None,
 ) -> list[JobOutcome]:
     """Run ``specs`` through a worker pool; one outcome per spec, in
     input order.
@@ -366,12 +365,6 @@ def run_sweep(
         worker the likely consumer).  Per-job hit/miss deltas are
         aggregated into this process's ``graphcache.*`` counters and
         the ``sweep_finish`` event.
-    shm_root:
-        Ledger directory of a shared-memory hot tier
-        (:class:`repro.service.shm.ShmTier`) layered in front of the
-        graph cache; only meaningful with ``graph_cache``.  The caller
-        owns the tier's lifecycle (the sweep service drains it; a batch
-        sweep caller that passes one should drain it afterwards).
     """
     workers = max(1, int(workers))
     retries = max(0, int(retries))
@@ -385,8 +378,6 @@ def run_sweep(
         for st in states:
             st.job_doc["graph_cache"] = graph_cache
             st.job_doc["affinity"] = graph_affinity(st.spec)
-            if shm_root is not None:
-                st.job_doc["shm"] = str(shm_root)
     #: graph-affinity groups each live worker pid has already served
     #: (its process-local bundle maps are warm for those groups).
     worker_groups: dict[int, set[str]] = {}

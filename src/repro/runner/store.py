@@ -68,8 +68,9 @@ SCHEMA_VERSION = 2
 QUARANTINE_DIR = "corrupt"
 
 #: Root-level advisory lock file serialising mutations (publication,
-#: quarantine, temp-file GC) across processes — a daemon and an ad-hoc
-#: ``repro sweep`` can share one cache directory without racing.
+#: quarantine, temp-file GC) across processes — two ``repro sweep`` runs
+#: (or a sweep and a ``repro tune``) can share one cache directory
+#: without racing.
 LOCK_FILE = ".lock"
 
 
@@ -353,8 +354,8 @@ class ResultStore:
 
         Atomic writes go through a same-directory temp file; a SIGKILL
         between ``mkstemp`` and ``os.replace`` orphans it.  Runs under
-        the store lock, so a *live* writer's in-flight temp file (the
-        daemon publishing while an ad-hoc sweep starts up) is never
+        the store lock, so a *live* writer's in-flight temp file (one
+        sweep publishing while another starts up) is never
         collected — only files whose writer is past ``os.replace`` or
         dead remain visible once the lock is held.  Returns the removed
         paths.

@@ -1,5 +1,5 @@
-"""The pre-vectorisation executor, kept verbatim as the golden
-reference for equivalence tests.
+"""The pre-vectorisation executor and segment partitioner, kept verbatim
+as the golden references for equivalence tests.
 
 This is the set/dict-based simulator the array-backed core in
 :mod:`repro.pebbling.executor` replaced; the golden tests run both over
@@ -9,6 +9,10 @@ this file — its value is that it stays a line-by-line transcription of
 the original semantics (including the original policy objects inlined
 below, so changes to ``repro.pebbling.cache`` cannot mask an executor
 regression).
+
+:func:`reference_partition_schedule` is the per-vertex loop that
+:func:`repro.pebbling.partition_schedule` replaced with a cumulative
+sum over first-appearance credits.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import heapq
 
 import numpy as np
 
-from repro.errors import CacheError, ScheduleError
+from repro.errors import CacheError, PartitionError, ScheduleError
 from repro.pebbling.executor import IOResult
 from repro.pebbling.machine import MachineModel
 
@@ -228,3 +232,28 @@ def reference_run(
         peak_cache=peak,
     )
     return result, evictions
+
+
+def reference_partition_schedule(cdag, schedule, counted_mask, threshold, meta=None):
+    """Minimal segments with at least ``threshold`` counted vertices,
+    crediting each counted vertex when its meta-vertex first appears."""
+    schedule = np.asarray(schedule, dtype=np.int64)
+    segments = []
+    start = 0
+    count = 0
+    counted_seen = np.zeros(cdag.n_vertices, dtype=bool)
+    for t, v in enumerate(schedule.tolist()):
+        group = meta.members(int(meta.label[v])) if meta is not None else [v]
+        for w in (int(x) for x in np.atleast_1d(group)):
+            if counted_mask[w] and not counted_seen[w]:
+                counted_seen[w] = True
+                count += 1
+        if count >= threshold:
+            segments.append(schedule[start : t + 1])
+            start = t + 1
+            count = 0
+    if start < len(schedule):
+        segments.append(schedule[start:])
+    if not segments:
+        raise PartitionError("empty schedule cannot be partitioned")
+    return segments

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.bilinear import strassen
+from repro.bilinear import strassen, winograd
 from repro.cdag import Region, build_cdag, compute_metavertices
 from repro.errors import PartitionError
 from repro.pebbling import (
+    CacheExecutor,
     SegmentAnalysis,
     boundary_sets,
     counted_mask_section5,
     counted_mask_section6,
     meta_boundary,
+    min_cache_size,
     partition_schedule,
     paper_k,
 )
@@ -22,6 +24,7 @@ from repro.schedules import (
     recursive_schedule,
 )
 from tests.bounds._reference import reference_boundary_sets
+from tests.pebbling._reference import reference_partition_schedule
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +96,17 @@ class TestMetaBoundary:
         pred_metas = {int(meta3.label[p]) for p in g3.predecessors(v)}
         assert pred_metas <= set(mb.tolist())
 
-    def test_no_inside_metas(self, g3, meta3):
+    def test_inside_metas_are_writes(self, g3, meta3):
+        """Definition 1 on metas: the inside part of δ'(S') is the metas
+        of W(S'), the outside part the metas of R(S')."""
         segment = g3.products()[:20]
         mb = meta_boundary(g3, meta3, segment)
         closed = meta3.closure(segment)
-        inside = set(np.unique(meta3.label[closed]).tolist())
-        assert not (set(mb.tolist()) & inside)
+        r_set, w_set = boundary_sets(g3, closed)
+        inside = np.isin(mb, meta3.label[closed])
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(mb[inside], np.unique(meta3.label[w_set]))
+        np.testing.assert_array_equal(mb[~inside], np.unique(meta3.label[r_set]))
 
 
 class TestCountedMasks:
@@ -146,6 +154,33 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_schedule(g3, recursive_schedule(g3), mask, 0, meta3)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(["recursive", "rank", "random"]),
+        seed=st.integers(0, 2**16),
+        threshold=st.sampled_from([1, 7, 12, 24, 96, 10**6]),
+        section=st.sampled_from([5, 6]),
+        with_meta=st.booleans(),
+    )
+    def test_matches_reference_loop(
+        self, g3, meta3, family, seed, threshold, section, with_meta
+    ):
+        sched = {
+            "recursive": recursive_schedule,
+            "rank": rank_order_schedule,
+            "random": lambda g: random_topological_schedule(g, seed=seed),
+        }[family](g3)
+        if section == 5:
+            mask = counted_mask_section5(g3, 1)
+        else:
+            mask, _ = counted_mask_section6(g3, 1, meta3)
+        meta = meta3 if with_meta else None
+        got = partition_schedule(g3, sched, mask, threshold, meta=meta)
+        want = reference_partition_schedule(g3, sched, mask, threshold, meta=meta)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestSegmentAnalysis:
     def test_paper_k(self):
@@ -190,3 +225,38 @@ class TestSegmentAnalysis:
         certified = analysis.implied_lower_bound(sched)
         measured = simulate_io(g3, sched, max(M, 6)).total
         assert certified <= measured
+
+
+@pytest.fixture(scope="module", params=[strassen, winograd], ids=["strassen", "winograd"])
+def g3_meta(request):
+    g = build_cdag(request.param(), 3)
+    return g, compute_metavertices(g)
+
+
+def _assert_certificate_below_runs(g, meta, schedule):
+    Ms = range(min_cache_size(g), 13)
+    runs = CacheExecutor(g).run_many(schedule, Ms, ("belady", "lru"))
+    for M in Ms:
+        analysis = SegmentAnalysis(g, meta, cache_size=M, k=1, threshold=24)
+        certified = analysis.implied_lower_bound(schedule)
+        for policy in ("belady", "lru"):
+            measured = runs[(M, policy)].total
+            assert certified <= measured, (M, policy, certified, measured)
+
+
+class TestCertificateIsLowerBound:
+    """The segment certificate never exceeds the I/O of the execution it
+    certifies, under Belady or LRU at the same M (k = 1, threshold 24)."""
+
+    @pytest.mark.parametrize("family", [recursive_schedule, rank_order_schedule],
+                             ids=["recursive", "rank"])
+    def test_schedule_families(self, g3_meta, family):
+        g, meta = g3_meta
+        _assert_certificate_below_runs(g, meta, family(g))
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    @example(seed=3)
+    def test_random_topological_orders(self, g3_meta, seed):
+        g, meta = g3_meta
+        _assert_certificate_below_runs(g, meta, random_topological_schedule(g, seed=seed))

@@ -231,12 +231,16 @@ class TestTuneCommand:
         assert "config mismatch" in capsys.readouterr().err
 
     def test_tune_unreachable_daemon_exits_2(self, tmp_path):
+        # There is no sweep daemon to dispatch to: ``--socket`` is not a
+        # tune option, so argparse rejects it with its usage status 2.
         argv = [
             "tune", "--r", "2", "--M", "12", "--budget", "4",
             "--cache-dir", str(tmp_path),
             "--socket", str(tmp_path / "absent.sock"),
         ]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_tune_fresh_and_resume_conflict(self):
         with pytest.raises(SystemExit):
