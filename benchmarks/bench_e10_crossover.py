@@ -3,7 +3,7 @@
 Regenerates the experiment's report tables (recorded in EXPERIMENTS.md)
 and asserts every paper-claim check; pytest-benchmark tracks the
 regeneration cost.  The sweep variant fans trace sizes out on the
-parallel runner and merges the per-worker trace-cache counters.
+parallel runner.
 """
 
 
@@ -12,10 +12,9 @@ def test_e10_crossover(run_experiment):
 
 
 def test_e10_sweep_via_runner(run_sweep_benchmark):
-    from repro.runner import expand_grid, merged_cache_stats
+    from repro.runner import expand_grid, sweep_ok
 
     specs = expand_grid("E10", {"trace_n": [32, 64]})
     outcomes = run_sweep_benchmark(specs, workers=2)
-    merged = merged_cache_stats(outcomes)
-    assert set(merged) == {"blocked-classical", "recursive-strassen"}
-    assert all(s.io > 0 for s in merged.values())
+    assert len(outcomes) == 2
+    assert sweep_ok(outcomes)

@@ -21,8 +21,8 @@ records, in proposal order):
 - :class:`LocalEvaluator` — in-process, one shared
   :class:`~repro.pebbling.executor.CacheExecutor` whose content-keyed
   plan cache (plus a genome-key memo) makes repeated-neighbourhood
-  evaluations cheap; used by :func:`repro.schedules.search.search_schedule`
-  and the E15 experiment;
+  evaluations cheap; used by the E15 experiment and ``repro tune
+  --local``;
 - :class:`PoolEvaluator` — a worker pool per generation through
   :func:`repro.runner.run_sweep` with the on-disk result store.
 """

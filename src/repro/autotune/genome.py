@@ -18,7 +18,7 @@ Local moves
 -----------
 - :func:`move_block_swap` — swap two equal-length contiguous blocks
   (the classic hill-climb neighbourhood; draw-compatible with the
-  original ``schedules/search.py`` loop so fixed-seed trajectories are
+  pre-autotuner hill-climb loop so fixed-seed trajectories are
   preserved);
 - :func:`move_block_rotate` — rotate a contiguous block by a random
   shift (a cheaper perturbation that keeps block contents together);
@@ -154,9 +154,9 @@ def hybrid_order(ctx: GenomeContext, d: int) -> np.ndarray:
 def move_block_swap(order, rng, ctx: GenomeContext) -> np.ndarray | None:
     """Swap two random equal-length contiguous blocks.
 
-    Draw-for-draw identical to the original hill-climb in
-    ``schedules/search.py`` (one ``integers`` call for the length, one
-    for the endpoints; overlapping draws return None).
+    Draw-for-draw identical to the pre-autotuner hill-climb loop (one
+    ``integers`` call for the length, one for the endpoints; overlapping
+    draws return None).
     """
     n = ctx.n_products
     length = int(rng.integers(1, max(2, n // 8)))

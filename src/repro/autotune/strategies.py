@@ -15,7 +15,7 @@ Contract (all methods deterministic given ``(state, rng)``):
 - ``observe(ctx, state, proposals, records, rng)`` → fold evaluated
   results into ``state`` (in place).
 
-Built-ins: ``hillclimb`` (the original ``schedules/search.py`` loop,
+Built-ins: ``hillclimb`` (the pre-autotuner hill-climb loop,
 draw-for-draw), ``anneal`` (simulated annealing over the mixed move
 set), ``genetic`` (small elitist population), ``portfolio`` (one-shot
 sweep of the blocked/recursive hybrid family), and ``external`` — an
@@ -94,11 +94,12 @@ class Strategy:
 class HillClimbStrategy(Strategy):
     """First-improvement hill-climb over block swaps.
 
-    Reproduces the pre-autotuner ``schedules/search.py`` loop exactly:
-    one candidate per generation, the same two RNG draws per attempt,
+    Reproduces the pre-autotuner hill-climb loop exactly (a frozen copy
+    is the parity oracle in ``tests/autotune/test_driver.py``): one
+    candidate per generation, the same two RNG draws per attempt,
     overlapping block draws retried under the same ``20 * budget``
-    attempts cap, greedy acceptance.  Fixed-seed trajectories (and the
-    E13 ablation findings built on them) are unchanged.
+    attempts cap, greedy acceptance.  Fixed-seed trajectories are
+    unchanged.
     """
 
     name = "hillclimb"

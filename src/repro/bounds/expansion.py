@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bilinear.algorithm import BilinearAlgorithm
 from repro.cdag.builder import build_base_graph
-from repro.cdag.graph import CDAG, Region
+from repro.cdag.graph import Region
 
 __all__ = [
     "edge_expansion",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.bilinear import list_catalog
 from repro.bilinear.compose import named_compositions
 from repro.bilinear.verify import algorithm_stats
-from repro.cdag import Region, build_base_graph, summarize
+from repro.cdag import build_base_graph, summarize
 from repro.experiments.harness import ExperimentResult, register
 from repro.utils.tables import TextTable
 

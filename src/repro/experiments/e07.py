@@ -11,15 +11,12 @@ condition with an explicit certificate.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bilinear import classical, laderman, strassen, winograd
 from repro.bilinear.algorithm import BilinearAlgorithm
 from repro.bilinear.winograd_bound import (
     ProductFormComputation,
     check_lemma6,
     classical_matvec,
-    count_correct_coefficients,
 )
 from repro.errors import HallConditionError
 from repro.experiments.harness import ExperimentResult, register
@@ -61,7 +58,7 @@ def run() -> ExperimentResult:
         comp = classical_matvec(n0)
         rep = check_lemma6(comp)
         lemma6_table.add_row(
-            [f"classical matvec", n0, rep["d"], rep["n_mults"],
+            ["classical matvec", n0, rep["d"], rep["n_mults"],
              "yes" if rep["holds"] else "no"]
         )
         checks[f"matvec n0={n0}: tight (d = mults = n0^2)"] = (

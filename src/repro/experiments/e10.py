@@ -110,13 +110,5 @@ def run(trace_n: int = 64, trace_m: int = 1536) -> ExperimentResult:
         title="Strassen vs classical crossovers",
         tables=[flop_table, bound_table, trace_table],
         checks=checks,
-        data={
-            "flop_crossover": n_star,
-            # Per-shard counters; the sweep runner merges these across
-            # workers via CacheStats.__add__ (repro.runner.report).
-            "cache_stats": {
-                "blocked-classical": io_classical.as_dict(),
-                "recursive-strassen": io_fast.as_dict(),
-            },
-        },
+        data={"flop_crossover": n_star},
     )

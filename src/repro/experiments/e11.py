@@ -20,7 +20,6 @@ from repro.cdag import build_cdag
 from repro.experiments.harness import ExperimentResult, register
 from repro.parallel import (
     DistributedMachine,
-    cannon_2d_bandwidth,
     classical_25d_bandwidth,
     classical_3d_bandwidth,
     communication_volume,

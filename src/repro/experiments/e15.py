@@ -15,9 +15,9 @@ Findings this records:
    fixed family by several percent — the recursive order is near-optimal
    but not optimal, and the certified gap tightens accordingly;
 2. the gap trajectory is monotone and flattens within a small budget —
-   consistent with E13's ablation finding that local search buys only a
-   few percent, which is what licenses reading E9's recursive
-   measurements as a faithful upper half.
+   consistent with the hill-climb finding that local search from the
+   recursive order buys only a few percent, which is what licenses
+   reading E9's recursive measurements as a faithful upper half.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ recursive algorithms, 2n³-n² for classical) against actual executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["OpCounter"]
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError
 from repro.utils.validation import check_positive_int

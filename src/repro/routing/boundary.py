@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cdag.graph import CDAG
 from repro.routing.paths import Routing
 
 __all__ = ["BoundaryCount", "count_boundary_crossings", "crossing_delta_vertices"]

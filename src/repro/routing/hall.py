@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from repro.bilinear.algorithm import BilinearAlgorithm
 from repro.errors import HallConditionError
 from repro.telemetry.spans import span

@@ -53,7 +53,6 @@ from repro.runner.jobs import (
 from repro.runner.pool import Attempt, JobOutcome, run_sweep
 from repro.runner.report import (
     fault_summary,
-    merged_cache_stats,
     render_sweep,
     sweep_ok,
     sweep_summary,
@@ -89,5 +88,4 @@ __all__ = [
     "sweep_ok",
     "fault_summary",
     "render_sweep",
-    "merged_cache_stats",
 ]

@@ -2,9 +2,7 @@
 
 The runner's outcomes carry serialised :class:`ExperimentResult`
 payloads; this module rebuilds them, renders a per-job summary table in
-the harness's :class:`TextTable` format, merges per-shard
-:class:`~repro.tracesim.cache.CacheStats` counters emitted by parallel
-workers (lossless, via ``CacheStats.__add__``), and decides the sweep's
+the harness's :class:`TextTable` format, and decides the sweep's
 overall verdict (every job completed *and* every paper-claim check
 passed).
 """
@@ -16,7 +14,6 @@ from typing import Iterable, Sequence
 from repro.experiments.harness import ExperimentResult
 from repro.runner.pool import JobOutcome
 from repro.runner.store import payload_to_result
-from repro.tracesim.cache import CacheStats
 from repro.utils.tables import TextTable
 
 __all__ = [
@@ -24,8 +21,6 @@ __all__ = [
     "sweep_summary",
     "sweep_ok",
     "fault_summary",
-    "merged_cache_stats",
-    "cache_stats_table",
     "render_sweep",
 ]
 
@@ -100,51 +95,6 @@ def fault_summary(outcomes: Sequence[JobOutcome]) -> TextTable | None:
     return table
 
 
-def merged_cache_stats(outcomes: Iterable[JobOutcome]) -> dict[str, CacheStats]:
-    """Losslessly merge per-shard cache-simulator counters.
-
-    Experiments that trace-simulate caches publish their counters under
-    ``data["cache_stats"]`` as ``{shard_name: {accesses, hits, misses,
-    writebacks}}``.  Workers run shards in separate processes, so the
-    per-job counters are partial; summing them through
-    :meth:`CacheStats.__add__` reconstructs the whole-sweep totals
-    (including write-back counts, which a naive hit/miss merge would
-    drop).
-    """
-    merged: dict[str, CacheStats] = {}
-    for o in outcomes:
-        if o.payload is None:
-            continue
-        shards = o.payload.get("data", {}).get("cache_stats", {})
-        if not isinstance(shards, dict):
-            continue
-        for name, counters in shards.items():
-            try:
-                stats = CacheStats.from_dict(counters)
-            except (TypeError, KeyError, ValueError):
-                continue
-            merged[name] = merged[name] + stats if name in merged else stats
-    return merged
-
-
-def cache_stats_table(merged: dict[str, CacheStats]) -> TextTable:
-    """Render merged cache counters (plus a grand total row)."""
-    table = TextTable(
-        ["shard", "accesses", "hits", "misses", "writebacks", "I/O"],
-        title="Merged trace-cache counters (all workers)",
-    )
-    for name in sorted(merged):
-        s = merged[name]
-        table.add_row([name, s.accesses, s.hits, s.misses, s.writebacks, s.io])
-    if len(merged) > 1:
-        total = CacheStats.merge(merged.values())
-        table.add_row(
-            ["TOTAL", total.accesses, total.hits, total.misses,
-             total.writebacks, total.io]
-        )
-    return table
-
-
 def render_sweep(
     outcomes: Sequence[JobOutcome], show_results: bool = True
 ) -> str:
@@ -161,10 +111,6 @@ def render_sweep(
     if faults is not None:
         lines.append("")
         lines.append(faults.render())
-    merged = merged_cache_stats(outcomes)
-    if merged:
-        lines.append("")
-        lines.append(cache_stats_table(merged).render())
     failures = [o for o in outcomes if not o.ok]
     if failures:
         lines.append("")

@@ -13,7 +13,6 @@ from repro.schedules.random_topo import (
 )
 from repro.schedules.recursive import recursive_schedule
 from repro.schedules.blocked import loop_order_schedule, classical_product_digits
-from repro.schedules.search import SearchResult, search_schedule
 
 __all__ = [
     "validate_schedule",
@@ -24,6 +23,4 @@ __all__ = [
     "recursive_schedule",
     "loop_order_schedule",
     "classical_product_digits",
-    "SearchResult",
-    "search_schedule",
 ]

@@ -1,6 +1,7 @@
 """The unified columnar simulation core.
 
-One simulation engine serves every simulator in the repository:
+One simulation engine serves every pebble-game simulator in the
+repository:
 
 - :mod:`repro.simcore.dispatch` — the single kernel-mode gate
   (``jit`` / ``interp`` / ``off``) plus the shared telemetry hooks
@@ -23,16 +24,14 @@ One simulation engine serves every simulator in the repository:
   a recency queue (LRU, FIFO) and an int heap (Belady), bit-identical to
   the kernels and ~10x faster than running the kernel code interpreted
   (also the pebble-game event source);
-- :mod:`repro.simcore.trace` — the address-trace LRU engine
-  (:class:`CacheStats`, the dict core, and the columnar multi-capacity
-  trace kernel);
 - :mod:`repro.simcore.parallel` — columnar partition-traffic helpers
   for the distributed machine model.
 
-Consumers (:mod:`repro.pebbling`, :mod:`repro.tracesim`,
-:mod:`repro.parallel`) are thin views over this core; the golden
-reference implementations they are bit-identical to live under
-``tests/``.
+Consumers (:mod:`repro.pebbling`, :mod:`repro.parallel`) are thin views
+over this core; the golden reference implementations they are
+bit-identical to live under ``tests/``.  The address-trace cache of
+:mod:`repro.tracesim` is a separate, line-granular model and does not
+run on it.
 """
 
 from repro.simcore.dispatch import (
@@ -44,7 +43,6 @@ from repro.simcore.dispatch import (
 from repro.simcore.grid import run_configs, run_grid, simulate_plan
 from repro.simcore.plan import SchedulePlan, gather_operands
 from repro.simcore.pyloops import simulate_py
-from repro.simcore.trace import CacheStats, LRUCacheCore, run_trace_grid
 
 __all__ = [
     "HAVE_NUMBA",
@@ -57,7 +55,4 @@ __all__ = [
     "simulate_plan",
     "run_grid",
     "simulate_py",
-    "CacheStats",
-    "LRUCacheCore",
-    "run_trace_grid",
 ]

@@ -1,9 +1,9 @@
 """Kernel dispatch for the columnar simulation core.
 
-One gating decision serves every simulator built on
-:mod:`repro.simcore` — the pebble-game executor, the trace-driven cache
-simulators and the parallel machine model all consult the same mode, so
-"the kernels are on" means the same thing everywhere.
+One gating decision serves every pebble-game simulation built on
+:mod:`repro.simcore` — single runs and whole ``(M, policy)`` grids
+consult the same mode, so "the kernels are on" means the same thing
+everywhere.
 
 numba is an *optional* dependency (the ``speed`` extra).  Three modes:
 
@@ -11,8 +11,7 @@ numba is an *optional* dependency (the ``speed`` extra).  Three modes:
   compilation is paid once per machine, then loaded from the on-disk
   cache);
 - ``off`` — numba absent, or ``REPRO_NO_JIT=1``: callers fall back to
-  the pure-Python loops (:mod:`repro.simcore.pyloops` and the
-  dict-based trace engine);
+  the pure-Python loop (:mod:`repro.simcore.pyloops`);
 - ``interp`` — test-only (``set_mode("interp")`` / ``forced_mode``):
   run the kernel *code* under the plain interpreter even without numba,
   so the equivalence suites exercise the kernel algorithm everywhere.

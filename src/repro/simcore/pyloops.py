@@ -15,10 +15,10 @@ sentinel).  And the victim pop in ``evict_one``, over the structure
 that orders those keys:
 
 - **LRU and FIFO: a recency queue.**  The kernels' lazy min-heap of
-  ``(stamp, v)`` entries degenerates here, as the trace LRU's does in
-  :mod:`repro.simcore.trace`: stamps are steps, pushed in nondecreasing
-  order, and every entry stamped at step ``t`` belongs to a vertex
-  pinned during step ``t``, so no eviction of that step may take it.
+  ``(stamp, v)`` entries degenerates here: stamps are steps, pushed in
+  nondecreasing order, and every entry stamped at step ``t`` belongs to
+  a vertex pinned during step ``t``, so no eviction of that step may
+  take it.
   The queue is two parallel lists (vertex ids and stamps) plus a head
   cursor; a step collects its stamped vertices and appends them, sorted
   by id, once its compute is done.  The queue is then sorted by

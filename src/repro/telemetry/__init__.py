@@ -11,9 +11,8 @@ any result:
   decorator, thread- and process-safe, with a no-op fast path while
   telemetry is disabled (the default);
 - :mod:`repro.telemetry.metrics` — named counters / gauges /
-  histograms whose canonical states form a commutative merge monoid
-  (mirroring ``CacheStats``), so per-worker shards from the sweep pool
-  aggregate cleanly;
+  histograms whose canonical states form a commutative merge monoid,
+  so per-worker shards from the sweep pool aggregate cleanly;
 - :mod:`repro.telemetry.export` — JSON, Prometheus text format, and
   Chrome ``trace_event`` exporters (open a routing run or an E9 sweep
   directly in ``chrome://tracing`` / Perfetto);

@@ -1,7 +1,6 @@
 """Named counters, gauges, and histograms with a merge algebra.
 
-Mirrors the :class:`repro.tracesim.cache.CacheStats` contract: every
-metric's canonical state (:meth:`as_dict`) forms a **commutative
+Every metric's canonical state (:meth:`as_dict`) forms a **commutative
 monoid** under :meth:`merge` — identity is the fresh metric — so
 per-worker registries collected from the sweep pool aggregate
 losslessly and order-independently:

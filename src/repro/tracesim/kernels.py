@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.bilinear.algorithm import BilinearAlgorithm
 from repro.utils.validation import check_positive_int, check_power
 
@@ -88,11 +86,6 @@ def trace_strassen_recursive(
     check_power(n, alg.n0, "n")
     base_a, base_b, base_c = 0, n * n, 2 * n * n
     scratch_top = 3 * n * n
-
-    def matrix_addrs(base: int, stride: int, size: int):
-        """Row-major addresses of a size x size block at ``base`` with
-        row stride ``stride``."""
-        return base, stride, size
 
     def ijk_leaf(a, b, c) -> Trace:
         a_base, a_stride, size = a

@@ -20,7 +20,7 @@ from repro.cdag import build_cdag
 from repro.errors import ReproError
 from repro.pebbling import CacheExecutor
 from repro.runner import ResultStore
-from repro.schedules import demand_driven_schedule, search_schedule
+from repro.schedules import demand_driven_schedule
 from repro.utils.rngs import make_rng
 
 
@@ -65,17 +65,21 @@ def _legacy_hillclimb(cdag, cache_size, budget, seed, policy="belady"):
 class TestHillclimbParity:
     @pytest.mark.parametrize("cache_size,budget,seed",
                              [(12, 30, 7), (8, 50, 0), (24, 40, 123)])
-    def test_search_schedule_matches_legacy_loop(
-        self, g2, cache_size, budget, seed
-    ):
+    def test_hillclimb_matches_legacy_loop(self, g2, cache_size, budget, seed):
         want_order, want_io, want_start, want_evals = _legacy_hillclimb(
             g2, cache_size, budget, seed
         )
-        res = search_schedule(g2, cache_size, budget=budget, seed=seed)
+        config = TuneConfig(
+            alg="strassen", r=2, cache_size=cache_size, strategy="hillclimb",
+            budget=budget, generation=1, seed=seed,
+        )
+        res = AutoTuner(
+            config, LocalEvaluator(g2, cache_size, config.policy)
+        ).run()
         assert res.best_io == want_io
         assert res.start_io == want_start
         assert res.evaluations == want_evals
-        assert np.array_equal(res.best_product_order, want_order)
+        assert np.array_equal(res.best_order, want_order)
 
 
 class TestDriver:

@@ -11,7 +11,7 @@ from repro.bounds import (
     partition_by_io,
     verify_hk_partition,
 )
-from repro.cdag import Region, build_base_graph, build_cdag
+from repro.cdag import build_base_graph, build_cdag
 from repro.schedules import loop_order_schedule, recursive_schedule
 from repro.utils.flow import Dinic
 

@@ -1,11 +1,9 @@
 """Tests for Fact 1 decomposition and Lemma 1 input-disjoint families."""
 
-import numpy as np
 import pytest
 
 from repro.bilinear import classical, laderman, strassen, strassen_x_classical
 from repro.cdag import (
-    Region,
     build_cdag,
     compute_metavertices,
     input_disjoint_family,

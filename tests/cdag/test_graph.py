@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bilinear import classical, laderman, strassen, winograd
-from repro.cdag import CDAG, Region, build_base_graph, build_cdag
+from repro.cdag import Region, build_base_graph, build_cdag
 from repro.errors import CDAGError
 from repro.utils.rngs import make_rng
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bilinear import classical, laderman, strassen, strassen_x_classical, winograd
-from repro.cdag import Region, build_cdag, compute_metavertices
+from repro.cdag import build_cdag, compute_metavertices
 
 
 @pytest.fixture(scope="module")

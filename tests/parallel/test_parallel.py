@@ -1,7 +1,5 @@
 """Tests for the parallel machine, CAPS simulator, and baselines."""
 
-import math
-
 import numpy as np
 import pytest
 

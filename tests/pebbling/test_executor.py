@@ -1,6 +1,5 @@
 """Tests for the cache executor (I/O counting)."""
 
-import numpy as np
 import pytest
 
 from repro.bilinear import classical, strassen

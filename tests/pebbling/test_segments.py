@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.bilinear import strassen, winograd
-from repro.cdag import Region, build_cdag, compute_metavertices
+from repro.cdag import build_cdag, compute_metavertices
 from repro.errors import PartitionError
 from repro.pebbling import (
     CacheExecutor,
@@ -190,7 +190,9 @@ class TestSegmentAnalysis:
     def test_eq2_holds_on_schedules(self, g3, meta3):
         """Equation (2): |delta'(S')| >= |S_bar| / 12 on every segment of
         every schedule family (the paper's keystone, measured)."""
-        analysis = SegmentAnalysis(g3, meta3, cache_size=2, k=1, threshold=24)
+        analysis = SegmentAnalysis(
+            g3, meta3, cache_size=min_cache_size(g3), k=1, threshold=24
+        )
         for sched in (
             recursive_schedule(g3),
             rank_order_schedule(g3),
@@ -200,13 +202,17 @@ class TestSegmentAnalysis:
                 assert rec.satisfies_eq2(), rec
 
     def test_counted_totals_conserved(self, g3, meta3):
-        analysis = SegmentAnalysis(g3, meta3, cache_size=2, k=1, threshold=24)
+        analysis = SegmentAnalysis(
+            g3, meta3, cache_size=min_cache_size(g3), k=1, threshold=24
+        )
         records = analysis.analyze(recursive_schedule(g3))
         total_counted = sum(rec.counted for rec in records)
         assert total_counted == int(analysis.counted_mask.sum())
 
     def test_implied_lower_bound_nonnegative(self, g3, meta3):
-        analysis = SegmentAnalysis(g3, meta3, cache_size=2, k=1, threshold=24)
+        analysis = SegmentAnalysis(
+            g3, meta3, cache_size=min_cache_size(g3), k=1, threshold=24
+        )
         assert analysis.implied_lower_bound(recursive_schedule(g3)) >= 0
 
     def test_default_k_too_large_raises(self, g3, meta3):
@@ -215,15 +221,16 @@ class TestSegmentAnalysis:
             SegmentAnalysis(g3, meta3, cache_size=64)
 
     def test_implied_bound_below_measured_io(self, g3, meta3):
-        """The segment argument's certified I/O never exceeds measured
-        I/O (soundness of the lower-bound reasoning on this run)."""
+        """The segment argument's certified I/O never exceeds the
+        measured I/O of the run it certifies, at the same executable M
+        (soundness of the lower-bound reasoning on this run)."""
         from repro.pebbling import simulate_io
 
-        M = 2
+        M = min_cache_size(g3)
         analysis = SegmentAnalysis(g3, meta3, cache_size=M, k=1, threshold=24)
         sched = recursive_schedule(g3)
         certified = analysis.implied_lower_bound(sched)
-        measured = simulate_io(g3, sched, max(M, 6)).total
+        measured = simulate_io(g3, sched, M).total
         assert certified <= measured
 
 

@@ -74,8 +74,6 @@ class TestBaseMatching:
     def test_broken_algorithm_fails_hall(self):
         """An 'algorithm' that never uses some input cannot satisfy the
         Hall condition (Lemma 5's contrapositive)."""
-        import numpy as np
-
         alg = strassen()
         U = alg.U.copy()
         U[:, 1] = 0.0  # erase a12 from every product

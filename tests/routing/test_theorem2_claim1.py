@@ -10,7 +10,7 @@ from repro.bilinear import (
     winograd,
 )
 from repro.bilinear.synthetic import with_duplicate_product
-from repro.cdag import build_cdag, compute_metavertices
+from repro.cdag import build_cdag
 from repro.errors import RoutingError
 from repro.routing import (
     claim1_bound,

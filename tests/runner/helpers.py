@@ -121,14 +121,3 @@ def store_hammer(root: str, tag: int, rounds: int = 30) -> None:
             assert artifact["result"]["experiment_id"] == "T-LOCK"
         if r % 5 == 0:
             store.gc_orphans()
-
-
-def cache_shard_job(shard: int = 0) -> ExperimentResult:
-    """Emit per-shard trace-cache counters for merge testing."""
-    from repro.tracesim import SetAssociativeLRU, trace_blocked
-
-    cache = SetAssociativeLRU(n_sets=4, ways=2)
-    stats = cache.run(trace_blocked(8 + 4 * shard, 4))
-    result = _result("T-SHARD", shard=shard)
-    result.data["cache_stats"] = {"shard": stats.as_dict()}
-    return result

@@ -1,18 +1,14 @@
-"""Report aggregation: summaries, verdicts, CacheStats merging."""
+"""Report aggregation: summaries and verdicts."""
 
 from repro.runner.jobs import JobSpec
 from repro.runner.pool import run_sweep
 from repro.runner.report import (
-    cache_stats_table,
-    merged_cache_stats,
     render_sweep,
     results_of,
     sweep_ok,
     sweep_summary,
 )
 from repro.runner.store import ResultStore
-from repro.tracesim import SetAssociativeLRU, trace_blocked
-from repro.tracesim.cache import CacheStats
 
 HELPERS = "tests.runner.helpers"
 
@@ -69,43 +65,3 @@ class TestVerdicts:
         assert all(o.ok for o in outcomes)
         assert not sweep_ok(outcomes)
         assert "FAILED paper-claim checks" in render_sweep(outcomes)
-
-
-class TestCacheStatsMerge:
-    def test_per_shard_counters_merge_losslessly(self, tmp_path):
-        """Workers simulate disjoint shards; the merged counters must
-        equal running the shards serially in one process."""
-        shards = [0, 1, 2]
-        outcomes = _sweep(
-            [_spec("T-SHARD", {"shard": s}, fn="cache_shard_job")
-             for s in shards],
-            ResultStore(tmp_path),
-        )
-        merged = merged_cache_stats(outcomes)
-        assert set(merged) == {"shard"}
-        serial = CacheStats()
-        for s in shards:
-            cache = SetAssociativeLRU(n_sets=4, ways=2)
-            serial = serial + cache.run(trace_blocked(8 + 4 * s, 4))
-        assert merged["shard"] == serial
-        assert merged["shard"].io == serial.io
-
-    def test_merge_table_renders_totals(self):
-        merged = {
-            "a": CacheStats(10, 6, 4, 2),
-            "b": CacheStats(20, 15, 5, 1),
-        }
-        text = cache_stats_table(merged).render()
-        assert "TOTAL" in text
-        # 4+5 misses, 2+1 writebacks -> 12 I/O in the total row
-        assert "12" in text
-
-    def test_e10_payload_feeds_the_merge(self, tmp_path):
-        outcomes = _sweep(
-            [JobSpec("E10", {"trace_n": 16, "trace_m": 96})],
-            ResultStore(tmp_path),
-        )
-        merged = merged_cache_stats(outcomes)
-        assert set(merged) == {"blocked-classical", "recursive-strassen"}
-        assert all(s.accesses > 0 for s in merged.values())
-        assert "Merged trace-cache counters" in render_sweep(outcomes)

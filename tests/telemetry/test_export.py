@@ -3,7 +3,6 @@ including the CLI ``route --trace-out`` acceptance path."""
 
 import json
 
-from repro import telemetry
 from repro.cli import main as cli_main
 from repro.telemetry.export import (
     metrics_to_prometheus,

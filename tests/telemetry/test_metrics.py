@@ -1,7 +1,6 @@
 """Metrics merge algebra: the canonical states form a commutative
-monoid (mirroring ``CacheStats``), checked by hypothesis property tests
-over integer observations (exact equality; floats would only satisfy
-the laws approximately)."""
+monoid, checked by hypothesis property tests over integer observations
+(exact equality; floats would only satisfy the laws approximately)."""
 
 import pytest
 from hypothesis import given, settings

@@ -11,7 +11,6 @@ import pytest
 
 from repro.bilinear import strassen, winograd
 from repro.cdag import (
-    Region,
     build_cdag,
     subcomputation,
     subcomputation_count,

@@ -1,11 +1,11 @@
-"""Golden reference trace-cache simulators.
+"""Golden reference trace-cache simulator.
 
-Verbatim copies of the pre-unification ``OrderedDict`` implementations
-from ``repro.tracesim.cache`` (spans and shared-core plumbing removed).
-They are deliberately *not* imported from the package under test: the
-equivalence suite checks the production thin views and the columnar
-lockstep kernel against these frozen loops, so a regression in the
-shared :mod:`repro.simcore.trace` engine cannot silently re-define
+A verbatim copy of the original ``OrderedDict`` implementation from
+``repro.tracesim.cache`` (spans removed), one ``access`` call per
+reference.  It is deliberately *not* imported from the package under
+test: the equivalence suite checks the production
+:class:`~repro.tracesim.FullyAssociativeLRU` loop against this frozen
+one, so a regression in the production loop cannot silently re-define
 "correct".
 """
 
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.simcore.trace import CacheStats
+from repro.tracesim import CacheStats
 
-__all__ = ["ReferenceFullyAssociativeLRU", "ReferenceSetAssociativeLRU"]
+__all__ = ["ReferenceFullyAssociativeLRU"]
 
 
 class ReferenceFullyAssociativeLRU:
@@ -50,55 +50,6 @@ class ReferenceFullyAssociativeLRU:
             if dirty:
                 self.stats.writebacks += 1
         self._lines.clear()
-
-    def run(self, trace) -> CacheStats:
-        for address, is_write in trace:
-            self.access(address, is_write)
-        self.flush()
-        return self.stats
-
-
-class ReferenceSetAssociativeLRU:
-    """Set-associative, write-back, write-allocate LRU cache."""
-
-    def __init__(self, n_sets: int, ways: int, line_size: int = 1):
-        self.n_sets = n_sets
-        self.ways = ways
-        self.line_size = line_size
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(n_sets)
-        ]
-        self.stats = CacheStats()
-
-    @property
-    def capacity_lines(self) -> int:
-        return self.n_sets * self.ways
-
-    def access(self, address: int, is_write: bool = False) -> bool:
-        line = address // self.line_size
-        bucket = self._sets[line % self.n_sets]
-        stats = self.stats
-        stats.accesses += 1
-        if line in bucket:
-            stats.hits += 1
-            bucket.move_to_end(line)
-            if is_write:
-                bucket[line] = True
-            return True
-        stats.misses += 1
-        if len(bucket) >= self.ways:
-            _, dirty = bucket.popitem(last=False)
-            if dirty:
-                stats.writebacks += 1
-        bucket[line] = is_write
-        return False
-
-    def flush(self) -> None:
-        for bucket in self._sets:
-            for _, dirty in bucket.items():
-                if dirty:
-                    self.stats.writebacks += 1
-            bucket.clear()
 
     def run(self, trace) -> CacheStats:
         for address, is_write in trace:

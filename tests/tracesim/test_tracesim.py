@@ -1,12 +1,10 @@
 """Tests for the trace-driven cache simulators."""
 
-import numpy as np
 import pytest
 
 from repro.bilinear import strassen
 from repro.tracesim import (
     FullyAssociativeLRU,
-    SetAssociativeLRU,
     trace_blocked,
     trace_ijk,
     trace_strassen_recursive,
@@ -15,67 +13,41 @@ from repro.tracesim import (
 
 class TestFullyAssociativeLRU:
     def test_hit_after_miss(self):
-        cache = FullyAssociativeLRU(2)
-        assert not cache.access(0)
-        assert cache.access(0)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        stats = FullyAssociativeLRU(2).run([(0, False), (0, False)])
+        assert stats.hits == 1
+        assert stats.misses == 1
 
     def test_lru_eviction_order(self):
-        cache = FullyAssociativeLRU(2)
-        cache.access(0)
-        cache.access(1)
-        cache.access(0)  # refresh 0
-        cache.access(2)  # evicts 1
-        assert cache.access(0)
-        assert not cache.access(1)
+        # 0 is refreshed before 2 arrives, so 2 evicts 1: a following 0
+        # hits and a 1 after it misses.
+        prefix = [(a, False) for a in (0, 1, 0, 2)]
+        runs = [
+            FullyAssociativeLRU(2).run(prefix + [(a, False) for a in tail])
+            for tail in ((), (0,), (0, 1))
+        ]
+        assert runs[1].hits == runs[0].hits + 1
+        assert runs[2].misses == runs[1].misses + 1
 
     def test_writeback_only_dirty(self):
-        cache = FullyAssociativeLRU(1)
-        cache.access(0, is_write=True)
-        cache.access(1)  # evicts dirty 0 -> writeback
-        cache.access(2)  # evicts clean 1 -> free
-        assert cache.stats.writebacks == 1
+        # Dirty 0 is evicted by 1 (a write-back), clean 1 by 2 (free),
+        # and clean 2 is flushed for free.
+        stats = FullyAssociativeLRU(1).run([(0, True), (1, False), (2, False)])
+        assert stats.writebacks == 1
 
     def test_flush_writes_dirty(self):
-        cache = FullyAssociativeLRU(4)
-        cache.access(0, is_write=True)
-        cache.access(1)
-        cache.flush()
-        assert cache.stats.writebacks == 1
+        stats = FullyAssociativeLRU(4).run([(0, True), (1, False)])
+        assert stats.writebacks == 1
 
     def test_line_granularity(self):
-        cache = FullyAssociativeLRU(1, line_size=4)
-        cache.access(0)
-        assert cache.access(3)  # same line
-        assert not cache.access(4)  # next line
+        # 3 shares 0's line, 4 starts the next one.
+        stats = FullyAssociativeLRU(1, line_size=4).run(
+            [(0, False), (3, False), (4, False)]
+        )
+        assert (stats.hits, stats.misses) == (1, 2)
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             FullyAssociativeLRU(0)
-
-
-class TestSetAssociativeLRU:
-    def test_conflict_misses(self):
-        # 2 sets, 1 way: addresses 0 and 2 conflict (same set).
-        cache = SetAssociativeLRU(n_sets=2, ways=1)
-        cache.access(0)
-        cache.access(2)
-        assert not cache.access(0)  # was evicted by the conflict
-
-    def test_fully_associative_equivalence(self):
-        """1 set with W ways == fully associative with capacity W."""
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 50, size=500).tolist()
-        fa = FullyAssociativeLRU(8)
-        sa = SetAssociativeLRU(1, 8)
-        for addr in addrs:
-            fa.access(addr)
-            sa.access(addr)
-        assert fa.stats.misses == sa.stats.misses
-
-    def test_capacity_lines(self):
-        assert SetAssociativeLRU(4, 2).capacity_lines == 8
 
 
 class TestTraces:
@@ -120,9 +92,9 @@ class TestTraces:
         assert stats.io > 0
 
     def test_strassen_trace_io_decreases_with_cache(self):
-        t = lambda: trace_strassen_recursive(strassen(), 32, cutoff=4)
-        small = FullyAssociativeLRU(64).run(t()).io
-        large = FullyAssociativeLRU(2048).run(t()).io
+        trace = list(trace_strassen_recursive(strassen(), 32, cutoff=4))
+        small = FullyAssociativeLRU(64).run(trace).io
+        large = FullyAssociativeLRU(2048).run(trace).io
         assert large < small
 
     def test_strassen_trace_requires_power(self):
