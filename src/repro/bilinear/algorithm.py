@@ -60,11 +60,11 @@ def matmul_tensor(n0: int) -> np.ndarray:
     T = np.zeros((a, a, a), dtype=np.int64)
     for i in range(n0):
         for j in range(n0):
-            for l in range(n0):
+            for m in range(n0):
                 T[
                     pair_index(i, j, n0),
-                    pair_index(j, l, n0),
-                    pair_index(i, l, n0),
+                    pair_index(j, m, n0),
+                    pair_index(i, m, n0),
                 ] = 1
     return T
 
@@ -178,13 +178,13 @@ class BilinearAlgorithm:
         if len(bad):
             x, y, z = (int(v) for v in bad[0])
             i, j = pair_unindex(x, self.n0)
-            k, l = pair_unindex(y, self.n0)
+            k, m = pair_unindex(y, self.n0)
             p, q = pair_unindex(z, self.n0)
             raise BrentEquationError(
                 f"algorithm {self.name!r} violates the Brent equation at "
-                f"a[{i}{j}], b[{k}{l}], c[{p}{q}]: residual "
+                f"a[{i}{j}], b[{k}{m}], c[{p}{q}]: residual "
                 f"{residual[x, y, z]:+.3g} ({len(bad)} violations total)",
-                index=(i, j, k, l, p, q),
+                index=(i, j, k, m, p, q),
             )
         return self
 

@@ -34,8 +34,9 @@ and initial use counts.
 
 Every simulation then goes through one core entry point,
 :func:`repro.simcore.run_configs`, which checks the policy name, picks
-the path (compiled or interpreted kernels, lockstep grid for a batch,
-pure-Python loops on the fallback), maps failures onto
+the path (compiled or interpreted kernels, lockstep grid for a batch;
+on the fallback, one stack-distance pass for the count-only LRU
+configurations and pure-Python loops for the rest), maps failures onto
 :class:`ScheduleError` / :class:`CacheError` and owns grid parallelism
 (``REPRO_GRID_THREADS``).  Every path makes the exact victim choices of
 the golden reference simulator retained under
@@ -248,9 +249,10 @@ class CacheExecutor:
         use-list precompute exactly once.
 
         The whole grid is one :func:`~repro.simcore.run_configs` call: a
-        lockstep ``run_grid`` on the kernel path, and on the fallback
-        serial loops or — with ``REPRO_GRID_THREADS`` > 1 — round-robin
-        process partitions.
+        lockstep ``run_grid`` on the kernel path; on the fallback, one
+        stack-distance pass for the LRU configurations and loops for
+        the rest, serially or — with ``REPRO_GRID_THREADS`` > 1 — in
+        round-robin process partitions.
 
         Returns ``{(cache_size, policy): IOResult}``.  Telemetry is
         identical to the equivalent sequence of :meth:`run` calls (one
@@ -269,7 +271,8 @@ class CacheExecutor:
         for M, policy in configs:
             with span("pebbling.run", policy=policy, cache_size=M) as sp:
                 # next() inside the span: on the serial fallback it runs
-                # this configuration's simulation.
+                # this configuration's simulation (for the first LRU
+                # configuration, the pass that counts every LRU one).
                 result, evictions = _counts_to_result(
                     next(counts), M, policy, machines[M]
                 )

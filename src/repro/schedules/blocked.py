@@ -38,9 +38,9 @@ def classical_product_digits(cdag: CDAG) -> np.ndarray:
         )
     r = cdag.r
     products = np.arange(len(cdag.products()), dtype=np.int64)
-    I = np.zeros(len(products), dtype=np.int64)
-    J = np.zeros(len(products), dtype=np.int64)
-    K = np.zeros(len(products), dtype=np.int64)
+    ii = np.zeros(len(products), dtype=np.int64)
+    jj = np.zeros(len(products), dtype=np.int64)
+    kk = np.zeros(len(products), dtype=np.int64)
     rest = products.copy()
     # Digits are most-significant-first in the packed index; peel from
     # the least significant side and build up with matching weights.
@@ -51,10 +51,10 @@ def classical_product_digits(cdag: CDAG) -> np.ndarray:
         j = (digit // n0) % n0
         k = digit % n0
         weight = n0**level
-        I += i * weight
-        J += j * weight
-        K += k * weight
-    return np.stack([I, J, K], axis=1)
+        ii += i * weight
+        jj += j * weight
+        kk += k * weight
+    return np.stack([ii, jj, kk], axis=1)
 
 
 @traced("schedules.loop_order")

@@ -24,6 +24,9 @@ repository:
   a recency queue (LRU, FIFO) and an int heap (Belady), bit-identical to
   the kernels and ~10x faster than running the kernel code interpreted
   (also the pebble-game event source);
+- :mod:`repro.simcore.stack` — LRU's counts at every cache size from
+  one stack-distance pass over a plan, bit-identical to the loop; the
+  fallback takes count-only LRU configurations from it;
 - :mod:`repro.simcore.parallel` — columnar partition-traffic helpers
   for the distributed machine model.
 

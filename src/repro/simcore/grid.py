@@ -15,7 +15,10 @@ and owns grid parallelism.  The paths it chooses between:
   across every row, so a thousand-configuration sweep costs one pass
   over the plan instead of a thousand;
 - the per-config kernel for a single configuration or an ``io_trace``;
-- the pure-Python loop (:mod:`repro.simcore.pyloops`) on the fallback.
+- on the fallback, one stack-distance pass
+  (:func:`~repro.simcore.stack.lru_counts`) for every LRU configuration
+  without an ``io_trace``, and the pure-Python loop
+  (:mod:`repro.simcore.pyloops`) for the rest.
 
 Both kernels step each row through the one machine step
 (:func:`repro.simcore.policies._step`), which takes the row's policy
@@ -36,9 +39,11 @@ positive integer there raises :class:`ValueError`:
   memory to ``chunk_rows x n_vertices``;
 - on the fallback, threads would just contend for the GIL, so a value
   above 1 partitions a batch round-robin across that many processes
-  instead (unset: serial).  On a 2-core host without numba, E9's r = 5
-  recursive grid (8 configurations) takes 6.45 s serial and 3.0 s with
-  ``REPRO_GRID_THREADS=2``;
+  instead (unset: serial).  Each partition takes its LRU configurations
+  from its own stack-distance pass.  On a 2-core host without numba,
+  E9's r = 5 recursive grid (LRU and Belady at four cache sizes) takes
+  1.6-2.4 s serial and 1.9-2.7 s with ``REPRO_GRID_THREADS=2``: the
+  round-robin split puts all four Belady loop runs in one partition;
 - the ``interp`` test mode always runs single-threaded.
 """
 
@@ -73,6 +78,7 @@ from repro.simcore.policies import (
     policy_code,
 )
 from repro.simcore.pyloops import simulate_py
+from repro.simcore.stack import lru_counts
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import disable as _disable_telemetry
 from repro.telemetry.spans import enabled as _telemetry_enabled
@@ -209,9 +215,12 @@ def run_configs(plan, is_input, is_output, configs, io_trace=None):
     Each configuration adds one ``simcore.kernel.*`` count.
 
     Batched paths (the lockstep grid, process partitions) run the whole
-    batch before returning.  The serial fallback simulates each
-    configuration when the iterator reaches it, so a caller timing each
-    ``next()`` times that configuration alone.
+    batch before returning.  The serial fallback runs each configuration
+    when the iterator reaches it, and the stack-distance pass for all
+    LRU configurations when it reaches the first of them; so a caller
+    timing each ``next()`` times that configuration alone, or that pass.
+    A configuration that fails on the serial fallback raises at its own
+    ``next()``, and the iterator goes on to the next configuration.
     """
     Ms = [int(M) for M, _ in configs]
     codes = [policy_code(p) for _, p in configs]
@@ -221,8 +230,7 @@ def run_configs(plan, is_input, is_output, configs, io_trace=None):
         if workers > 1:
             return iter(_run_partitions(plan, is_input, is_output, Ms, codes,
                                         workers))
-        return (simulate_py(plan, is_input, is_output, M, code, io_trace)
-                for M, code in zip(Ms, codes))
+        return _fallback(plan, is_input, is_output, Ms, codes, io_trace)
     args = (plan.kernel_arrays(),
             np.ascontiguousarray(is_input).view(np.uint8),
             np.ascontiguousarray(is_output).view(np.uint8))
@@ -253,9 +261,39 @@ def _counts(sc) -> tuple:
     return tuple(int(x) for x in sc[:8])
 
 
-def _partition_worker(arrays, is_input, is_output, Ms, codes):
+def _fallback(plan, is_input, is_output, Ms, codes, io_trace=None):
+    """The fallback's count tuples, one per configuration, as an
+    iterator that runs each configuration when it is reached.
+
+    LRU configurations without an ``io_trace`` come from one
+    stack-distance pass (:func:`~repro.simcore.stack.lru_counts`), run
+    for all of them when the iterator reaches the first; the rest run
+    :func:`~repro.simcore.pyloops.simulate_py`.  A configuration that
+    cannot run raises when it is reached and the iterator goes on.
+    """
+    stacked = None
+
+    def run(M, code):
+        nonlocal stacked
+        if code == 0 and io_trace is None:
+            if stacked is None:
+                lru = sorted({m for m, c in zip(Ms, codes) if c == 0})
+                out = lru_counts(plan, is_input, is_output, lru)
+                stacked = {} if out is None else dict(zip(lru, out))
+            if M in stacked:
+                count_path("off")
+                counts = stacked[M]
+                if isinstance(counts, Exception):
+                    raise counts
+                return counts
+        return simulate_py(plan, is_input, is_output, M, code, io_trace)
+
+    return map(run, Ms, codes)
+
+
+def _partition_worker(arrays, validated, is_input, is_output, Ms, codes):
     """Process-pool entry for a fallback partition: rebuild the plan
-    from its (validated) arrays and run this partition's configurations.
+    from its arrays and run this partition's configurations.
 
     Telemetry is disabled in the worker — the parent re-emits the path
     counters, and its caller the per-configuration spans, from the
@@ -263,9 +301,8 @@ def _partition_worker(arrays, is_input, is_output, Ms, codes):
     """
     _disable_telemetry()
     t0 = time.perf_counter()
-    plan = SchedulePlan.from_arrays(arrays, validated=True)
-    out = [simulate_py(plan, is_input, is_output, M, code)
-           for M, code in zip(Ms, codes)]
+    plan = SchedulePlan.from_arrays(arrays, validated)
+    out = list(_fallback(plan, is_input, is_output, Ms, codes))
     return time.perf_counter() - t0, out
 
 
@@ -282,8 +319,9 @@ def _run_partitions(plan, is_input, is_output, Ms, codes, workers: int):
     with span("simcore.grid", partitions=n_parts, configs=len(Ms)):
         with ProcessPoolExecutor(max_workers=n_parts) as pool:
             futures = [
-                pool.submit(_partition_worker, arrays, is_input, is_output,
-                            Ms[i::n_parts], codes[i::n_parts])
+                pool.submit(_partition_worker, arrays, plan.validated,
+                            is_input, is_output, Ms[i::n_parts],
+                            codes[i::n_parts])
                 for i in range(n_parts)
             ]
             for i, future in enumerate(futures):

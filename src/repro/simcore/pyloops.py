@@ -35,6 +35,11 @@ that orders those keys:
   stops at the first other one, which is always fresh (the argument is
   next to the pop).
 
+On the fallback path the loop runs FIFO, Belady, ``io_trace`` runs and
+the ``events`` replay; LRU configurations that only want counts come
+from one stack-distance pass for every cache size instead
+(:mod:`repro.simcore.stack`).
+
 Running the kernel code itself under the interpreter (the ``interp``
 mode) is about ten times slower (E9's r = 4 recursive grid, 8
 configurations: ~6 s against ~0.6 s on a 2-vCPU host), which is why the

@@ -1,0 +1,308 @@
+"""The stack-distance pass (:func:`repro.simcore.stack.lru_counts`).
+
+Its LRU counts must equal the fallback loop's and the golden
+reference's at every cache size.  It leaves a plan outside its
+derivation to the loop, so ``run_configs``, which takes every count-only
+LRU configuration from it on the fallback path, fails where the loop
+fails, with the loop's error.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import simcore
+from repro.bilinear import strassen, winograd
+from repro.bilinear.synthetic import with_duplicate_product, with_split_output
+from repro.cdag import build_cdag
+from repro.errors import CacheError, ScheduleError
+from repro.pebbling import min_cache_size
+from repro.schedules import (
+    random_product_order_schedule,
+    random_topological_schedule,
+    rank_order_schedule,
+    recursive_schedule,
+)
+from repro.simcore import SchedulePlan
+from repro.simcore.pyloops import simulate_py
+from repro.simcore.stack import lru_counts
+
+from tests.pebbling._reference import reference_run
+
+FAMILIES = {
+    "strassen": strassen,
+    "winograd": winograd,
+    "duplicate-product": lambda: with_duplicate_product(strassen(), product=0),
+    "split-output": lambda: with_split_output(winograd(), product=3, scale=4.0),
+}
+
+_GRAPHS = {}
+
+
+def graph(family: str, r: int = 2):
+    if (family, r) not in _GRAPHS:
+        _GRAPHS[family, r] = build_cdag(FAMILIES[family](), r)
+    return _GRAPHS[family, r]
+
+
+def masks(g):
+    is_input = g.in_degree() == 0
+    is_output = np.zeros(g.n_vertices, dtype=bool)
+    is_output[g.outputs()] = True
+    return is_input, is_output
+
+
+def loop_outcome(plan, is_input, is_output, M):
+    """The loop's count tuple at ``M``, or the exception it raises."""
+    try:
+        return simulate_py(plan, is_input, is_output, M, 0)
+    except (CacheError, ScheduleError) as exc:
+        return exc
+
+
+def fallback_outcomes(plan, is_input, is_output, Ms):
+    """``run_configs``' LRU count tuple or error at each ``M``, taken
+    one ``next()`` at a time on the serial fallback."""
+    out = []
+    with simcore.forced_mode("off"):
+        counts = simcore.run_configs(plan, is_input, is_output,
+                                     [(M, "lru") for M in Ms])
+        for _ in Ms:
+            try:
+                out.append(next(counts))
+            except (CacheError, ScheduleError) as exc:
+                out.append(exc)
+    return out
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return tuple(got) == tuple(want)
+
+
+def in_derivation(preds, sched, is_input) -> bool:
+    """Distinct non-inputs, each operand an input or computed earlier."""
+    done = set()
+    for v in sched.tolist():
+        if is_input[v] or v in done:
+            return False
+        if any(not is_input[u] and u not in done for u in preds[v]):
+            return False
+        done.add(v)
+    return True
+
+
+class _Graph:
+    """The two things a plan reads of a CDAG, from predecessor lists."""
+
+    def __init__(self, preds):
+        self.n_vertices = len(preds)
+        self._indptr = np.cumsum([0] + [len(p) for p in preds]).astype(np.int64)
+        self._indices = np.array([u for p in preds for u in p], dtype=np.int64)
+
+    def pred_csr(self):
+        return self._indptr, self._indices
+
+
+#: The smallest cache every schedule of every family runs in.
+MIN_M = max(min_cache_size(graph(f)) for f in FAMILIES)
+
+
+class TestAgreement:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.sampled_from(["topo", "product"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.data(),
+    )
+    def test_every_cache_size_matches_loop_and_reference(
+        self, family, kind, seed, data
+    ):
+        g = graph(family)
+        if kind == "topo":
+            sched = random_topological_schedule(g, seed=seed)
+        else:
+            sched = random_product_order_schedule(g, seed=seed)
+        is_input, is_output = masks(g)
+        plan = SchedulePlan(g, sched, validated=False)
+        # Up to past the distinct count, where nothing is ever evicted.
+        Ms = data.draw(st.lists(
+            st.integers(min_value=MIN_M, max_value=g.n_vertices + 8),
+            min_size=1, max_size=6,
+        ))
+        got = lru_counts(plan, is_input, is_output, Ms)
+        assert len(got) == len(Ms)
+        for M, counts in zip(Ms, got):
+            res, evictions = reference_run(g, sched, M, "lru")
+            want = (res.reads, res.writes, res.input_reads, res.spill_reads,
+                    res.spill_writes, res.output_writes, res.peak_cache,
+                    evictions)
+            assert tuple(simulate_py(plan, is_input, is_output, M, 0)) == want
+            assert tuple(counts) == want, f"M={M}"
+        by_M = sorted(zip(Ms, got))
+        for (_, small), (_, large) in zip(by_M, by_M[1:]):
+            assert large[0] <= small[0] and large[1] <= small[1]
+
+    @pytest.mark.parametrize("order", ["recursive", "rank"])
+    def test_strassen_r4(self, order):
+        """16 bit levels of the wavelet matrix, which the r = 2 graphs
+        above do not reach."""
+        g = build_cdag(strassen(), 4)
+        sched = (recursive_schedule(g) if order == "recursive"
+                 else rank_order_schedule(g))
+        is_input, is_output = masks(g)
+        plan = SchedulePlan(g, sched, validated=True)
+        Ms = (12, 24, 48, 96)
+        assert lru_counts(plan, is_input, is_output, Ms) == [
+            simulate_py(plan, is_input, is_output, M, 0) for M in Ms
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_dags_and_broken_schedules(self, seed):
+        """Small random DAGs with repeated operands, run in order, in a
+        random permutation, as a prefix, as any random vertex list, or
+        in order with an input scheduled among them: the pass gives the
+        loop's counts or CacheError at every M, or leaves exactly the
+        schedules outside its derivation to the loop."""
+        rng = np.random.default_rng(seed)
+        n_in = int(rng.integers(1, 6))
+        preds = [[] for _ in range(n_in)]
+        for v in range(n_in, n_in + int(rng.integers(1, 25))):
+            preds.append(rng.integers(0, v, int(rng.integers(1, 5))).tolist())
+        g = _Graph(preds)
+        n = len(preds)
+        is_input = np.arange(n) < n_in
+        is_output = (rng.random(n) < 0.3) & ~is_input
+        computed = np.arange(n_in, n)
+        kind = seed % 5
+        sched = [
+            computed,
+            rng.permutation(computed),
+            computed[:int(rng.integers(0, len(computed) + 1))],
+            rng.permutation(n)[:int(rng.integers(1, n + 1))],
+            np.insert(computed, int(rng.integers(0, len(computed) + 1)),
+                      int(rng.integers(0, n_in))),
+        ][kind]
+        plan = SchedulePlan(g, np.ascontiguousarray(sched, dtype=np.int64),
+                            validated=kind == 0)
+        Ms = list(range(1, 9))
+        got = lru_counts(plan, is_input, is_output, Ms)
+        assert (got is None) != in_derivation(preds, plan.schedule, is_input)
+        if got is None:
+            return
+        for M, outcome in zip(Ms, got):
+            want = loop_outcome(plan, is_input, is_output, M)
+            assert same_outcome(outcome, want), (M, outcome, want)
+
+
+class TestErrors:
+    def test_reversed_schedule_raises_the_loops_schedule_error(
+        self, monkeypatch
+    ):
+        g = graph("strassen")
+        is_input, is_output = masks(g)
+        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
+        plan = SchedulePlan(g, recursive_schedule(g)[::-1].copy(),
+                            validated=False)
+        assert lru_counts(plan, is_input, is_output, [12]) is None
+        with pytest.raises(ScheduleError) as loop_err:
+            simulate_py(plan, is_input, is_output, 12, 0)
+        (outcome,) = fallback_outcomes(plan, is_input, is_output, [12])
+        assert same_outcome(outcome, loop_err.value)
+
+    def test_cache_error_for_the_narrow_configuration_only(self, monkeypatch):
+        g = graph("strassen")
+        is_input, is_output = masks(g)
+        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
+        plan = SchedulePlan(g, recursive_schedule(g), validated=True)
+        w = min_cache_size(g)
+        with simcore.forced_mode("off"):
+            counts = simcore.run_configs(plan, is_input, is_output,
+                                         [(w - 1, "lru"), (w, "lru")])
+            with pytest.raises(CacheError):
+                next(counts)
+            assert next(counts) == simulate_py(plan, is_input, is_output,
+                                               w, 0)
+
+    def test_pinned_operands_fail_before_a_missing_one(self, monkeypatch):
+        """Vertex 5 reads 3, 4, 2, 0 and the not yet computed 6.  At
+        M = 3 the cache holds 3 and 4 when step 2 starts, so loading 2
+        and then 0 finds every cached value pinned: CacheError before
+        the missing operand's ScheduleError (M >= 4).  Each
+        configuration raises the loop's error at its own ``next()``."""
+        g = _Graph([[], [], [], [0], [1], [3, 4, 2, 0, 6], [0]])
+        is_input = np.array([1, 1, 1, 0, 0, 0, 0], dtype=bool)
+        is_output = np.array([0, 0, 0, 0, 0, 1, 1], dtype=bool)
+        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
+        plan = SchedulePlan(g, np.array([3, 4, 5, 6]), validated=False)
+        Ms = list(range(1, 8))
+        assert lru_counts(plan, is_input, is_output, Ms) is None
+        got = fallback_outcomes(plan, is_input, is_output, Ms)
+        assert [type(o) for o in got] == [CacheError] * 3 + [ScheduleError] * 4
+        for M, outcome in zip(Ms, got):
+            assert same_outcome(outcome,
+                                loop_outcome(plan, is_input, is_output, M))
+
+    def test_partial_schedule_counts_only_scheduled_outputs(self):
+        g = graph("strassen")
+        is_input, is_output = masks(g)
+        sched = recursive_schedule(g)[: 2 * g.n_vertices // 3]
+        plan = SchedulePlan(g, sched, validated=False)
+        n_scheduled = int(is_output[sched].sum())
+        assert 0 < n_scheduled < int(is_output.sum())
+        got = lru_counts(plan, is_input, is_output, [MIN_M, 24])
+        for M, counts in zip([MIN_M, 24], got):
+            assert counts == simulate_py(plan, is_input, is_output, M, 0)
+            assert counts[5] == n_scheduled
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_schedule_outside_the_derivation_runs_on_the_loop(
+        self, threads, monkeypatch
+    ):
+        """A vertex scheduled twice is left to the loop, serially and in
+        process partitions."""
+        g = graph("strassen")
+        is_input, is_output = masks(g)
+        sched = recursive_schedule(g)
+        plan = SchedulePlan(g, np.concatenate([sched, sched[-1:]]),
+                            validated=False)
+        assert lru_counts(plan, is_input, is_output, [12]) is None
+        monkeypatch.setenv("REPRO_GRID_THREADS", threads)
+        with simcore.forced_mode("off"):
+            got = list(simcore.run_configs(plan, is_input, is_output,
+                                           [(12, "lru"), (24, "lru")]))
+        assert got == [simulate_py(plan, is_input, is_output, M, 0)
+                       for M in (12, 24)]
+
+
+def test_fallback_runs_the_pass_at_the_first_lru_configuration(monkeypatch):
+    """No pass before the iterator reaches the first LRU configuration,
+    then one pass for every LRU configuration of the call."""
+    from repro.simcore import grid
+
+    g = graph("strassen")
+    is_input, is_output = masks(g)
+    plan = SchedulePlan(g, recursive_schedule(g), validated=True)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3])
+        return lru_counts(*args)
+
+    monkeypatch.setattr(grid, "lru_counts", spy)
+    monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
+    configs = [(12, "belady"), (24, "lru"), (12, "lru"), (12, "fifo")]
+    with simcore.forced_mode("off"):
+        counts = simcore.run_configs(plan, is_input, is_output, configs)
+        assert calls == []
+        next(counts)
+        assert calls == []
+        got = [next(counts), next(counts)]
+        assert calls == [[12, 24]]
+        next(counts)
+    assert calls == [[12, 24]]
+    assert got == [simulate_py(plan, is_input, is_output, M, 0)
+                   for M in (24, 12)]
