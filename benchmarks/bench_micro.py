@@ -37,7 +37,9 @@ from repro.simcore import (
     forced_mode,
     run_grid,
     simulate_plan,
+    simulate_py,
 )
+from repro.simcore.stack import belady_counts
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
 
 
@@ -189,6 +191,23 @@ def make_cases() -> dict:
         with forced_mode("jit"):
             for M, code in zip(lock_Ms, lock_codes):
                 simulate_plan(arrays5, iu8_5, ou8_5, int(M), int(code))
+    # Paired Belady cases on the fallback: E9's four cache sizes over
+    # the r = 4 recursive schedule from one interval pass vs one loop
+    # run per size (the loop's lists built beforehand, as a batch
+    # builds them once).  Their ratio lands in "belady_pass_speedup".
+    plan4 = SchedulePlan(g4, sched4, validated=True)
+    plan4.ensure_lists(True)
+    is_input4 = g4.in_degree() == 0
+    is_output4 = np.zeros(g4.n_vertices, dtype=bool)
+    is_output4[g4.outputs()] = True
+
+    def belady_pass_r4():
+        belady_counts(plan4, is_input4, is_output4, e9_Ms)
+
+    def belady_loop_r4():
+        for M in e9_Ms:
+            simulate_py(plan4, is_input4, is_output4, M, 2)
+
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
     # pre-warmed bundle store through a *fresh* GraphCache instance per
@@ -260,6 +279,8 @@ def make_cases() -> dict:
             if HAVE_NUMBA
             else {}
         ),
+        "belady_pass_r4": belady_pass_r4,
+        "belady_loop_r4": belady_loop_r4,
         "graphcache_e9_cold_compile": graphcache_cold,
         "graphcache_e9_warm_compile": graphcache_warm,
         "lemma3_routing_k3": lambda: lemma3_routing(g3),
@@ -311,6 +332,7 @@ def run_benchmarks(repeats: int = 3, select: str | None = None) -> dict:
         ("kernel_speedup", "kernel_e09_njit", "kernel_e09_python"),
         ("grid_lockstep_speedup",
          "grid_lockstep_batched", "grid_lockstep_per_config"),
+        ("belady_pass_speedup", "belady_pass_r4", "belady_loop_r4"),
         ("graphcache_warm_speedup",
          "graphcache_e9_warm_compile", "graphcache_e9_cold_compile"),
     ):

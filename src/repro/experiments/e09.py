@@ -32,8 +32,9 @@ schedule steps every configuration row together
 makes the extended grid — ``r_big=7`` (n = 128), the crossover regime
 against the tight classical bound of Smith et al. and the
 memory-independent parallel bounds of Demmel et al. — complete in
-seconds instead of minutes.  On the pure-Python fallback,
-``REPRO_GRID_THREADS=N`` partitions each grid across ``N`` processes.
+seconds instead of minutes.  On the pure-Python fallback, each grid's
+LRU and Belady configurations are each counted by one pass over the
+plan.
 """
 
 from __future__ import annotations

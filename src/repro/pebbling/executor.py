@@ -35,11 +35,11 @@ and initial use counts.
 Every simulation then goes through one core entry point,
 :func:`repro.simcore.run_configs`, which checks the policy name, picks
 the path (compiled or interpreted kernels, lockstep grid for a batch;
-on the fallback, one stack-distance pass for the count-only LRU
+on the fallback, one pass each for the count-only LRU and Belady
 configurations and pure-Python loops for the rest), maps failures onto
 :class:`ScheduleError` / :class:`CacheError` and owns grid parallelism
-(``REPRO_GRID_THREADS``).  Every path makes the exact victim choices of
-the golden reference simulator retained under
+(``REPRO_GRID_THREADS``, under numba).  Every path makes the exact
+victim choices of the golden reference simulator retained under
 ``tests/pebbling/_reference.py`` — the golden-equivalence tests enforce
 bit-identity across schedules x policies x cache sizes, and the core's
 ``simcore.kernel.{jit,interp,fallback}`` counters record which path
@@ -250,9 +250,8 @@ class CacheExecutor:
 
         The whole grid is one :func:`~repro.simcore.run_configs` call: a
         lockstep ``run_grid`` on the kernel path; on the fallback, one
-        stack-distance pass for the LRU configurations and loops for
-        the rest, serially or — with ``REPRO_GRID_THREADS`` > 1 — in
-        round-robin process partitions.
+        pass for the LRU configurations, one for the Belady ones and a
+        loop for each FIFO one, serially.
 
         Returns ``{(cache_size, policy): IOResult}``.  Telemetry is
         identical to the equivalent sequence of :meth:`run` calls (one

@@ -16,17 +16,18 @@ repository:
   and in how the victim is popped;
 - :mod:`repro.simcore.grid` — :func:`run_configs`, the one entry point
   that runs ``(cache_size, policy)`` configurations over a plan (policy
-  check, path choice, status-to-exception mapping, grid parallelism
-  under ``REPRO_GRID_THREADS``), plus the per-config kernel and the
+  check, path choice, status-to-exception mapping, thread chunks under
+  ``REPRO_GRID_THREADS``), plus the per-config kernel and the
   lockstep whole-grid kernel it picks from;
 - :mod:`repro.simcore.pyloops` — the Python specialisation of that
   step: one loop with the same keys and victim pops over Python lists,
   a recency queue (LRU, FIFO) and an int heap (Belady), bit-identical to
   the kernels and ~10x faster than running the kernel code interpreted
   (also the pebble-game event source);
-- :mod:`repro.simcore.stack` — LRU's counts at every cache size from
-  one stack-distance pass over a plan, bit-identical to the loop; the
-  fallback takes count-only LRU configurations from it;
+- :mod:`repro.simcore.stack` — LRU's and Belady's counts at every
+  cache size from one pass over a plan (stack distances for LRU, the
+  OPTgen interval greedy for Belady), bit-identical to the loop; the
+  fallback takes count-only LRU and Belady configurations from it;
 - :mod:`repro.simcore.parallel` — columnar partition-traffic helpers
   for the distributed machine model.
 

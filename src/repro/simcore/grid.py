@@ -15,10 +15,11 @@ and owns grid parallelism.  The paths it chooses between:
   across every row, so a thousand-configuration sweep costs one pass
   over the plan instead of a thousand;
 - the per-config kernel for a single configuration or an ``io_trace``;
-- on the fallback, one stack-distance pass
-  (:func:`~repro.simcore.stack.lru_counts`) for every LRU configuration
-  without an ``io_trace``, and the pure-Python loop
-  (:mod:`repro.simcore.pyloops`) for the rest.
+- on the fallback, one pass per policy for every LRU configuration
+  (:func:`~repro.simcore.stack.lru_counts`) and every Belady one
+  (:func:`~repro.simcore.stack.belady_counts`) without an
+  ``io_trace``, and the pure-Python loop (:mod:`repro.simcore.pyloops`)
+  for the rest.
 
 Both kernels step each row through the one machine step
 (:func:`repro.simcore.policies._step`), which takes the row's policy
@@ -37,13 +38,12 @@ positive integer there raises :class:`ValueError`:
   the config rows into chunks and steps them on a thread pool (default:
   up to 8, bounded by ``os.cpu_count()``); chunks also bound peak state
   memory to ``chunk_rows x n_vertices``;
-- on the fallback, threads would just contend for the GIL, so a value
-  above 1 partitions a batch round-robin across that many processes
-  instead (unset: serial).  Each partition takes its LRU configurations
-  from its own stack-distance pass.  On a 2-core host without numba,
-  E9's r = 5 recursive grid (LRU and Belady at four cache sizes) takes
-  1.6-2.4 s serial and 1.9-2.7 s with ``REPRO_GRID_THREADS=2``: the
-  round-robin split puts all four Belady loop runs in one partition;
+- the fallback reads the knob for a batch too, but always runs
+  serially: threads would contend for the GIL, and with every LRU and
+  Belady configuration counted by one pass, a process per share of the
+  batch cost more than it saved (E9's r = 5 recursive grid, LRU and
+  Belady at four cache sizes, on a 2-core host without numba: 0.56-0.58 s
+  serial, 0.68-0.76 s in two processes);
 - the ``interp`` test mode always runs single-threaded.
 """
 
@@ -62,7 +62,6 @@ from repro.simcore.dispatch import (
     njit,
     note_first_call,
 )
-from repro.simcore.plan import SchedulePlan
 from repro.simcore.policies import (
     ERR_A,
     ERR_B,
@@ -78,11 +77,7 @@ from repro.simcore.policies import (
     policy_code,
 )
 from repro.simcore.pyloops import simulate_py
-from repro.simcore.stack import lru_counts
-from repro.telemetry.metrics import metrics
-from repro.telemetry.spans import disable as _disable_telemetry
-from repro.telemetry.spans import enabled as _telemetry_enabled
-from repro.telemetry.spans import span
+from repro.simcore.stack import belady_counts, lru_counts
 
 __all__ = ["run_configs", "simulate_plan", "run_grid"]
 
@@ -214,22 +209,20 @@ def run_configs(plan, is_input, is_output, configs, io_trace=None):
     :class:`CacheError` no later than when the iterator reaches it.
     Each configuration adds one ``simcore.kernel.*`` count.
 
-    Batched paths (the lockstep grid, process partitions) run the whole
-    batch before returning.  The serial fallback runs each configuration
-    when the iterator reaches it, and the stack-distance pass for all
-    LRU configurations when it reaches the first of them; so a caller
-    timing each ``next()`` times that configuration alone, or that pass.
-    A configuration that fails on the serial fallback raises at its own
-    ``next()``, and the iterator goes on to the next configuration.
+    The lockstep grid runs the whole batch before returning.  The
+    fallback runs each configuration when the iterator reaches it, and a
+    policy's pass for all its LRU or Belady configurations when it
+    reaches the first of them; so a caller timing each ``next()`` times
+    that configuration alone, or that pass.  A configuration that fails
+    on the fallback raises at its own ``next()``, and the iterator goes
+    on to the next configuration.
     """
     Ms = [int(M) for M, _ in configs]
     codes = [policy_code(p) for _, p in configs]
     batch = len(Ms) > 1 and io_trace is None
     if active_mode() == "off":
-        workers = _n_threads(1) if batch else 1
-        if workers > 1:
-            return iter(_run_partitions(plan, is_input, is_output, Ms, codes,
-                                        workers))
+        if batch:
+            _n_threads(1)  # a malformed knob raises, as under numba
         return _fallback(plan, is_input, is_output, Ms, codes, io_trace)
     args = (plan.kernel_arrays(),
             np.ascontiguousarray(is_input).view(np.uint8),
@@ -265,83 +258,32 @@ def _fallback(plan, is_input, is_output, Ms, codes, io_trace=None):
     """The fallback's count tuples, one per configuration, as an
     iterator that runs each configuration when it is reached.
 
-    LRU configurations without an ``io_trace`` come from one
-    stack-distance pass (:func:`~repro.simcore.stack.lru_counts`), run
-    for all of them when the iterator reaches the first; the rest run
-    :func:`~repro.simcore.pyloops.simulate_py`.  A configuration that
-    cannot run raises when it is reached and the iterator goes on.
+    LRU and Belady configurations without an ``io_trace`` come from one
+    pass per policy (:func:`~repro.simcore.stack.lru_counts`,
+    :func:`~repro.simcore.stack.belady_counts`), run for all of that
+    policy's configurations when the iterator reaches the first; the
+    rest run :func:`~repro.simcore.pyloops.simulate_py`.  A
+    configuration that cannot run raises when it is reached and the
+    iterator goes on.
     """
-    stacked = None
+    passes = {0: lru_counts, 2: belady_counts} if io_trace is None else {}
+    counted = {}
 
     def run(M, code):
-        nonlocal stacked
-        if code == 0 and io_trace is None:
-            if stacked is None:
-                lru = sorted({m for m, c in zip(Ms, codes) if c == 0})
-                out = lru_counts(plan, is_input, is_output, lru)
-                stacked = {} if out is None else dict(zip(lru, out))
-            if M in stacked:
+        if code in passes:
+            if code not in counted:
+                group = sorted({m for m, c in zip(Ms, codes) if c == code})
+                out = passes[code](plan, is_input, is_output, group)
+                counted[code] = {} if out is None else dict(zip(group, out))
+            counts = counted[code].get(M)
+            if counts is not None:
                 count_path("off")
-                counts = stacked[M]
                 if isinstance(counts, Exception):
                     raise counts
                 return counts
         return simulate_py(plan, is_input, is_output, M, code, io_trace)
 
     return map(run, Ms, codes)
-
-
-def _partition_worker(arrays, validated, is_input, is_output, Ms, codes):
-    """Process-pool entry for a fallback partition: rebuild the plan
-    from its arrays and run this partition's configurations.
-
-    Telemetry is disabled in the worker — the parent re-emits the path
-    counters, and its caller the per-configuration spans, from the
-    returned raw counts.  Returns ``(wall_s, [counts, ...])``.
-    """
-    _disable_telemetry()
-    t0 = time.perf_counter()
-    plan = SchedulePlan.from_arrays(arrays, validated)
-    out = list(_fallback(plan, is_input, is_output, Ms, codes))
-    return time.perf_counter() - t0, out
-
-
-def _run_partitions(plan, is_input, is_output, Ms, codes, workers: int):
-    """Fan a fallback grid out round-robin over a process pool; returns
-    the count tuples in configuration order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    n_parts = min(workers, len(Ms))
-    # Plans may wrap read-only memmaps; to_arrays() yields plain
-    # contiguous arrays that pickle by value.
-    arrays = plan.to_arrays()
-    out = [None] * len(Ms)
-    with span("simcore.grid", partitions=n_parts, configs=len(Ms)):
-        with ProcessPoolExecutor(max_workers=n_parts) as pool:
-            futures = [
-                pool.submit(_partition_worker, arrays, plan.validated,
-                            is_input, is_output, Ms[i::n_parts],
-                            codes[i::n_parts])
-                for i in range(n_parts)
-            ]
-            for i, future in enumerate(futures):
-                wall, counts = future.result()
-                out[i::n_parts] = counts
-                # Throughput, not just raw counts: configs per second is
-                # the quantity a REPRO_GRID_THREADS choice optimises, so
-                # each partition span carries it and the registry keeps
-                # the last value as a gauge.
-                configs_per_s = len(counts) / wall if wall > 0 else 0.0
-                with span("simcore.grid.partition", partition=i) as sp:
-                    sp.set("configs", len(counts))
-                    sp.set("worker_wall_s", round(wall, 6))
-                    sp.set("configs_per_s", round(configs_per_s, 3))
-                count_path("off", len(counts))
-                if _telemetry_enabled():
-                    metrics().gauge("simcore.grid.configs_per_s").set(
-                        configs_per_s
-                    )
-    return out
 
 
 def simulate_plan(plan_arrays, is_input_u8, is_output_u8, cache_size,

@@ -6,9 +6,9 @@ arrays — operand occurrences in CSR form, per-occurrence next-use
 times, per-vertex first-use times and initial use counts.  Built once,
 a plan serves every ``(cache_size, policy)`` configuration of a sweep:
 the lockstep grid kernel (:mod:`repro.simcore.grid`), the pure-Python
-fallback loops (:mod:`repro.simcore.pyloops`), the LRU stack-distance
-pass (:mod:`repro.simcore.stack`) and the pebble-game trace replay all
-read the same arrays.
+fallback loops (:mod:`repro.simcore.pyloops`), the LRU and Belady
+passes (:mod:`repro.simcore.stack`) and the pebble-game trace replay
+all read the same arrays.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class SchedulePlan:
     them as Python lists (cheaper per element than numpy scalars),
     materialised lazily on first fallback simulate by
     :meth:`ensure_lists`; a plan that only ever runs on the kernel path
-    or the LRU stack-distance pass (or is loaded but never run) never
-    pays that materialisation, and one that never runs Belady never
-    builds Belady's next-use lists.
+    or the LRU and Belady passes (or is loaded but never run) never
+    pays that materialisation, and one that never runs Belady on the
+    loop never builds Belady's next-use lists.
     """
 
     __slots__ = (

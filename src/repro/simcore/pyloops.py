@@ -35,9 +35,9 @@ that orders those keys:
   stops at the first other one, which is always fresh (the argument is
   next to the pop).
 
-On the fallback path the loop runs FIFO, Belady, ``io_trace`` runs and
-the ``events`` replay; LRU configurations that only want counts come
-from one stack-distance pass for every cache size instead
+On the fallback path the loop runs FIFO, ``io_trace`` runs and the
+``events`` replay; LRU and Belady configurations that only want counts
+come from one pass per policy for every cache size instead
 (:mod:`repro.simcore.stack`).
 
 Running the kernel code itself under the interpreter (the ``interp``

@@ -122,9 +122,8 @@ def test_run_matches_run_many(sim_path):
 
 
 def test_partitioned_run_many_matches_reference(sim_path, monkeypatch):
-    """REPRO_GRID_THREADS > 1 (process partitions on the fallback,
-    thread chunks under numba) returns exactly what the serial sweep
-    does — on the fallback, workers rebuild the plan from its arrays."""
+    """REPRO_GRID_THREADS > 1 (thread chunks under numba; the
+    fallback stays serial) returns exactly what the serial sweep does."""
     g = build_cdag(strassen(), 2)
     sched = recursive_schedule(g)
     ex = CacheExecutor(g)

@@ -49,7 +49,7 @@ def test_grid_threads_knob(monkeypatch, value, expected):
 
 
 def test_fallback_batch_rejects_malformed_grid_threads(monkeypatch, plan_and_masks):
-    """The fallback reads the knob before starting any process."""
+    """The fallback runs a batch serially but still reads the knob."""
     _, _, plan, is_input, is_output = plan_and_masks
     monkeypatch.setenv("REPRO_GRID_THREADS", "8x")
     with simcore.forced_mode("off"):
@@ -61,7 +61,7 @@ def test_fallback_batch_rejects_malformed_grid_threads(monkeypatch, plan_and_mas
 @pytest.mark.parametrize("mode", MODES)
 def test_schedule_error_on_every_path(mode, threads, monkeypatch, plan_and_masks):
     """A non-topological schedule raises ScheduleError on the per-config
-    kernel, the lockstep grid, the serial loops and process partitions."""
+    kernel, the lockstep grid and the fallback, whatever the knob says."""
     g, sched, _, is_input, is_output = plan_and_masks
     plan = simcore.SchedulePlan(g, sched[::-1].copy(), validated=False)
     monkeypatch.setenv("REPRO_GRID_THREADS", threads)

@@ -1,9 +1,11 @@
-"""The stack-distance pass (:func:`repro.simcore.stack.lru_counts`).
+"""The stack-distance and interval passes
+(:func:`repro.simcore.stack.lru_counts`,
+:func:`repro.simcore.stack.belady_counts`).
 
-Its LRU counts must equal the fallback loop's and the golden
-reference's at every cache size.  It leaves a plan outside its
-derivation to the loop, so ``run_configs``, which takes every count-only
-LRU configuration from it on the fallback path, fails where the loop
+Their counts must equal the fallback loop's and the golden reference's
+at every cache size.  They leave a plan outside their derivation to the
+loop, so ``run_configs``, which takes every count-only LRU and Belady
+configuration from them on the fallback path, fails where the loop
 fails, with the loop's error.
 """
 
@@ -25,7 +27,7 @@ from repro.schedules import (
 )
 from repro.simcore import SchedulePlan
 from repro.simcore.pyloops import simulate_py
-from repro.simcore.stack import lru_counts
+from repro.simcore.stack import _greedy, belady_counts, lru_counts
 
 from tests.pebbling._reference import reference_run
 
@@ -52,21 +54,25 @@ def masks(g):
     return is_input, is_output
 
 
-def loop_outcome(plan, is_input, is_output, M):
+#: The passes and the loop's policy code each one reproduces.
+PASSES = {"lru": (lru_counts, 0), "belady": (belady_counts, 2)}
+
+
+def loop_outcome(plan, is_input, is_output, M, code=0):
     """The loop's count tuple at ``M``, or the exception it raises."""
     try:
-        return simulate_py(plan, is_input, is_output, M, 0)
+        return simulate_py(plan, is_input, is_output, M, code)
     except (CacheError, ScheduleError) as exc:
         return exc
 
 
-def fallback_outcomes(plan, is_input, is_output, Ms):
-    """``run_configs``' LRU count tuple or error at each ``M``, taken
-    one ``next()`` at a time on the serial fallback."""
+def fallback_outcomes(plan, is_input, is_output, Ms, policy="lru"):
+    """``run_configs``' count tuple or error at each ``M``, taken one
+    ``next()`` at a time on the serial fallback."""
     out = []
     with simcore.forced_mode("off"):
         counts = simcore.run_configs(plan, is_input, is_output,
-                                     [(M, "lru") for M in Ms])
+                                     [(M, policy) for M in Ms])
         for _ in Ms:
             try:
                 out.append(next(counts))
@@ -127,23 +133,32 @@ class TestAgreement:
             sched = random_product_order_schedule(g, seed=seed)
         is_input, is_output = masks(g)
         plan = SchedulePlan(g, sched, validated=False)
-        # Up to past the distinct count, where nothing is ever evicted.
+        # From below the widest step to past the distinct count, where
+        # nothing is ever evicted, and one size no int32 holds.
         Ms = data.draw(st.lists(
-            st.integers(min_value=MIN_M, max_value=g.n_vertices + 8),
+            st.integers(min_value=MIN_M - 1, max_value=g.n_vertices + 8),
             min_size=1, max_size=6,
-        ))
-        got = lru_counts(plan, is_input, is_output, Ms)
-        assert len(got) == len(Ms)
-        for M, counts in zip(Ms, got):
-            res, evictions = reference_run(g, sched, M, "lru")
-            want = (res.reads, res.writes, res.input_reads, res.spill_reads,
+        )) + [2**31]
+        for policy, (count, code) in PASSES.items():
+            got = count(plan, is_input, is_output, Ms)
+            assert len(got) == len(Ms)
+            for M, counts in zip(Ms, got):
+                want = loop_outcome(plan, is_input, is_output, M, code)
+                assert same_outcome(counts, want), (policy, M)
+                if isinstance(counts, CacheError):
+                    with pytest.raises(CacheError):
+                        reference_run(g, sched, M, policy)
+                    continue
+                res, evictions = reference_run(g, sched, M, policy)
+                assert tuple(counts) == (
+                    res.reads, res.writes, res.input_reads, res.spill_reads,
                     res.spill_writes, res.output_writes, res.peak_cache,
-                    evictions)
-            assert tuple(simulate_py(plan, is_input, is_output, M, 0)) == want
-            assert tuple(counts) == want, f"M={M}"
-        by_M = sorted(zip(Ms, got))
-        for (_, small), (_, large) in zip(by_M, by_M[1:]):
-            assert large[0] <= small[0] and large[1] <= small[1]
+                    evictions,
+                ), (policy, M)
+            ran = sorted((M, c) for M, c in zip(Ms, got)
+                         if not isinstance(c, Exception))
+            for (_, small), (_, large) in zip(ran, ran[1:]):
+                assert large[0] <= small[0] and large[1] <= small[1]
 
     @pytest.mark.parametrize("order", ["recursive", "rank"])
     def test_strassen_r4(self, order):
@@ -155,9 +170,10 @@ class TestAgreement:
         is_input, is_output = masks(g)
         plan = SchedulePlan(g, sched, validated=True)
         Ms = (12, 24, 48, 96)
-        assert lru_counts(plan, is_input, is_output, Ms) == [
-            simulate_py(plan, is_input, is_output, M, 0) for M in Ms
-        ]
+        for count, code in PASSES.values():
+            assert count(plan, is_input, is_output, Ms) == [
+                simulate_py(plan, is_input, is_output, M, code) for M in Ms
+            ]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -189,13 +205,15 @@ class TestAgreement:
         plan = SchedulePlan(g, np.ascontiguousarray(sched, dtype=np.int64),
                             validated=kind == 0)
         Ms = list(range(1, 9))
-        got = lru_counts(plan, is_input, is_output, Ms)
-        assert (got is None) != in_derivation(preds, plan.schedule, is_input)
-        if got is None:
-            return
-        for M, outcome in zip(Ms, got):
-            want = loop_outcome(plan, is_input, is_output, M)
-            assert same_outcome(outcome, want), (M, outcome, want)
+        valid = in_derivation(preds, plan.schedule, is_input)
+        for count, code in PASSES.values():
+            got = count(plan, is_input, is_output, Ms)
+            assert (got is None) != valid
+            if got is None:
+                continue
+            for M, outcome in zip(Ms, got):
+                want = loop_outcome(plan, is_input, is_output, M, code)
+                assert same_outcome(outcome, want), (M, outcome, want)
 
 
 class TestErrors:
@@ -207,11 +225,13 @@ class TestErrors:
         monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, recursive_schedule(g)[::-1].copy(),
                             validated=False)
-        assert lru_counts(plan, is_input, is_output, [12]) is None
-        with pytest.raises(ScheduleError) as loop_err:
-            simulate_py(plan, is_input, is_output, 12, 0)
-        (outcome,) = fallback_outcomes(plan, is_input, is_output, [12])
-        assert same_outcome(outcome, loop_err.value)
+        for policy, (count, code) in PASSES.items():
+            assert count(plan, is_input, is_output, [12]) is None
+            with pytest.raises(ScheduleError) as loop_err:
+                simulate_py(plan, is_input, is_output, 12, code)
+            (outcome,) = fallback_outcomes(plan, is_input, is_output, [12],
+                                           policy)
+            assert same_outcome(outcome, loop_err.value)
 
     def test_cache_error_for_the_narrow_configuration_only(self, monkeypatch):
         g = graph("strassen")
@@ -219,13 +239,14 @@ class TestErrors:
         monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, recursive_schedule(g), validated=True)
         w = min_cache_size(g)
-        with simcore.forced_mode("off"):
-            counts = simcore.run_configs(plan, is_input, is_output,
-                                         [(w - 1, "lru"), (w, "lru")])
-            with pytest.raises(CacheError):
-                next(counts)
-            assert next(counts) == simulate_py(plan, is_input, is_output,
-                                               w, 0)
+        for policy, (_, code) in PASSES.items():
+            with simcore.forced_mode("off"):
+                counts = simcore.run_configs(plan, is_input, is_output,
+                                             [(w - 1, policy), (w, policy)])
+                with pytest.raises(CacheError):
+                    next(counts)
+                assert next(counts) == simulate_py(plan, is_input, is_output,
+                                                   w, code)
 
     def test_pinned_operands_fail_before_a_missing_one(self, monkeypatch):
         """Vertex 5 reads 3, 4, 2, 0 and the not yet computed 6.  At
@@ -239,12 +260,16 @@ class TestErrors:
         monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, np.array([3, 4, 5, 6]), validated=False)
         Ms = list(range(1, 8))
-        assert lru_counts(plan, is_input, is_output, Ms) is None
-        got = fallback_outcomes(plan, is_input, is_output, Ms)
-        assert [type(o) for o in got] == [CacheError] * 3 + [ScheduleError] * 4
-        for M, outcome in zip(Ms, got):
-            assert same_outcome(outcome,
-                                loop_outcome(plan, is_input, is_output, M))
+        for policy, (count, code) in PASSES.items():
+            assert count(plan, is_input, is_output, Ms) is None
+            got = fallback_outcomes(plan, is_input, is_output, Ms, policy)
+            assert [type(o) for o in got] == (
+                [CacheError] * 3 + [ScheduleError] * 4
+            )
+            for M, outcome in zip(Ms, got):
+                assert same_outcome(
+                    outcome, loop_outcome(plan, is_input, is_output, M, code)
+                )
 
     def test_partial_schedule_counts_only_scheduled_outputs(self):
         g = graph("strassen")
@@ -253,34 +278,41 @@ class TestErrors:
         plan = SchedulePlan(g, sched, validated=False)
         n_scheduled = int(is_output[sched].sum())
         assert 0 < n_scheduled < int(is_output.sum())
-        got = lru_counts(plan, is_input, is_output, [MIN_M, 24])
-        for M, counts in zip([MIN_M, 24], got):
-            assert counts == simulate_py(plan, is_input, is_output, M, 0)
-            assert counts[5] == n_scheduled
+        for count, code in PASSES.values():
+            got = count(plan, is_input, is_output, [MIN_M, 24])
+            for M, counts in zip([MIN_M, 24], got):
+                assert counts == simulate_py(plan, is_input, is_output, M,
+                                             code)
+                assert counts[5] == n_scheduled
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_schedule_outside_the_derivation_runs_on_the_loop(
         self, threads, monkeypatch
     ):
-        """A vertex scheduled twice is left to the loop, serially and in
-        process partitions."""
+        """A vertex scheduled twice is left to the loop, whatever
+        ``REPRO_GRID_THREADS`` says."""
         g = graph("strassen")
         is_input, is_output = masks(g)
         sched = recursive_schedule(g)
         plan = SchedulePlan(g, np.concatenate([sched, sched[-1:]]),
                             validated=False)
-        assert lru_counts(plan, is_input, is_output, [12]) is None
+        for count, _ in PASSES.values():
+            assert count(plan, is_input, is_output, [12]) is None
+        configs = [(12, "lru"), (24, "lru"), (12, "belady"), (24, "belady")]
         monkeypatch.setenv("REPRO_GRID_THREADS", threads)
         with simcore.forced_mode("off"):
             got = list(simcore.run_configs(plan, is_input, is_output,
-                                           [(12, "lru"), (24, "lru")]))
-        assert got == [simulate_py(plan, is_input, is_output, M, 0)
-                       for M in (12, 24)]
+                                           configs))
+        assert got == [simulate_py(plan, is_input, is_output, M,
+                                   PASSES[policy][1])
+                       for M, policy in configs]
 
 
 def test_fallback_runs_the_pass_at_the_first_lru_configuration(monkeypatch):
-    """No pass before the iterator reaches the first LRU configuration,
-    then one pass for every LRU configuration of the call."""
+    """No pass before the iterator reaches the first configuration of
+    its policy, then one pass for every configuration of that policy in
+    the call; a mixed LRU/FIFO/Belady batch gets the loop's counts, in
+    configuration order."""
     from repro.simcore import grid
 
     g = graph("strassen")
@@ -288,21 +320,46 @@ def test_fallback_runs_the_pass_at_the_first_lru_configuration(monkeypatch):
     plan = SchedulePlan(g, recursive_schedule(g), validated=True)
     calls = []
 
-    def spy(*args):
-        calls.append(args[3])
-        return lru_counts(*args)
+    def spy(count):
+        def counted(*args):
+            calls.append((count.__name__, args[3]))
+            return count(*args)
+        return counted
 
-    monkeypatch.setattr(grid, "lru_counts", spy)
+    monkeypatch.setattr(grid, "lru_counts", spy(lru_counts))
+    monkeypatch.setattr(grid, "belady_counts", spy(belady_counts))
     monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
-    configs = [(12, "belady"), (24, "lru"), (12, "lru"), (12, "fifo")]
+    configs = [(12, "fifo"), (24, "lru"), (12, "lru"), (48, "belady"),
+               (12, "belady")]
     with simcore.forced_mode("off"):
         counts = simcore.run_configs(plan, is_input, is_output, configs)
         assert calls == []
-        next(counts)
+        got = [next(counts)]
         assert calls == []
-        got = [next(counts), next(counts)]
-        assert calls == [[12, 24]]
-        next(counts)
-    assert calls == [[12, 24]]
-    assert got == [simulate_py(plan, is_input, is_output, M, 0)
-                   for M in (24, 12)]
+        got += [next(counts), next(counts)]
+        assert calls == [("lru_counts", [12, 24])]
+        got += [next(counts), next(counts)]
+    assert calls == [("lru_counts", [12, 24]), ("belady_counts", [12, 48])]
+    assert got == [simulate_py(plan, is_input, is_output, M, code)
+                   for M, code in ((12, 1), (24, 0), (12, 0), (48, 2), (12, 2))]
+
+
+class TestFreeSlotStack:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_greedy_matches_the_slice_greedy(self, seed):
+        """Random intervals (in end order) over a random occupancy
+        profile: the free-slot stack accepts exactly what the greedy
+        over array slices accepts."""
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(2, 40))
+        M = int(rng.integers(1, 8))
+        occ = rng.integers(0, M + 1, T)
+        hi = np.sort(rng.integers(1, T + 1, int(rng.integers(0, 60))))
+        lo = np.minimum(rng.integers(0, T, len(hi)), hi - 1)
+        got = _greedy(lo, hi, (M - occ).tolist())
+        want = []
+        for a, t in zip(lo, hi):
+            want.append(bool(occ[a:t].max() < M))
+            occ[a:t] += want[-1]
+        assert got.tolist() == want
