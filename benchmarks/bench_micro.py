@@ -1,8 +1,9 @@
 """Micro-benchmarks of the library's hot paths.
 
 Not tied to a paper figure; these keep the substrate's performance
-honest (CDAG construction, pebble-game execution, routing construction,
-the kernels) so the experiment benches stay fast as the code evolves.
+honest (CDAG construction, pebble-game execution, the LRU and Belady
+passes, routing construction, the graph cache) so the experiment
+benches stay fast as the code evolves.
 
 Two entry points over the same workloads:
 
@@ -12,6 +13,8 @@ Two entry points over the same workloads:
   run that emits one machine-readable JSON document (median-of-k wall
   times per case plus the telemetry counters collected while running)
   via :mod:`repro.telemetry.export`, for dashboards and CI artifacts.
+  ``--select PREFIX`` runs, and builds the inputs of, only the cases
+  whose name starts with ``PREFIX``.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -31,14 +35,7 @@ from repro.linalg import strassen_matmul
 from repro.pebbling import CacheExecutor
 from repro.routing import lemma3_routing, theorem2_routing
 from repro.schedules import rank_order_schedule, recursive_schedule
-from repro.simcore import (
-    HAVE_NUMBA,
-    SchedulePlan,
-    forced_mode,
-    run_grid,
-    simulate_plan,
-    simulate_py,
-)
+from repro.simcore import SchedulePlan, simulate_py
 from repro.simcore.stack import belady_counts
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
 
@@ -121,92 +118,113 @@ def _reference_run():
 
 
 def make_cases() -> dict:
-    """The same workloads as the pytest benches, with setup hoisted out
-    of the timed bodies; name -> zero-arg callable."""
-    g2 = build_cdag(strassen(), 2)
-    g3 = build_cdag(strassen(), 3)
-    g4 = build_cdag(strassen(), 4)
-    g5 = build_cdag(strassen(), 5)
-    ex4 = CacheExecutor(g4)
-    sched4 = ex4.validate_schedule(recursive_schedule(g4))
-    ex3 = CacheExecutor(g3)
-    sched3 = ex3.validate_schedule(recursive_schedule(g3))
-    ex5 = CacheExecutor(g5)
-    sched5 = ex5.validate_schedule(recursive_schedule(g5))
-    rank5 = rank_order_schedule(g5)
-    reference_run = _reference_run()
-    e9_grid = [(sched5, "belady"), (sched5, "lru"), (rank5, "lru")]
+    """The same workloads as the pytest benches; name -> zero-arg
+    builder that sets the case up and returns its timed zero-arg body.
+
+    Nothing is built until a case's builder runs, so a ``--select``
+    builds only the inputs of the cases it picks.  Graphs, and the
+    executors with their validated recursive schedules, come from one
+    memo shared by every builder, so cases run together share them
+    (and the executors' plan caches) as a single setup would.
+    """
+    memo: dict = {}
+
+    def shared(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def graph(r):
+        return shared(("graph", r), lambda: build_cdag(strassen(), r))
+
+    def executor(r):
+        """``(executor, validated recursive schedule)`` on G_r."""
+        def build():
+            ex = CacheExecutor(graph(r))
+            return ex, ex.validate_schedule(recursive_schedule(graph(r)))
+        return shared(("executor", r), build)
+
     e9_Ms = (12, 24, 48, 96)
 
-    def e9_n32_core():
-        ex = CacheExecutor(g5)
-        ex.run_many(sched5, e9_Ms, ("belady", "lru"))
-        ex.run_many(rank5, e9_Ms, ("lru",))
+    def rank5():
+        return shared("rank5", lambda: rank_order_schedule(graph(5)))
 
-    def e9_n32_reference():
-        for M in e9_Ms:
-            for sched, pol in e9_grid:
-                reference_run(g5, sched, M, pol)
+    def executor_lru_r4():
+        ex4, sched4 = executor(4)
+        return lambda: ex4.run(sched4, 64, "lru", False)
 
-    # Paired kernel cases: the same E9 n=32 grid with the compiled
-    # kernels pinned off vs compiled.  run_benchmarks derives their
-    # ratio into "kernel_speedup".  The njit case only exists when
-    # numba is importable — without it the kernel algorithm would run
-    # under the plain interpreter (the equivalence-test mode, ~an order
-    # of magnitude *slower* than the fallback loops), and a pair that
-    # labels that "njit" would be noise, so the pair (and the derived
-    # ratio) is emitted on compiled installs only.
-    def kernel_e09_python():
-        with forced_mode("off"):
-            e9_n32_core()
+    def executor_belady_r3():
+        ex3, sched3 = executor(3)
+        return lambda: ex3.run(sched3, 64, "belady", False)
 
-    def kernel_e09_njit():
-        with forced_mode("jit"):
-            e9_n32_core()
+    # Paired sweep cases: the batched API on one executor vs the
+    # pre-run_many idiom (a fresh executor per configuration, so
+    # validation and use-list precompute repeat).  run_benchmarks
+    # derives their ratio into "executor_sweep_speedup".
+    def executor_sweep_run_many():
+        ex4, sched4 = executor(4)
+        return lambda: ex4.run_many(sched4, (12, 48, 96), ("lru", "belady"))
 
-    # Paired lockstep cases: one E9-shaped configuration grid (cache
-    # sizes x policies over the n=32 recursive schedule) run as a single
-    # lockstep run_grid call vs one compiled per-config pass per cell.
-    # Both legs are jit; the ratio ("grid_lockstep_speedup") isolates
-    # what the (config, slot) batching + chunk threading buy over the
-    # per-configuration kernel loop.
-    plan5 = SchedulePlan(g5, sched5, validated=False)
-    arrays5 = plan5.kernel_arrays()
-    is_input5 = g5.in_degree() == 0
-    is_output5 = np.zeros(g5.n_vertices, dtype=bool)
-    is_output5[g5.outputs()] = True
-    iu8_5 = np.ascontiguousarray(is_input5).view(np.uint8)
-    ou8_5 = np.ascontiguousarray(is_output5).view(np.uint8)
-    lock_Ms = np.array(
-        [M for M in (8, 12, 16, 24, 32, 48, 64, 96) for _ in range(3)],
-        dtype=np.int64,
-    )
-    lock_codes = np.array([0, 1, 2] * 8, dtype=np.int64)
+    def executor_sweep_repeated_run():
+        g4 = graph(4)
+        _, sched4 = executor(4)
+        return lambda: [
+            CacheExecutor(g4).run(sched4, M, pol)
+            for M in (12, 48, 96)
+            for pol in ("lru", "belady")
+        ]
 
-    def grid_lockstep_batched():
-        with forced_mode("jit"):
-            run_grid(arrays5, iu8_5, ou8_5, lock_Ms, lock_codes)
+    # The full E9 n=32 measurement grid (12 configurations) on the
+    # array core + run_many vs the pre-vectorisation reference
+    # simulator; their ratio lands in "executor_e9_n32_speedup".
+    def executor_e9_n32_grid_core():
+        g5 = graph(5)
+        _, sched5 = executor(5)
+        rank = rank5()
 
-    def grid_lockstep_per_config():
-        with forced_mode("jit"):
-            for M, code in zip(lock_Ms, lock_codes):
-                simulate_plan(arrays5, iu8_5, ou8_5, int(M), int(code))
-    # Paired Belady cases on the fallback: E9's four cache sizes over
-    # the r = 4 recursive schedule from one interval pass vs one loop
-    # run per size (the loop's lists built beforehand, as a batch
-    # builds them once).  Their ratio lands in "belady_pass_speedup".
-    plan4 = SchedulePlan(g4, sched4, validated=True)
-    plan4.ensure_lists(True)
-    is_input4 = g4.in_degree() == 0
-    is_output4 = np.zeros(g4.n_vertices, dtype=bool)
-    is_output4[g4.outputs()] = True
+        def run():
+            ex = CacheExecutor(g5)
+            ex.run_many(sched5, e9_Ms, ("belady", "lru"))
+            ex.run_many(rank, e9_Ms, ("lru",))
+        return run
+
+    def executor_e9_n32_grid_reference():
+        g5 = graph(5)
+        _, sched5 = executor(5)
+        grid = [(sched5, "belady"), (sched5, "lru"), (rank5(), "lru")]
+        reference_run = _reference_run()
+
+        def run():
+            for M in e9_Ms:
+                for sched, pol in grid:
+                    reference_run(g5, sched, M, pol)
+        return run
+
+    # Paired Belady cases: E9's four cache sizes over the r = 4
+    # recursive schedule from one interval pass vs one loop run per size
+    # (the loop's lists built beforehand, as a batch builds them once).
+    # Their ratio lands in "belady_pass_speedup".
+    def belady_inputs():
+        def build():
+            g4 = graph(4)
+            plan4 = SchedulePlan(g4, executor(4)[1], validated=True)
+            plan4.ensure_lists(True)
+            is_output4 = np.zeros(g4.n_vertices, dtype=bool)
+            is_output4[g4.outputs()] = True
+            return plan4, g4.in_degree() == 0, is_output4
+        return shared("belady4", build)
 
     def belady_pass_r4():
-        belady_counts(plan4, is_input4, is_output4, e9_Ms)
+        plan4, is_input4, is_output4 = belady_inputs()
+        return lambda: belady_counts(plan4, is_input4, is_output4, e9_Ms)
 
     def belady_loop_r4():
-        for M in e9_Ms:
-            simulate_py(plan4, is_input4, is_output4, M, 2)
+        plan4, is_input4, is_output4 = belady_inputs()
+
+        def run():
+            for M in e9_Ms:
+                simulate_py(plan4, is_input4, is_output4, M, 2)
+        return run
 
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
@@ -215,11 +233,6 @@ def make_cases() -> dict:
     # just-spawned sweep worker sees), while the cold path compiles
     # everything in-process with no cache active.  run_benchmarks
     # derives their ratio into "graphcache_warm_speedup".
-    from repro.runner.graphcache import GraphCache
-
-    gc_root = tempfile.mkdtemp(prefix="repro-bench-graphcache-")
-    atexit.register(shutil.rmtree, gc_root, ignore_errors=True)
-    GraphCache(gc_root).warm(strassen(), (2, 3, 4, 5))
     gc_rs = (2, 3, 4, 5)
 
     def _compile_ladder():
@@ -230,63 +243,53 @@ def make_cases() -> dict:
             ex.compile(rank_order_schedule(g))
 
     def graphcache_cold():
-        prev = artifact.set_active_cache(None)
-        try:
-            _compile_ladder()
-        finally:
-            artifact.set_active_cache(prev)
+        def run():
+            prev = artifact.set_active_cache(None)
+            try:
+                _compile_ladder()
+            finally:
+                artifact.set_active_cache(prev)
+        return run
 
     def graphcache_warm():
-        prev = artifact.set_active_cache(GraphCache(gc_root))
-        try:
-            _compile_ladder()
-        finally:
-            artifact.set_active_cache(prev)
+        from repro.runner.graphcache import GraphCache
 
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((64, 64))
-    B = rng.standard_normal((64, 64))
+        gc_root = tempfile.mkdtemp(prefix="repro-bench-graphcache-")
+        atexit.register(shutil.rmtree, gc_root, ignore_errors=True)
+        GraphCache(gc_root).warm(strassen(), gc_rs)
+
+        def run():
+            prev = artifact.set_active_cache(GraphCache(gc_root))
+            try:
+                _compile_ladder()
+            finally:
+                artifact.set_active_cache(prev)
+        return run
+
+    def strassen_matmul_64():
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((64, 64))
+        B = rng.standard_normal((64, 64))
+        return lambda: strassen_matmul(A, B, None, 8)
+
     return {
-        "build_cdag_r4": lambda: build_cdag(strassen(), 4),
-        "metavertices_r4": lambda: compute_metavertices(g4),
-        "recursive_schedule_r4": lambda: recursive_schedule(g4),
-        "executor_lru_r4": lambda: ex4.run(sched4, 64, "lru", False),
-        "executor_belady_r3": lambda: ex3.run(sched3, 64, "belady", False),
-        # Paired sweep cases: the batched API on one executor vs the
-        # pre-run_many idiom (a fresh executor per configuration, so
-        # validation and use-list precompute repeat).  run_benchmarks
-        # derives their ratio into "executor_sweep_speedup".
-        "executor_sweep_run_many": (
-            lambda: ex4.run_many(sched4, (12, 48, 96), ("lru", "belady"))
-        ),
-        "executor_sweep_repeated_run": lambda: [
-            CacheExecutor(g4).run(sched4, M, pol)
-            for M in (12, 48, 96)
-            for pol in ("lru", "belady")
-        ],
-        # The full E9 n=32 measurement grid (12 configurations) on the
-        # array core + run_many vs the pre-vectorisation reference
-        # simulator; their ratio lands in "executor_e9_n32_speedup".
-        "executor_e9_n32_grid_core": e9_n32_core,
-        "executor_e9_n32_grid_reference": e9_n32_reference,
-        **(
-            {
-                "kernel_e09_python": kernel_e09_python,
-                "kernel_e09_njit": kernel_e09_njit,
-                "grid_lockstep_batched": grid_lockstep_batched,
-                "grid_lockstep_per_config": grid_lockstep_per_config,
-            }
-            if HAVE_NUMBA
-            else {}
-        ),
+        "build_cdag_r4": lambda: (lambda: build_cdag(strassen(), 4)),
+        "metavertices_r4": lambda: partial(compute_metavertices, graph(4)),
+        "recursive_schedule_r4": lambda: partial(recursive_schedule, graph(4)),
+        "executor_lru_r4": executor_lru_r4,
+        "executor_belady_r3": executor_belady_r3,
+        "executor_sweep_run_many": executor_sweep_run_many,
+        "executor_sweep_repeated_run": executor_sweep_repeated_run,
+        "executor_e9_n32_grid_core": executor_e9_n32_grid_core,
+        "executor_e9_n32_grid_reference": executor_e9_n32_grid_reference,
         "belady_pass_r4": belady_pass_r4,
         "belady_loop_r4": belady_loop_r4,
         "graphcache_e9_cold_compile": graphcache_cold,
         "graphcache_e9_warm_compile": graphcache_warm,
-        "lemma3_routing_k3": lambda: lemma3_routing(g3),
-        "theorem2_routing_k2": lambda: theorem2_routing(g2),
-        "strassen_matmul_64": lambda: strassen_matmul(A, B, None, 8),
-        "trace_sim_blocked_32": (
+        "lemma3_routing_k3": lambda: partial(lemma3_routing, graph(3)),
+        "theorem2_routing_k2": lambda: partial(theorem2_routing, graph(2)),
+        "strassen_matmul_64": strassen_matmul_64,
+        "trace_sim_blocked_32": lambda: (
             lambda: FullyAssociativeLRU(192).run(trace_blocked(32, 8))
         ),
     }
@@ -302,9 +305,10 @@ def run_benchmarks(repeats: int = 3, select: str | None = None) -> dict:
     telemetry.reset()
     results: dict[str, dict] = {}
     try:
-        for name, fn in make_cases().items():
-            if select and select not in name:
+        for name, build in make_cases().items():
+            if select and not name.startswith(select):
                 continue
+            fn = build()
             times = []
             for _ in range(max(1, repeats)):
                 t0 = time.perf_counter()
@@ -329,9 +333,6 @@ def run_benchmarks(repeats: int = 3, select: str | None = None) -> dict:
          "executor_sweep_run_many", "executor_sweep_repeated_run"),
         ("executor_e9_n32_speedup",
          "executor_e9_n32_grid_core", "executor_e9_n32_grid_reference"),
-        ("kernel_speedup", "kernel_e09_njit", "kernel_e09_python"),
-        ("grid_lockstep_speedup",
-         "grid_lockstep_batched", "grid_lockstep_per_config"),
         ("belady_pass_speedup", "belady_pass_r4", "belady_loop_r4"),
         ("graphcache_warm_speedup",
          "graphcache_e9_warm_compile", "graphcache_e9_cold_compile"),
@@ -353,8 +354,9 @@ def main(argv=None) -> int:
         help="timed runs per case; the median is reported (default 3)",
     )
     parser.add_argument(
-        "--select", default=None, metavar="SUBSTR",
-        help="run only cases whose name contains SUBSTR",
+        "--select", default=None, metavar="PREFIX",
+        help="run (and build the inputs of) only cases whose name "
+             "starts with PREFIX",
     )
     parser.add_argument(
         "--json-out", default=None, metavar="PATH",

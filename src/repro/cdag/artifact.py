@@ -58,7 +58,6 @@ __all__ = [
     "GRAPH_ARRAY_NAMES",
     "PLAN_ARRAY_NAMES",
     "SCHEDULE_ARRAY_NAMES",
-    "plan_kernel_arrays",
     "alg_digest",
     "graph_key",
     "graph_to_arrays",
@@ -95,21 +94,6 @@ PLAN_ARRAY_NAMES = (
     "first_use",
     "uses_left0",
 )
-
-
-def plan_kernel_arrays(arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """A plan's arrays in the layout the compiled pebbling kernels
-    consume: C-contiguous int64, ordered as :data:`PLAN_ARRAY_NAMES`.
-
-    Bundle arrays already satisfy the layout (``write_bundle`` stores
-    contiguous int64), so for a memmapped plan bundle this is zero-copy
-    — the kernels read the page-cache-backed maps directly, with no
-    ``ensure_lists`` materialisation.
-    """
-    return tuple(
-        np.ascontiguousarray(arrays[name], dtype=np.int64)
-        for name in PLAN_ARRAY_NAMES
-    )
 
 
 # ----------------------------------------------------------------------

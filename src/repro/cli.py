@@ -123,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="lru", choices=["lru", "fifo", "belady"]
     )
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--no-jit", action="store_true",
-        help="force the pure-Python simulator (skip compiled kernels)",
-    )
 
     p_route = sub.add_parser("route", help="Theorem-2 routing certificate")
     p_route.add_argument("--alg", default="strassen")
@@ -148,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--list", action="store_true", dest="list_only",
         help="list registered experiment ids and exit",
-    )
-    p_exp.add_argument(
-        "--no-jit", action="store_true",
-        help="force the pure-Python simulator (skip compiled kernels)",
     )
     _add_profile_flags(p_exp)
 
@@ -479,7 +471,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro import simcore
     from repro.bounds import io_lower_bound
     from repro.cdag import build_cdag
     from repro.pebbling import simulate_io
@@ -489,8 +480,6 @@ def _cmd_simulate(args) -> int:
         recursive_schedule,
     )
 
-    if args.no_jit:
-        simcore.set_mode("off")
     alg = by_name(args.alg)
     g = build_cdag(alg, args.r)
     sched = {
@@ -506,9 +495,6 @@ def _cmd_simulate(args) -> int:
           f"{res.spill_reads}r/{res.spill_writes}w, outputs "
           f"{res.output_writes})")
     print(f"  Theorem 1 lower bound: {io_lower_bound(alg, n, args.M):.1f}")
-    mode = simcore.active_mode()
-    path = "pure-Python fallback" if mode == "off" else f"compiled kernels ({mode})"
-    print(f"  simulator path: {path}")
     return 0
 
 
@@ -550,10 +536,6 @@ def _cmd_caps(args) -> int:
 def _cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
-    if args.no_jit:
-        from repro import simcore
-
-        simcore.set_mode("off")
     argv = list(args.ids)
     if args.list_only:
         argv.append("--list")

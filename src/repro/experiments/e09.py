@@ -24,17 +24,8 @@ dominates the runtime without adding a check) — which extends the slope
 series by one more doubling.  Pass ``r_big=None`` to skip it (the quick
 test configurations do).
 
-With the compiled kernels active (numba installed, ``REPRO_NO_JIT``
-unset) each schedule's ``(M, policy)`` grid advances through the
-simulation core's *lockstep* kernel — one time-major pass over the
-schedule steps every configuration row together
-(:mod:`repro.simcore.grid`), chunked across threads — which is what
-makes the extended grid — ``r_big=7`` (n = 128), the crossover regime
-against the tight classical bound of Smith et al. and the
-memory-independent parallel bounds of Demmel et al. — complete in
-seconds instead of minutes.  On the pure-Python fallback, each grid's
-LRU and Belady configurations are each counted by one pass over the
-plan.
+Each schedule's LRU and Belady configurations are each counted by one
+pass over the plan (:mod:`repro.simcore.stack`).
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ The qualitative reproduction target: HK certifies real bounds on
 *classical* CDAGs; edge expansion works only for connected base graphs;
 the path-routing segment argument certifies bounds for *every*
 Strassen-like CDAG, including the disconnected ones.
+
+Each graph gets its own :class:`CacheExecutor` (as in E9, E13 and E15),
+not :func:`simulate_io`'s process-wide one, so one run's plan-cache
+counters do not depend on the runs before it in the same process.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.bounds import (
 )
 from repro.cdag import build_cdag, compute_metavertices
 from repro.experiments.harness import ExperimentResult, register
-from repro.pebbling import SegmentAnalysis, simulate_io
+from repro.pebbling import CacheExecutor, SegmentAnalysis
 from repro.schedules import loop_order_schedule, recursive_schedule
 from repro.utils.tables import TextTable
 
@@ -57,7 +61,7 @@ def run(M: int = 8) -> ExperimentResult:
             if sched_kind == "ijk"
             else recursive_schedule(g)
         )
-        measured = simulate_io(g, sched, M).total
+        measured = CacheExecutor(g).run(sched, M).total
         parts = partition_by_io(g, sched, M)
         report = verify_hk_partition(g, parts, M)
         certified = hong_kung_bound_from_partition(report["n_parts"], M)
@@ -108,7 +112,7 @@ def run(M: int = 8) -> ExperimentResult:
     sched = recursive_schedule(g3)
     analysis = SegmentAnalysis(g3, meta, cache_size=M, k=1, threshold=24)
     routing_certified = analysis.implied_lower_bound(sched)
-    measured = simulate_io(g3, sched, M, policy="belady").total
+    measured = CacheExecutor(g3).run(sched, M, policy="belady").total
     compare_table = TextTable(
         ["certifier", "certified I/O lower bound", "measured I/O (Belady)"],
         title="E14.3: certified bounds on strassen G_3 (recursive schedule)",

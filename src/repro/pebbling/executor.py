@@ -33,17 +33,14 @@ per-vertex Python lists or cursor dicts), per-vertex first-use times
 and initial use counts.
 
 Every simulation then goes through one core entry point,
-:func:`repro.simcore.run_configs`, which checks the policy name, picks
-the path (compiled or interpreted kernels, lockstep grid for a batch;
-on the fallback, one pass each for the count-only LRU and Belady
-configurations and pure-Python loops for the rest), maps failures onto
-:class:`ScheduleError` / :class:`CacheError` and owns grid parallelism
-(``REPRO_GRID_THREADS``, under numba).  Every path makes the exact
-victim choices of the golden reference simulator retained under
+:func:`repro.simcore.run_configs`, which checks the policy name, takes
+the count-only LRU and Belady configurations from one pass per policy
+and runs the rest on the pure-Python loop, and maps failures onto
+:class:`ScheduleError` / :class:`CacheError`.  Both routes make the
+exact victim choices of the golden reference simulator retained under
 ``tests/pebbling/_reference.py`` — the golden-equivalence tests enforce
 bit-identity across schedules x policies x cache sizes, and the core's
-``simcore.kernel.{jit,interp,fallback}`` counters record which path
-each run took.
+``simcore.kernel.fallback`` counter counts each configuration run.
 
 The executor keeps what is specific to one CDAG: schedule validation
 (through :func:`repro.schedules.validate_schedule`, the one validator),
@@ -248,10 +245,9 @@ class CacheExecutor:
         configuration over one schedule, validating it and building the
         use-list precompute exactly once.
 
-        The whole grid is one :func:`~repro.simcore.run_configs` call: a
-        lockstep ``run_grid`` on the kernel path; on the fallback, one
-        pass for the LRU configurations, one for the Belady ones and a
-        loop for each FIFO one, serially.
+        The whole grid is one :func:`~repro.simcore.run_configs` call:
+        one pass for the LRU configurations, one for the Belady ones and
+        a loop for each FIFO one, serially.
 
         Returns ``{(cache_size, policy): IOResult}``.  Telemetry is
         identical to the equivalent sequence of :meth:`run` calls (one
@@ -269,9 +265,9 @@ class CacheExecutor:
         results: dict[tuple[int, str], IOResult] = {}
         for M, policy in configs:
             with span("pebbling.run", policy=policy, cache_size=M) as sp:
-                # next() inside the span: on the serial fallback it runs
-                # this configuration's simulation (for the first LRU
-                # configuration, the pass that counts every LRU one).
+                # next() inside the span: it runs this configuration's
+                # simulation (for the first LRU or Belady configuration,
+                # the pass that counts every one of that policy).
                 result, evictions = _counts_to_result(
                     next(counts), M, policy, machines[M]
                 )

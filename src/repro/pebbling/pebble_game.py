@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.errors import PebbleGameError, ScheduleError
+from repro.simcore.grid import policy_code
 from repro.simcore.plan import SchedulePlan
-from repro.simcore.policies import policy_code
 from repro.simcore.pyloops import simulate_py
 
 __all__ = ["Move", "MoveKind", "PebbleGame", "trace_from_executor"]

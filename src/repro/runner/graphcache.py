@@ -18,11 +18,10 @@ under one root directory:
 Workers ``np.load(..., mmap_mode="r")`` the arrays, so however many
 processes map a bundle, physical memory holds one copy (the page cache
 does the sharing) and a graph is *built* once per machine, not once per
-job.  Plan bundles stay memmapped end to end on the compiled-kernel
-path: the executor's kernels consume the bundle's contiguous int64
-arrays directly (:func:`repro.cdag.artifact.plan_kernel_arrays`), so a
-loaded plan is never materialised into Python lists unless a simulation
-actually falls back to the pure-Python loops.  Loads verify sha256
+job.  Plan bundles stay memmapped for the LRU and Belady passes, which
+read the bundle's int64 arrays directly, so a loaded plan is
+materialised into Python lists only when a configuration runs on the
+simulation loop.  Loads verify sha256
 checksums; a truncated or bit-flipped bundle is moved to ``corrupt/``
 and rebuilt — corruption is a miss, never an error.
 

@@ -5,8 +5,7 @@ A *plan* compiles one ``(graph, schedule)`` pair into flat int64
 arrays — operand occurrences in CSR form, per-occurrence next-use
 times, per-vertex first-use times and initial use counts.  Built once,
 a plan serves every ``(cache_size, policy)`` configuration of a sweep:
-the lockstep grid kernel (:mod:`repro.simcore.grid`), the pure-Python
-fallback loops (:mod:`repro.simcore.pyloops`), the LRU and Belady
+the simulation loop (:mod:`repro.simcore.pyloops`), the LRU and Belady
 passes (:mod:`repro.simcore.stack`) and the pebble-game trace replay
 all read the same arrays.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG, csr_rows
 
 __all__ = ["SchedulePlan", "gather_operands"]
@@ -37,22 +35,21 @@ class SchedulePlan:
     - ``first_use``: per vertex, the first step using it (``T`` = never);
     - ``uses_left0``: per vertex, total number of uses.
 
-    The compiled kernels consume these arrays directly via
-    :meth:`kernel_arrays` — for a plan loaded from a bundle they stay
-    read-only memmaps end to end.  The pure-Python fallback loops index
-    them as Python lists (cheaper per element than numpy scalars),
-    materialised lazily on first fallback simulate by
-    :meth:`ensure_lists`; a plan that only ever runs on the kernel path
-    or the LRU and Belady passes (or is loaded but never run) never
-    pays that materialisation, and one that never runs Belady on the
-    loop never builds Belady's next-use lists.
+    The LRU and Belady passes read these arrays directly — for a plan
+    loaded from a bundle they stay read-only memmaps.  The simulation
+    loop indexes them as Python lists (cheaper per element than numpy
+    scalars), materialised lazily on its first run by
+    :meth:`ensure_lists`; a plan that only ever runs the passes (or is
+    loaded but never run) never pays that materialisation, and one that
+    never runs Belady on the loop never builds Belady's next-use
+    lists.
     """
 
     __slots__ = (
         "schedule", "step_indptr", "step_ops", "occ_next", "first_use",
         "uses_left0", "n_steps", "validated",
         "_sched_l", "_indptr_l", "_ops_l", "_occ_next_l", "_first_use_l",
-        "_uses_l", "_kernel_arrays",
+        "_uses_l",
     )
 
     def __init__(self, cdag: CDAG, schedule: np.ndarray, validated: bool):
@@ -86,7 +83,6 @@ class SchedulePlan:
         self.first_use = first_use
         self.uses_left0 = np.bincount(step_ops, minlength=n).astype(np.int64)
         self._sched_l = self._occ_next_l = self._first_use_l = None
-        self._kernel_arrays = None
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The plan's serialisable arrays (bundle format; names match
@@ -115,13 +111,12 @@ class SchedulePlan:
         self.n_steps = len(self.schedule)
         self.validated = validated
         self._sched_l = self._occ_next_l = self._first_use_l = None
-        self._kernel_arrays = None
         return self
 
     def ensure_lists(self, belady: bool = False) -> None:
-        """Materialise the fallback loops' Python lists (idempotent;
-        the kernel path never calls this).  Belady's next-use lists are
-        built only once a Belady configuration asks for them."""
+        """Materialise the simulation loop's Python lists (idempotent).
+        Belady's next-use lists are built only once a Belady
+        configuration asks for them."""
         if self._sched_l is None:
             self._sched_l = self.schedule.tolist()
             self._indptr_l = self.step_indptr.tolist()
@@ -130,23 +125,6 @@ class SchedulePlan:
         if belady and self._occ_next_l is None:
             self._occ_next_l = self.occ_next.tolist()
             self._first_use_l = self.first_use.tolist()
-
-    def kernel_arrays(self) -> tuple[np.ndarray, ...]:
-        """The plan's arrays as the compiled kernels consume them:
-        C-contiguous int64, in :data:`~repro.cdag.artifact.
-        PLAN_ARRAY_NAMES` order.  For bundle-loaded plans these are the
-        memmaps themselves (zero-copy — the kernels only read them)."""
-        ka = self._kernel_arrays
-        if ka is None:
-            ka = self._kernel_arrays = _artifact.plan_kernel_arrays({
-                "schedule": self.schedule,
-                "step_indptr": self.step_indptr,
-                "step_ops": self.step_ops,
-                "occ_next": self.occ_next,
-                "first_use": self.first_use,
-                "uses_left0": self.uses_left0,
-            })
-        return ka
 
 
 def gather_operands(

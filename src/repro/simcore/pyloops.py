@@ -1,7 +1,6 @@
-"""Pure-Python fallback loop of the simulation core.
+"""The simulation loop of the core.
 
-The Python specialisation of the :mod:`repro.simcore.policies` machine
-step, not a second design: one loop plays the two-level machine over a
+One loop plays the two-level machine over a
 :class:`~repro.simcore.plan.SchedulePlan` — pin the step's vertices,
 load missing operands, evict on demand, write back dirty values that
 are still live, compute, and drain the outputs at the end.  State is
@@ -12,41 +11,33 @@ A policy is two things.  The key a touch gives a vertex: the step of
 its last touch (LRU), its insertion step (FIFO), or ``T - next_use``
 (Belady, with ``T = plan.n_steps`` as the "never used again"
 sentinel).  And the victim pop in ``evict_one``, over the structure
-that orders those keys:
+that orders those keys; every policy evicts the smallest ``(key, v)``
+among the cached vertices the step has not pinned:
 
-- **LRU and FIFO: a recency queue.**  The kernels' lazy min-heap of
-  ``(stamp, v)`` entries degenerates here: stamps are steps, pushed in
+- **LRU and FIFO: a recency queue.**  Stamps are steps, pushed in
   nondecreasing order, and every entry stamped at step ``t`` belongs to
   a vertex pinned during step ``t``, so no eviction of that step may
   take it.
   The queue is two parallel lists (vertex ids and stamps) plus a head
   cursor; a step collects its stamped vertices and appends them, sorted
   by id, once its compute is done.  The queue is then sorted by
-  ``(stamp, v)``, exactly the heap's order, and holds the same fresh
-  entries as the heap outside the current step, whose entries the heap
-  would only set aside as pinned.  So "first fresh unpinned entry from
-  the head" is the heap's pop: stale entries (evicted, or re-stamped
-  since) are skipped, the head advances over a stale prefix and past
-  the victim, and fresh pinned entries stay where they are.  Once the
-  head passes half the list the consumed prefix is deleted.
-- **Belady: a heap of ints.**  Entries are encoded like the kernels',
-  ``key * n + v``, which orders exactly like ``(key, v)`` because
-  ``v < n``.  The pop drops entries of evicted or pinned vertices and
-  stops at the first other one, which is always fresh (the argument is
-  next to the pop).
+  ``(stamp, v)``, and each cached vertex has exactly one fresh entry,
+  the one carrying its current stamp.  So the first fresh unpinned
+  entry from the head is the victim: stale entries (evicted, or
+  re-stamped since) are skipped, the head advances over a stale prefix
+  and past the victim, and fresh pinned entries stay where they are.
+  Once the head passes half the list the consumed prefix is deleted.
+- **Belady: a heap of ints.**  Entries are encoded as ``key * n + v``,
+  which orders exactly like ``(key, v)`` because ``v < n``.  The pop
+  drops entries of evicted or pinned vertices and stops at the first
+  other one, which is always fresh (the argument is next to the pop).
 
-On the fallback path the loop runs FIFO, ``io_trace`` runs and the
-``events`` replay; LRU and Belady configurations that only want counts
-come from one pass per policy for every cache size instead
-(:mod:`repro.simcore.stack`).
-
-Running the kernel code itself under the interpreter (the ``interp``
-mode) is about ten times slower (E9's r = 4 recursive grid, 8
-configurations: ~6 s against ~0.6 s on a 2-vCPU host), which is why the
-fallback keeps this loop.  Victim choices are bit-identical to the
-golden reference policies kept under ``tests/`` *and* to the compiled
-kernels; the golden-equivalence tests enforce this across schedules x
-policies x cache sizes.
+The loop runs FIFO, ``io_trace`` runs and the ``events`` replay; LRU
+and Belady configurations that only want counts come from one pass per
+policy for every cache size instead (:mod:`repro.simcore.stack`).
+Victim choices are bit-identical to the golden reference policies kept
+under ``tests/``; the golden-equivalence tests enforce this across
+schedules x policies x cache sizes.
 
 The optional ``events`` callback receives every implied machine move —
 ``("load", v)``, ``("store", v)``, ``("delete", v)``, ``("compute",
@@ -63,9 +54,18 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.errors import CacheError, ScheduleError
-from repro.simcore.dispatch import count_path
+from repro.telemetry.metrics import metrics
+from repro.telemetry.spans import enabled as _telemetry_enabled
 
-__all__ = ["simulate_py"]
+__all__ = ["count_simulation", "simulate_py"]
+
+
+def count_simulation() -> None:
+    """Count one simulated configuration
+    (``simcore.kernel.fallback``).  No-op while telemetry is
+    disabled."""
+    if _telemetry_enabled():
+        metrics().inc("simcore.kernel.fallback")
 
 
 def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
@@ -74,7 +74,7 @@ def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
     the pure-Python loop; returns the raw count tuple ``(reads, writes,
     input_reads, spill_reads, spill_writes, output_writes, peak,
     evictions)``.  Policy codes: 0 = LRU, 1 = FIFO, 2 = Belady."""
-    count_path("off")
+    count_simulation()
     belady = policy_code == 2
     refresh_on_use = policy_code == 0
     plan.ensure_lists(belady)

@@ -1,7 +1,7 @@
 """LRU and Belady at every cache size from one pass over a plan.
 
 Step ``t`` *touches* its distinct operands and its result, sorted by id:
-the order in which the fallback loop's recency queue appends them.  A
+the order in which the simulation loop's recency queue appends them.  A
 *reuse touch* of ``x`` at step ``t`` has a previous touch at step
 ``p < t``; it hits iff ``x`` stayed cached over the interior steps
 ``p < s < t``.  Both policies are stack algorithms on this machine

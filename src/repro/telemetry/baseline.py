@@ -6,9 +6,10 @@ experiment's key telemetry counters.  ``python -m repro perf`` writes
 baselines (committed at the repo root, giving the project a perf
 trajectory); ``python -m repro perf --compare`` re-measures and diffs
 against the committed snapshot, exiting nonzero when the median time
-regresses past a configurable threshold — counter drift is reported but
-does not gate, since counters legitimately change when algorithms do
-(such a change should come with a refreshed baseline).
+regresses past a configurable threshold or any counter differs from the
+snapshot's.  Counters describe one deterministic execution, so drift
+means the work changed: a change that alters it on purpose comes with a
+refreshed baseline.
 
 Timings are machine-dependent; committed baselines are a *trajectory*
 anchor, so CI compares with a generous threshold while local runs can
@@ -154,9 +155,10 @@ def compare_docs(
 ) -> dict:
     """Diff a fresh measurement against a baseline.
 
-    ``ok`` is False only for a *time* regression: the current median
-    exceeding ``threshold ×`` the baseline median.  Counter drift is
-    listed in ``counter_drift`` (informational).
+    ``ok`` is False for a *time* regression (the current median
+    exceeding ``threshold ×`` the baseline median) and for counter
+    drift (any counter whose value differs, listed in
+    ``counter_drift``); ``verdict`` names which.
     """
     base_median = float(baseline["median_s"])
     cur_median = float(current["median_s"])
@@ -168,14 +170,21 @@ def compare_docs(
         b, c = base_counters.get(name), cur_counters.get(name)
         if b != c:
             drift.append({"counter": name, "baseline": b, "current": c})
+    regression = ratio > threshold
+    failed = []
+    if regression:
+        failed.append("REGRESSION")
+    if drift:
+        failed.append("COUNTER DRIFT")
     return {
         "experiment": current.get("experiment", baseline.get("experiment")),
         "baseline_median_s": base_median,
         "current_median_s": cur_median,
         "ratio": ratio,
         "threshold": float(threshold),
-        "regression": ratio > threshold,
-        "ok": ratio <= threshold,
+        "regression": regression,
+        "ok": not failed,
+        "verdict": " + ".join(failed) or "OK",
         "counter_drift": drift,
     }
 
@@ -198,7 +207,8 @@ def run_perf(
     ``BENCH_<exp>.json`` per experiment under ``root`` and returns 0.
     With ``compare=True``: loads the committed baselines, diffs, prints
     a verdict table, and returns nonzero when any experiment regresses
-    past ``threshold`` (or has no baseline to compare against).
+    past ``threshold``, drifts from its baseline's counters, or has no
+    baseline to compare against.
     """
     ids = list(ids) if ids else list(DEFAULT_PERF_IDS)
     params_by_id = dict(params_by_id or {})
@@ -235,7 +245,7 @@ def run_perf(
                     f"{report['ratio']:.2f}x",
                     f"{threshold:g}x",
                     len(report["counter_drift"]),
-                    "OK" if report["ok"] else "REGRESSION",
+                    report["verdict"],
                 ]
             )
             for d in report["counter_drift"]:

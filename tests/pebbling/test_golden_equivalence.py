@@ -9,17 +9,15 @@ cumulative ``io_trace`` agree exactly — not approximately.  Any
 divergence in victim selection shows up here long before it would bend
 an experiment curve.
 
-The whole grid runs against *both* simulation paths: the pure-Python
-fallback loops (``off``) and the kernel algorithm from
-:mod:`repro.simcore.grid` (``interp`` when numba is absent, so the
-exact code numba would compile runs under the plain interpreter; the
-compiled ``jit`` path when numba is installed).
+Each configuration runs twice: once with an ``io_trace``, which takes
+the simulation loop (:mod:`repro.simcore.pyloops`) for every policy,
+and once counting only, which takes the LRU and Belady passes
+(:mod:`repro.simcore.stack`) and the loop for FIFO.
 """
 
 import numpy as np
 import pytest
 
-from repro import simcore
 from repro.bilinear import classical, strassen
 from repro.cdag import build_cdag
 from repro.cdag.graph import CDAG
@@ -34,14 +32,6 @@ from repro.schedules import (
 from ._reference import reference_run
 
 POLICIES = ("lru", "fifo", "belady")
-PATHS = ("off", "jit" if simcore.HAVE_NUMBA else "interp")
-
-
-@pytest.fixture(params=PATHS)
-def sim_path(request):
-    """Run the test body under one simulation dispatch mode."""
-    with simcore.forced_mode(request.param):
-        yield request.param
 
 
 def _reversed_rows(g):
@@ -83,7 +73,7 @@ CASES = _cases()
 
 @pytest.mark.parametrize("label,g,sched", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_bit_identical_to_reference(label, g, sched, policy, sim_path):
+def test_bit_identical_to_reference(label, g, sched, policy):
     ex = CacheExecutor(g)
     m0 = min_cache_size(g)
     for cache_size in (m0, m0 + 3, 2 * m0, g.n_vertices + 1):
@@ -96,9 +86,13 @@ def test_bit_identical_to_reference(label, g, sched, policy, sim_path):
         assert res_new == res_ref, (label, policy, cache_size)
         assert ev_new == ev_ref, (label, policy, cache_size)
         assert trace_new == trace_ref, (label, policy, cache_size)
+        # Count-only: LRU and Belady take their passes.
+        res_cnt, ev_cnt = ex._run(sched, cache_size, policy, True, None, None)
+        assert res_cnt == res_ref, (label, policy, cache_size, "count-only")
+        assert ev_cnt == ev_ref, (label, policy, cache_size, "count-only")
 
 
-def test_run_many_matches_reference(sim_path):
+def test_run_many_matches_reference():
     """The batched sweep API returns the same results as one-at-a-time
     reference runs for every (cache_size, policy) configuration."""
     g = build_cdag(strassen(), 2)
@@ -111,7 +105,7 @@ def test_run_many_matches_reference(sim_path):
         assert res == ref, (M, policy)
 
 
-def test_run_matches_run_many(sim_path):
+def test_run_matches_run_many():
     """run() and run_many() share the plan cache and agree exactly."""
     g = build_cdag(strassen(), 2)
     sched = recursive_schedule(g)
@@ -121,22 +115,9 @@ def test_run_matches_run_many(sim_path):
         assert ex.run(sched, M, policy) == res
 
 
-def test_partitioned_run_many_matches_reference(sim_path, monkeypatch):
-    """REPRO_GRID_THREADS > 1 (thread chunks under numba; the
-    fallback stays serial) returns exactly what the serial sweep does."""
-    g = build_cdag(strassen(), 2)
-    sched = recursive_schedule(g)
-    ex = CacheExecutor(g)
-    monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
-    serial = ex.run_many(sched, (8, 12, 24), POLICIES)
-    monkeypatch.setenv("REPRO_GRID_THREADS", "3")
-    parallel = ex.run_many(sched, (8, 12, 24), POLICIES)
-    assert parallel == serial
-
-
-def test_unknown_policy_is_a_cache_error(sim_path):
+def test_unknown_policy_is_a_cache_error():
     """run() and run_many() reject an unknown policy name with the same
-    CacheError on every path."""
+    CacheError."""
     g = build_cdag(strassen(), 1)
     sched = recursive_schedule(g)
     ex = CacheExecutor(g)

@@ -1,15 +1,13 @@
-"""Hypothesis property suite for the lockstep grid kernel.
+"""Hypothesis property suite for configuration grids.
 
-Random ``(graph family, schedule, policy, cache size)`` grids must be
-bit-identical, row for row, to
+Random ``(graph family, schedule, policy, cache size)`` grids run as
+one :func:`simcore.run_configs` batch (count-only LRU and Belady rows
+from their passes, FIFO rows on the loop) must be bit-identical, row
+for row, to
 
-- single-configuration kernel runs (:func:`simcore.grid.simulate_plan`),
-- the pure-Python fallback loops (:func:`simcore.pyloops.simulate_py`),
-- the frozen golden reference (``tests/pebbling/_reference.py``),
-
-on every dispatch path available in this environment (``off`` and
-``interp`` always; ``jit`` when numba is installed — the compiled CI leg
-runs all three).
+- the simulation loop (:func:`simcore.pyloops.simulate_py`), one
+  configuration at a time,
+- the frozen golden reference (``tests/pebbling/_reference.py``).
 """
 
 import numpy as np
@@ -20,9 +18,7 @@ from repro.bilinear import strassen, winograd
 from repro.cdag import build_cdag
 from repro.errors import CacheError
 from repro.pebbling import min_cache_size
-from repro.simcore import HAVE_NUMBA, SchedulePlan, forced_mode
-from repro.simcore.grid import run_grid, simulate_plan
-from repro.simcore.policies import SC_LEN, STATUS, STATUS_NO_VICTIM, STATUS_OK
+from repro.simcore import SchedulePlan, run_configs
 from repro.simcore.pyloops import simulate_py
 from repro.schedules import (
     random_product_order_schedule,
@@ -31,7 +27,6 @@ from repro.schedules import (
 
 from tests.pebbling._reference import reference_run
 
-MODES = ["off", "interp"] + (["jit"] if HAVE_NUMBA else [])
 POLICY_NAMES = {0: "lru", 1: "fifo", 2: "belady"}
 
 _GRAPHS = {}
@@ -71,7 +66,27 @@ configs_strategy = st.lists(
 )
 
 
-class TestGridLockstepProperties:
+def reference_counts(g, sched, M, code):
+    res, evictions = reference_run(g, sched, M, POLICY_NAMES[code])
+    return (res.reads, res.writes, res.input_reads, res.spill_reads,
+            res.spill_writes, res.output_writes, res.peak_cache, evictions)
+
+
+def grid_rows(plan, is_input, is_output, configs):
+    """One ``run_configs`` batch: each row's count tuple, or the
+    exception it raised at its own ``next()``."""
+    counts = run_configs(plan, is_input, is_output,
+                         [(M, POLICY_NAMES[code]) for M, code in configs])
+    rows = []
+    for _ in configs:
+        try:
+            rows.append(next(counts))
+        except CacheError as exc:
+            rows.append(exc)
+    return rows
+
+
+class TestGridProperties:
     @settings(max_examples=12, deadline=None)
     @given(
         st.sampled_from(["strassen", "winograd"]),
@@ -85,41 +100,12 @@ class TestGridLockstepProperties:
         g = graph(family)
         sched = make_schedule(g, kind, seed)
         is_input, is_output = masks(g)
-        iu8 = np.ascontiguousarray(is_input).view(np.uint8)
-        ou8 = np.ascontiguousarray(is_output).view(np.uint8)
         plan = SchedulePlan(g, sched, validated=False)
-        arrays = plan.kernel_arrays()
-        Ms = np.array([m for m, _ in configs], dtype=np.int64)
-        codes = np.array([c for _, c in configs], dtype=np.int64)
-
-        # Golden reference and fallback loops, once per configuration.
-        want = []
-        for M, code in configs:
-            res, evictions = reference_run(
-                g, sched, int(M), POLICY_NAMES[code]
-            )
-            want.append((
-                res.reads, res.writes, res.input_reads, res.spill_reads,
-                res.spill_writes, res.output_writes, res.peak_cache,
-                evictions,
-            ))
-            py = simulate_py(plan, is_input, is_output, int(M), int(code))
-            assert tuple(int(x) for x in py) == want[-1]
-
-        for mode in MODES:
-            with forced_mode(mode):
-                out = run_grid(arrays, iu8, ou8, Ms, codes)
-                assert out.shape == (len(configs), SC_LEN)
-                for j, (M, code) in enumerate(configs):
-                    assert int(out[j, STATUS]) == STATUS_OK
-                    assert tuple(int(x) for x in out[j, :8]) == want[j], (
-                        f"mode={mode} config={configs[j]}"
-                    )
-                    single = simulate_plan(arrays, iu8, ou8, int(M),
-                                           int(code))
-                    assert np.array_equal(single, out[j]), (
-                        f"mode={mode} config={configs[j]}"
-                    )
+        rows = grid_rows(plan, is_input, is_output, configs)
+        for (M, code), row in zip(configs, rows):
+            want = reference_counts(g, sched, M, code)
+            assert row == want, (M, code)
+            assert simulate_py(plan, is_input, is_output, M, code) == want
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -132,46 +118,29 @@ class TestGridLockstepProperties:
         g = graph("strassen")
         sched = make_schedule(g, "topo", seed)
         is_input, is_output = masks(g)
-        iu8 = np.ascontiguousarray(is_input).view(np.uint8)
-        ou8 = np.ascontiguousarray(is_output).view(np.uint8)
-        arrays = SchedulePlan(g, sched, validated=False).kernel_arrays()
-        Ms = np.array([M, M + 8, M, 8, M], dtype=np.int64)
-        codes = np.array([2, 0, 2, 1, 2], dtype=np.int64)
-        with forced_mode("interp"):
-            out = run_grid(arrays, iu8, ou8, Ms, codes)
-        assert np.array_equal(out[0], out[2])
-        assert np.array_equal(out[0], out[4])
+        plan = SchedulePlan(g, sched, validated=False)
+        for code in sorted(POLICY_NAMES):
+            configs = [(M, code), (M + 8, 0), (M, code), (8, 1), (M, code)]
+            rows = grid_rows(plan, is_input, is_output, configs)
+            assert rows[0] == rows[2] == rows[4]
 
     @pytest.mark.parametrize("code", sorted(POLICY_NAMES))
-    @pytest.mark.parametrize("mode", MODES)
-    def test_failed_row_does_not_stop_the_grid(self, mode, code):
-        """Rows with an impossibly small cache go non-OK under every
-        policy; their neighbours still finish with correct counts, and the
-        fallback loop raises for the same configurations.  M = 1 fails at
+    def test_failed_row_does_not_stop_the_grid(self, code):
+        """Rows with an impossibly small cache raise CacheError under
+        every policy; their neighbours still finish with correct counts,
+        and the loop raises for the same configurations.  M = 1 fails at
         the first step; one below ``min_cache_size`` fails only at a step
-        whose operands and result fill the cache, when the eviction heap
-        holds the pinned operands' entries from earlier steps (product
-        order 4 reaches such a step with a cached operand)."""
+        whose operands and result fill the cache (product order 4
+        reaches such a step with a cached operand)."""
         g = graph("strassen")
         is_input, is_output = masks(g)
-        iu8 = np.ascontiguousarray(is_input).view(np.uint8)
-        ou8 = np.ascontiguousarray(is_output).view(np.uint8)
-        Ms = np.array([1, min_cache_size(g) - 1, 24], dtype=np.int64)
-        codes = np.full(len(Ms), code, dtype=np.int64)
+        configs = [(1, code), (min_cache_size(g) - 1, code), (24, code)]
         for sched in (make_schedule(g, "topo", 7),
                       make_schedule(g, "product", 4)):
             plan = SchedulePlan(g, sched, validated=False)
-            with forced_mode(mode):
-                out = run_grid(plan.kernel_arrays(), iu8, ou8, Ms, codes)
-            assert [int(s) for s in out[:, STATUS]] == [
-                STATUS_NO_VICTIM, STATUS_NO_VICTIM, STATUS_OK,
-            ]
-            res, evictions = reference_run(g, sched, 24, POLICY_NAMES[code])
-            assert tuple(int(x) for x in out[2, :8]) == (
-                res.reads, res.writes, res.input_reads, res.spill_reads,
-                res.spill_writes, res.output_writes, res.peak_cache,
-                evictions,
-            )
-            for M in Ms[:2].tolist():
+            rows = grid_rows(plan, is_input, is_output, configs)
+            assert [type(r) for r in rows[:2]] == [CacheError, CacheError]
+            assert rows[2] == reference_counts(g, sched, 24, code)
+            for M, _ in configs[:2]:
                 with pytest.raises(CacheError):
                     simulate_py(plan, is_input, is_output, M, code)

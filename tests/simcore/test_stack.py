@@ -2,11 +2,11 @@
 (:func:`repro.simcore.stack.lru_counts`,
 :func:`repro.simcore.stack.belady_counts`).
 
-Their counts must equal the fallback loop's and the golden reference's
+Their counts must equal the simulation loop's and the golden reference's
 at every cache size.  They leave a plan outside their derivation to the
 loop, so ``run_configs``, which takes every count-only LRU and Belady
-configuration from them on the fallback path, fails where the loop
-fails, with the loop's error.
+configuration from them, fails where the loop fails, with the loop's
+error.
 """
 
 import numpy as np
@@ -66,18 +66,17 @@ def loop_outcome(plan, is_input, is_output, M, code=0):
         return exc
 
 
-def fallback_outcomes(plan, is_input, is_output, Ms, policy="lru"):
+def batch_outcomes(plan, is_input, is_output, Ms, policy="lru"):
     """``run_configs``' count tuple or error at each ``M``, taken one
-    ``next()`` at a time on the serial fallback."""
+    ``next()`` at a time."""
     out = []
-    with simcore.forced_mode("off"):
-        counts = simcore.run_configs(plan, is_input, is_output,
-                                     [(M, policy) for M in Ms])
-        for _ in Ms:
-            try:
-                out.append(next(counts))
-            except (CacheError, ScheduleError) as exc:
-                out.append(exc)
+    counts = simcore.run_configs(plan, is_input, is_output,
+                                 [(M, policy) for M in Ms])
+    for _ in Ms:
+        try:
+            out.append(next(counts))
+        except (CacheError, ScheduleError) as exc:
+            out.append(exc)
     return out
 
 
@@ -217,38 +216,33 @@ class TestAgreement:
 
 
 class TestErrors:
-    def test_reversed_schedule_raises_the_loops_schedule_error(
-        self, monkeypatch
-    ):
+    def test_reversed_schedule_raises_the_loops_schedule_error(self):
         g = graph("strassen")
         is_input, is_output = masks(g)
-        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, recursive_schedule(g)[::-1].copy(),
                             validated=False)
         for policy, (count, code) in PASSES.items():
             assert count(plan, is_input, is_output, [12]) is None
             with pytest.raises(ScheduleError) as loop_err:
                 simulate_py(plan, is_input, is_output, 12, code)
-            (outcome,) = fallback_outcomes(plan, is_input, is_output, [12],
+            (outcome,) = batch_outcomes(plan, is_input, is_output, [12],
                                            policy)
             assert same_outcome(outcome, loop_err.value)
 
-    def test_cache_error_for_the_narrow_configuration_only(self, monkeypatch):
+    def test_cache_error_for_the_narrow_configuration_only(self):
         g = graph("strassen")
         is_input, is_output = masks(g)
-        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, recursive_schedule(g), validated=True)
         w = min_cache_size(g)
         for policy, (_, code) in PASSES.items():
-            with simcore.forced_mode("off"):
-                counts = simcore.run_configs(plan, is_input, is_output,
-                                             [(w - 1, policy), (w, policy)])
-                with pytest.raises(CacheError):
-                    next(counts)
-                assert next(counts) == simulate_py(plan, is_input, is_output,
-                                                   w, code)
+            counts = simcore.run_configs(plan, is_input, is_output,
+                                         [(w - 1, policy), (w, policy)])
+            with pytest.raises(CacheError):
+                next(counts)
+            assert next(counts) == simulate_py(plan, is_input, is_output,
+                                               w, code)
 
-    def test_pinned_operands_fail_before_a_missing_one(self, monkeypatch):
+    def test_pinned_operands_fail_before_a_missing_one(self):
         """Vertex 5 reads 3, 4, 2, 0 and the not yet computed 6.  At
         M = 3 the cache holds 3 and 4 when step 2 starts, so loading 2
         and then 0 finds every cached value pinned: CacheError before
@@ -257,12 +251,11 @@ class TestErrors:
         g = _Graph([[], [], [], [0], [1], [3, 4, 2, 0, 6], [0]])
         is_input = np.array([1, 1, 1, 0, 0, 0, 0], dtype=bool)
         is_output = np.array([0, 0, 0, 0, 0, 1, 1], dtype=bool)
-        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
         plan = SchedulePlan(g, np.array([3, 4, 5, 6]), validated=False)
         Ms = list(range(1, 8))
         for policy, (count, code) in PASSES.items():
             assert count(plan, is_input, is_output, Ms) is None
-            got = fallback_outcomes(plan, is_input, is_output, Ms, policy)
+            got = batch_outcomes(plan, is_input, is_output, Ms, policy)
             assert [type(o) for o in got] == (
                 [CacheError] * 3 + [ScheduleError] * 4
             )
@@ -285,12 +278,8 @@ class TestErrors:
                                              code)
                 assert counts[5] == n_scheduled
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_schedule_outside_the_derivation_runs_on_the_loop(
-        self, threads, monkeypatch
-    ):
-        """A vertex scheduled twice is left to the loop, whatever
-        ``REPRO_GRID_THREADS`` says."""
+    def test_schedule_outside_the_derivation_runs_on_the_loop(self):
+        """A vertex scheduled twice is left to the loop."""
         g = graph("strassen")
         is_input, is_output = masks(g)
         sched = recursive_schedule(g)
@@ -299,10 +288,7 @@ class TestErrors:
         for count, _ in PASSES.values():
             assert count(plan, is_input, is_output, [12]) is None
         configs = [(12, "lru"), (24, "lru"), (12, "belady"), (24, "belady")]
-        monkeypatch.setenv("REPRO_GRID_THREADS", threads)
-        with simcore.forced_mode("off"):
-            got = list(simcore.run_configs(plan, is_input, is_output,
-                                           configs))
+        got = list(simcore.run_configs(plan, is_input, is_output, configs))
         assert got == [simulate_py(plan, is_input, is_output, M,
                                    PASSES[policy][1])
                        for M, policy in configs]
@@ -328,17 +314,15 @@ def test_fallback_runs_the_pass_at_the_first_lru_configuration(monkeypatch):
 
     monkeypatch.setattr(grid, "lru_counts", spy(lru_counts))
     monkeypatch.setattr(grid, "belady_counts", spy(belady_counts))
-    monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
     configs = [(12, "fifo"), (24, "lru"), (12, "lru"), (48, "belady"),
                (12, "belady")]
-    with simcore.forced_mode("off"):
-        counts = simcore.run_configs(plan, is_input, is_output, configs)
-        assert calls == []
-        got = [next(counts)]
-        assert calls == []
-        got += [next(counts), next(counts)]
-        assert calls == [("lru_counts", [12, 24])]
-        got += [next(counts), next(counts)]
+    counts = simcore.run_configs(plan, is_input, is_output, configs)
+    assert calls == []
+    got = [next(counts)]
+    assert calls == []
+    got += [next(counts), next(counts)]
+    assert calls == [("lru_counts", [12, 24])]
+    got += [next(counts), next(counts)]
     assert calls == [("lru_counts", [12, 24]), ("belady_counts", [12, 48])]
     assert got == [simulate_py(plan, is_input, is_output, M, code)
                    for M, code in ((12, 1), (24, 0), (12, 0), (48, 2), (12, 2))]

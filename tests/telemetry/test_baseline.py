@@ -54,16 +54,44 @@ def test_compare_docs_verdicts():
         base, {"experiment": "E1", "median_s": 2.0, "counters": {"a": 7}}, 1.5
     )
     assert not bad["ok"] and bad["regression"]
+    assert bad["verdict"] == "REGRESSION + COUNTER DRIFT"
     assert bad["counter_drift"] == [
         {"counter": "a", "baseline": 5, "current": 7}
     ]
 
 
-def test_counter_drift_does_not_gate():
+def test_counter_drift_fails_the_compare(tmp_path, capsys):
+    """A counter that differs fails the compare even at an equal
+    median, and so does a counter that appears or disappears."""
     base = {"experiment": "E1", "median_s": 1.0, "counters": {"a": 5}}
-    cur = {"experiment": "E1", "median_s": 1.0, "counters": {"a": 500}}
-    report = bl.compare_docs(base, cur, 1.5)
-    assert report["ok"] and len(report["counter_drift"]) == 1
+    for counters in ({"a": 500}, {"a": 5, "b": 1}, {}):
+        cur = {"experiment": "E1", "median_s": 1.0, "counters": counters}
+        report = bl.compare_docs(base, cur, 1.5)
+        assert not report["ok"] and not report["regression"]
+        assert report["verdict"] == "COUNTER DRIFT"
+        assert len(report["counter_drift"]) == 1
+
+    assert bl.run_perf(["E1"], repeats=1, root=tmp_path) == 0
+    path = tmp_path / "BENCH_e01.json"
+    doc = json.loads(path.read_text())
+    name = sorted(doc["counters"])[0]
+    doc["counters"][name] += 1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = bl.run_perf(["E1"], repeats=1, root=tmp_path, compare=True,
+                     threshold=10.0)
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "COUNTER DRIFT" in out and f"[drift] E1 {name}" in out
+
+
+def test_e14_counters_do_not_depend_on_repeats():
+    """measure_experiment records the counters of one execution: E14's
+    plan-cache counters read the same after one repeat as after two."""
+    one = bl.measure_experiment("E14", repeats=1)["counters"]
+    two = bl.measure_experiment("E14", repeats=2)["counters"]
+    assert one == two
+    assert one["pebbling.plan.miss"] == 8
 
 
 def test_run_perf_record_then_compare_ok(tmp_path, capsys):

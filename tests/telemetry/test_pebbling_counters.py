@@ -10,7 +10,7 @@ simulator implies — per configuration, and identically through
 
 import pytest
 
-from repro import simcore, telemetry
+from repro import telemetry
 from repro.bilinear import strassen
 from repro.bounds.theorem1 import io_lower_bound
 from repro.cdag import build_cdag
@@ -127,93 +127,19 @@ def test_plan_cache_counters(workload):
     assert reg.counter("pebbling.plan.hit").value == 3
 
 
-KERNEL_MODE = "jit" if simcore.HAVE_NUMBA else "interp"
-
-
 def test_kernel_path_counter_per_simulation(workload):
-    """Each simulation increments exactly one
-    ``simcore.kernel.{jit,interp,fallback}`` path counter — through
-    run() and once per configuration through run_many()."""
-    g, sched = workload
-    telemetry.enable()
-    ex = CacheExecutor(g)
-
-    with simcore.forced_mode(KERNEL_MODE):
-        telemetry.reset()
-        ex.run(sched, 8, "belady")
-        reg = telemetry.metrics()
-        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 1
-        assert reg.counter("simcore.kernel.fallback").value == 0
-        ex.run_many(sched, (8, 12), ("lru", "belady"))
-        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 5
-
-    with simcore.forced_mode("off"):
-        telemetry.reset()
-        ex.run(sched, 8, "belady")
-        ex.run_many(sched, (8, 12), ("lru", "belady"))
-        reg = telemetry.metrics()
-        assert reg.counter("simcore.kernel.fallback").value == 5
-        assert reg.counter(f"simcore.kernel.{KERNEL_MODE}").value == 0
-
-
-def test_partitioned_run_many_counters(workload, monkeypatch):
-    """On the fallback, REPRO_GRID_THREADS=2 runs the grid serially:
-    exactly the spans of a run without the knob, and one
-    ``simcore.kernel.fallback`` per configuration."""
-    g, sched = workload
-    telemetry.enable()
-    ex = CacheExecutor(g)
-    Ms, policies = (8, 12, 24), ("lru", "fifo", "belady")
-
-    def spans_and_path_count():
-        telemetry.reset()
-        ex.run_many(sched, Ms, policies)
-        runs = {
-            (s["attrs"]["cache_size"], s["attrs"]["policy"]): s["counters"]
-            for s in _finished()
-        }
-        return runs, telemetry.metrics().counter("simcore.kernel.fallback").value
-
-    with simcore.forced_mode("off"):
-        monkeypatch.delenv("REPRO_GRID_THREADS", raising=False)
-        serial = spans_and_path_count()
-        monkeypatch.setenv("REPRO_GRID_THREADS", "2")
-        partitioned = spans_and_path_count()
-
-    assert partitioned == serial
-    assert partitioned[1] == len(Ms) * len(policies)
-
-
-def test_kernel_counters_identical_across_paths(workload):
-    """Bit-identity extends to telemetry: the span counters of a kernel
-    simulation equal the fallback's (and hence the reference's)."""
-    g, sched = workload
-    telemetry.enable()
-    ex = CacheExecutor(g)
-    for cache_size, policy in CONFIGS:
-        with simcore.forced_mode(KERNEL_MODE):
-            telemetry.reset()
-            ex.run(sched, cache_size, policy)
-            (sp,) = _finished()
-            assert sp["counters"] == _expected_counters(
-                g, sched, cache_size, policy
-            )
-
-
-def test_kernel_compile_gauge_set_once(workload):
-    """The first kernel invocation publishes the
-    ``simcore.kernel.compile_s`` gauge exactly once per registry life
-    (on a cold numba cache the value is dominated by JIT compilation)."""
+    """Each simulation increments ``simcore.kernel.fallback`` once —
+    through run() and once per configuration through run_many(),
+    whether a pass or the loop counted it."""
     g, sched = workload
     telemetry.enable()
     telemetry.reset()
     ex = CacheExecutor(g)
-    with simcore.forced_mode(KERNEL_MODE):
-        ex.run(sched, 8, "lru")
-        ex.run(sched, 12, "belady")
-    gauge = telemetry.metrics().gauge("simcore.kernel.compile_s")
-    assert gauge.count == 1
-    assert gauge.last >= 0.0
+    ex.run(sched, 8, "belady")
+    reg = telemetry.metrics()
+    assert reg.counter("simcore.kernel.fallback").value == 1
+    ex.run_many(sched, (8, 12, 24), ("lru", "fifo", "belady"))
+    assert reg.counter("simcore.kernel.fallback").value == 10
 
 
 def test_disabled_telemetry_skips_run_counters(workload):
@@ -228,8 +154,7 @@ def test_disabled_telemetry_skips_run_counters(workload):
     ex.run_many(sched, (8, 12), ("lru", "belady"))
     reg = telemetry.metrics()
     assert reg.gauge("pebbling.belady_gap").count == 0
-    for path in ("jit", "interp", "fallback"):
-        assert reg.counter(f"simcore.kernel.{path}").value == 0
+    assert reg.counter("simcore.kernel.fallback").value == 0
     # Plan cache accounting stays unconditional (cheap, and the
     # autotuner's dedupe contract reads it).
     assert reg.counter("pebbling.plan.miss").value == 1
