@@ -74,8 +74,7 @@ __all__ = [
 FORMAT_VERSION = 1
 
 #: Environment variable naming a graph-cache directory to activate
-#: lazily on first :func:`active_cache` call (how pool workers inherit
-#: the sweep's ``--graph-cache`` setting).
+#: lazily on first :func:`active_cache` call.
 ENV_VAR = "REPRO_GRAPH_CACHE"
 
 GRAPH_ARRAY_NAMES = (

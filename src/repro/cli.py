@@ -9,11 +9,9 @@ Subcommands:
 - ``caps``                  — simulate parallel bandwidth for (n, P, M);
 - ``experiments``           — run the reproduction experiments;
 - ``sweep``                 — parallel experiment sweep with an on-disk
-  result cache, per-job timeouts, retries, and a JSONL event log; the
-  log doubles as a crash journal (``--resume`` replays it after an
-  unclean death), ``--heartbeat``/``--deadline`` harden long sweeps,
-  and ``--chaos SEED`` soaks the whole pipeline under a deterministic
-  fault plan (see :mod:`repro.chaos`);
+  result cache, per-job timeouts, retries, and a JSONL event log;
+  ``--resume`` after an unclean death serves every finished job from
+  the cache;
 - ``perf``                  — record or compare ``BENCH_<exp>.json``
   perf baselines (``--compare`` exits nonzero on regression);
 - ``graph-cache``           — inspect (``ls``), prune (``gc``) or
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run experiments in parallel with caching and retries",
         description=(
             "Expand experiment ids (optionally with parameter grids and "
-            "seeds) into jobs, run them on a process pool, cache every "
+            "seeds) into jobs, run each in its own process, cache every "
             "artifact on disk, and aggregate the results.  Re-running an "
             "identical sweep is served from the cache; an interrupted "
             "sweep resumes where it stopped."
@@ -161,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("ids", nargs="*", help="experiment ids (default all)")
     p_sweep.add_argument(
         "--jobs", type=int, default=2, metavar="N",
-        help="worker processes (default 2)",
+        help="job processes run at once (default 2)",
     )
     p_sweep.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
@@ -182,23 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock limit (default: none)",
     )
     p_sweep.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="worker heartbeat interval; with --timeout set, only jobs "
-             "with a stale heartbeat are killed (hung, not merely slow)",
-    )
-    p_sweep.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="sweep-level wall-clock limit; past it, unfinished jobs "
-             "are failed and a complete report is still written",
-    )
-    p_sweep.add_argument(
         "--retries", type=int, default=1, metavar="K",
         help="failed attempts each job may absorb beyond the first "
              "(default 1)",
-    )
-    p_sweep.add_argument(
-        "--backoff", type=float, default=0.25, metavar="SECONDS",
-        help="base retry backoff, doubling per failure (default 0.25)",
     )
     p_sweep.add_argument(
         "--param", action="append", default=[], metavar="[EXP:]key=v1,v2",
@@ -214,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-cache", default=None, metavar="DIR",
         help="shared compiled-graph bundle store: CDAGs, schedules and "
              "executor plans are built once, checksummed on disk, and "
-             "memory-mapped by every worker; jobs are grouped by graph "
-             "affinity (setting REPRO_GRAPH_CACHE instead activates the "
-             "store for any repro process)",
+             "memory-mapped by every job (setting REPRO_GRAPH_CACHE "
+             "instead activates the store for any repro process)",
     )
     p_sweep.add_argument(
         "--events", default=None, metavar="PATH",
@@ -230,13 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="json_line",
         help="after the report, print one machine-readable JSON summary "
              "line (jobs, hits, failures, wall time)",
-    )
-    p_sweep.add_argument(
-        "--chaos", type=int, default=None, metavar="SEED",
-        help="soak mode: run the sweep under the deterministic fault "
-             "plan seeded by SEED (injects worker crashes, corrupted "
-             "artifacts, torn logs, simulated kills), restart until it "
-             "terminates, then verify the store healed",
     )
     _add_profile_flags(p_sweep)
 
@@ -612,7 +588,6 @@ def _cmd_sweep(args) -> int:
         EventLog,
         ResultStore,
         render_sweep,
-        replay_journal,
         run_sweep,
         sweep_ok,
     )
@@ -622,70 +597,14 @@ def _cmd_sweep(args) -> int:
     store = ResultStore(args.cache_dir)
     events_path = args.events or str(Path(args.cache_dir) / "events.jsonl")
 
-    if args.chaos is not None:
-        from repro.chaos import FaultPlan, run_chaos_sweep
-
-        report = run_chaos_sweep(
-            specs,
-            store,
-            FaultPlan(seed=args.chaos),
-            events_path=events_path,
-            workers=args.jobs,
-            timeout=args.timeout,
-            heartbeat=args.heartbeat,
-            deadline=args.deadline,
-            retries=args.retries,
-            backoff=args.backoff,
-            fresh=args.fresh,
-        )
-        print(render_sweep(report.outcomes, show_results=not args.quiet))
-        chaos = report.chaos
-        print(
-            f"chaos: seed={chaos.get('seed')} "
-            f"injected={chaos.get('injected_total', 0)} "
-            f"kills={chaos.get('kills', 0)} rounds={report.rounds} "
-            f"journal: dropped {report.recoveries.get('dropped_bytes', 0)}B, "
-            f"{report.recoveries.get('bad_lines', 0)} bad lines"
-        )
-        print(f"cache: {args.cache_dir}  events: {events_path}")
-        code = 0 if report.all_terminal else 1
-        if args.json_line:
-            outcomes = report.outcomes
-            _emit_json_line("sweep", {
-                "jobs": len(outcomes),
-                "hits": sum(1 for o in outcomes if o.cached),
-                "failures": sum(1 for o in outcomes if not o.ok),
-                "chaos_injected": chaos.get("injected_total", 0),
-                "wall_s": round(time.monotonic() - t0, 6),
-                "exit_code": code,
-            })
-        return code
-
-    # Resuming: heal and replay the journal a killed sweep left behind,
-    # so the resumed run starts from a well-formed log and reports what
-    # the previous run already finished.
-    replay = None
-    if not args.fresh and Path(events_path).exists():
-        replay = replay_journal(events_path)
-
     profiled = _begin_profile(args)
     with EventLog(events_path) as events:
-        if replay is not None and (replay["complete"] or replay["failed"]):
-            events.emit(
-                "sweep_resume",
-                jobs=len(specs),
-                complete=len(replay["complete"]),
-                failed=len(replay["failed"]),
-            )
         outcomes = run_sweep(
             specs,
             store,
             workers=args.jobs,
             timeout=args.timeout,
-            heartbeat=args.heartbeat,
-            deadline=args.deadline,
             retries=args.retries,
-            backoff=args.backoff,
             fresh=args.fresh,
             events=events,
             profile=profiled,

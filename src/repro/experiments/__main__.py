@@ -5,12 +5,10 @@ Usage::
     python -m repro.experiments                # run everything, serially
     python -m repro.experiments E4 E9          # run selected
     python -m repro.experiments --list         # list ids and exit
-    python -m repro.experiments --jobs 4       # fan out on a process pool
 
-Exits nonzero when any experiment's paper-claim check fails (or any job
-fails), so CI can gate on the reproduction.  With ``--jobs > 1`` the run
-is routed through :mod:`repro.runner` — the parallel scheduler with the
-on-disk result cache (``--cache-dir``).
+Exits nonzero when any experiment's paper-claim check fails, so CI can
+gate on the reproduction.  To run experiments in parallel with an
+on-disk result cache, use ``python -m repro sweep --jobs N``.
 """
 
 from __future__ import annotations
@@ -40,14 +38,6 @@ def main(argv: list[str]) -> int:
         help="list registered experiment ids and exit",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes; >1 routes through the sweep runner",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache for --jobs > 1 (default: no cache)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="collect telemetry spans and counters during the run",
     )
@@ -71,32 +61,6 @@ def main(argv: list[str]) -> int:
 
         telemetry.enable()
 
-    def _finish_profile() -> None:
-        from repro import telemetry
-
-        spans = telemetry.collected_spans()
-        if args.trace_out:
-            telemetry.write_chrome_trace(
-                args.trace_out, spans, metadata={"command": "experiments"}
-            )
-            print(f"trace: {args.trace_out} ({len(spans)} spans)")
-        else:
-            print(f"telemetry: {len(spans)} spans collected")
-
-    if args.jobs > 1:
-        from repro.runner import (
-            ResultStore, jobs_for_ids, render_sweep, run_sweep, sweep_ok,
-        )
-
-        store = ResultStore(args.cache_dir) if args.cache_dir else None
-        outcomes = run_sweep(
-            jobs_for_ids(ids), store, workers=args.jobs, profile=profiled
-        )
-        print(render_sweep(outcomes))
-        if profiled:
-            _finish_profile()
-        return 0 if sweep_ok(outcomes) else 1
-
     failures = []
     for experiment_id in ids:
         result = get_experiment(experiment_id)()
@@ -105,7 +69,14 @@ def main(argv: list[str]) -> int:
         if not result.all_checks_pass:
             failures.append(experiment_id)
     if profiled:
-        _finish_profile()
+        spans = telemetry.collected_spans()
+        if args.trace_out:
+            telemetry.write_chrome_trace(
+                args.trace_out, spans, metadata={"command": "experiments"}
+            )
+            print(f"trace: {args.trace_out} ({len(spans)} spans)")
+        else:
+            print(f"telemetry: {len(spans)} spans collected")
     if failures:
         print(f"FAILED experiments: {failures}")
         return 1

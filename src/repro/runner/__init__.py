@@ -1,10 +1,8 @@
-"""Parallel experiment runner: job specs, result cache, process pool.
+"""Parallel experiment runner: job specs, result cache, job processes.
 
-The experiment suite (E1–E14) regenerates every quantitative statement
-of the paper, but sweeps over parameter grids (E9 I/O sweeps, E10
-crossovers, E13 ablations) grow multiplicatively with every new
-algorithm and parameter point.  This subsystem turns a sweep into a set
-of *hashable job descriptions* that are
+The experiment suite (E1–E15) regenerates every quantitative statement
+of the paper.  This subsystem turns a sweep into a set of *hashable job
+descriptions* that are
 
 - **expanded** from an experiment id plus a parameter grid
   (:mod:`repro.runner.jobs`),
@@ -12,11 +10,10 @@ of *hashable job descriptions* that are
   id, canonical parameters, explicit seed and package version, so
   identical jobs are served from disk and interrupted sweeps resume
   (:mod:`repro.runner.store`),
-- **executed** by a ``ProcessPoolExecutor`` scheduler with per-job
-  timeouts, bounded retries with exponential backoff, and graceful
-  degradation — a crashing worker is quarantined and recorded as
-  failed while the rest of the sweep completes
-  (:mod:`repro.runner.pool`),
+- **executed** one process per job, at most ``workers`` at once, with
+  per-job timeouts and bounded retries; a job that crashes or runs
+  overdue fails alone, with its attempt history, while the rest of the
+  sweep completes (:mod:`repro.runner.pool`),
 - **logged** to a structured JSONL event stream plus a live progress
   line (:mod:`repro.runner.events`), and
 - **aggregated** back into the harness's :class:`ExperimentResult`
@@ -38,7 +35,6 @@ from repro.runner.events import (
     EventLog,
     ProgressLine,
     read_events,
-    replay_journal,
     validate_event,
 )
 from repro.runner.graphcache import GraphCache
@@ -46,7 +42,6 @@ from repro.runner.jobs import (
     JobSpec,
     expand_grid,
     experiment_accepts_seed,
-    graph_affinity,
     job_key,
     jobs_for_ids,
 )
@@ -67,7 +62,6 @@ from repro.runner.store import (
 __all__ = [
     "JobSpec",
     "job_key",
-    "graph_affinity",
     "GraphCache",
     "expand_grid",
     "jobs_for_ids",
@@ -79,7 +73,6 @@ __all__ = [
     "EventLog",
     "ProgressLine",
     "read_events",
-    "replay_journal",
     "validate_event",
     "Attempt",
     "JobOutcome",

@@ -7,12 +7,8 @@ duration.  The log is the sweep's flight recorder — retry histories and
 cache-hit rates in tests and post-mortems come from here, never from
 parsing human-readable output.  Timestamps live only in the event log,
 never in stored artifacts, which keeps artifacts byte-reproducible.
-
-The log is also the sweep's *journal*: a process killed mid-write
-leaves a torn final line, which :meth:`EventLog.recover` truncates in
-place before the log is reopened for append, :func:`read_events`
-tolerates via ``strict=False``, and :func:`replay_journal` summarises
-so a resumed sweep knows which jobs already reached a terminal state.
+``--resume`` never reads the log: what a resumed sweep skips comes from
+the result store alone.
 """
 
 from __future__ import annotations
@@ -24,14 +20,11 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from repro.chaos import hooks as _chaos_hooks
-
 __all__ = [
     "EVENT_SCHEMA",
     "EventLog",
     "ProgressLine",
     "read_events",
-    "replay_journal",
     "validate_event",
     "tally",
 ]
@@ -39,9 +32,7 @@ __all__ = [
 #: Required fields per event type (beyond the envelope ``ts``/``event``).
 EVENT_SCHEMA: dict[str, frozenset] = {
     "sweep_start": frozenset({"jobs", "workers"}),
-    "sweep_resume": frozenset({"jobs", "complete", "failed"}),
     "sweep_finish": frozenset({"ok", "failed", "cached", "duration"}),
-    "sweep_deadline": frozenset({"cancelled"}),
     "store_gc": frozenset({"orphans"}),
     "graphcache_gc": frozenset({"orphans"}),
     "cache_hit": frozenset({"job", "experiment", "key"}),
@@ -52,9 +43,6 @@ EVENT_SCHEMA: dict[str, frozenset] = {
     "job_retry": frozenset({"job", "experiment", "key", "attempt", "kind", "reason"}),
     "job_failed": frozenset({"job", "experiment", "key", "attempts", "reason"}),
 }
-
-#: Events that mark a job's terminal state in the journal.
-_TERMINAL_EVENTS = frozenset({"job_finish", "cache_hit", "job_failed"})
 
 
 class EventLog:
@@ -93,12 +81,6 @@ class EventLog:
         record = {"ts": round(float(self._clock()), 6), "event": event}
         record.update(self._bound)
         record.update(fields)
-        mk = _chaos_hooks.active
-        if mk is not None:
-            # May raise SweepKilled (simulated mid-write death) — in
-            # that case neither the file nor the in-memory log sees the
-            # record, exactly like a real SIGKILL.
-            mk.on_event(self, record)
         self.counts[event] += 1
         self.records.append(record)
         if self._stream is not None:
@@ -117,97 +99,17 @@ class EventLog:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @staticmethod
-    def recover(path: str | Path) -> dict:
-        """Repair a journal after an unclean death, in place.
 
-        Truncates a torn final line (no trailing newline) so the file
-        can be reopened for append, and counts undecodable interior
-        lines.  Returns ``{"existed", "records", "dropped_bytes",
-        "bad_lines"}``; safe to call on a missing or healthy file.
-        """
-        p = Path(path)
-        if not p.exists():
-            return {"existed": False, "records": 0, "dropped_bytes": 0, "bad_lines": 0}
-        data = p.read_bytes()
-        dropped = 0
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            dropped = len(data) - cut
-            with p.open("r+b") as fh:
-                fh.truncate(cut)
-        records, bad_lines = read_events(p, strict=False)
-        if dropped or bad_lines:
-            from repro import telemetry
-
-            registry = telemetry.metrics()
-            registry.inc("chaos.detected")
-            registry.inc("chaos.detected.torn_log")
-            if dropped:
-                registry.inc("chaos.recovered")
-                registry.inc("chaos.recovered.log_truncated")
-        return {
-            "existed": True,
-            "records": len(records),
-            "dropped_bytes": dropped,
-            "bad_lines": bad_lines,
-        }
-
-
-def read_events(path: str | Path, *, strict: bool = True):
-    """Parse a JSONL event log back into records (skipping blank lines).
-
-    With ``strict=True`` (the default) a malformed line raises
-    ``json.JSONDecodeError`` and the return value is the record list.
-    With ``strict=False`` malformed lines — e.g. the torn tail a
-    SIGKILL leaves behind — are skipped and counted, and the return
-    value is ``(records, n_bad)``.
-    """
+def read_events(path: str | Path) -> list[dict]:
+    """Parse a JSONL event log back into records (skipping blank
+    lines); a malformed line raises ``json.JSONDecodeError``."""
     records = []
-    n_bad = 0
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            try:
+            if line:
                 records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if strict:
-                    raise
-                n_bad += 1
-    if strict:
-        return records
-    return records, n_bad
-
-
-def replay_journal(path: str | Path) -> dict:
-    """Recover ``path`` and summarise which jobs already terminated.
-
-    Returns ``{"complete": {keys}, "failed": {keys}, "existed",
-    "records", "dropped_bytes", "bad_lines"}`` where ``complete`` holds
-    cache keys that reached ``job_finish``/``cache_hit`` and ``failed``
-    holds keys whose *latest* terminal event was ``job_failed``.  Used
-    at sweep startup so ``--resume`` after a SIGKILL can report what
-    the journal already accounts for.
-    """
-    info = EventLog.recover(path)
-    complete: set[str] = set()
-    failed: set[str] = set()
-    if info["existed"]:
-        records, _ = read_events(path, strict=False)
-        for record in records:
-            key = record.get("key")
-            event = record.get("event")
-            if key is None or event not in _TERMINAL_EVENTS:
-                continue
-            if event == "job_failed":
-                failed.add(key)
-                complete.discard(key)
-            else:
-                complete.add(key)
-                failed.discard(key)
-    return {"complete": complete, "failed": failed, **info}
+    return records
 
 
 def validate_event(record: Mapping) -> list[str]:

@@ -27,8 +27,9 @@ and rebuilt — corruption is a miss, never an error.
 
 Process-wide activation goes through
 :func:`repro.cdag.artifact.active_cache`: :func:`activate` installs a
-cache for this process, and the ``REPRO_GRAPH_CACHE`` environment
-variable does the same lazily in freshly spawned pool workers.
+cache for this process (a sweep's job processes call it with the
+sweep's ``--graph-cache`` root), and the ``REPRO_GRAPH_CACHE``
+environment variable does the same lazily in any process.
 Telemetry: ``graphcache.{hit,miss}`` counters (with per-kind
 sub-counters), ``graphcache.{build_s,map_s}`` gauges and a
 ``graphcache.<kind>`` span per bundle acquisition.
@@ -72,7 +73,7 @@ def _metrics():
 
 def counter_snapshot() -> dict[str, int]:
     """Current ``graphcache.*`` counter values of this process (used by
-    pool workers to report their per-job deltas back to the parent)."""
+    job processes to report their per-job deltas back to the parent)."""
     registry = _metrics()
     out = {}
     for name in registry.names():

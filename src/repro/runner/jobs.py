@@ -31,7 +31,6 @@ __all__ = [
     "job_key",
     "canonical_params",
     "expand_grid",
-    "graph_affinity",
     "jobs_for_ids",
     "resolve_entrypoint",
     "experiment_accepts_seed",
@@ -135,26 +134,6 @@ def job_key(spec: JobSpec, version: str | None = None) -> str:
     doc = dict(spec.describe(), version=version)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def graph_affinity(spec: JobSpec) -> str:
-    """Coarse scheduling-affinity group of a job.
-
-    Jobs in one group build the same compiled graphs (same experiment,
-    same parameters), so the sweep scheduler batches them and prefers
-    dispatching them onto workers that already have the group's bundles
-    mapped.  The seed is deliberately excluded — it varies the RNG, not
-    the graphs — so a seed fan-out over one grid point lands in one
-    group.  This is a scheduling hint only and is *not* part of
-    :func:`job_key`: adding it cannot invalidate existing artifacts.
-    """
-    doc = {
-        "experiment": spec.experiment_id,
-        "params": canonical_params(spec.params),
-        "entrypoint": spec.entrypoint,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def expand_grid(

@@ -72,11 +72,11 @@ def fault_summary(outcomes: Sequence[JobOutcome]) -> TextTable | None:
     """Attempt-kind accounting for sweeps that saw failures.
 
     One row per job that needed more than a single clean attempt:
-    how many error / crash / timeout / pool-lost / deadline attempts it
-    absorbed and how it ended.  Returns None for a fault-free sweep so
-    reports stay quiet on the happy path.
+    how many error / crash / timeout attempts it absorbed and how it
+    ended.  Returns None for a fault-free sweep so reports stay quiet
+    on the happy path.
     """
-    kinds = ["error", "crash", "timeout", "pool-lost", "deadline"]
+    kinds = ["error", "crash", "timeout"]
     rows = []
     for o in outcomes:
         tallies = {k: 0 for k in kinds}

@@ -46,7 +46,7 @@ try:  # advisory cross-process locking; absent off-POSIX (lock is a no-op)
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
-from repro.chaos import hooks as _chaos_hooks
+from repro import telemetry
 from repro.experiments.harness import ExperimentResult
 from repro.runner.jobs import JobSpec, canonical_params
 from repro.utils.tables import TextTable
@@ -143,23 +143,6 @@ def payload_to_result(payload: Mapping) -> ExperimentResult:
         checks=dict(payload.get("checks", {})),
         data=dict(payload.get("data", {})),
     )
-
-
-def _count_detection(what: str) -> None:
-    """Bump the corruption-detection / recovery telemetry counters."""
-    from repro import telemetry
-
-    registry = telemetry.metrics()
-    registry.inc("chaos.detected")
-    registry.inc(f"chaos.detected.{what}")
-
-
-def _count_recovery(what: str) -> None:
-    from repro import telemetry
-
-    registry = telemetry.metrics()
-    registry.inc("chaos.recovered")
-    registry.inc(f"chaos.recovered.{what}")
 
 
 class ResultStore:
@@ -273,8 +256,7 @@ class ResultStore:
                     path.unlink()
                 except OSError:
                     pass
-        _count_detection(reason)
-        _count_recovery("quarantined")
+        telemetry.metrics().inc(f"store.quarantined.{reason}")
         return dest
 
     def put(self, spec: JobSpec, result_payload: Mapping) -> Path:
@@ -314,9 +296,6 @@ class ResultStore:
                 except OSError:
                     pass
                 raise
-        mk = _chaos_hooks.active
-        if mk is not None:
-            mk.corrupt_artifact(path, spec.cache_key)
         return path
 
     def discard(self, spec: JobSpec) -> bool:
@@ -369,8 +348,7 @@ class ResultStore:
                     continue
                 removed.append(path)
         if removed:
-            _count_detection("orphan_tmp")
-            _count_recovery("orphans_removed")
+            telemetry.metrics().inc("store.orphans_removed", len(removed))
         return removed
 
     def clear(self) -> int:

@@ -1,12 +1,12 @@
 """Job bodies for runner tests.
 
-These must live in an importable module (not a test function) so the
-pool workers can resolve them: specs reference them by entrypoint
-string, and the scheduler pickles only the job description.
+These must live in an importable module (not a test function) so job
+processes can resolve them: specs reference them by entrypoint string,
+and the scheduler passes only the job description.
 
 Stateful behaviours (fail-N-times-then-succeed) coordinate through
 marker files in a directory passed as a job parameter, because each
-attempt may run in a different worker process.
+attempt runs in its own process.
 """
 
 from __future__ import annotations

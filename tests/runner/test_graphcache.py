@@ -4,7 +4,7 @@ Complements ``tests/cdag/test_artifact.py`` (pure serialisation): here
 the cache *layer* is under test — counter accounting, process-local vs
 on-disk hits, quarantine-and-rebuild on corruption, environment-variable
 activation, and the scheduler integration (`run_sweep(graph_cache=...)`)
-where real worker processes share one bundle store.
+where real job processes share one bundle store.
 """
 
 import os
@@ -22,7 +22,7 @@ from repro.runner.graphcache import (
     counter_snapshot,
     deactivate,
 )
-from repro.runner.jobs import JobSpec, graph_affinity
+from repro.runner.jobs import JobSpec
 from repro.runner.pool import run_sweep
 from repro.runner.store import ResultStore
 from repro.schedules import recursive_schedule
@@ -208,7 +208,6 @@ class TestSweepIntegration:
             self._specs(),
             ResultStore(tmp_path / "results"),
             workers=2,
-            backoff=0.01,
             progress=False,
             events=events,
             graph_cache=tmp_path / "graphs",
@@ -217,17 +216,14 @@ class TestSweepIntegration:
         finish = [r for r in events.records if r["event"] == "sweep_finish"]
         gc_stats = finish[0]["graphcache"]
         # 4 jobs × (graph + schedule + plan) = 12 acquisitions; the
-        # first job on each worker pays at most 3 misses building the
-        # store, everyone else hits.
+        # two jobs that start first pay at most 3 misses each building
+        # the store, the two that follow hit.
         assert gc_stats["hit"] + gc_stats.get("miss", 0) == 12
         assert gc_stats["hit"] >= 6
         assert (tmp_path / "graphs" / "schedules").is_dir()
-        # Affinity hints ride in the job docs, not the cache keys.
-        affinities = {graph_affinity(s) for s in self._specs()}
-        assert len(affinities) == 4
 
     def test_second_sweep_is_all_hits(self, tmp_path):
-        kwargs = dict(workers=2, backoff=0.01, progress=False)
+        kwargs = dict(workers=2, progress=False)
         run_sweep(
             self._specs(), None, graph_cache=tmp_path / "graphs", **kwargs
         )
@@ -242,11 +238,3 @@ class TestSweepIntegration:
         ][0]["graphcache"]
         assert gc_stats["hit"] == 12
         assert "miss" not in gc_stats
-
-    def test_seed_fanout_shares_one_affinity_group(self):
-        specs = [
-            JobSpec("T-GRAPH", {"r": 2}, seed=s, entrypoint="x:y")
-            for s in range(3)
-        ]
-        assert len({graph_affinity(s) for s in specs}) == 1
-        assert len({s.cache_key for s in specs}) == 3

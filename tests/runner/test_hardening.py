@@ -1,9 +1,7 @@
-"""Crash-safety hardening: torn logs, checksums, watchdog, deadline.
+"""Crash-safety hardening: strict log reads, checksums, orphan GC.
 
-These tests target the failure modes the chaos subsystem injects —
-each one exercised here directly and deterministically, without a
-monkey, so a regression points at the hardened component rather than
-at a fault plan.
+Each failure mode is exercised directly and deterministically, so a
+regression points at the hardened component.
 """
 
 import json
@@ -11,10 +9,10 @@ import math
 
 import pytest
 
-from repro.chaos import FaultPlan, monkey
-from repro.runner.events import EventLog, read_events, replay_journal
+from repro import telemetry
+from repro.runner.events import EventLog, read_events
 from repro.runner.jobs import JobSpec
-from repro.runner.pool import _retry_delay, run_sweep
+from repro.runner.pool import run_sweep
 from repro.runner.report import fault_summary
 from repro.runner.store import ResultStore, payload_checksum
 
@@ -29,13 +27,17 @@ def spec(name, params=None, fn=None):
 
 def sweep(specs, store=None, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("backoff", 0.01)
     kw.setdefault("progress", False)
     return run_sweep(specs, store, **kw)
 
 
+def counter(name):
+    return telemetry.metrics().counter(name).value
+
+
 class TestTornLogRecovery:
-    def _write_log(self, path, torn=True):
+    def test_strict_read_raises_on_torn_tail(self, tmp_path):
+        path = tmp_path / "events.jsonl"
         lines = [
             json.dumps({"ts": 1.0, "event": "sweep_start", "jobs": 2, "workers": 1}),
             json.dumps({"ts": 2.0, "event": "job_finish", "key": "K1",
@@ -43,69 +45,10 @@ class TestTornLogRecovery:
                         "duration": 0.1, "worker": 1}),
         ]
         blob = "\n".join(lines) + "\n"
-        if torn:
-            blob += '{"ts": 3.0, "event": "job_fin'  # no trailing newline
+        blob += '{"ts": 3.0, "event": "job_fin'  # no trailing newline
         path.write_text(blob, encoding="utf-8")
-
-    def test_strict_read_raises_on_torn_tail(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        self._write_log(path)
         with pytest.raises(json.JSONDecodeError):
             read_events(path)
-
-    def test_lenient_read_skips_and_counts(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        self._write_log(path)
-        records, n_bad = read_events(path, strict=False)
-        assert len(records) == 2
-        assert n_bad == 1
-
-    def test_lenient_read_of_healthy_log_reports_zero_bad(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        self._write_log(path, torn=False)
-        records, n_bad = read_events(path, strict=False)
-        assert len(records) == 2 and n_bad == 0
-
-    def test_recover_truncates_in_place(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        self._write_log(path)
-        info = EventLog.recover(path)
-        assert info["existed"] and info["records"] == 2
-        assert info["dropped_bytes"] > 0
-        assert path.read_bytes().endswith(b"\n")
-        # idempotent: a second recovery finds nothing to fix
-        again = EventLog.recover(path)
-        assert again["dropped_bytes"] == 0 and again["records"] == 2
-
-    def test_recover_missing_file_is_safe(self, tmp_path):
-        info = EventLog.recover(tmp_path / "absent.jsonl")
-        assert info == {
-            "existed": False, "records": 0, "dropped_bytes": 0, "bad_lines": 0
-        }
-
-    def test_recovered_log_can_be_reopened_for_append(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        self._write_log(path)
-        EventLog.recover(path)
-        with EventLog(path) as log:
-            log.emit("sweep_finish", ok=1, failed=0, cached=0, duration=0.2)
-        assert len(read_events(path)) == 3  # strict parse succeeds
-
-    def test_replay_journal_classifies_terminal_jobs(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        records = [
-            {"ts": 1.0, "event": "job_finish", "key": "K1"},
-            {"ts": 2.0, "event": "cache_hit", "key": "K2"},
-            {"ts": 3.0, "event": "job_failed", "key": "K3"},
-            {"ts": 4.0, "event": "job_start", "key": "K4"},  # not terminal
-            {"ts": 5.0, "event": "job_finish", "key": "K3"},  # K3 retried OK
-        ]
-        blob = "\n".join(json.dumps(r) for r in records) + "\n"
-        path.write_text(blob + '{"torn', encoding="utf-8")
-        replay = replay_journal(path)
-        assert replay["complete"] == {"K1", "K2", "K3"}
-        assert replay["failed"] == set()
-        assert replay["dropped_bytes"] > 0
 
 
 class TestStoreChecksum:
@@ -118,9 +61,11 @@ class TestStoreChecksum:
         doc["result"]["data"]["squared"] = 999  # silent corruption
         path.write_text(json.dumps(doc), encoding="utf-8")
 
+        before = counter("store.quarantined.checksum")
         assert store.get(s) is None  # never served as a hit
         assert not path.exists()
         assert len(list(store.quarantine_root.glob("*.json"))) == 1
+        assert counter("store.quarantined.checksum") == before + 1
 
         # acceptance: the next sweep recomputes, and the healed artifact
         # is byte-identical to the original
@@ -135,8 +80,10 @@ class TestStoreChecksum:
         sweep([s], store)
         path = store.path_for(s)
         path.write_text('{"schema": 2, "key', encoding="utf-8")
+        before = counter("store.quarantined.undecodable")
         assert store.get(s) is None
         assert len(list(store.quarantine_root.glob("*.json"))) == 1
+        assert counter("store.quarantined.undecodable") == before + 1
 
     def test_quarantined_files_are_not_artifacts(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -193,10 +140,14 @@ class TestOrphanGC:
         store = ResultStore(tmp_path)
         sweep([spec("T-OK", {"x": 1})], store)
         stray = self._orphan(store)
+        before = counter("store.orphans_removed")
         removed = store.gc_orphans()
         assert removed == [stray]
         assert not stray.exists()
         assert len(store) == 1  # the real artifact survived
+        assert counter("store.orphans_removed") == before + 1
+        assert store.gc_orphans() == []
+        assert counter("store.orphans_removed") == before + 1
 
     def test_sweep_startup_garbage_collects(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -205,93 +156,6 @@ class TestOrphanGC:
         sweep([spec("T-OK", {"x": 1})], store, events=log)
         assert not stray.exists()
         assert log.counts["store_gc"] == 1
-
-
-class TestJitteredBackoff:
-    def test_deterministic_per_job_key(self):
-        assert _retry_delay("K1", 1, 0.25, True) == _retry_delay("K1", 1, 0.25, True)
-
-    def test_spread_across_keys(self):
-        delays = {_retry_delay(f"K{i}", 1, 0.25, True) for i in range(20)}
-        assert len(delays) == 20
-
-    def test_full_jitter_stays_below_the_exponential_cap(self):
-        for n in (1, 2, 3, 8):
-            cap = min(0.25 * 2 ** (n - 1), 30.0)
-            delay = _retry_delay("K", n, 0.25, True)
-            assert 0.0 <= delay < cap
-
-    def test_unjittered_is_the_cap_itself(self):
-        assert _retry_delay("K", 3, 0.25, False) == 1.0
-        assert _retry_delay("K", 50, 0.25, False) == 30.0
-
-
-class TestWatchdog:
-    def test_slow_but_alive_job_is_spared(self, tmp_path):
-        """Past the timeout with a live heartbeat: not hung, keep going."""
-        s = spec("T-SLEEPY", {"duration": 0.8}, fn="sleepy_job")
-        (o,) = sweep([s], ResultStore(tmp_path),
-                     workers=1, timeout=0.3, heartbeat=0.1)
-        assert o.status == "ok"
-        assert [a.kind for a in o.attempts] == ["ok"]
-
-    def test_true_hang_is_killed(self, tmp_path):
-        """A worker whose heartbeat stops (chaos 'hang' skips starting
-        it) is reaped shortly after the timeout, and the retry — fault
-        budget spent — completes."""
-        plan = FaultPlan(
-            seed=1, worker_rate=1.0, worker_kinds=("hang",),
-            hang_seconds=20.0, store_rate=0.0, log_rate=0.0,
-        )
-        log = EventLog()
-        with monkey(plan):
-            (o,) = sweep([spec("T-OK", {"x": 1})], ResultStore(tmp_path),
-                         workers=1, timeout=0.3, heartbeat=0.1,
-                         retries=1, events=log)
-        assert o.status == "ok"
-        assert [a.kind for a in o.attempts] == ["timeout", "ok"]
-        assert "heartbeat stale" in o.attempts[0].error
-
-    def test_without_heartbeat_timeout_still_kills(self, tmp_path):
-        """heartbeat=None keeps the original hard-timeout behaviour."""
-        s = spec("T-SLEEPY", {"duration": 30.0}, fn="sleepy_job")
-        (o,) = sweep([s], None, workers=1, timeout=0.2, retries=0)
-        assert o.status == "failed"
-        assert o.attempts[0].kind == "timeout"
-
-
-class TestSweepDeadline:
-    def test_deadline_fails_unfinished_jobs_with_a_full_report(self, tmp_path):
-        log = EventLog()
-        specs = [
-            spec("T-OK", {"x": 1}),
-            spec("T-SLEEPY", {"duration": 30.0}, fn="sleepy_job"),
-            spec("T-SLEEPY", {"duration": 31.0}, fn="sleepy_job"),
-            spec("T-SLEEPY", {"duration": 32.0}, fn="sleepy_job"),
-        ]
-        outcomes = sweep(specs, ResultStore(tmp_path),
-                         workers=2, deadline=0.6, events=log)
-        assert len(outcomes) == len(specs)  # complete report regardless
-        assert outcomes[0].status == "ok"
-        for o in outcomes[1:]:
-            assert o.status == "failed"
-            assert o.attempts[-1].kind == "deadline"
-            assert "deadline" in o.error
-        assert log.counts["sweep_deadline"] == 1
-        assert log.counts["sweep_finish"] == 1
-
-    def test_deadline_cancels_jobs_never_started(self, tmp_path):
-        """workers=1 keeps two jobs pending; both still reach a
-        terminal state when the deadline cuts the sweep."""
-        specs = [spec("T-SLEEPY", {"duration": 30.0 + i}, fn="sleepy_job")
-                 for i in range(3)]
-        outcomes = sweep(specs, None, workers=1, deadline=0.4)
-        assert [o.status for o in outcomes] == ["failed"] * 3
-
-    def test_generous_deadline_changes_nothing(self, tmp_path):
-        outcomes = sweep([spec("T-OK", {"x": x}) for x in range(3)],
-                         ResultStore(tmp_path), deadline=300.0)
-        assert all(o.status == "ok" for o in outcomes)
 
 
 class TestFaultSummary:

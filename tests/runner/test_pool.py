@@ -1,8 +1,10 @@
 """Scheduler: caching, resume, retries, crash isolation, timeouts.
 
-These tests exercise real worker processes (fork-started) but keep every
-job body trivial, so the whole module runs in a few seconds.
+These tests exercise real job processes but keep every job body
+trivial, so the whole module runs in a few seconds.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -23,7 +25,6 @@ def spec(name, params=None, seed=None, fn=None):
 
 def sweep(specs, store=None, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("backoff", 0.01)
     kw.setdefault("progress", False)
     return run_sweep(specs, store, **kw)
 
@@ -187,18 +188,18 @@ class TestCrashes:
         assert failed_events[0]["retry_history"]
 
     def test_crash_then_recover(self, tmp_path):
-        """A job that crashes once and then succeeds is retried through
-        quarantine and completes."""
+        """A job that crashes once and then succeeds is retried and
+        completes."""
         s = spec("T-FLAKYCRASH", {"marker_dir": str(tmp_path / "m"),
                                   "crash_times": 1}, fn="flaky_crash_job")
         (o,) = sweep([s], retries=2)
         assert o.status == "ok"
-        assert any(a.kind in ("crash", "pool-lost") for a in o.attempts)
+        assert any(a.kind == "crash" for a in o.attempts)
         assert o.attempts[-1].kind == "ok"
 
     def test_innocent_bystanders_are_never_charged(self, tmp_path):
-        """Jobs that merely shared the pool with a crasher must not
-        burn their retry budget (kind 'pool-lost' is uncharged)."""
+        """Jobs that ran in the same sweep as a crasher must not burn
+        their retry budget."""
         specs = [spec("T-OK", {"x": x}) for x in range(3)]
         specs.append(spec("T-CRASH", fn="crash_job"))
         outcomes = sweep(specs, retries=0, workers=2)
@@ -209,6 +210,19 @@ class TestCrashes:
                 continue
             assert o.status == "ok"
             assert all(not a.charged for a in o.attempts[:-1])
+
+    def test_job_running_beside_a_crash_is_untouched(self):
+        """The crash is charged to the job whose process died, and only
+        to it: a job still running beside it completes on its first
+        attempt."""
+        specs = [
+            spec("T-SLEEPY", {"duration": 1.0}, fn="sleepy_job"),
+            spec("T-CRASH", fn="crash_job"),
+        ]
+        bystander, crash = sweep(specs, retries=0, workers=2)
+        assert [a.kind for a in crash.attempts] == ["crash"]
+        assert bystander.status == "ok"
+        assert [a.kind for a in bystander.attempts] == ["ok"]
 
 
 class TestTimeouts:
@@ -232,6 +246,44 @@ class TestTimeouts:
             ResultStore(tmp_path), timeout=30.0,
         )
         assert all(o.status == "ok" for o in outcomes)
+
+    def test_job_running_beside_a_timeout_is_untouched(self):
+        """Enforcing the timeout kills only the overdue job's process.
+        The bystander starts when the first job ends (~1 s), is still
+        running when the overdue job is killed (~2 s), and finishes
+        within its own limit (~2.5 s) on its first attempt."""
+        specs = [
+            spec("T-SLEEPY", {"duration": 1.0}, fn="sleepy_job"),
+            spec("T-SLEEPY", {"duration": 30.0}, fn="sleepy_job"),
+            spec("T-SLEEPY", {"duration": 1.5}, fn="sleepy_job"),
+        ]
+        first, overdue, bystander = sweep(
+            specs, timeout=2.0, retries=0, workers=2
+        )
+        assert first.status == "ok"
+        assert [a.kind for a in overdue.attempts] == ["timeout"]
+        assert bystander.status == "ok"
+        assert [a.kind for a in bystander.attempts] == ["ok"]
+
+
+class TestCleanup:
+    def test_no_job_process_outlives_a_raising_sweep(self, tmp_path):
+        """An exception in the scheduler (here: the store failing to
+        publish the first finished job) kills the job still running
+        beside it before it propagates."""
+
+        class FailingStore(ResultStore):
+            def put(self, spec, result_payload):
+                raise OSError("disk full")
+
+        before = set(multiprocessing.active_children())
+        specs = [
+            spec("T-OK"),
+            spec("T-SLEEPY", {"duration": 30.0}, fn="sleepy_job"),
+        ]
+        with pytest.raises(OSError, match="disk full"):
+            sweep(specs, FailingStore(tmp_path), workers=2)
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestEventStream:

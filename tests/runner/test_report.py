@@ -15,7 +15,6 @@ HELPERS = "tests.runner.helpers"
 
 def _sweep(specs, store=None, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("backoff", 0.01)
     kw.setdefault("progress", False)
     return run_sweep(specs, store, **kw)
 

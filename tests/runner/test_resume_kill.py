@@ -1,0 +1,141 @@
+"""SIGKILL mid-sweep, then ``--resume``: the result store is the journal.
+
+A sweep killed outright (its whole process group, job processes
+included) keeps whatever artifacts it had published and nothing else.
+Re-running the same specs against the same store must serve the
+finished jobs from the cache, compute the rest, leave no temp file
+behind, and end with artifacts byte-identical to a sweep that was never
+killed.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.runner import EventLog, JobSpec, ResultStore, run_sweep
+from repro.runner.store import QUARANTINE_DIR
+
+ROOT = Path(__file__).resolve().parents[2]
+HELPERS = "tests.runner.helpers"
+
+CHILD = """\
+import json
+import sys
+
+from repro.runner import EventLog, JobSpec, ResultStore, run_sweep
+
+store_dir, events_path, docs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+specs = [
+    JobSpec(d["experiment"], d["params"], entrypoint=d["entrypoint"])
+    for d in docs
+]
+with EventLog(events_path) as events:
+    run_sweep(specs, ResultStore(store_dir), workers=2, progress=False,
+              events=events)
+"""
+
+
+def _specs():
+    """Three fast jobs around one that sleeps long enough to be cut off."""
+    specs = [
+        JobSpec("T-OK", {"x": x}, entrypoint=f"{HELPERS}:ok_job")
+        for x in range(3)
+    ]
+    specs.insert(
+        1,
+        JobSpec("T-SLEEPY", {"duration": 2.0},
+                entrypoint=f"{HELPERS}:sleepy_job"),
+    )
+    return specs
+
+
+def _finished_keys(events_path: Path) -> set:
+    """Keys with a ``job_finish`` record; a line still being written is
+    skipped."""
+    if not events_path.exists():
+        return set()
+    keys = set()
+    for line in events_path.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if record.get("event") == "job_finish":
+            keys.add(record["key"])
+    return keys
+
+
+def _artifacts(root: Path) -> dict:
+    """Relative path -> bytes of every real artifact under ``root``."""
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in sorted(root.glob("*/*.json"))
+        if p.parent.name != QUARANTINE_DIR and not p.name.startswith(".")
+    }
+
+
+def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
+    specs = _specs()
+    store_dir = tmp_path / "store"
+    killed_log = tmp_path / "killed.jsonl"
+    script = tmp_path / "child.py"
+    script.write_text(CHILD)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")] if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, str(script), str(store_dir), str(killed_log),
+         json.dumps([s.describe() for s in specs])],
+        env=env,
+        start_new_session=True,  # own process group: job processes too
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not _finished_keys(killed_log):
+            if child.poll() is not None:
+                pytest.fail("child sweep exited before any job finished")
+            if time.monotonic() > deadline:
+                pytest.fail("child sweep never finished a job")
+            time.sleep(0.02)
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+
+    finished = _finished_keys(killed_log)
+    sleeper = specs[1].cache_key
+    assert finished and sleeper not in finished
+
+    events = EventLog()
+    outcomes = run_sweep(
+        specs, ResultStore(store_dir), workers=2, progress=False,
+        events=events,
+    )
+    hits = {r["key"] for r in events.records if r["event"] == "cache_hit"}
+    computed = {
+        r["key"] for r in events.records if r["event"] == "job_finish"
+    }
+    assert finished <= hits
+    assert sleeper in computed
+    assert hits | computed == {s.cache_key for s in specs}
+    assert not hits & computed
+    assert all(o.ok for o in outcomes)
+    assert not list(store_dir.rglob(".tmp-*"))
+
+    reference = tmp_path / "reference"
+    run_sweep(specs, ResultStore(reference), workers=2, progress=False)
+    assert _artifacts(store_dir) == _artifacts(reference)
+    assert len(_artifacts(reference)) == len(specs)

@@ -129,39 +129,6 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "seed=1" in out and "seed=2" in out
 
-    def test_sweep_resume_heals_a_torn_event_log(self, capsys, tmp_path):
-        """A killed sweep leaves a torn journal tail; --resume repairs
-        it, reports the replay, and serves the finished job from cache."""
-        cache = tmp_path / "cache"
-        argv = ["sweep", "E1", "--jobs", "2", "--cache-dir", str(cache)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        events = cache / "events.jsonl"
-        with events.open("a", encoding="utf-8") as fh:
-            fh.write('{"ts": 1.0, "event": "job_fin')  # simulated SIGKILL
-        assert main(argv + ["--resume", "--quiet"]) == 0
-        assert "1 from cache" in capsys.readouterr().out
-        from repro.runner.events import read_events, tally
-
-        records = read_events(events)  # strict parse: tail was truncated
-        assert tally(records)["sweep_resume"] == 1
-
-    def test_sweep_chaos_soak_mode(self, capsys, tmp_path):
-        assert main(
-            ["sweep", "E1", "--jobs", "2", "--quiet",
-             "--cache-dir", str(tmp_path / "c"),
-             "--chaos", "7", "--timeout", "3", "--heartbeat", "0.2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "chaos: seed=7" in out
-
-    def test_sweep_generous_deadline_is_inert(self, capsys, tmp_path):
-        assert main(
-            ["sweep", "E1", "--quiet", "--deadline", "300",
-             "--cache-dir", str(tmp_path / "c")]
-        ) == 0
-        assert "1 computed" in capsys.readouterr().out
-
     def test_sweep_rejects_bad_param(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "E1", "--param", "nonsense",
