@@ -1,9 +1,9 @@
 """Micro-benchmarks of the library's hot paths.
 
 Not tied to a paper figure; these keep the substrate's performance
-honest (CDAG construction, pebble-game execution, the LRU and Belady
-passes, routing construction, the graph cache) so the experiment
-benches stay fast as the code evolves.
+honest (CDAG construction, demand-driven schedules, pebble-game
+execution, the LRU and Belady passes, routing construction, the graph
+cache) so the experiment benches stay fast as the code evolves.
 
 Two entry points over the same workloads:
 
@@ -34,7 +34,11 @@ from repro.cdag import artifact, build_cdag, compute_metavertices
 from repro.linalg import strassen_matmul
 from repro.pebbling import CacheExecutor
 from repro.routing import lemma3_routing, theorem2_routing
-from repro.schedules import rank_order_schedule, recursive_schedule
+from repro.schedules import (
+    demand_driven_schedule,
+    rank_order_schedule,
+    recursive_schedule,
+)
 from repro.simcore import SchedulePlan, simulate_py
 from repro.simcore.stack import belady_counts
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
@@ -103,18 +107,34 @@ def test_trace_sim_blocked_32(benchmark):
 # Standalone machine-readable mode.
 
 
-def _reference_run():
-    """The pre-vectorisation executor kept under ``tests/`` as the
-    golden reference; benchmarked against the array core so the JSON
-    artifact records the measured speedup."""
+def _importable_tests():
+    """Put the repository root on ``sys.path`` so the golden references
+    under ``tests/`` import."""
     import pathlib
 
     repo_root = str(pathlib.Path(__file__).resolve().parent.parent)
     if repo_root not in sys.path:
         sys.path.insert(0, repo_root)
+
+
+def _reference_run():
+    """The pre-vectorisation executor kept under ``tests/`` as the
+    golden reference; benchmarked against the array core so the JSON
+    artifact records the measured speedup."""
+    _importable_tests()
     from tests.pebbling._reference import reference_run
 
     return reference_run
+
+
+def _reference_walk():
+    """The demand-driven walk kept under ``tests/`` as the golden
+    reference; benchmarked against the key sort so the JSON artifact
+    records the measured speedup."""
+    _importable_tests()
+    from tests.schedules._reference import demand_driven_schedule as walk
+
+    return walk
 
 
 def make_cases() -> dict:
@@ -226,6 +246,20 @@ def make_cases() -> dict:
                 simulate_py(plan4, is_input4, is_output4, M, 2)
         return run
 
+    # Paired schedule cases: the r = 4 recursive order through
+    # demand_driven_schedule (one sort of per-vertex keys) vs the walk
+    # kept under tests/.  Their ratio lands in "schedule_keys_speedup".
+    def schedule_keys_r4():
+        g4 = graph(4)
+        order = np.arange(len(g4.products()))
+        return lambda: demand_driven_schedule(g4, order)
+
+    def schedule_walk_r4():
+        g4 = graph(4)
+        order = np.arange(len(g4.products()))
+        walk = _reference_walk()
+        return lambda: walk(g4, order)
+
     # Paired graph-cache cases: the warm path loads every graph,
     # schedule and executor plan for the E9 depth ladder from a
     # pre-warmed bundle store through a *fresh* GraphCache instance per
@@ -284,6 +318,8 @@ def make_cases() -> dict:
         "executor_e9_n32_grid_reference": executor_e9_n32_grid_reference,
         "belady_pass_r4": belady_pass_r4,
         "belady_loop_r4": belady_loop_r4,
+        "schedule_keys_r4": schedule_keys_r4,
+        "schedule_walk_r4": schedule_walk_r4,
         "graphcache_e9_cold_compile": graphcache_cold,
         "graphcache_e9_warm_compile": graphcache_warm,
         "lemma3_routing_k3": lambda: partial(lemma3_routing, graph(3)),
@@ -334,6 +370,7 @@ def run_benchmarks(repeats: int = 3, select: str | None = None) -> dict:
         ("executor_e9_n32_speedup",
          "executor_e9_n32_grid_core", "executor_e9_n32_grid_reference"),
         ("belady_pass_speedup", "belady_pass_r4", "belady_loop_r4"),
+        ("schedule_keys_speedup", "schedule_keys_r4", "schedule_walk_r4"),
         ("graphcache_warm_speedup",
          "graphcache_e9_warm_compile", "graphcache_e9_cold_compile"),
     ):

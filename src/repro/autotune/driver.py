@@ -233,6 +233,15 @@ class AutoTuner:
     # ------------------------------------------------------------------
 
     def run(self) -> TuneResult:
+        """Search until the budget is spent; the journal's file is
+        closed on the way out, however the search ends."""
+        try:
+            return self._search()
+        finally:
+            if self.journal is not None:
+                self.journal.close()
+
+    def _search(self) -> TuneResult:
         config = self.config
         ctx = self.ctx
         strategy = self.strategy

@@ -43,7 +43,6 @@ from repro.runner.jobs import (
     expand_grid,
     experiment_accepts_seed,
     job_key,
-    jobs_for_ids,
 )
 from repro.runner.pool import Attempt, JobOutcome, run_sweep
 from repro.runner.report import (
@@ -64,7 +63,6 @@ __all__ = [
     "job_key",
     "GraphCache",
     "expand_grid",
-    "jobs_for_ids",
     "experiment_accepts_seed",
     "ResultStore",
     "result_to_payload",

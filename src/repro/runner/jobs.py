@@ -31,7 +31,6 @@ __all__ = [
     "job_key",
     "canonical_params",
     "expand_grid",
-    "jobs_for_ids",
     "resolve_entrypoint",
     "experiment_accepts_seed",
 ]
@@ -163,26 +162,6 @@ def expand_grid(
                 JobSpec(experiment_id, params, seed=int(s), entrypoint=entrypoint)
                 for s in seeds
             )
-    return specs
-
-
-def jobs_for_ids(
-    ids: Iterable[str] | None = None,
-    seeds: Sequence[int] | None = None,
-) -> list[JobSpec]:
-    """Default-parameter jobs for the given experiment ids (all
-    registered experiments when ``ids`` is None).  Seeds are fanned out
-    only over experiments whose run function accepts a ``seed``."""
-    from repro.experiments import list_experiments
-
-    specs = []
-    for experiment_id in ids if ids else list_experiments():
-        if seeds is not None and experiment_accepts_seed(experiment_id):
-            specs.extend(
-                JobSpec(experiment_id, seed=int(s)) for s in seeds
-            )
-        else:
-            specs.append(JobSpec(experiment_id))
     return specs
 
 

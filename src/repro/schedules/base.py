@@ -15,6 +15,35 @@ primitives here:
   recursive schedule; with products ordered by global (i, j, k) it is a
   classical loop-nest schedule; with a random product order it is a
   locality-free adversary.
+
+The demand-driven order comes from one sort.  Product ``t`` of the
+order runs *step* ``t``: its not-yet-computed encoder ancestors, then
+the product, then the decoder vertices it completes.  Every computable
+vertex gets the key ``(T, phase, within)`` and one ``np.lexsort``
+emits them all:
+
+- ``T`` is the step that emits the vertex.  A product's is its own
+  position.  An encoder vertex's is the least position among the
+  products that need it, pushed down the encoder rank by rank.  A
+  decoder vertex's is the greatest among its operands', pushed up.
+- ``phase`` is 0 for encoders, 1 for the product, 2 for decoders.
+- ``within`` orders one step.
+  Encoders: side B before side A, since the product's B operand is
+  expanded first; then the post-order of the product's ancestry, each
+  vertex's operands in descending entry digit.  That ancestry is a
+  tree, because the path from a vertex up to the product fixes one
+  entry digit per level, so the post-order is one position per vertex.
+  Decoders: each has exactly one operand that step ``T`` emits (its
+  *releaser*), because its operands' product cones partition its own
+  cone and only one of them holds the product at position ``T``.  The
+  step releases decoders depth-first from the product: a vertex's
+  released successors are emitted in ascending entry digit, then
+  visited last-first.  So the key is the pre-order of the releaser's
+  path (siblings in descending digit), then the vertex's own digit.
+
+Tree positions are positions in the complete ``a``-ary tree of entry
+digits, which has ``1 + a + .. + a**r`` vertices; every ``within`` key
+is below three times that.
 """
 
 from __future__ import annotations
@@ -85,73 +114,124 @@ def demand_driven_schedule(cdag: CDAG, product_order) -> np.ndarray:
 
     ``product_order`` is a permutation of ``range(b**r)`` (positions
     within ``cdag.products()``).
+
+    Every computable vertex is keyed ``(T, phase, within)`` as the
+    module docstring sets out, and the keys are sorted once.  ``T`` is
+    -1 on inputs, which sort first and are cut off, and ``b**r`` on a
+    computable vertex no step emits: an encoder vertex no product
+    needs, or a decoder vertex that has an operand never emitted or
+    only inputs for operands.  ``phase`` and ``within`` share one key:
+    side B's encoder post-order positions, then side A's, then the
+    product, then the decoder release positions.
     """
-    product_order = np.asarray(product_order, dtype=np.int64)
-    products = cdag.products().tolist()
-    if sorted(product_order.tolist()) != list(range(len(products))):
+    order = np.asarray(product_order, dtype=np.int64)
+    n_products = len(cdag.products())
+    if (
+        order.shape != (n_products,)
+        or not ((order >= 0) & (order < n_products)).all()
+        or not (np.bincount(order, minlength=n_products) == 1).all()
+    ):
         raise ScheduleError(
             "product_order must be a permutation of range(#products)"
         )
 
-    # The walks index Python lists and bytearrays, which the interpreter
-    # reads faster than numpy scalars; CSR rows are list slices.
-    pred_indptr = cdag.pred_indptr.tolist()
-    pred_indices = cdag.pred_indices.tolist()
-    succ_indptr = cdag.succ_indptr.tolist()
-    succ_indices = cdag.succ_indices.tolist()
-    is_input = cdag.in_degree() == 0
-    computed = bytearray(is_input.tobytes())  # inputs start available
-    # pending[v]: operands of v not yet computed (inputs pre-discounted).
-    edge_parents = np.repeat(
-        np.arange(cdag.n_vertices), np.diff(cdag.pred_indptr)
-    )
-    pending = np.bincount(
-        edge_parents[~is_input[cdag.pred_indices]],
-        minlength=cdag.n_vertices,
-    ).tolist()
-    # Decoder vertices above the products are released eagerly.
-    release = bytearray(
-        ((cdag.region == Region.DEC) & (cdag.rank > cdag.r + 1)).tobytes()
-    )
-    out: list[int] = []
+    alg, a, b, r = cdag.alg, cdag.a, cdag.b, cdag.r
+    never = n_products
+    T = np.empty(cdag.n_vertices, dtype=np.int64)
+    within = np.empty(cdag.n_vertices, dtype=np.int64)
 
-    for idx in product_order.tolist():
-        v = products[idx]
-        if computed[v]:  # pragma: no cover - products are never decoder-released
-            continue
-        # DFS over uncomputed ancestors, emitting bottom-up, then v.  A
-        # stack entry ``node`` expands it; ``~node`` emits it.
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            if node < 0:
-                node = ~node
-                if computed[node]:
-                    continue
-                # Emit: record node as computed and release ready
-                # decoder vertices above it.
-                computed[node] = 1
-                out.append(node)
-                ready = [node]
-                while ready:
-                    u = ready.pop()
-                    for s in succ_indices[succ_indptr[u]:succ_indptr[u + 1]]:
-                        pending[s] -= 1
-                        if not pending[s] and release[s] and not computed[s]:
-                            computed[s] = 1
-                            out.append(s)
-                            ready.append(s)
-                continue
-            if computed[node]:
-                continue
-            stack.append(~node)
-            for p in pred_indices[pred_indptr[node]:pred_indptr[node + 1]]:
-                if not computed[p]:
-                    stack.append(p)
+    def slab(arr: np.ndarray, region: int, rank: int, *shape: int) -> np.ndarray:
+        s = cdag.slabs[(region, rank)]
+        return arr[s.offset : s.offset + s.size].reshape(shape)
 
-    expected = int(np.count_nonzero(cdag.in_degree() > 0))
-    if len(out) != expected:
-        raise ScheduleError(
-            f"demand-driven emission incomplete: {len(out)} of {expected}"
+    position = np.empty(n_products, dtype=np.int64)
+    position[order] = np.arange(n_products, dtype=np.int64)
+    sizes = _tree_sizes(a, r)
+    side_width = sizes[r]
+
+    # Encoders: rank i is (M, m_i, E) above rank i-1's (M, e_i, E); an
+    # edge per nonzero U[m_i, e_i] (V on side B).  Rows of zeros make
+    # operand-free vertices, which are inputs.
+    for side, (region, E) in enumerate(
+        ((Region.ENC_B, alg.V), (Region.ENC_A, alg.U))
+    ):
+        no_operands = ~E.any(axis=1)
+        slab(T, region, r, -1)[:] = position
+        for i in range(r, 0, -1):
+            upper = slab(T, region, i, b ** (i - 1), b, a ** (r - i))
+            if i > 1:
+                lower = slab(T, region, i - 1, b ** (i - 1), a, a ** (r - i))
+                lower.fill(never)
+                for m, e in zip(*np.nonzero(E)):
+                    np.minimum(lower[:, e], upper[:, m], out=lower[:, e])
+            upper[:, no_operands] = -1
+        slab(T, region, 0, -1)[:] = -1  # the inputs proper
+        for i in range(r + 1):
+            slab(within, region, i, b**i, a ** (r - i))[:] = (
+                side * side_width + _post_order_keys(a, r, i, sizes)
+            )
+
+    slab(T, Region.DEC, 0, -1)[:] = position
+    slab(within, Region.DEC, 0, -1)[:] = 2 * side_width
+    # Decoders: rank j is (M, e, E) above rank j-1's (M, m, E); an edge
+    # per nonzero W[e, m].
+    has_operands = alg.W.any(axis=1)[:, None]
+    for j in range(1, r + 1):
+        lower = slab(T, Region.DEC, j - 1, b ** (r - j), b, a ** (j - 1))
+        upper = slab(T, Region.DEC, j, b ** (r - j), a, a ** (j - 1))
+        upper.fill(-1)
+        for e, m in zip(*np.nonzero(alg.W)):
+            np.maximum(upper[:, e], lower[:, m], out=upper[:, e])
+        # Operands that are all inputs leave nothing to release it.
+        upper[(upper < 0) & has_operands] = never
+        slab(within, Region.DEC, j, b ** (r - j), a**j)[:] = (
+            2 * side_width + 1 + _release_keys(a, r, j, sizes)
         )
-    return np.asarray(out, dtype=np.int64)
+
+    n_inputs = int(np.count_nonzero(T < 0))
+    expected = cdag.n_vertices - n_inputs
+    missing = int(np.count_nonzero(T == never))
+    if missing:
+        raise ScheduleError(
+            f"demand-driven emission incomplete: {expected - missing} of "
+            f"{expected}"
+        )
+    return np.lexsort((within, T))[n_inputs:]
+
+
+def _tree_sizes(a: int, height: int) -> list[int]:
+    """``sizes[k]``: vertices of the complete ``a``-ary tree of height
+    ``k``."""
+    sizes = [1]
+    for _ in range(height):
+        sizes.append(1 + a * sizes[-1])
+    return sizes
+
+
+def _post_order_keys(a: int, r: int, i: int, sizes: list[int]) -> np.ndarray:
+    """Post-order positions of encoder rank ``i`` in one product's
+    ancestry, children in descending entry digit, per packed entry
+    tail ``(e_(i+1) .. e_r)``: each digit ``e_k`` on the path skips
+    ``a-1-e_k`` earlier sibling subtrees of height ``k-1``, and a
+    vertex follows its own subtree."""
+    tail = np.arange(a ** (r - i), dtype=np.int64)
+    keys = np.full(len(tail), sizes[i] - 1, dtype=np.int64)
+    for k in range(r, i, -1):
+        tail, e = np.divmod(tail, a)
+        keys += (a - 1 - e) * sizes[k - 1]
+    return keys
+
+
+def _release_keys(a: int, r: int, j: int, sizes: list[int]) -> np.ndarray:
+    """Release order of decoder rank ``j`` in one step, per packed entry
+    tail ``(e_(r-j+1) .. e_r)``: the releaser's pre-order position in
+    the tree of decoder ranks ``0 .. r-1``, children in descending
+    digit (each step down the path ``e_r .. e_(r-j+2)`` passes the
+    parent and ``a-1-e`` earlier sibling subtrees), then ``e_(r-j+1)``
+    ascending."""
+    tail = np.arange(a**j, dtype=np.int64)
+    keys = np.zeros(len(tail), dtype=np.int64)
+    for q in range(j - 1):
+        tail, e = np.divmod(tail, a)
+        keys += 1 + (a - 1 - e) * sizes[r - 2 - q]
+    return keys * a + tail

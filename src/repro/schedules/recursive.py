@@ -39,7 +39,7 @@ def recursive_schedule(cdag: CDAG) -> np.ndarray:
 
     The generated array is a pure function of the CDAG, so an active
     graph cache serves it from a content-keyed bundle instead of
-    re-running the traversal.
+    generating it again.
     """
     cache = _artifact.active_cache()
     if cache is not None:

@@ -1,7 +1,9 @@
 """The autotune driver: trajectories, budget, caching, strategies."""
 
+import gc
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +190,55 @@ class TestDriver:
         kinds = [r["kind"] for r in records]
         assert kinds.count("tune_start") == 1
         assert kinds[0] == "tune_start" and kinds[-1] == "tune_finish"
+
+
+class TestJournalIsClosed:
+    """A journal opened from a path is closed when the search ends,
+    whether it finishes or raises: no file is left to the garbage
+    collector (which reports it as a ``ResourceWarning``)."""
+
+    @staticmethod
+    def _unclosed_files(search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            search()
+            gc.collect()
+        return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_finished_search(self, g2, tmp_path):
+        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
+
+        def search():
+            AutoTuner(
+                config, LocalEvaluator(g2, 24),
+                journal=str(tmp_path / "t.jsonl"),
+            ).run()
+
+        assert self._unclosed_files(search) == []
+
+    def test_search_that_raises(self, g2, tmp_path):
+        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
+        local = LocalEvaluator(g2, 24)
+
+        class FailsAfterOneGeneration:
+            calls = 0
+
+            def evaluate(self, orders):
+                self.calls += 1
+                if self.calls > 1:
+                    raise RuntimeError("evaluator lost")
+                return local.evaluate(orders)
+
+        def search():
+            with pytest.raises(RuntimeError, match="evaluator lost"):
+                AutoTuner(
+                    config, FailsAfterOneGeneration(),
+                    journal=str(tmp_path / "t.jsonl"),
+                ).run()
+
+        assert self._unclosed_files(search) == []
+        kinds = [r["kind"] for r in TuneJournal.load(tmp_path / "t.jsonl")]
+        assert kinds == ["tune_start", "generation"]
 
 
 class TestPoolEvaluator:

@@ -9,7 +9,6 @@ from repro.runner.jobs import (
     expand_grid,
     experiment_accepts_seed,
     job_key,
-    jobs_for_ids,
     resolve_entrypoint,
 )
 
@@ -93,20 +92,6 @@ class TestExpansion:
         specs = expand_grid("E8", {"r": [3]}, seeds=[1, 2, 3])
         assert len(specs) == 3
         assert sorted(s.seed for s in specs) == [1, 2, 3]
-
-    def test_jobs_for_ids_covers_registry(self):
-        from repro.experiments import list_experiments
-
-        specs = jobs_for_ids()
-        assert [s.experiment_id for s in specs] == list_experiments()
-
-    def test_jobs_for_ids_seeds_only_seed_aware(self):
-        specs = jobs_for_ids(["E1", "E8"], seeds=[1, 2])
-        by_id = {}
-        for s in specs:
-            by_id.setdefault(s.experiment_id, []).append(s)
-        assert len(by_id["E1"]) == 1 and by_id["E1"][0].seed is None
-        assert sorted(s.seed for s in by_id["E8"]) == [1, 2]
 
 
 class TestSeedIntrospection:

@@ -1,11 +1,14 @@
-"""The numpy-indexed demand-driven schedule generator, kept verbatim as
-the golden reference for equivalence tests.
+"""The demand-driven schedule generator as a walk, kept verbatim as the
+golden reference for equivalence tests.
 
-:func:`repro.schedules.base.demand_driven_schedule` walks Python lists
-of the CSR adjacency with a sign-encoded stack; this is the version it
-replaced, which reads numpy scalars and ``(node, expanded)`` tuples.
-The equivalence tests run both over algorithms x recursion depths x
-product orders and assert byte-identical schedules.  Do not optimise
+:func:`repro.schedules.base.demand_driven_schedule` no longer walks the
+graph: it keys every vertex by the step that emits it and sorts the
+keys once.  This file is now the only walk left: a per-product
+depth-first search over the predecessor lists that emits encoder
+ancestors bottom-up, then the product, then each decoder vertex the
+moment its last operand completes.  The equivalence tests run both
+over algorithms x recursion depths x product orders and assert
+byte-identical schedules and identical error messages.  Do not optimise
 this file — its value is that it stays the original semantics.
 """
 

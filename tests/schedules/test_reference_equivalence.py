@@ -5,13 +5,31 @@ byte-identical schedules to the frozen generator kept in
 The grid covers Strassen, Winograd and classical(2) at r = 1..4 with
 lexicographic (the recursive schedule), reversed and hypothesis-drawn
 product orders, plus every loop order of :func:`loop_order_schedule`.
+It also covers the other catalog bases, the assumption-violating
+Strassen variants and the named compositions at small r, Strassen's
+n = 32 recursive schedule, the autotuner's hybrid orders, and two
+degenerate graphs on which both generators must raise the same error.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bilinear import classical, strassen, winograd
+from repro.autotune.genome import GenomeContext, hybrid_order
+from repro.bilinear import (
+    BilinearAlgorithm,
+    classical,
+    laderman,
+    strassen,
+    strassen_peeled,
+    winograd,
+)
+from repro.bilinear.compose import named_compositions
+from repro.bilinear.synthetic import (
+    make_single_use,
+    with_duplicate_product,
+    with_split_output,
+)
 from repro.cdag import build_cdag
 from repro.errors import ScheduleError
 from repro.schedules import blocked, demand_driven_schedule, loop_order_schedule
@@ -93,3 +111,75 @@ def test_non_permutation_raises(generator, bad):
     }[bad]
     with pytest.raises(ScheduleError, match="permutation"):
         generator(g, order)
+
+
+# Other catalog bases and the compositions at r <= 2; Strassen's
+# assumption-violating variants at r <= 3.
+EXTRA_CASES = [
+    pytest.param(alg, r, id=f"{alg.name}-{r}")
+    for algs, depths in (
+        ([laderman(), classical(3), strassen_peeled(), *named_compositions()],
+         (1, 2)),
+        ([with_duplicate_product(strassen()), with_split_output(strassen()),
+          make_single_use(strassen())], (1, 2, 3)),
+    )
+    for alg in algs
+    for r in depths
+]
+
+
+@pytest.mark.parametrize("kind", ["lexicographic", "reversed", "shuffled"])
+@pytest.mark.parametrize("alg,r", EXTRA_CASES)
+def test_more_algorithms_match_reference(alg, r, kind):
+    g = build_cdag(alg, r)
+    order = np.arange(len(g.products()))
+    if kind == "reversed":
+        order = order[::-1]
+    elif kind == "shuffled":
+        order = np.random.default_rng(r).permutation(order)
+    assert_same_schedule(g, order)
+
+
+def test_recursive_schedule_at_n32_matches_reference():
+    """Strassen at r = 5, lexicographic: the n = 32 recursive schedule
+    the I/O experiments and benchmarks run."""
+    g = graph("strassen", 5)
+    assert_same_schedule(g, np.arange(len(g.products())))
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_hybrid_orders_match_reference(d):
+    g = graph("strassen", 4)
+    ctx = GenomeContext(n_products=len(g.products()), b=g.b, r=g.r)
+    assert_same_schedule(g, hybrid_order(ctx, d))
+
+
+@pytest.mark.parametrize("order_kind", ["lexicographic", "reversed"])
+@pytest.mark.parametrize(
+    "zeroed,emitted",
+    [
+        # Products never demand the rank-1 A vertices with e_2 = 1.
+        ("U column 1", "240 of 247"),
+        # The rank-2 decoders whose operands are all inputs (W row 0
+        # makes operand-free, input decoders) are never released.
+        ("W row 0", "233 of 236"),
+    ],
+)
+def test_degenerate_graphs_raise_the_reference_error(zeroed, emitted, order_kind):
+    base = strassen()
+    U, W = base.U.copy(), base.W.copy()
+    if zeroed == "U column 1":
+        U[:, 1] = 0
+    else:
+        W[0, :] = 0
+    g = build_cdag(
+        BilinearAlgorithm(n0=2, U=U, V=base.V, W=W, name="degenerate"), 2
+    )
+    order = np.arange(len(g.products()))
+    if order_kind == "reversed":
+        order = order[::-1]
+    message = f"demand-driven emission incomplete: {emitted}"
+    for generator in (reference_schedule, demand_driven_schedule):
+        with pytest.raises(ScheduleError) as excinfo:
+            generator(g, order)
+        assert str(excinfo.value) == message
