@@ -1,4 +1,4 @@
-"""Schedule autotuner: restartable search that closes the Belady gap.
+"""Schedule autotuner: search that closes the Belady gap.
 
 The paper's Theorem 1 bounds I/O from below; the measurable upper half
 of the sandwich is whatever schedule we run.  This package *searches*
@@ -9,13 +9,12 @@ Theorem-1 Ω-form bound — and every evaluation is a content-addressed
 runner job (:mod:`~repro.autotune.evaluate`) that dedupes through the
 sweep result store and the graph-bundle cache.
 
-Search state checkpoints to a per-line-checksummed journal
-(:mod:`~repro.autotune.journal`); a SIGKILLed search resumes exactly,
-replaying the interrupted generation from the journaled RNG state and
-answering re-proposed candidates from the store.  Strategies
+A killed search resumes by being rerun against the same result
+store: the budget charges every proposal, hits included, so the rerun
+replays the uninterrupted trajectory and answers every candidate the
+killed run stored from the store.  Strategies
 (:mod:`~repro.autotune.strategies`) are pluggable — hill-climb,
-annealing, genetic, the blocked/recursive hybrid portfolio, and a
-subprocess escape hatch for external solvers.
+annealing, genetic and the blocked/recursive hybrid portfolio.
 
 Surfaced as ``python -m repro tune``; see also experiment E15 and the
 ``tune-smoke`` CI job.
@@ -35,7 +34,6 @@ from repro.autotune.genome import (
     genome_key,
     hybrid_order,
 )
-from repro.autotune.journal import TuneJournal
 from repro.autotune.strategies import (
     STRATEGIES,
     Strategy,
@@ -56,7 +54,6 @@ __all__ = [
     "GenomeContext",
     "genome_key",
     "hybrid_order",
-    "TuneJournal",
     "STRATEGIES",
     "Strategy",
     "TuneContext",

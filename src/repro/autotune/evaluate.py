@@ -198,17 +198,14 @@ class LocalEvaluator:
             out.append(rec)
         return out
 
-    def close(self) -> None:  # interface symmetry
-        pass
-
 
 class PoolEvaluator:
     """Dispatch each generation as a sweep over a local worker pool.
 
     Candidates dedupe through the content-addressed result store: a
     re-proposed candidate (same genome, same grid point, same code
-    version) is a cache hit, which is what makes a killed search cheap
-    to resume.
+    version) is a cache hit, which is what makes rerunning a killed
+    search cheap.
     """
 
     def __init__(
@@ -265,6 +262,3 @@ class PoolEvaluator:
             data = outcome.payload["data"]
             out.append(_record_from_data(key, data, outcome.cached))
         return out
-
-    def close(self) -> None:
-        pass

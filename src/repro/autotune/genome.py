@@ -103,7 +103,7 @@ def genome_key(order) -> str:
 
 
 def order_to_doc(order) -> dict:
-    """JSON-native genome document (rides in job params and journals)."""
+    """JSON-native genome document (rides in job params)."""
     arr = _as_order(order)
     return {"version": GENOME_VERSION, "order": arr.tolist()}
 
@@ -147,8 +147,8 @@ def hybrid_order(ctx: GenomeContext, d: int) -> np.ndarray:
 # Every move takes (order, rng, ctx) and returns a *new* permutation or
 # None when the draw degenerated (e.g. overlapping blocks); the caller
 # decides whether a degenerate draw is retried or dropped.  Moves only
-# consume rng draws — no global state — so a journaled rng state replays
-# the exact proposal sequence on resume.
+# consume rng draws — no global state — so a seed replays the exact
+# proposal sequence.
 
 
 def move_block_swap(order, rng, ctx: GenomeContext) -> np.ndarray | None:
@@ -225,7 +225,7 @@ def random_move(order, rng, ctx: GenomeContext) -> tuple[str, np.ndarray]:
 
     Returns ``(move_name, new_order)``; after 32 degenerate draws the
     original order is returned under the name ``"noop"`` (keeps the
-    proposal stream total so resumes replay exactly).
+    proposal stream total so a seed replays exactly).
     """
     for _ in range(32):
         idx = int(rng.integers(0, len(MOVES)))

@@ -1,11 +1,8 @@
 """Search strategies over the schedule genome.
 
 A strategy is the *proposal* half of the tuner: the driver owns the
-budget, the ledger, the journal and the evaluator; the strategy owns a
-JSON-serialisable ``state`` dict and decides what to try next.  The
-split is what makes resume exact — after a kill, the driver restores
-``state`` and the RNG from the journal and the strategy replays the
-same proposals without knowing it was ever interrupted.
+budget, the ledger and the evaluator; the strategy owns a ``state``
+dict and decides what to try next.
 
 Contract (all methods deterministic given ``(state, rng)``):
 
@@ -17,23 +14,14 @@ Contract (all methods deterministic given ``(state, rng)``):
 
 Built-ins: ``hillclimb`` (the pre-autotuner hill-climb loop,
 draw-for-draw), ``anneal`` (simulated annealing over the mixed move
-set), ``genetic`` (small elitist population), ``portfolio`` (one-shot
-sweep of the blocked/recursive hybrid family), and ``external`` — an
-escape hatch that shells out to a user-supplied solver following the
-subprocess-solver pattern of SNIPPETS.md Snippet 1: the problem is
-written to a content-hashed file in a cache directory (rewrites are
-skipped), the solver runs under a timeout, and its answer is parsed
-back as a proposal.
+set), ``genetic`` (small elitist population) and ``portfolio`` (one-shot
+sweep of the blocked/recursive hybrid family).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +41,6 @@ __all__ = [
     "AnnealStrategy",
     "GeneticStrategy",
     "PortfolioStrategy",
-    "ExternalSolverStrategy",
     "STRATEGIES",
     "make_strategy",
 ]
@@ -134,7 +121,7 @@ class AnnealStrategy(Strategy):
     Proposes ``ctx.generation`` neighbours of the current incumbent per
     generation; acceptance (Metropolis, geometric cooling from 5% of
     the start I/O down to ~0.1%) is applied sequentially in
-    ``observe`` so the rng stream stays journal-replayable.
+    ``observe``, so the rng stream stays deterministic given the seed.
     """
 
     name = "anneal"
@@ -253,106 +240,20 @@ class PortfolioStrategy(Strategy):
         state["done"] = True
 
 
-class ExternalSolverStrategy(Strategy):
-    """Escape hatch: delegate proposal generation to an external solver
-    binary (the SCIP-Jack-style subprocess pattern).
-
-    Per generation the incumbent problem is serialised to
-    ``<cache_dir>/problem-<sha256[:16]>.json`` (content-addressed; an
-    existing file is reused, mirroring the cached problem files of the
-    snippet), then ``solver_cmd + [problem_path]`` runs under
-    ``timeout`` seconds and must print a JSON object with an ``order``
-    list on stdout.  A missing binary, a timeout, or malformed output
-    raises :class:`~repro.errors.ReproError`; a solver that re-proposes
-    its previous answer ends the search (converged).
-    """
-
-    name = "external"
-
-    def __init__(self, solver_cmd=None, cache_dir=None, timeout: float = 60.0):
-        if not solver_cmd:
-            raise ReproError(
-                "external strategy needs --solver-cmd (the solver "
-                "executable and its fixed arguments)"
-            )
-        self.solver_cmd = list(solver_cmd)
-        self.cache_dir = Path(cache_dir or ".repro-cache/tune-problems")
-        self.timeout = timeout
-
-    def initial_state(self, ctx):
-        return {"best_order": None, "best_io": None, "last_key": None}
-
-    def _problem_path(self, problem: dict) -> Path:
-        blob = json.dumps(problem, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        path = self.cache_dir / f"problem-{digest}.json"
-        if not path.exists():
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(blob)
-            tmp.replace(path)
-        return path
-
-    def propose(self, ctx, state, rng):
-        problem = {
-            "n_products": ctx.genome.n_products,
-            "b": ctx.genome.b,
-            "r": ctx.genome.r,
-            "budget": ctx.budget,
-            "incumbent": state["best_order"],
-            "incumbent_io": state["best_io"],
-        }
-        path = self._problem_path(problem)
-        try:
-            out = subprocess.check_output(
-                self.solver_cmd + [str(path)],
-                timeout=self.timeout,
-                text=True,
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise ReproError(f"external solver failed: {exc}") from exc
-        try:
-            answer = json.loads(out.strip().splitlines()[-1])
-            order = np.asarray(answer["order"], dtype=np.int64)
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ReproError(
-                f"external solver output is not a JSON order: {exc}"
-            ) from exc
-        key = genome_key(order)
-        if key == state["last_key"]:
-            return []  # solver has converged on its own answer
-        state["last_key"] = key
-        return [order]
-
-    def observe(self, ctx, state, proposals, records, rng):
-        for order, rec in zip(proposals, records):
-            if not rec.ok:
-                continue
-            if state["best_io"] is None or rec.io < state["best_io"]:
-                state["best_io"] = rec.io
-                state["best_order"] = np.asarray(
-                    order, dtype=np.int64
-                ).tolist()
-
-
 STRATEGIES = {
     "hillclimb": HillClimbStrategy,
     "anneal": AnnealStrategy,
     "genetic": GeneticStrategy,
     "portfolio": PortfolioStrategy,
-    "external": ExternalSolverStrategy,
 }
 
 
-def make_strategy(name: str, **options) -> Strategy:
-    """Instantiate a registered strategy (options only reach strategies
-    that take them, i.e. ``external``)."""
+def make_strategy(name: str) -> Strategy:
+    """Instantiate a registered strategy."""
     try:
         cls = STRATEGIES[name]
     except KeyError:
         raise ReproError(
             f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}"
         ) from None
-    if cls is ExternalSolverStrategy:
-        return cls(**options)
     return cls()

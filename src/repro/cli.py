@@ -10,19 +10,17 @@ Subcommands:
 - ``experiments``           — run the reproduction experiments;
 - ``sweep``                 — parallel experiment sweep with an on-disk
   result cache, per-job timeouts, retries, and a JSONL event log;
-  ``--resume`` after an unclean death serves every finished job from
-  the cache;
+  rerunning a killed sweep serves every finished job from the cache;
 - ``perf``                  — record or compare ``BENCH_<exp>.json``
   perf baselines (``--compare`` exits nonzero on regression);
 - ``graph-cache``           — inspect (``ls``), prune (``gc``) or
   pre-build (``warm``) the compiled-graph bundle store that
   ``sweep --graph-cache`` and the ``REPRO_GRAPH_CACHE`` environment
   variable activate (see :mod:`repro.runner.graphcache`);
-- ``tune``                  — restartable schedule search minimising the
-  Belady gap: candidates are content-addressed jobs deduped through the
-  sweep store, search state checkpoints to a checksummed journal,
-  ``--resume`` continues a killed search exactly (see
-  :mod:`repro.autotune`);
+- ``tune``                  — schedule search minimising the Belady gap:
+  candidates are content-addressed jobs deduped through the sweep
+  store, so rerunning a killed search replays its trajectory from the
+  store (see :mod:`repro.autotune`);
 - ``render``                — DOT/ASCII rendering of a base graph.
 
 ``sweep`` and ``tune`` accept ``--json``: after the human-readable
@@ -30,8 +28,7 @@ output, one final machine-readable JSON line with the job/hit/failure
 counts and wall time.  Their exit codes: **0** — every job reached a
 successful terminal state (for ``tune``: the search completed, improved
 or not); **1** — at least one job failed (for ``tune``: the search
-failed — no successful evaluation, journal mismatch, external-solver
-error).
+failed — no successful evaluation).
 
 ``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--profile``
 (collect telemetry) and ``--trace-out PATH`` (write the collected spans
@@ -152,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Expand experiment ids (optionally with parameter grids and "
             "seeds) into jobs, run each in its own process, cache every "
             "artifact on disk, and aggregate the results.  Re-running an "
-            "identical sweep is served from the cache; an interrupted "
-            "sweep resumes where it stopped."
+            "identical sweep is served from the cache, so rerunning an "
+            "interrupted sweep resumes where it stopped."
         ),
     )
     p_sweep.add_argument("ids", nargs="*", help="experiment ids (default all)")
@@ -165,13 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="result-store root (default .repro-cache)",
     )
-    mode = p_sweep.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--resume", action="store_true",
-        help="reuse cached artifacts (the default; flag kept explicit "
-             "for resuming interrupted sweeps)",
-    )
-    mode.add_argument(
+    p_sweep.add_argument(
         "--fresh", action="store_true",
         help="ignore the cache and recompute (overwrites artifacts)",
     )
@@ -302,18 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser(
         "tune",
-        help="restartable schedule search that closes the Belady gap",
+        help="schedule search that closes the Belady gap",
         description=(
             "Search demand-driven product orders for schedules whose "
             "measured I/O under offline-MIN eviction approaches the "
             "Theorem-1 bound (the Belady gap is the objective).  Every "
             "candidate evaluation is a content-addressed job deduped "
-            "through the sweep result store, and search state "
-            "checkpoints to a checksummed journal, so a killed search "
-            "resumes exactly with --resume.  Exit codes: 0 — search "
-            "completed (improved or not); 1 — search failed (no "
-            "successful evaluation, journal/config mismatch, solver "
-            "error)."
+            "through the sweep result store, so rerunning a killed "
+            "search with the same --cache-dir replays its trajectory "
+            "and serves what it stored from the store.  Exit codes: "
+            "0 — search completed (improved or not); 1 — search "
+            "failed (no successful evaluation)."
         ),
     )
     p_tune.add_argument("--alg", default="strassen")
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--strategy", default="hillclimb",
-        choices=["anneal", "external", "genetic", "hillclimb", "portfolio"],
+        choices=["anneal", "genetic", "hillclimb", "portfolio"],
         help="search strategy (default hillclimb)",
     )
     p_tune.add_argument(
@@ -341,22 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--generation", type=int, default=8, metavar="K",
-        help="proposals per generation / checkpoint granularity "
-             "(default 8)",
+        help="proposals per generation (default 8)",
     )
     p_tune.add_argument("--seed", type=int, default=None)
     p_tune.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="search checkpoint journal (default "
-             "<cache-dir>/tune/<config-hash>.jsonl)",
-    )
-    tune_mode = p_tune.add_mutually_exclusive_group()
-    tune_mode.add_argument(
-        "--resume", action="store_true",
-        help="continue a killed search from its journal's last "
-             "completed generation (config must match)",
-    )
-    tune_mode.add_argument(
         "--fresh", action="store_true",
         help="bypass the result store and recompute every candidate",
     )
@@ -377,16 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--local", action="store_true",
         help="evaluate in-process against one shared executor instead "
              "of the worker pool (fastest for small grids)",
-    )
-    p_tune.add_argument(
-        "--solver-cmd", default=None, metavar="CMD",
-        help="external strategy only: solver command (shell-quoted); "
-             "it receives the problem-file path as its last argument "
-             "and must print a JSON {\"order\": [...]} line",
-    )
-    p_tune.add_argument(
-        "--solver-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="external solver wall-clock limit (default 60)",
     )
     p_tune.add_argument(
         "--json", action="store_true", dest="json_line",
@@ -691,11 +659,7 @@ def _cmd_graph_cache(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    import hashlib
-    import json
-    import shlex
     import time
-    from pathlib import Path
 
     from repro.autotune import (
         AutoTuner,
@@ -716,23 +680,8 @@ def _cmd_tune(args) -> int:
         generation=args.generation,
         seed=args.seed,
     )
-    journal_path = args.journal
-    if journal_path is None:
-        blob = json.dumps(config.describe(), sort_keys=True)
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        journal_path = str(Path(args.cache_dir) / "tune" / f"{digest}.jsonl")
-    Path(journal_path).parent.mkdir(parents=True, exist_ok=True)
-
-    strategy_options = {}
-    if args.strategy == "external":
-        strategy_options = {
-            "solver_cmd": shlex.split(args.solver_cmd or ""),
-            "cache_dir": str(Path(args.cache_dir) / "tune-problems"),
-            "timeout": args.solver_timeout,
-        }
 
     profiled = _begin_profile(args)
-    evaluator = None
     try:
         if args.local:
             from repro.cdag import build_cdag
@@ -751,14 +700,7 @@ def _cmd_tune(args) -> int:
                 graph_cache=args.graph_cache,
                 fresh=args.fresh,
             )
-        tuner = AutoTuner(
-            config,
-            evaluator,
-            journal=journal_path,
-            strategy_options=strategy_options,
-            resume=args.resume,
-        )
-        result = tuner.run()
+        result = AutoTuner(config, evaluator).run()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
@@ -769,9 +711,6 @@ def _cmd_tune(args) -> int:
                 "exit_code": code,
             })
         return code
-    finally:
-        if evaluator is not None:
-            evaluator.close()
 
     wall = time.monotonic() - t0
     s = result.summary()
@@ -793,16 +732,12 @@ def _cmd_tune(args) -> int:
     table.add_row(["failures", s["failures"]])
     table.add_row(["generations", s["generations"]])
     print(table.render())
-    print(
-        f"{'resumed' if result.resumed else 'searched'} in {wall:.2f}s; "
-        f"journal: {journal_path}"
-    )
+    print(f"searched in {wall:.2f}s")
     if profiled:
         _finish_profile(args, "tune")
     if args.json_line:
         _emit_json_line("tune", {
             **s,
-            "journal": journal_path,
             "wall_s": round(wall, 6),
             "exit_code": 0,
         })

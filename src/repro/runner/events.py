@@ -7,8 +7,8 @@ duration.  The log is the sweep's flight recorder — retry histories and
 cache-hit rates in tests and post-mortems come from here, never from
 parsing human-readable output.  Timestamps live only in the event log,
 never in stored artifacts, which keeps artifacts byte-reproducible.
-``--resume`` never reads the log: what a resumed sweep skips comes from
-the result store alone.
+A rerun never reads the log: what a rerun of a killed sweep skips comes
+from the result store alone.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ the read ends.  Fault model:
 
 No job process outlives :func:`run_sweep`: whatever ends the scheduling
 loop, including an exception, every child still alive is killed and
-joined.
+joined.  A sweep process killed outright gets no such chance, so each
+job process also watches its parent and exits within a fraction of a
+second of being orphaned: nothing could receive what it computes.
 
 Children execute :func:`_execute_job`, which resolves the experiment
 registry (or an explicit entrypoint), threads explicit seeds, and
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -196,12 +199,27 @@ def _execute_job(
     return res
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Poll until this process's parent changes, then exit at once."""
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(1)
+
+
 def _job_process_main(
     conn, spec: JobSpec, graph_cache: str | None, parent_span: str | None
 ) -> None:
     """Entry point of a job process: send ``("ok", result)`` or
     ``("error", text)`` and exit.  A process that dies before sending
-    leaves EOF on the pipe, which the scheduler reads as a crash."""
+    leaves EOF on the pipe, which the scheduler reads as a crash.
+
+    The parent watched is the one the job starts under: the sweep
+    process under the ``fork`` and ``spawn`` start methods.  Under
+    ``forkserver`` it is the fork server, which outlives the sweep, so
+    there a killed sweep's jobs still run to their end."""
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     try:
         conn.send(("ok", _execute_job(spec, graph_cache, parent_span)))
     except Exception as exc:

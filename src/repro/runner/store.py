@@ -10,7 +10,7 @@ that produced it.  Properties the sweep machinery relies on:
   byte-identical files;
 - **atomic writes** — written to a temp file in the same directory and
   ``os.replace``-d into place, so an interrupted sweep never leaves a
-  truncated artifact and ``--resume`` can trust whatever it finds;
+  truncated artifact and a rerun can trust whatever it finds;
 - **self-describing** — each artifact embeds its key, params, seed and
   package version; a corrupt or mismatched file reads as a cache miss,
   never an error;

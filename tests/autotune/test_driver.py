@@ -1,10 +1,5 @@
 """The autotune driver: trajectories, budget, caching, strategies."""
 
-import gc
-import json
-import sys
-import warnings
-
 import numpy as np
 import pytest
 
@@ -14,7 +9,6 @@ from repro.autotune import (
     LocalEvaluator,
     PoolEvaluator,
     TuneConfig,
-    TuneJournal,
 )
 from repro.autotune.strategies import make_strategy
 from repro.bilinear import strassen
@@ -166,80 +160,6 @@ class TestDriver:
                 config, LocalEvaluator(g2, 12), start_order=np.arange(10)
             )
 
-    def test_resume_config_mismatch(self, g2, tmp_path):
-        journal = tmp_path / "t.jsonl"
-        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
-        AutoTuner(
-            config, LocalEvaluator(g2, 24), journal=str(journal)
-        ).run()
-        other = TuneConfig(r=2, budget=9, generation=4, seed=1)
-        with pytest.raises(ReproError, match="config mismatch"):
-            AutoTuner(
-                other, LocalEvaluator(g2, 24),
-                journal=str(journal), resume=True,
-            ).run()
-
-    def test_fresh_run_truncates_old_journal(self, g2, tmp_path):
-        journal = tmp_path / "t.jsonl"
-        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
-        for _ in range(2):  # second run must not append to the first
-            AutoTuner(
-                config, LocalEvaluator(g2, 24), journal=str(journal)
-            ).run()
-        records = TuneJournal.load(journal)
-        kinds = [r["kind"] for r in records]
-        assert kinds.count("tune_start") == 1
-        assert kinds[0] == "tune_start" and kinds[-1] == "tune_finish"
-
-
-class TestJournalIsClosed:
-    """A journal opened from a path is closed when the search ends,
-    whether it finishes or raises: no file is left to the garbage
-    collector (which reports it as a ``ResourceWarning``)."""
-
-    @staticmethod
-    def _unclosed_files(search):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            search()
-            gc.collect()
-        return [w for w in caught if issubclass(w.category, ResourceWarning)]
-
-    def test_finished_search(self, g2, tmp_path):
-        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
-
-        def search():
-            AutoTuner(
-                config, LocalEvaluator(g2, 24),
-                journal=str(tmp_path / "t.jsonl"),
-            ).run()
-
-        assert self._unclosed_files(search) == []
-
-    def test_search_that_raises(self, g2, tmp_path):
-        config = TuneConfig(r=2, budget=8, generation=4, seed=1)
-        local = LocalEvaluator(g2, 24)
-
-        class FailsAfterOneGeneration:
-            calls = 0
-
-            def evaluate(self, orders):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("evaluator lost")
-                return local.evaluate(orders)
-
-        def search():
-            with pytest.raises(RuntimeError, match="evaluator lost"):
-                AutoTuner(
-                    config, FailsAfterOneGeneration(),
-                    journal=str(tmp_path / "t.jsonl"),
-                ).run()
-
-        assert self._unclosed_files(search) == []
-        kinds = [r["kind"] for r in TuneJournal.load(tmp_path / "t.jsonl")]
-        assert kinds == ["tune_start", "generation"]
-
 
 class TestPoolEvaluator:
     def test_store_dedupes_across_searches(self, tmp_path):
@@ -255,10 +175,7 @@ class TestPoolEvaluator:
             evaluator = PoolEvaluator(
                 "strassen", 2, 12, store=store, workers=2
             )
-            try:
-                return AutoTuner(config, evaluator).run()
-            finally:
-                evaluator.close()
+            return AutoTuner(config, evaluator).run()
 
         cold, warm = run(), run()
         assert warm.trajectory == cold.trajectory
@@ -283,64 +200,8 @@ class TestPoolEvaluator:
                     ]
                 return out
 
-            def close(self):
-                pass
-
         config = TuneConfig(r=2, cache_size=12, strategy="anneal",
                             budget=12, generation=3, seed=2)
         res = AutoTuner(config, Flaky(LocalEvaluator(g2, 12))).run()
         assert res.failures >= 1
         assert res.best_io <= res.start_io
-
-
-class TestExternalSolver:
-    SOLVER = """\
-import json, sys
-problem = json.load(open(sys.argv[1]))
-n = problem["n_products"]
-if problem["incumbent"] is None:
-    order = list(range(n - 1, -1, -1))
-else:
-    order = list(problem["incumbent"])
-print("solver log line", file=sys.stderr)
-print(json.dumps({"order": order}))
-"""
-
-    def test_subprocess_solver_round_trip(self, g2, tmp_path):
-        script = tmp_path / "solver.py"
-        script.write_text(self.SOLVER)
-        config = TuneConfig(r=2, cache_size=12, strategy="external",
-                            budget=10, generation=4, seed=1)
-        res = AutoTuner(
-            config,
-            LocalEvaluator(g2, 12),
-            strategy_options={
-                "solver_cmd": [sys.executable, str(script)],
-                "cache_dir": str(tmp_path / "problems"),
-            },
-        ).run()
-        # Seed generation + one solver proposal, then convergence.
-        assert res.evaluations == 2
-        assert res.best_io <= res.start_io
-        problems = list((tmp_path / "problems").glob("problem-*.json"))
-        assert problems, "problem files are content-addressed on disk"
-        for p in problems:
-            json.loads(p.read_text())  # valid JSON handed to the solver
-
-    def test_solver_cmd_required(self):
-        with pytest.raises(ReproError, match="solver"):
-            make_strategy("external")
-
-    def test_broken_solver_raises(self, g2, tmp_path):
-        config = TuneConfig(r=2, cache_size=12, strategy="external",
-                            budget=4, generation=2, seed=1)
-        tuner = AutoTuner(
-            config,
-            LocalEvaluator(g2, 12),
-            strategy_options={
-                "solver_cmd": [str(tmp_path / "no-such-solver")],
-                "cache_dir": str(tmp_path / "problems"),
-            },
-        )
-        with pytest.raises(ReproError, match="external solver failed"):
-            tuner.run()

@@ -1,11 +1,12 @@
-"""Kill-and-resume determinism: the tentpole's crash-safety contract.
+"""Kill, then rerun: the result store is how a search resumes.
 
-A search SIGKILLed mid-generation must resume to the *bit-for-bit*
-uninterrupted trajectory: the journal restores strategy state and RNG
-state as of the last completed generation, the interrupted generation
-replays with identical proposals, and the result store answers the
-evaluations the killed run already paid for (asserted via the
-cache-hit counters).
+A search SIGKILLed mid-generation (its whole process group, job
+processes included) keeps the candidate evaluations it stored and
+nothing else.  Rerunning the same configuration against the same store
+must land on the *bit-for-bit* uninterrupted trajectory: the budget
+charges every proposal, store hits included, so the fixed-seed rerun
+proposes exactly what the killed run proposed, and each candidate the
+killed run stored comes back as one extra cache hit.
 """
 
 import os
@@ -17,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.autotune import AutoTuner, PoolEvaluator, TuneConfig, TuneJournal
+from repro.autotune import AutoTuner, PoolEvaluator, TuneConfig
 from repro.runner import ResultStore
 
 CONFIG = dict(
@@ -25,8 +26,12 @@ CONFIG = dict(
     strategy="genetic", budget=12, generation=3, seed=5,
 )
 
+#: Generation 0 of the genetic strategy at r = 2: the recursive order
+#: and the one hybrid depth.
+FIRST_GENERATION = 2
+
 # The child slows each generation down so the parent can observe the
-# journal grow and SIGKILL mid-search deterministically.
+# store grow and SIGKILL mid-search deterministically.
 CHILD = """\
 import sys, time
 
@@ -42,41 +47,27 @@ class SlowEvaluator:
         time.sleep(0.4)
         return self.inner.evaluate(orders)
 
-    def close(self):
-        self.inner.close()
 
-
-store_dir, journal_path = sys.argv[1], sys.argv[2]
 config = TuneConfig(
     alg="strassen", r=2, cache_size=12, policy="belady",
     strategy="genetic", budget=12, generation=3, seed=5,
 )
 evaluator = SlowEvaluator(PoolEvaluator(
-    "strassen", 2, 12, store=ResultStore(store_dir), workers=2,
+    "strassen", 2, 12, store=ResultStore(sys.argv[1]), workers=2,
 ))
-AutoTuner(config, evaluator, journal=journal_path).run()
+AutoTuner(config, evaluator).run()
 """
 
 
-def _generation_count(journal_path):
-    return sum(
-        1 for r in TuneJournal.load(journal_path)
-        if r.get("kind") == "generation"
+def _search(store_dir):
+    evaluator = PoolEvaluator(
+        "strassen", 2, 12, store=ResultStore(store_dir), workers=2
     )
-
-
-def _journal_ledger(journal_path):
-    ledger = {}
-    for rec in TuneJournal.load(journal_path):
-        if rec.get("kind") == "generation":
-            for key, io, gap in rec["ledger_new"]:
-                ledger[key] = (int(io), float(gap))
-    return ledger
+    return AutoTuner(TuneConfig(**CONFIG), evaluator).run()
 
 
 def test_sigkill_mid_search_resumes_bit_for_bit(tmp_path):
     store_dir = tmp_path / "store"
-    journal_path = tmp_path / "tune.jsonl"
     script = tmp_path / "child.py"
     script.write_text(CHILD)
 
@@ -85,74 +76,47 @@ def test_sigkill_mid_search_resumes_bit_for_bit(tmp_path):
         p for p in [env.get("PYTHONPATH"), os.path.abspath("src")] if p
     )
     child = subprocess.Popen(
-        [sys.executable, str(script), str(store_dir), str(journal_path)],
+        [sys.executable, str(script), str(store_dir)],
         env=env,
+        start_new_session=True,  # own process group: job processes too
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     try:
         deadline = time.monotonic() + 120
-        while _generation_count(journal_path) < 2:
+        while len(ResultStore(store_dir)) < FIRST_GENERATION:
             if child.poll() is not None:
                 pytest.fail(
                     "child search finished before it could be killed"
                 )
             if time.monotonic() > deadline:
-                pytest.fail("child search never reached generation 2")
+                pytest.fail("child search never stored a generation")
             time.sleep(0.02)
-        child.send_signal(signal.SIGKILL)
+        os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
     finally:
         if child.poll() is None:
-            child.kill()
+            os.killpg(child.pid, signal.SIGKILL)
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    killed_generations = _generation_count(journal_path)
-    assert killed_generations >= 2
+    stored = len(ResultStore(store_dir))
+    assert stored >= FIRST_GENERATION
 
-    config = TuneConfig(**CONFIG)
+    # Rerun against the same store, then an uninterrupted reference on
+    # a cold one: trajectories must not depend on cache warmth.
+    rerun = _search(store_dir)
+    reference = _search(tmp_path / "cold")
 
-    # Resume against the same store and journal: the interrupted
-    # generation replays from the journaled RNG state, and evaluations
-    # the killed run already paid for are answered from the store.
-    resumed_eval = PoolEvaluator(
-        "strassen", 2, 12, store=ResultStore(store_dir), workers=2
+    assert rerun.trajectory == reference.trajectory
+    assert rerun.best_io == reference.best_io
+    assert rerun.best_gap == reference.best_gap
+    assert rerun.evaluations == reference.evaluations
+    assert np.array_equal(rerun.best_order, reference.best_order)
+    assert stored < len(ResultStore(tmp_path / "cold")), (
+        "the killed search had already stored every candidate"
     )
-    resumed = AutoTuner(
-        config, resumed_eval, journal=str(journal_path), resume=True
-    ).run()
 
-    # Uninterrupted reference on a *cold* store and a fresh journal:
-    # trajectories must not depend on cache warmth.
-    reference_eval = PoolEvaluator(
-        "strassen", 2, 12,
-        store=ResultStore(tmp_path / "store2"), workers=2,
-    )
-    reference = AutoTuner(
-        config, reference_eval,
-        journal=str(tmp_path / "reference.jsonl"),
-    ).run()
-
-    assert resumed.resumed is True
-    assert resumed.trajectory == reference.trajectory
-    assert resumed.best_io == reference.best_io
-    assert resumed.best_gap == pytest.approx(reference.best_gap)
-    assert resumed.evaluations == reference.evaluations
-    assert np.array_equal(resumed.best_order, reference.best_order)
-
-    # The evaluation ledgers agree exactly: every candidate either run
-    # measured, the other measured identically.
-    resumed_ledger = _journal_ledger(journal_path)
-    reference_ledger = _journal_ledger(tmp_path / "reference.jsonl")
-    assert resumed_ledger == reference_ledger
-
-    # The resume re-verifies the incumbent through the store (a
-    # guaranteed hit), and the replayed generation dedupes through it
-    # too — the sweep-cache-hit counter must show it.
-    assert resumed.cache_hits >= 1
-
-    kinds = [r["kind"] for r in TuneJournal.load(journal_path)]
-    assert kinds[0] == "tune_start"
-    assert "tune_resume" in kinds
-    assert kinds[-1] == "tune_finish"
+    # Every candidate the killed run stored is proposed again on the
+    # same trajectory and served from the store instead of simulated.
+    assert rerun.cache_hits == reference.cache_hits + stored

@@ -73,6 +73,15 @@ def sleepy_job(duration: float = 30.0) -> ExperimentResult:
     return _result("T-SLEEPY", slept=duration)
 
 
+def pid_sleepy_job(pid_file: str, duration: float = 30.0) -> ExperimentResult:
+    """Publish this job process's pid in ``pid_file``, then sleep."""
+    tmp = Path(f"{pid_file}.tmp")
+    tmp.write_text(str(os.getpid()))
+    tmp.replace(pid_file)
+    time.sleep(duration)
+    return _result("T-PIDSLEEPY", slept=duration)
+
+
 def seeded_job(seed: int | None = None) -> ExperimentResult:
     return _result("T-SEEDED", seed=seed)
 

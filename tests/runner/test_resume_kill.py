@@ -1,11 +1,12 @@
-"""SIGKILL mid-sweep, then ``--resume``: the result store is the journal.
+"""SIGKILL mid-sweep, then rerun: the result store is the journal.
 
 A sweep killed outright (its whole process group, job processes
 included) keeps whatever artifacts it had published and nothing else.
 Re-running the same specs against the same store must serve the
 finished jobs from the cache, compute the rest, leave no temp file
 behind, and end with artifacts byte-identical to a sweep that was never
-killed.
+killed.  A sweep killed alone, without its process group, must not
+leave its job processes running.
 """
 
 import json
@@ -39,6 +40,35 @@ with EventLog(events_path) as events:
     run_sweep(specs, ResultStore(store_dir), workers=2, progress=False,
               events=events)
 """
+
+
+def _start_sweep(tmp_path: Path, store_dir: Path, events_path: Path, specs):
+    """Run ``specs`` in a child sweep process leading its own process
+    group, so a test can kill it with or without its job processes."""
+    script = tmp_path / "child.py"
+    script.write_text(CHILD)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")] if p
+    )
+    return subprocess.Popen(
+        [sys.executable, str(script), str(store_dir), str(events_path),
+         json.dumps([s.describe() for s in specs])],
+        env=env,
+        start_new_session=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a process that has not exited.  A zombie
+    has exited: only its parent's wait is missing."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _specs():
@@ -84,21 +114,7 @@ def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
     specs = _specs()
     store_dir = tmp_path / "store"
     killed_log = tmp_path / "killed.jsonl"
-    script = tmp_path / "child.py"
-    script.write_text(CHILD)
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")] if p
-    )
-    child = subprocess.Popen(
-        [sys.executable, str(script), str(store_dir), str(killed_log),
-         json.dumps([s.describe() for s in specs])],
-        env=env,
-        start_new_session=True,  # own process group: job processes too
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    child = _start_sweep(tmp_path, store_dir, killed_log, specs)
     try:
         deadline = time.monotonic() + 60
         while not _finished_keys(killed_log):
@@ -139,3 +155,34 @@ def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
     run_sweep(specs, ResultStore(reference), workers=2, progress=False)
     assert _artifacts(store_dir) == _artifacts(reference)
     assert len(_artifacts(reference)) == len(specs)
+
+
+def test_killed_sweep_leaves_no_job_process(tmp_path):
+    pid_file = tmp_path / "job.pid"
+    spec = JobSpec("T-PIDSLEEPY", {"pid_file": str(pid_file)},
+                   entrypoint=f"{HELPERS}:pid_sleepy_job")
+    child = _start_sweep(
+        tmp_path, tmp_path / "store", tmp_path / "events.jsonl", [spec]
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            if child.poll() is not None:
+                pytest.fail("child sweep exited before its job started")
+            if time.monotonic() > deadline:
+                pytest.fail("child sweep never started its job")
+            time.sleep(0.02)
+        job_pid = int(pid_file.read_text())
+        os.kill(child.pid, signal.SIGKILL)  # the sweep alone, not its group
+        child.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while _running(job_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(job_pid), "job process outlived its sweep"
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if child.poll() is None:
+            child.wait(timeout=30)
