@@ -2,8 +2,8 @@
 
 Not tied to a paper figure; these keep the substrate's performance
 honest (CDAG construction, demand-driven schedules, pebble-game
-execution, the LRU and Belady passes, routing construction, the graph
-cache) so the experiment benches stay fast as the code evolves.
+execution, the LRU and Belady passes, routing construction) so the
+experiment benches stay fast as the code evolves.
 
 Two entry points over the same workloads:
 
@@ -18,19 +18,16 @@ Two entry points over the same workloads:
 """
 
 import argparse
-import atexit
 import json
-import shutil
 import statistics
 import sys
-import tempfile
 import time
 from functools import partial
 
 import numpy as np
 
 from repro.bilinear import strassen
-from repro.cdag import artifact, build_cdag, compute_metavertices
+from repro.cdag import build_cdag, compute_metavertices
 from repro.linalg import strassen_matmul
 from repro.pebbling import CacheExecutor
 from repro.routing import lemma3_routing, theorem2_routing
@@ -260,46 +257,6 @@ def make_cases() -> dict:
         walk = _reference_walk()
         return lambda: walk(g4, order)
 
-    # Paired graph-cache cases: the warm path loads every graph,
-    # schedule and executor plan for the E9 depth ladder from a
-    # pre-warmed bundle store through a *fresh* GraphCache instance per
-    # call (a new instance has empty process-local maps — exactly what a
-    # just-spawned sweep worker sees), while the cold path compiles
-    # everything in-process with no cache active.  run_benchmarks
-    # derives their ratio into "graphcache_warm_speedup".
-    gc_rs = (2, 3, 4, 5)
-
-    def _compile_ladder():
-        for r in gc_rs:
-            g = build_cdag(strassen(), r)
-            ex = CacheExecutor(g)
-            ex.compile(recursive_schedule(g))
-            ex.compile(rank_order_schedule(g))
-
-    def graphcache_cold():
-        def run():
-            prev = artifact.set_active_cache(None)
-            try:
-                _compile_ladder()
-            finally:
-                artifact.set_active_cache(prev)
-        return run
-
-    def graphcache_warm():
-        from repro.runner.graphcache import GraphCache
-
-        gc_root = tempfile.mkdtemp(prefix="repro-bench-graphcache-")
-        atexit.register(shutil.rmtree, gc_root, ignore_errors=True)
-        GraphCache(gc_root).warm(strassen(), gc_rs)
-
-        def run():
-            prev = artifact.set_active_cache(GraphCache(gc_root))
-            try:
-                _compile_ladder()
-            finally:
-                artifact.set_active_cache(prev)
-        return run
-
     def strassen_matmul_64():
         rng = np.random.default_rng(0)
         A = rng.standard_normal((64, 64))
@@ -320,8 +277,6 @@ def make_cases() -> dict:
         "belady_loop_r4": belady_loop_r4,
         "schedule_keys_r4": schedule_keys_r4,
         "schedule_walk_r4": schedule_walk_r4,
-        "graphcache_e9_cold_compile": graphcache_cold,
-        "graphcache_e9_warm_compile": graphcache_warm,
         "lemma3_routing_k3": lambda: partial(lemma3_routing, graph(3)),
         "theorem2_routing_k2": lambda: partial(theorem2_routing, graph(2)),
         "strassen_matmul_64": strassen_matmul_64,
@@ -371,8 +326,6 @@ def run_benchmarks(repeats: int = 3, select: str | None = None) -> dict:
          "executor_e9_n32_grid_core", "executor_e9_n32_grid_reference"),
         ("belady_pass_speedup", "belady_pass_r4", "belady_loop_r4"),
         ("schedule_keys_speedup", "schedule_keys_r4", "schedule_walk_r4"),
-        ("graphcache_warm_speedup",
-         "graphcache_e9_warm_compile", "graphcache_e9_cold_compile"),
     ):
         a, b = results.get(fast), results.get(slow)
         if a and b and a["median_s"] > 0:

@@ -7,7 +7,7 @@ product-order genomes (:mod:`~repro.autotune.genome`), the objective is
 the **Belady gap** — measured I/O under offline-MIN eviction minus the
 Theorem-1 Ω-form bound — and every evaluation is a content-addressed
 runner job (:mod:`~repro.autotune.evaluate`) that dedupes through the
-sweep result store and the graph-bundle cache.
+sweep result store.
 
 A killed search resumes by being rerun against the same result
 store: the budget charges every proposal, hits included, so the rerun

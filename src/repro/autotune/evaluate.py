@@ -1,8 +1,8 @@
 """Candidate evaluation: the autotuner's objective as a runner job.
 
-One candidate evaluation = build (or memmap) ``G_r``, expand the genome
-into a demand-driven schedule, simulate it under the chosen eviction
-policy, and report the measured I/O together with the **Belady gap** —
+One candidate evaluation = build ``G_r``, expand the genome into a
+demand-driven schedule, simulate it under the chosen eviction policy,
+and report the measured I/O together with the **Belady gap** —
 measured total I/O minus the Theorem-1 Ω-form lower bound.  The gap is
 the search objective: a schedule that drives it down tightens the upper
 half of the paper's sandwich.
@@ -12,8 +12,7 @@ half of the paper's sandwich.
 a content-addressed sweep job: identical candidates — re-proposed after
 a crash, re-visited by a neighbourhood, or submitted by another search
 — hash to the same job key and are answered from the result store
-without simulating.  Compiled plans come from the graph-bundle cache
-when one is active (workers inherit ``REPRO_GRAPH_CACHE``).
+without simulating.
 
 Two dispatch backends share one interface (``evaluate(orders)`` →
 records, in proposal order):
@@ -217,7 +216,6 @@ class PoolEvaluator:
         *,
         store=None,
         workers: int = 2,
-        graph_cache=None,
         events=None,
         fresh: bool = False,
     ):
@@ -227,7 +225,6 @@ class PoolEvaluator:
         self.policy = policy
         self.store = store
         self.workers = int(workers)
-        self.graph_cache = graph_cache
         self.events = events
         self.fresh = fresh
 
@@ -249,7 +246,6 @@ class PoolEvaluator:
             workers=min(self.workers, len(specs)),
             progress=False,
             events=self.events,
-            graph_cache=self.graph_cache,
             fresh=self.fresh,
         )
         out = []

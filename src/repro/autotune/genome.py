@@ -8,11 +8,11 @@ lazily, decoders eagerly), so the genome space needs no topological
 repair: every permutation is executable, and the identity permutation
 is exactly the recursive depth-first schedule.
 
-The genome is deliberately tiny and JSON-native (a list of ints plus a
-format version), because candidates travel as parameters of
-content-addressed runner jobs: two searches proposing the same
-permutation — in one process or across machines — hash to the same job
-key and dedupe through the sweep result store.
+The genome is deliberately tiny and JSON-native (a list of ints; the
+job params carry :data:`GENOME_VERSION` beside it), because candidates
+travel as parameters of content-addressed runner jobs: two searches
+proposing the same permutation — in one process or across machines —
+hash to the same job key and dedupe through the sweep result store.
 
 Local moves
 -----------
@@ -49,8 +49,6 @@ __all__ = [
     "GENOME_VERSION",
     "GenomeContext",
     "genome_key",
-    "order_to_doc",
-    "order_from_doc",
     "hybrid_order",
     "move_block_swap",
     "move_block_rotate",
@@ -100,20 +98,6 @@ def genome_key(order) -> str:
     h.update(len(arr).to_bytes(8, "little"))
     h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def order_to_doc(order) -> dict:
-    """JSON-native genome document (rides in job params)."""
-    arr = _as_order(order)
-    return {"version": GENOME_VERSION, "order": arr.tolist()}
-
-
-def order_from_doc(doc: dict) -> np.ndarray:
-    if doc.get("version") != GENOME_VERSION:
-        raise ValueError(
-            f"unsupported genome version {doc.get('version')!r}"
-        )
-    return _as_order(doc["order"])
 
 
 # ----------------------------------------------------------------------

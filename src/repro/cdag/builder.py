@@ -11,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bilinear.algorithm import BilinearAlgorithm
-from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG, Region, Slab, slab_layout
 from repro.errors import CDAGError
 from repro.telemetry.spans import span
 from repro.utils.validation import check_nonnegative_int
 
-__all__ = ["build_cdag", "build_cdag_uncached", "build_base_graph", "MAX_VERTICES"]
+__all__ = ["build_cdag", "build_base_graph", "MAX_VERTICES"]
 
 #: Safety valve: refuse to build graphs that would not fit in memory.
 MAX_VERTICES = 20_000_000
@@ -44,23 +43,7 @@ def build_cdag(alg: BilinearAlgorithm, r: int) -> CDAG:
     ------
     CDAGError
         If the graph would exceed :data:`MAX_VERTICES`.
-
-    When a graph cache is active (``--graph-cache`` /
-    ``REPRO_GRAPH_CACHE``), the build is served from the
-    content-addressed bundle store instead of being recomputed —
-    byte-identical arrays, built once per machine.
     """
-    cache = _artifact.active_cache()
-    if cache is not None:
-        g = cache.get_graph(alg, r)
-        if g is not None:
-            return g
-    return build_cdag_uncached(alg, r)
-
-
-def build_cdag_uncached(alg: BilinearAlgorithm, r: int) -> CDAG:
-    """:func:`build_cdag` minus the graph-cache lookup (the cache itself
-    calls this on a miss)."""
     with span("cdag.build", alg=alg.name) as sp:
         g = _build_cdag(alg, r)
         sp.add("vertices", g.n_vertices)

@@ -82,11 +82,6 @@ def slab_layout(a: int, b: int, r: int) -> tuple[dict[tuple[int, int], Slab], in
     """The canonical slab layout of ``G_r``: ENC_A ranks ``0..r``, then
     ENC_B ranks ``0..r``, then DEC ranks ``0..r``, offsets assigned in
     that order.  Returns ``(slabs, n_vertices)``.
-
-    The layout is a pure function of ``(a, b, r)``, which is what lets a
-    serialised graph bundle (:mod:`repro.cdag.artifact`) reconstruct the
-    slab tables from the algorithm description alone instead of storing
-    them.
     """
     slabs: dict[tuple[int, int], Slab] = {}
     offset = 0
@@ -133,8 +128,6 @@ class CDAG:
         pred_indptr: np.ndarray,
         pred_indices: np.ndarray,
         is_copy: np.ndarray,
-        succ_indptr: np.ndarray | None = None,
-        succ_indices: np.ndarray | None = None,
     ):
         self.alg = alg
         self.r = r
@@ -145,7 +138,6 @@ class CDAG:
         self.n_vertices = len(pred_indptr) - 1
         self._pred_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._edge_keys: np.ndarray | None = None
-        self._graph_key: str | None = None  # set lazily by cdag.artifact
 
         # Derived per-vertex metadata (flat arrays).
         rank = np.empty(self.n_vertices, dtype=np.int16)
@@ -157,14 +149,10 @@ class CDAG:
         self.rank = rank
         self.region = region
 
-        # Successor CSR (transpose of predecessor CSR).  Bundle loads
-        # pass the stored transpose in; cold builds compute it here.
-        if succ_indptr is None or succ_indices is None:
-            succ_indptr, succ_indices = _transpose_csr(
-                pred_indptr, pred_indices, self.n_vertices
-            )
-        self.succ_indptr = succ_indptr
-        self.succ_indices = succ_indices
+        # Successor CSR (transpose of predecessor CSR).
+        self.succ_indptr, self.succ_indices = _transpose_csr(
+            pred_indptr, pred_indices, self.n_vertices
+        )
 
     # ------------------------------------------------------------------
     # Identity / addressing

@@ -13,10 +13,6 @@ Subcommands:
   rerunning a killed sweep serves every finished job from the cache;
 - ``perf``                  — record or compare ``BENCH_<exp>.json``
   perf baselines (``--compare`` exits nonzero on regression);
-- ``graph-cache``           — inspect (``ls``), prune (``gc``) or
-  pre-build (``warm``) the compiled-graph bundle store that
-  ``sweep --graph-cache`` and the ``REPRO_GRAPH_CACHE`` environment
-  variable activate (see :mod:`repro.runner.graphcache`);
 - ``tune``                  — schedule search minimising the Belady gap:
   candidates are content-addressed jobs deduped through the sweep
   store, so rerunning a killed search replays its trajectory from the
@@ -186,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(each seed is a distinct cached job)",
     )
     p_sweep.add_argument(
-        "--graph-cache", default=None, metavar="DIR",
-        help="shared compiled-graph bundle store: CDAGs, schedules and "
-             "executor plans are built once, checksummed on disk, and "
-             "memory-mapped by every job (setting REPRO_GRAPH_CACHE "
-             "instead activates the store for any repro process)",
-    )
-    p_sweep.add_argument(
         "--events", default=None, metavar="PATH",
         help="JSONL event log (default <cache-dir>/events.jsonl)",
     )
@@ -216,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
             "write BENCH_<exp>.json snapshots.  With --compare, "
             "re-measure and diff against the committed snapshots, "
             "exiting nonzero when any median time regresses past "
-            "--threshold (counter drift is reported, not gated)."
+            "--threshold; a drifted counter also fails the compare."
         ),
     )
     p_perf.add_argument(
@@ -246,49 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument(
         "--json-out", default=None, metavar="PATH",
         help="also write combined spans+metrics JSON",
-    )
-
-    p_gcache = sub.add_parser(
-        "graph-cache",
-        help="inspect or manage the compiled-graph bundle store",
-        description=(
-            "Bundles (CDAG CSR arrays, schedules, executor plans) are "
-            "content-addressed, checksummed, and memory-mapped by "
-            "consumers; a corrupted bundle is quarantined and rebuilt. "
-            "The store activates via 'sweep --graph-cache DIR' or the "
-            "REPRO_GRAPH_CACHE environment variable."
-        ),
-    )
-    p_gcache.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="bundle store root (default: $REPRO_GRAPH_CACHE, else "
-             ".repro-cache/graphs)",
-    )
-    gcache_sub = p_gcache.add_subparsers(dest="graph_cache_command", required=True)
-    gcache_sub.add_parser("ls", help="list bundles with sizes")
-    p_gcache_gc = gcache_sub.add_parser(
-        "gc", help="remove staging leftovers and stale bundles"
-    )
-    p_gcache_gc.add_argument(
-        "--max-age", type=float, default=None, metavar="SECONDS",
-        help="also remove bundles idle longer than SECONDS",
-    )
-    p_gcache_gc.add_argument(
-        "--all", action="store_true",
-        help="remove every bundle (a full reset; they rebuild on demand)",
-    )
-    p_gcache_warm = gcache_sub.add_parser(
-        "warm", help="pre-build bundles for an algorithm"
-    )
-    p_gcache_warm.add_argument("--alg", default="strassen")
-    p_gcache_warm.add_argument(
-        "--r", default="2,3,4", metavar="R1,R2,...",
-        help="recursion depths to warm (default 2,3,4)",
-    )
-    p_gcache_warm.add_argument(
-        "--schedules", default="recursive,rank", metavar="S1,S2",
-        help="schedule families to compile plans for "
-             "(default recursive,rank)",
     )
 
     p_tune = sub.add_parser(
@@ -342,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="result-store root candidate jobs dedupe through "
              "(default .repro-cache)",
-    )
-    p_tune.add_argument(
-        "--graph-cache", default=None, metavar="DIR",
-        help="compiled-graph bundle store evaluation workers attach",
     )
     p_tune.add_argument(
         "--jobs", type=int, default=2, metavar="N",
@@ -576,19 +518,9 @@ def _cmd_sweep(args) -> int:
             fresh=args.fresh,
             events=events,
             profile=profiled,
-            graph_cache=args.graph_cache,
         )
     print(render_sweep(outcomes, show_results=not args.quiet))
     print(f"cache: {args.cache_dir}  events: {events_path}")
-    if args.graph_cache:
-        from repro.runner.graphcache import counter_snapshot
-
-        snap = counter_snapshot()
-        print(
-            f"graph cache: {args.graph_cache}  "
-            f"hits={snap.get('graphcache.hit', 0)} "
-            f"misses={snap.get('graphcache.miss', 0)}"
-        )
     if profiled:
         _finish_profile(args, "sweep")
     code = 0 if sweep_ok(outcomes) else 1
@@ -615,47 +547,6 @@ def _cmd_perf(args) -> int:
         trace_out=args.trace_out,
         json_out=args.json_out,
     )
-
-
-def _cmd_graph_cache(args) -> int:
-    import os
-
-    from repro.runner.graphcache import GraphCache
-
-    root = args.dir or os.environ.get(
-        "REPRO_GRAPH_CACHE", ".repro-cache/graphs"
-    )
-    cache = GraphCache(root)
-    if args.graph_cache_command == "ls":
-        entries = sorted(
-            cache.entries(), key=lambda e: (e["kind"], e["key"])
-        )
-        table = TextTable(
-            ["kind", "key", "arrays", "bytes"],
-            title=f"Graph bundles in {root}",
-        )
-        total = 0
-        for e in entries:
-            total += e["size_bytes"]
-            table.add_row(
-                [e["kind"], e["key"][:32],
-                 len(e["meta"].get("arrays", {})), f"{e['size_bytes']:,}"]
-            )
-        print(table.render())
-        print(f"{len(entries)} bundles, {total:,} bytes")
-        return 0
-    if args.graph_cache_command == "gc":
-        removed = cache.gc(max_age_s=args.max_age, clear=args.all)
-        print(f"removed {len(removed)} paths under {root}")
-        return 0
-    # warm
-    alg = by_name(args.alg)
-    rs = [int(v) for v in args.r.split(",") if v]
-    schedules = tuple(s for s in args.schedules.split(",") if s)
-    stats = cache.warm(alg, rs, schedules)
-    summary = " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-    print(f"warmed {root} for {alg.name} at r={rs}: {summary}")
-    return 0
 
 
 def _cmd_tune(args) -> int:
@@ -697,7 +588,6 @@ def _cmd_tune(args) -> int:
                 args.alg, args.r, args.cache_size, args.policy,
                 store=ResultStore(args.cache_dir),
                 workers=args.jobs,
-                graph_cache=args.graph_cache,
                 fresh=args.fresh,
             )
         result = AutoTuner(config, evaluator).run()
@@ -771,8 +661,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_sweep(args)
     if args.command == "perf":
         return _cmd_perf(args)
-    if args.command == "graph-cache":
-        return _cmd_graph_cache(args)
     if args.command == "tune":
         return _cmd_tune(args)
     if args.command == "render":

@@ -13,7 +13,6 @@ __all__ = [
     "AlgorithmError",
     "BrentEquationError",
     "CDAGError",
-    "GraphCacheError",
     "ScheduleError",
     "PebbleGameError",
     "CacheError",
@@ -59,16 +58,6 @@ class CDAGError(ReproError):
     Examples: asking for a rank outside ``0 .. 2r+1``, extracting a
     sub-computation with ``k > r``, or constructing a graph with an
     inconsistent vertex table.
-    """
-
-
-class GraphCacheError(CDAGError):
-    """A compiled-graph bundle is unreadable, mismatched or corrupt.
-
-    Raised by :mod:`repro.cdag.artifact` when a serialised bundle fails
-    its checksum, declares an unknown format version, or disagrees with
-    the arrays it claims to hold.  The graph cache treats this as
-    "quarantine and rebuild", never as a fatal error.
     """
 
 

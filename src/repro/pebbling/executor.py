@@ -59,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError
 from repro.pebbling.machine import MachineModel
@@ -69,12 +68,7 @@ from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 from repro.telemetry.spans import span
 
-__all__ = ["EXECUTOR_VERSION", "IOResult", "CacheExecutor", "simulate_io"]
-
-#: Version of the compiled-plan format; folded into plan bundle keys so
-#: any change to :class:`SchedulePlan`'s arrays (meaning, dtype, order)
-#: re-keys every on-disk plan instead of mis-decoding it.
-EXECUTOR_VERSION = "1"
+__all__ = ["IOResult", "CacheExecutor", "simulate_io"]
 
 
 @dataclass(frozen=True)
@@ -164,23 +158,15 @@ class CacheExecutor:
         """Fetch or build the :class:`SchedulePlan` for ``schedule``
         (small content-keyed cache, so repeated ``run`` calls on the
         same schedule reuse the precompute like ``run_many`` does).
-
-        When a graph cache is active, a miss here consults the on-disk
-        plan bundle store before compiling — a warm process maps the
-        occurrence arrays instead of re-deriving them.
         """
         schedule = np.ascontiguousarray(schedule, dtype=np.int64)
         key = hashlib.blake2b(schedule.tobytes(), digest_size=16).digest()
         plan = self._plans.get(key)
         if plan is None:
             metrics().inc("pebbling.plan.miss")
-            cache = _artifact.active_cache()
-            if cache is not None:
-                plan = cache.get_plan(self, schedule, key.hex(), validate)
-            if plan is None:
-                if validate:
-                    schedule = self.validate_schedule(schedule)
-                plan = SchedulePlan(self.cdag, schedule, validated=validate)
+            if validate:
+                schedule = self.validate_schedule(schedule)
+            plan = SchedulePlan(self.cdag, schedule, validated=validate)
             if len(self._plans) >= self._MAX_CACHED_PLANS:
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
@@ -199,9 +185,8 @@ class CacheExecutor:
     def compile(self, schedule, validate: bool = True) -> SchedulePlan:
         """Public access to the compiled plan for ``schedule``.
 
-        Used by cache warming and the cold/warm benchmarks to pay the
-        acquisition cost (validate + occurrence precompute, or a bundle
-        load) without running a simulation.
+        Used by the benchmarks to time the acquisition cost (validate +
+        occurrence precompute) apart from the simulation.
         """
         return self._plan(schedule, validate)
 
@@ -322,17 +307,16 @@ class CacheExecutor:
 # ----------------------------------------------------------------------
 
 _MAX_SHARED_EXECUTORS = 4
-_shared_executors: "OrderedDict[str, CacheExecutor]" = OrderedDict()
+_shared_executors: "OrderedDict[int, CacheExecutor]" = OrderedDict()
 
 
 def _shared_executor(cdag: CDAG) -> CacheExecutor:
-    """A content-keyed process-local :class:`CacheExecutor` for
-    ``cdag`` — so repeated :func:`simulate_io` calls (tests, notebooks)
-    reuse compiled plans instead of recompiling per call, graph cache or
-    not.  Graphs without an algorithm identity get a fresh executor."""
-    if getattr(cdag, "alg", None) is None:
-        return CacheExecutor(cdag)
-    key = _artifact.cdag_graph_key(cdag)
+    """A process-local :class:`CacheExecutor` per CDAG object — so
+    repeated :func:`simulate_io` calls (tests, notebooks) reuse compiled
+    plans instead of recompiling per call.  The map is keyed by
+    ``id(cdag)``; the executor holds the graph, so a live entry's id is
+    never reused by another object."""
+    key = id(cdag)
     executor = _shared_executors.get(key)
     if executor is None:
         executor = CacheExecutor(cdag)
@@ -353,8 +337,8 @@ def simulate_io(
 ) -> IOResult:
     """One-shot convenience wrapper around :class:`CacheExecutor`.
 
-    Executors are shared per graph content key, so back-to-back calls
-    on the same (graph, schedule) hit the in-process plan cache — the
+    Executors are shared per graph object, so back-to-back calls on the
+    same (graph, schedule) hit the in-process plan cache — the
     ``pebbling.plan.{hit,miss}`` counters make the reuse observable."""
     return _shared_executor(cdag).run(
         schedule, cache_size=cache_size, policy=policy, validate=validate

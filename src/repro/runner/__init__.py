@@ -37,7 +37,6 @@ from repro.runner.events import (
     read_events,
     validate_event,
 )
-from repro.runner.graphcache import GraphCache
 from repro.runner.jobs import (
     JobSpec,
     expand_grid,
@@ -61,7 +60,6 @@ from repro.runner.store import (
 __all__ = [
     "JobSpec",
     "job_key",
-    "GraphCache",
     "expand_grid",
     "experiment_accepts_seed",
     "ResultStore",

@@ -34,7 +34,6 @@ EVENT_SCHEMA: dict[str, frozenset] = {
     "sweep_start": frozenset({"jobs", "workers"}),
     "sweep_finish": frozenset({"ok", "failed", "cached", "duration"}),
     "store_gc": frozenset({"orphans"}),
-    "graphcache_gc": frozenset({"orphans"}),
     "cache_hit": frozenset({"job", "experiment", "key"}),
     "job_start": frozenset({"job", "experiment", "key", "attempt"}),
     "job_finish": frozenset(

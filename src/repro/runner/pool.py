@@ -46,7 +46,6 @@ from typing import Sequence
 from repro import telemetry
 from repro.experiments.harness import ExperimentResult
 from repro.runner.events import EventLog, ProgressLine
-from repro.runner.graphcache import GraphCache, activate, counter_snapshot
 from repro.runner.jobs import JobSpec, accepts_seed, resolve_entrypoint
 from repro.runner.store import ResultStore, result_to_payload
 
@@ -120,14 +119,10 @@ class _JobState:
         self.attempts: list[Attempt] = []
 
 
-def _execute_job(
-    spec: JobSpec, graph_cache: str | None, parent_span: str | None
-) -> dict:
+def _execute_job(spec: JobSpec, parent_span: str | None) -> dict:
     """Job body, run inside the job's own process.  ``parent_span`` is
     the sweep's span id when the sweep is profiled, else None."""
     t0 = time.perf_counter()
-    if graph_cache is not None:
-        activate(graph_cache)
     job_span = None
     if parent_span is not None:
         # Job-side root span: explicit cross-process parentage so the
@@ -141,12 +136,6 @@ def _execute_job(
             experiment=spec.experiment_id,
         )
         job_span.__enter__()
-    # Snapshot the graph-cache counters *after* any profiling reset so
-    # the per-job delta reported back to the scheduler is exact.  The
-    # metrics registry is always live, so this works without profiling.
-    gc_before = None
-    if graph_cache is not None:
-        gc_before = counter_snapshot()
     try:
         fn = resolve_entrypoint(spec)
         kwargs = dict(spec.params)
@@ -181,13 +170,6 @@ def _execute_job(
         "worker": os.getpid(),
         "duration": time.perf_counter() - t0,
     }
-    if gc_before is not None:
-        gc_after = counter_snapshot()
-        res["graphcache"] = {
-            name[len("graphcache."):]: gc_after[name] - gc_before.get(name, 0)
-            for name in gc_after
-            if gc_after[name] - gc_before.get(name, 0)
-        }
     if job_span is not None:
         # Telemetry rides next to the payload, never inside it: stored
         # artifacts stay byte-deterministic, timings stay in the log.
@@ -206,9 +188,7 @@ def _exit_when_orphaned(parent: int) -> None:
     os._exit(1)
 
 
-def _job_process_main(
-    conn, spec: JobSpec, graph_cache: str | None, parent_span: str | None
-) -> None:
+def _job_process_main(conn, spec: JobSpec, parent_span: str | None) -> None:
     """Entry point of a job process: send ``("ok", result)`` or
     ``("error", text)`` and exit.  A process that dies before sending
     leaves EOF on the pipe, which the scheduler reads as a crash.
@@ -221,7 +201,7 @@ def _job_process_main(
         target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
     ).start()
     try:
-        conn.send(("ok", _execute_job(spec, graph_cache, parent_span)))
+        conn.send(("ok", _execute_job(spec, parent_span)))
     except Exception as exc:
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
     conn.close()
@@ -238,7 +218,6 @@ def run_sweep(
     events: EventLog | None = None,
     progress: ProgressLine | bool | None = None,
     profile: bool = False,
-    graph_cache: str | os.PathLike | None = None,
 ) -> list[JobOutcome]:
     """Run ``specs``, one process per job attempt; one outcome per
     spec, in input order.
@@ -268,13 +247,6 @@ def run_sweep(
         each job opens a ``runner.job`` span parented to it, and job
         spans/metrics are merged back into this process (see
         :mod:`repro.telemetry`).  Events carry the owning span ids.
-    graph_cache:
-        Directory of the shared compiled-graph bundle store
-        (:mod:`repro.runner.graphcache`).  Each job activates it before
-        running its body, so graphs/schedules/plans are built once per
-        machine and memory-mapped by every later job.  Per-job hit/miss
-        deltas are aggregated into this process's ``graphcache.*``
-        counters and the ``sweep_finish`` event.
     """
     workers = max(1, int(workers))
     retries = max(0, int(retries))
@@ -282,9 +254,6 @@ def run_sweep(
         events = EventLog()
     states = [_JobState(i, spec) for i, spec in enumerate(specs)]
     outcomes: dict[int, JobOutcome] = {}
-    if graph_cache is not None:
-        graph_cache = str(graph_cache)
-    gc_totals: dict[str, int] = {}
 
     sweep_span = None
     parent_span = None
@@ -303,12 +272,6 @@ def run_sweep(
         orphans = store.gc_orphans()
         if orphans:
             events.emit("store_gc", orphans=len(orphans))
-    if graph_cache is not None:
-        # Same hygiene as the artifact store: staging dirs left behind
-        # by a killed bundle writer are dead weight, never valid data.
-        stale = GraphCache(graph_cache).gc()
-        if stale:
-            events.emit("graphcache_gc", orphans=len(stale))
     events.emit("sweep_start", jobs=len(states), workers=workers)
 
     if progress is False:
@@ -346,7 +309,7 @@ def run_sweep(
         reader, writer = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
             target=_job_process_main,
-            args=(writer, st.spec, graph_cache, parent_span),
+            args=(writer, st.spec, parent_span),
         )
         proc.start()
         # Drop this process's copy of the write end: the child's copy is
@@ -371,8 +334,6 @@ def run_sweep(
         payload = res["payload"]
         if store is not None:
             store.put(st.spec, payload)
-        for name, delta in (res.get("graphcache") or {}).items():
-            gc_totals[name] = gc_totals.get(name, 0) + delta
         tele = res.get("telemetry")
         if tele is not None:
             # Merge the job's snapshot into this process so exporters
@@ -485,26 +446,12 @@ def run_sweep(
     n_ok = sum(1 for o in ordered if o.status == "ok")
     n_cached = sum(1 for o in ordered if o.cached)
     n_failed = sum(1 for o in ordered if not o.ok)
-    extra = {}
-    if graph_cache is not None:
-        if not profile:
-            # Without profiling the jobs' metric registries never get
-            # merged back, so surface the per-job deltas here.  (With
-            # profiling they already arrived via telemetry ingestion —
-            # adding them again would double-count.)
-            reg = telemetry.metrics()
-            for name, delta in gc_totals.items():
-                reg.inc(f"graphcache.{name}", delta)
-        extra["graphcache"] = {
-            k: v for k, v in gc_totals.items() if "." not in k
-        }
     events.emit(
         "sweep_finish",
         ok=n_ok,
         failed=n_failed,
         cached=n_cached,
         duration=round(time.monotonic() - t_sweep, 6),
-        **extra,
     )
     if sweep_span is not None:
         sweep_span.add("ok", n_ok)

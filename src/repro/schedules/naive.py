@@ -12,33 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
 from repro.telemetry.spans import traced
 
 __all__ = ["rank_order_schedule"]
 
-#: Folded into the schedule bundle key; bump if the generated order
-#: ever changes meaning.
-_SCHEDULE_VERSION = "1"
-
 
 @traced("schedules.rank_order")
 def rank_order_schedule(cdag: CDAG) -> np.ndarray:
-    """All computable vertices sorted by (rank, vertex id).
-
-    Pure function of the CDAG, so an active graph cache serves it from
-    a content-keyed bundle.
-    """
-    cache = _artifact.active_cache()
-    if cache is not None:
-        return cache.get_schedule(
-            cdag, "rank_order", _SCHEDULE_VERSION, lambda: _generate(cdag)
-        )
-    return _generate(cdag)
-
-
-def _generate(cdag: CDAG) -> np.ndarray:
+    """All computable vertices sorted by (rank, vertex id)."""
     computable = np.nonzero(cdag.in_degree() > 0)[0]
     order = np.lexsort((computable, cdag.rank[computable]))
     return computable[order]

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cdag import artifact as _artifact
 from repro.cdag.graph import CDAG
 from repro.schedules.base import demand_driven_schedule
 from repro.telemetry.spans import traced
 
 __all__ = ["recursive_schedule"]
-
-#: Folded into the schedule bundle key; bump if the generated order
-#: ever changes meaning.
-_SCHEDULE_VERSION = "1"
 
 
 @traced("schedules.recursive")
@@ -36,18 +31,5 @@ def recursive_schedule(cdag: CDAG) -> np.ndarray:
     Products in lexicographic multiplication-digit order; because product
     slab indices *are* the packed digit tuples, the natural order
     ``0 .. b^r - 1`` is exactly the depth-first traversal.
-
-    The generated array is a pure function of the CDAG, so an active
-    graph cache serves it from a content-keyed bundle instead of
-    generating it again.
     """
-    cache = _artifact.active_cache()
-    if cache is not None:
-        return cache.get_schedule(
-            cdag, "recursive", _SCHEDULE_VERSION, lambda: _generate(cdag)
-        )
-    return _generate(cdag)
-
-
-def _generate(cdag: CDAG) -> np.ndarray:
     return demand_driven_schedule(cdag, np.arange(len(cdag.products())))

@@ -35,14 +35,12 @@ class SchedulePlan:
     - ``first_use``: per vertex, the first step using it (``T`` = never);
     - ``uses_left0``: per vertex, total number of uses.
 
-    The LRU and Belady passes read these arrays directly — for a plan
-    loaded from a bundle they stay read-only memmaps.  The simulation
-    loop indexes them as Python lists (cheaper per element than numpy
-    scalars), materialised lazily on its first run by
-    :meth:`ensure_lists`; a plan that only ever runs the passes (or is
-    loaded but never run) never pays that materialisation, and one that
-    never runs Belady on the loop never builds Belady's next-use
-    lists.
+    The LRU and Belady passes read these arrays directly.  The
+    simulation loop indexes them as Python lists (cheaper per element
+    than numpy scalars), materialised lazily on its first run by
+    :meth:`ensure_lists`; a plan that only ever runs the passes never
+    pays that materialisation, and one that never runs Belady on the
+    loop never builds Belady's next-use lists.
     """
 
     __slots__ = (
@@ -62,8 +60,16 @@ class SchedulePlan:
 
         # Backward-scan next-use list, vectorised: stable-sort the
         # occurrences by vertex (they are already time-ordered, so each
-        # vertex's group stays time-ordered) and link neighbours.
-        order = np.argsort(step_ops, kind="stable")
+        # vertex's group stays time-ordered) and link neighbours.  The
+        # stable order comes from one in-place sort of packed keys
+        # ``vertex << shift | occurrence``: vertices stay below 2^25
+        # (``MAX_VERTICES``) and occurrences, which are edges, below
+        # 2^27, so every key fits in int64.
+        shift = total.bit_length()
+        order = step_ops << shift
+        order |= np.arange(total, dtype=np.int64)
+        order.sort()
+        order &= (1 << shift) - 1
         sv = step_ops[order]
         st = occ_time[order]
         nxt = np.full(total, T, dtype=np.int64)
@@ -83,35 +89,6 @@ class SchedulePlan:
         self.first_use = first_use
         self.uses_left0 = np.bincount(step_ops, minlength=n).astype(np.int64)
         self._sched_l = self._occ_next_l = self._first_use_l = None
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The plan's serialisable arrays (bundle format; names match
-        :data:`repro.cdag.artifact.PLAN_ARRAY_NAMES`)."""
-        return {
-            "schedule": np.ascontiguousarray(self.schedule, dtype=np.int64),
-            "step_indptr": np.ascontiguousarray(self.step_indptr, dtype=np.int64),
-            "step_ops": np.ascontiguousarray(self.step_ops, dtype=np.int64),
-            "occ_next": np.ascontiguousarray(self.occ_next, dtype=np.int64),
-            "first_use": np.ascontiguousarray(self.first_use, dtype=np.int64),
-            "uses_left0": np.ascontiguousarray(self.uses_left0, dtype=np.int64),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays, validated: bool) -> "SchedulePlan":
-        """Rebuild a plan from bundle arrays without recompiling (the
-        arrays may be read-only memmaps; the simulators only read
-        them)."""
-        self = cls.__new__(cls)
-        self.schedule = arrays["schedule"]
-        self.step_indptr = arrays["step_indptr"]
-        self.step_ops = arrays["step_ops"]
-        self.occ_next = arrays["occ_next"]
-        self.first_use = arrays["first_use"]
-        self.uses_left0 = arrays["uses_left0"]
-        self.n_steps = len(self.schedule)
-        self.validated = validated
-        self._sched_l = self._occ_next_l = self._first_use_l = None
-        return self
 
     def ensure_lists(self, belady: bool = False) -> None:
         """Materialise the simulation loop's Python lists (idempotent).

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autotune.genome import (
-    GENOME_VERSION,
     MOVES,
     GenomeContext,
     genome_key,
@@ -13,8 +12,6 @@ from repro.autotune.genome import (
     move_block_swap,
     move_digit_regroup,
     move_hybrid_level,
-    order_from_doc,
-    order_to_doc,
     random_move,
 )
 
@@ -42,16 +39,6 @@ class TestKey:
         assert genome_key(list(range(49))) == genome_key(
             np.arange(49, dtype=np.int32)
         )
-
-    def test_doc_roundtrip(self):
-        order = np.random.default_rng(0).permutation(49)
-        doc = order_to_doc(order)
-        assert doc["version"] == GENOME_VERSION
-        assert np.array_equal(order_from_doc(doc), order)
-
-    def test_doc_version_guard(self):
-        with pytest.raises(ValueError, match="version"):
-            order_from_doc({"version": "0", "order": [0]})
 
 
 class TestHybridFamily:

@@ -94,20 +94,6 @@ def dict_job(value: int = 7) -> dict:
     return {"value": value}
 
 
-def graph_job(r: int = 2, M: int = 32) -> ExperimentResult:
-    """Build a CDAG, compile a schedule and simulate once — touches
-    every graph-cache bundle kind (graph, schedule, plan) so sweep
-    tests can observe worker-side hits and misses."""
-    from repro.bilinear import strassen
-    from repro.cdag import build_cdag
-    from repro.pebbling import CacheExecutor
-    from repro.schedules import recursive_schedule
-
-    g = build_cdag(strassen(), r)
-    res = CacheExecutor(g).run(recursive_schedule(g), M, "lru")
-    return _result("T-GRAPH", r=r, M=M, total=int(res.total))
-
-
 def store_hammer(root: str, tag: int, rounds: int = 30) -> None:
     """Hammer one :class:`ResultStore` from this process: republish a
     shared set of keys with churning payloads, read them back, and run

@@ -161,9 +161,9 @@ def test_disabled_telemetry_skips_run_counters(workload):
 
 
 def test_simulate_io_reuses_plans_across_calls(workload):
-    """The simulate_io convenience path shares a content-keyed executor
-    per graph, so repeated calls hit the in-process plan cache instead
-    of recompiling (no graph cache required)."""
+    """The simulate_io convenience path shares one executor per graph
+    object, so repeated calls hit the in-process plan cache instead of
+    recompiling."""
     from repro.pebbling import simulate_io
 
     g, sched = workload

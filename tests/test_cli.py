@@ -21,6 +21,9 @@ class TestParser:
             build_parser().parse_args(["perf", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert f"(default: {' '.join(DEFAULT_PERF_IDS)})" in out
+        # compare_docs fails the compare on any counter drift.
+        assert "a drifted counter also fails the compare" in out
+        assert "not gated" not in out
 
     @pytest.mark.parametrize(
         "extra",
@@ -32,16 +35,21 @@ class TestParser:
             ["tune", "--solver-timeout", "1"],
             ["tune", "--strategy", "external"],
             ["sweep", "--resume"],
+            ["sweep", "--graph-cache", "graphs"],
+            ["tune", "--graph-cache", "graphs"],
+            ["graph-cache", "ls"],
         ],
         ids=[
             "tune-socket", "tune-journal", "tune-resume", "tune-solver-cmd",
             "tune-solver-timeout", "tune-strategy-external", "sweep-resume",
+            "sweep-graph-cache", "tune-graph-cache", "graph-cache-ls",
         ],
     )
     def test_removed_options_exit_2(self, tmp_path, extra):
-        # The sweep daemon, the tune journal, the external solver and
-        # both --resume flags are gone (rerunning against the same
-        # --cache-dir resumes), so argparse rejects each with status 2.
+        # The sweep daemon, the tune journal, the external solver, both
+        # --resume flags and the graph-cache bundle store are gone
+        # (rerunning against the same --cache-dir resumes; every process
+        # builds its own graphs), so argparse rejects each with status 2.
         command, *options = extra
         with pytest.raises(SystemExit) as exc:
             main([command, "--cache-dir", str(tmp_path), *options])
