@@ -3,18 +3,14 @@
 Not tied to a paper figure; these keep the substrate's performance
 honest (CDAG construction, demand-driven schedules, pebble-game
 execution, the LRU and Belady passes, routing construction) so the
-experiment benches stay fast as the code evolves.
+experiments stay fast as the code evolves.
 
-Two entry points over the same workloads:
-
-- ``pytest benchmarks/bench_micro.py`` — pytest-benchmark statistics for
-  interactive tuning;
-- ``python benchmarks/bench_micro.py [--json-out PATH]`` — standalone
-  run that emits one machine-readable JSON document (median-of-k wall
-  times per case plus the telemetry counters collected while running)
-  via :mod:`repro.telemetry.export`, for dashboards and CI artifacts.
-  ``--select PREFIX`` runs, and builds the inputs of, only the cases
-  whose name starts with ``PREFIX``.
+``python benchmarks/bench_micro.py [--json-out PATH]`` emits one
+machine-readable JSON document (median-of-k wall times per case plus the
+telemetry counters collected while running) via
+:mod:`repro.telemetry.export`, for dashboards and CI artifacts.
+``--select PREFIX`` runs, and builds the inputs of, only the cases whose
+name starts with ``PREFIX``.
 """
 
 import argparse
@@ -39,69 +35,6 @@ from repro.schedules import (
 from repro.simcore import SchedulePlan, simulate_py
 from repro.simcore.stack import belady_counts
 from repro.tracesim import FullyAssociativeLRU, trace_blocked
-
-
-def test_build_cdag_r4(benchmark):
-    benchmark(build_cdag, strassen(), 4)
-
-
-def test_metavertices_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    benchmark(compute_metavertices, g)
-
-
-def test_recursive_schedule_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    benchmark(recursive_schedule, g)
-
-
-def test_executor_lru_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    executor = CacheExecutor(g)
-    sched = executor.validate_schedule(recursive_schedule(g))
-    benchmark(executor.run, sched, 64, "lru", False)
-
-
-def test_executor_belady_r3(benchmark):
-    g = build_cdag(strassen(), 3)
-    executor = CacheExecutor(g)
-    sched = executor.validate_schedule(recursive_schedule(g))
-    benchmark(executor.run, sched, 64, "belady", False)
-
-
-def test_executor_run_many_r4(benchmark):
-    g = build_cdag(strassen(), 4)
-    executor = CacheExecutor(g)
-    sched = recursive_schedule(g)
-    benchmark(executor.run_many, sched, (12, 48, 96), ("lru", "belady"))
-
-
-def test_lemma3_routing_k3(benchmark):
-    g = build_cdag(strassen(), 3)
-    benchmark(lemma3_routing, g)
-
-
-def test_theorem2_routing_k2(benchmark):
-    g = build_cdag(strassen(), 2)
-    benchmark(theorem2_routing, g)
-
-
-def test_strassen_matmul_64(benchmark):
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((64, 64))
-    B = rng.standard_normal((64, 64))
-    benchmark(strassen_matmul, A, B, None, 8)
-
-
-def test_trace_sim_blocked_32(benchmark):
-    def run():
-        return FullyAssociativeLRU(192).run(trace_blocked(32, 8))
-
-    benchmark(run)
-
-
-# ---------------------------------------------------------------------------
-# Standalone machine-readable mode.
 
 
 def _importable_tests():
@@ -135,8 +68,8 @@ def _reference_walk():
 
 
 def make_cases() -> dict:
-    """The same workloads as the pytest benches; name -> zero-arg
-    builder that sets the case up and returns its timed zero-arg body.
+    """The benchmark cases: name -> zero-arg builder that sets the case
+    up and returns its timed zero-arg body.
 
     Nothing is built until a case's builder runs, so a ``--select``
     builds only the inputs of the cases it picks.  Graphs, and the

@@ -17,8 +17,8 @@ store.
 
 Telemetry: one ``autotune.generation`` span per generation (Chrome
 trace shows the search cadence), plus always-on registry counters
-``autotune.evaluations`` / ``autotune.cache_hits`` / ``autotune.failures``
-and the ``autotune.best_gap`` gauge (the gap trajectory).
+``autotune.evaluations`` / ``autotune.cache_hits`` / ``autotune.failures``.
+The gap trajectory is :attr:`TuneResult.trajectory`.
 """
 
 from __future__ import annotations
@@ -239,8 +239,6 @@ class AutoTuner:
                 reg.inc("autotune.evaluations", len(proposals))
                 reg.inc("autotune.cache_hits", batch_hits)
                 reg.inc("autotune.failures", batch_failures)
-                if best_gap is not None:
-                    reg.gauge("autotune.best_gap").set(best_gap)
             if best_io is None:
                 raise ReproError(
                     "no successful candidate evaluations in the first "

@@ -361,32 +361,6 @@ class CDAG:
         values["C"] = _tuple_order_to_matrix(values[f"dec_{r}"], self.alg.n0, r)
         return values
 
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (edges child -> parent).
-
-        Intended for small graphs (inspection, rendering, cross-checks);
-        the library's own algorithms use the CSR arrays directly.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for v in range(self.n_vertices):
-            reg, local, digits = self.vertex_digits(v)
-            g.add_node(
-                v,
-                region=Region.NAMES[reg],
-                local_rank=local,
-                rank=int(self.rank[v]),
-                digits=digits,
-                is_copy=bool(self.is_copy[v]),
-            )
-        g.add_edges_from(self.iter_edges())
-        return g
-
     def __repr__(self) -> str:
         return (
             f"CDAG({self.alg.name}, r={self.r}, "

@@ -2,7 +2,7 @@
 
 Reproduces the *structural* content of the paper's Figures 1-3 (base
 graphs, meta-vertices, encoder zig-zag paths) in machine-checkable form;
-the outputs are used by examples and by `bench_e01_base_graphs`.
+the outputs are used by examples and by ``python -m repro render``.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ successful terminal state (for ``tune``: the search completed, improved
 or not); **1** — at least one job failed (for ``tune``: the search
 failed — no successful evaluation).
 
-``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--profile``
-(collect telemetry) and ``--trace-out PATH`` (write the collected spans
-as a Chrome ``trace_event`` file loadable in
-``chrome://tracing``/Perfetto; implies ``--profile``).
+``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--trace-out
+PATH``: collect telemetry during the run and write the spans as a Chrome
+``trace_event`` file loadable in ``chrome://tracing``/Perfetto.
+``python -m repro.experiments`` is ``experiments`` under another name.
 
 Everything the CLI prints is computed by the same public API the tests
 exercise; the CLI adds no logic of its own.
@@ -48,40 +48,33 @@ from repro.utils.tables import TextTable
 __all__ = ["main", "build_parser"]
 
 
-def _add_profile_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--profile", action="store_true",
-        help="collect telemetry spans and counters during the run",
-    )
+def _add_trace_out(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="write collected spans as a Chrome trace_event JSON "
-             "(implies --profile)",
+        help="collect telemetry spans and counters during the run and "
+             "write the spans here as a Chrome trace_event JSON",
     )
 
 
-def _begin_profile(args) -> bool:
-    """Enable telemetry when ``--profile``/``--trace-out`` asks for it."""
-    if getattr(args, "profile", False) or getattr(args, "trace_out", None):
+def _begin_trace(args) -> None:
+    """Enable telemetry when ``--trace-out`` asks for it."""
+    if args.trace_out:
         from repro import telemetry
 
         telemetry.enable()
-        return True
-    return False
 
 
-def _finish_profile(args, command: str) -> None:
-    """Write the Chrome trace and a one-line telemetry summary."""
+def _end_trace(args, command: str) -> None:
+    """Write the Chrome trace ``--trace-out`` asked for, if any."""
+    if not args.trace_out:
+        return
     from repro import telemetry
 
     spans = telemetry.collected_spans()
-    if getattr(args, "trace_out", None):
-        telemetry.write_chrome_trace(
-            args.trace_out, spans, metadata={"command": command}
-        )
-        print(f"trace: {args.trace_out} ({len(spans)} spans)")
-    else:
-        print(f"telemetry: {len(spans)} spans collected")
+    telemetry.write_chrome_trace(
+        args.trace_out, spans, metadata={"command": command}
+    )
+    print(f"trace: {args.trace_out} ({len(spans)} spans)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route = sub.add_parser("route", help="Theorem-2 routing certificate")
     p_route.add_argument("--alg", default="strassen")
     p_route.add_argument("--k", type=int, default=1)
-    _add_profile_flags(p_route)
+    _add_trace_out(p_route)
 
     p_caps = sub.add_parser("caps", help="parallel bandwidth simulation")
     p_caps.add_argument("--alg", default="strassen")
@@ -136,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", dest="list_only",
         help="list registered experiment ids and exit",
     )
-    _add_profile_flags(p_exp)
+    _add_trace_out(p_exp)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -194,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the report, print one machine-readable JSON summary "
              "line (jobs, hits, failures, wall time)",
     )
-    _add_profile_flags(p_sweep)
+    _add_trace_out(p_sweep)
 
     p_perf = sub.add_parser(
         "perf",
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the report, print one machine-readable JSON "
              "summary line",
     )
-    _add_profile_flags(p_tune)
+    _add_trace_out(p_tune)
 
     p_render = sub.add_parser("render", help="render a base graph")
     p_render.add_argument("--alg", default="strassen")
@@ -387,11 +380,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_route(args) -> int:
     from repro.routing import theorem2_certificate
 
-    profiled = _begin_profile(args)
+    _begin_trace(args)
     alg = by_name(args.alg)
     cert = theorem2_certificate(alg, args.k)
-    if profiled:
-        _finish_profile(args, "route")
+    _end_trace(args, "route")
     print(f"Theorem 2 certificate for {alg.name}, k={args.k}:")
     print(f"  paths: {cert.report.n_paths}")
     print(f"  claimed m = 6a^k = {cert.claimed_m}")
@@ -419,17 +411,38 @@ def _cmd_caps(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
-    from repro.experiments.__main__ import main as experiments_main
+def _describe(experiment_id: str) -> str:
+    """First docstring line of the experiment's module."""
+    from repro.experiments import get_experiment
 
-    argv = list(args.ids)
+    module = sys.modules[get_experiment(experiment_id).__module__]
+    doc = (module.__doc__ or "").strip()
+    return doc.splitlines()[0] if doc else ""
+
+
+def _cmd_experiments(args) -> int:
+    from repro.experiments import get_experiment, list_experiments
+
     if args.list_only:
-        argv.append("--list")
-    if args.profile:
-        argv.append("--profile")
-    if args.trace_out:
-        argv.extend(["--trace-out", args.trace_out])
-    return experiments_main(argv)
+        for experiment_id in list_experiments():
+            print(f"{experiment_id:5s} {_describe(experiment_id)}")
+        return 0
+
+    ids = args.ids or list_experiments()
+    _begin_trace(args)
+    failures = []
+    for experiment_id in ids:
+        result = get_experiment(experiment_id)()
+        print(result.render())
+        print()
+        if not result.all_checks_pass:
+            failures.append(experiment_id)
+    _end_trace(args, "experiments")
+    if failures:
+        print(f"FAILED experiments: {failures}")
+        return 1
+    print(f"All {len(ids)} experiments reproduced.")
+    return 0
 
 
 def _parse_value(text: str):
@@ -507,7 +520,7 @@ def _cmd_sweep(args) -> int:
     store = ResultStore(args.cache_dir)
     events_path = args.events or str(Path(args.cache_dir) / "events.jsonl")
 
-    profiled = _begin_profile(args)
+    _begin_trace(args)
     with EventLog(events_path) as events:
         outcomes = run_sweep(
             specs,
@@ -517,12 +530,11 @@ def _cmd_sweep(args) -> int:
             retries=args.retries,
             fresh=args.fresh,
             events=events,
-            profile=profiled,
+            profile=bool(args.trace_out),
         )
     print(render_sweep(outcomes, show_results=not args.quiet))
     print(f"cache: {args.cache_dir}  events: {events_path}")
-    if profiled:
-        _finish_profile(args, "sweep")
+    _end_trace(args, "sweep")
     code = 0 if sweep_ok(outcomes) else 1
     if args.json_line:
         _emit_json_line("sweep", {
@@ -572,7 +584,7 @@ def _cmd_tune(args) -> int:
         seed=args.seed,
     )
 
-    profiled = _begin_profile(args)
+    _begin_trace(args)
     try:
         if args.local:
             from repro.cdag import build_cdag
@@ -623,8 +635,7 @@ def _cmd_tune(args) -> int:
     table.add_row(["generations", s["generations"]])
     print(table.render())
     print(f"searched in {wall:.2f}s")
-    if profiled:
-        _finish_profile(args, "tune")
+    _end_trace(args, "tune")
     if args.json_line:
         _emit_json_line("tune", {
             **s,

@@ -62,7 +62,7 @@ import numpy as np
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError
 from repro.pebbling.machine import MachineModel
-from repro.schedules.base import validate_schedule
+from repro.schedules.base import _validate_gather, validate_schedule
 from repro.simcore import SchedulePlan, run_configs
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
@@ -164,9 +164,12 @@ class CacheExecutor:
         plan = self._plans.get(key)
         if plan is None:
             metrics().inc("pebbling.plan.miss")
+            operands = None
             if validate:
-                schedule = self.validate_schedule(schedule)
-            plan = SchedulePlan(self.cdag, schedule, validated=validate)
+                schedule, operands = _validate_gather(self.cdag, schedule)
+            plan = SchedulePlan(
+                self.cdag, schedule, validated=validate, operands=operands
+            )
             if len(self._plans) >= self._MAX_CACHED_PLANS:
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
@@ -213,8 +216,7 @@ class CacheExecutor:
                 schedule, cache_size, policy, validate, machine, io_trace
             )
             # One enabled-check for the whole telemetry block: while
-            # disabled, a run pays nothing beyond this bool (no span
-            # counters, no belady-gap gauge / lower-bound evaluation).
+            # disabled, a run pays nothing beyond this bool.
             if _telemetry_enabled():
                 self._record_run_counters(sp, result, evictions)
             return result
@@ -269,21 +271,6 @@ class CacheExecutor:
         sp.add("spill_reads", result.spill_reads)
         sp.add("spill_writes", result.spill_writes)
         sp.set("peak_cache", result.peak_cache)
-        # Belady-gap gauge (measured total minus the Theorem-1 Ω-form
-        # bound) on every run — the autotuner's objective, and the ad
-        # hoc quantity the experiments used to derive locally.  It is a
-        # registry gauge, not a span counter: the span counter set is an
-        # exact observable contract (see the counter-identity suite).
-        alg = getattr(self.cdag, "alg", None)
-        if alg is not None:
-            from repro.bounds.theorem1 import io_lower_bound
-
-            lower = io_lower_bound(
-                alg, alg.n0**self.cdag.r, result.cache_size
-            )
-            metrics().gauge("pebbling.belady_gap").set(
-                result.total - lower
-            )
 
     # ------------------------------------------------------------------
 

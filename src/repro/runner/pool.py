@@ -24,8 +24,9 @@ the read ends.  Fault model:
 No job process outlives :func:`run_sweep`: whatever ends the scheduling
 loop, including an exception, every child still alive is killed and
 joined.  A sweep process killed outright gets no such chance, so each
-job process also watches its parent and exits within a fraction of a
-second of being orphaned: nothing could receive what it computes.
+job process also waits on its parent sentinel and exits as soon as the
+sweep is gone, under every start method: nothing could receive what it
+computes.
 
 Children execute :func:`_execute_job`, which resolves the experiment
 registry (or an explicit entrypoint), threads explicit seeds, and
@@ -90,7 +91,8 @@ class JobOutcome:
     error: str | None = None
     duration: float | None = None
     worker: int | None = None
-    #: job-side telemetry snapshot (``profile=True`` runs only):
+    #: job-side telemetry snapshot (``profile=True`` runs only): its
+    #: spans, its counters and its root span id,
     #: ``{"spans": [...], "metrics": {...}, "span_id": ...}``.
     telemetry: dict | None = None
 
@@ -181,10 +183,9 @@ def _execute_job(spec: JobSpec, parent_span: str | None) -> dict:
     return res
 
 
-def _exit_when_orphaned(parent: int) -> None:
-    """Poll until this process's parent changes, then exit at once."""
-    while os.getppid() == parent:
-        time.sleep(0.25)
+def _exit_when_orphaned() -> None:
+    """Wait until the sweep process is gone, then exit at once."""
+    multiprocessing.parent_process().join()
     os._exit(1)
 
 
@@ -193,13 +194,13 @@ def _job_process_main(conn, spec: JobSpec, parent_span: str | None) -> None:
     ``("error", text)`` and exit.  A process that dies before sending
     leaves EOF on the pipe, which the scheduler reads as a crash.
 
-    The parent watched is the one the job starts under: the sweep
-    process under the ``fork`` and ``spawn`` start methods.  Under
-    ``forkserver`` it is the fork server, which outlives the sweep, so
-    there a killed sweep's jobs still run to their end."""
-    threading.Thread(
-        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
-    ).start()
+    The parent sentinel is a pipe whose write end the sweep holds under
+    the ``fork``, ``spawn`` and ``forkserver`` start methods alike, so
+    it reads EOF once the sweep is gone, even where the job's parent
+    process is a fork server that outlives it.  Under ``fork`` a later
+    job inherits an earlier job's write end, so the jobs of a killed
+    sweep exit youngest first."""
+    threading.Thread(target=_exit_when_orphaned, daemon=True).start()
     try:
         conn.send(("ok", _execute_job(spec, parent_span)))
     except Exception as exc:
@@ -245,7 +246,7 @@ def run_sweep(
     profile:
         Collect telemetry: the sweep runs under a ``runner.sweep`` span,
         each job opens a ``runner.job`` span parented to it, and job
-        spans/metrics are merged back into this process (see
+        spans and counters are merged back into this process (see
         :mod:`repro.telemetry`).  Events carry the owning span ids.
     """
     workers = max(1, int(workers))

@@ -66,6 +66,13 @@ def validate_schedule(cdag: CDAG, schedule) -> np.ndarray:
     every simulation plan uses.  Each kind of violation reports its
     earliest schedule position.
     """
+    return _validate_gather(cdag, schedule)[0]
+
+
+def _validate_gather(cdag: CDAG, schedule):
+    """:func:`validate_schedule`, also returning the operand gather
+    ``(step_indptr, step_ops, occ_time)`` its topological check made,
+    so a plan compiled next need not gather again."""
     schedule = np.ascontiguousarray(schedule, dtype=np.int64)
     n = cdag.n_vertices
     is_input = cdag.in_degree() == 0
@@ -92,7 +99,8 @@ def validate_schedule(cdag: CDAG, schedule) -> np.ndarray:
         raise ScheduleError(f"vertex {v} scheduled twice (or is an input)")
     # Topological: every non-input operand must be scheduled strictly
     # before its use.
-    _, step_ops, occ_time = gather_operands(cdag, schedule)
+    operands = gather_operands(cdag, schedule)
+    _, step_ops, occ_time = operands
     viol = ~is_input[step_ops]
     viol &= first_occ[step_ops] >= occ_time
     if viol.any():
@@ -101,7 +109,7 @@ def validate_schedule(cdag: CDAG, schedule) -> np.ndarray:
             f"vertex {int(schedule[occ_time[i]])} scheduled before "
             f"its predecessor {int(step_ops[i])}"
         )
-    return schedule
+    return schedule, operands
 
 
 def demand_driven_schedule(cdag: CDAG, product_order) -> np.ndarray:

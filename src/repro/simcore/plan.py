@@ -50,12 +50,19 @@ class SchedulePlan:
         "_uses_l",
     )
 
-    def __init__(self, cdag: CDAG, schedule: np.ndarray, validated: bool):
+    def __init__(
+        self, cdag: CDAG, schedule: np.ndarray, validated: bool,
+        operands=None,
+    ):
+        """``operands`` is :func:`gather_operands` of the same pair when
+        the caller already has it (a validated compile does)."""
         n = cdag.n_vertices
         self.schedule = schedule
         self.validated = validated
         T = self.n_steps = len(schedule)
-        step_indptr, step_ops, occ_time = gather_operands(cdag, schedule)
+        if operands is None:
+            operands = gather_operands(cdag, schedule)
+        step_indptr, step_ops, occ_time = operands
         total = len(step_ops)
 
         # Backward-scan next-use list, vectorised: stable-sort the

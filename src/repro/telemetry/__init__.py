@@ -1,4 +1,4 @@
-"""Zero-dependency instrumentation: spans, metrics, exporters, perf
+"""Zero-dependency instrumentation: spans, counters, exporters, perf
 baselines.
 
 The paper's objects — ``G_k`` construction, Theorem 2's ``6 a^k``
@@ -10,12 +10,11 @@ any result:
   peak-RSS delta, per-span counters) usable as context manager or
   decorator, thread- and process-safe, with a no-op fast path while
   telemetry is disabled (the default);
-- :mod:`repro.telemetry.metrics` — named counters / gauges /
-  histograms whose canonical states form a commutative merge monoid,
-  so per-worker shards from the sweep pool aggregate cleanly;
-- :mod:`repro.telemetry.export` — JSON, Prometheus text format, and
-  Chrome ``trace_event`` exporters (open a routing run or an E9 sweep
-  directly in ``chrome://tracing`` / Perfetto);
+- :mod:`repro.telemetry.metrics` — the registry of named counters that
+  span counters fold into; sweep jobs ship theirs back to the sweep;
+- :mod:`repro.telemetry.export` — JSON and Chrome ``trace_event``
+  exporters (open a routing run or an E9 sweep directly in
+  ``chrome://tracing`` / Perfetto);
 - :mod:`repro.telemetry.baseline` — ``BENCH_<exp>.json`` perf
   snapshots plus ``python -m repro perf --compare`` regression gating.
 
@@ -28,8 +27,8 @@ Quick start::
         sp.add("items", 64)
     telemetry.write_chrome_trace("trace.json", telemetry.collected_spans())
 
-Set ``REPRO_TELEMETRY=1`` to enable collection at import time (the CLI
-``--profile`` flags do this per command).
+On the CLI, ``--trace-out PATH`` enables collection for one command and
+writes the spans there.
 """
 
 from repro.telemetry.baseline import (
@@ -43,7 +42,6 @@ from repro.telemetry.baseline import (
     write_baseline,
 )
 from repro.telemetry.export import (
-    metrics_to_prometheus,
     spans_to_chrome_trace,
     telemetry_to_json,
     write_chrome_trace,
@@ -51,8 +49,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     metrics,
     reset_metrics,
@@ -88,15 +84,12 @@ __all__ = [
     "NOOP_SPAN",
     # metrics
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "metrics",
     "reset_metrics",
     # export
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "metrics_to_prometheus",
     "telemetry_to_json",
     "write_json",
     # baselines

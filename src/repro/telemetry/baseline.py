@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from repro.telemetry import metrics as _metrics_mod
 from repro.telemetry import spans as _spans_mod
-from repro.telemetry.metrics import Counter
 from repro.utils.tables import TextTable
 
 __all__ = [
@@ -110,10 +109,9 @@ def measure_experiment(
         for _ in range(max(1, int(repeats))):
             _metrics_mod.reset_metrics()
             times.append(_time_once(fn, kwargs))
+        registry = _metrics_mod.metrics()
         counters = {
-            name: _metrics_mod.metrics().get(name).value
-            for name in _metrics_mod.metrics().names()
-            if isinstance(_metrics_mod.metrics().get(name), Counter)
+            name: registry.get(name).value for name in registry.names()
         }
     finally:
         if not was_enabled:

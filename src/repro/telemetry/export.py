@@ -1,9 +1,9 @@
-"""Exporters: JSON, Prometheus text format, Chrome ``trace_event``.
+"""Exporters: JSON and Chrome ``trace_event``.
 
-All exporters consume the plain-dict span records produced by
+Both exporters consume the plain-dict span records produced by
 :mod:`repro.telemetry.spans` and/or a
-:class:`~repro.telemetry.metrics.MetricsRegistry`, and produce either
-JSON-native documents or text — no third-party dependencies.
+:class:`~repro.telemetry.metrics.MetricsRegistry`, and produce
+JSON-native documents — no third-party dependencies.
 
 The Chrome exporter emits the ``trace_event`` JSON-object format
 (``{"traceEvents": [...]}``) with complete (``"ph": "X"``) events, so a
@@ -15,21 +15,17 @@ routing construction or a sweep can be dropped straight into
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "metrics_to_prometheus",
     "telemetry_to_json",
     "write_json",
 ]
-
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def spans_to_chrome_trace(
@@ -81,52 +77,6 @@ def write_chrome_trace(
     doc = spans_to_chrome_trace(spans, metadata=metadata)
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     return path
-
-
-def _prom_name(name: str, prefix: str) -> str:
-    return _PROM_NAME.sub("_", f"{prefix}_{name}" if prefix else name)
-
-
-def metrics_to_prometheus(
-    registry: MetricsRegistry, prefix: str = "repro"
-) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Counters and gauges map directly; histograms emit cumulative
-    ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``, per the
-    format's histogram convention.
-    """
-    lines: list[str] = []
-    for name in registry.names():
-        metric = registry.get(name)
-        pname = _prom_name(name, prefix)
-        if isinstance(metric, Counter):
-            lines.append(f"# TYPE {pname} counter")
-            lines.append(f"{pname} {metric.value}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {pname} gauge")
-            if metric.last is not None:
-                lines.append(f"{pname} {metric.last}")
-            lines.append(f"{pname}_min {_nan(metric.min)}")
-            lines.append(f"{pname}_max {_nan(metric.max)}")
-            lines.append(f"{pname}_sum {metric.sum}")
-            lines.append(f"{pname}_count {metric.count}")
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {pname} histogram")
-            cumulative = 0
-            for bound, count in metric.bucket_bounds():
-                cumulative += count
-                lines.append(
-                    f'{pname}_bucket{{le="{bound:g}"}} {cumulative}'
-                )
-            lines.append(f'{pname}_bucket{{le="+Inf"}} {metric.count}')
-            lines.append(f"{pname}_sum {metric.sum}")
-            lines.append(f"{pname}_count {metric.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _nan(value):
-    return value if value is not None else "NaN"
 
 
 def telemetry_to_json(

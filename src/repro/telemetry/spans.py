@@ -4,9 +4,12 @@ A *span* measures one region of work: wall time, peak-RSS delta, and
 arbitrary named counters.  Spans nest — each thread keeps its own stack,
 so the parent/child structure is correct under threading — and every
 finished span is appended to a process-local collector from which
-exporters (:mod:`repro.telemetry.export`) read.
+exporters (:mod:`repro.telemetry.export`) read.  Its numeric counters
+also fold into the metrics registry (:mod:`repro.telemetry.metrics`)
+as ``<span>.<counter>`` sums.
 
-Telemetry is **disabled by default**.  While disabled, :func:`span`
+Telemetry is **disabled by default**: :func:`enable` turns it on (the
+CLI's ``--trace-out`` does, for one command).  While disabled, :func:`span`
 returns a shared singleton whose ``__enter__``/``__exit__``/``add`` are
 empty one-liners, so instrumented code pays only one module-level bool
 check per region — measured well under the 5% overhead budget even on
@@ -31,6 +34,8 @@ import resource
 import threading
 import time
 
+from repro.telemetry.metrics import metrics
+
 __all__ = [
     "enable",
     "disable",
@@ -46,7 +51,6 @@ __all__ = [
 ]
 
 _ENABLED = False
-_ENV_FLAG = "REPRO_TELEMETRY"
 
 _IDS = itertools.count(1)
 _LOCK = threading.Lock()
@@ -177,13 +181,10 @@ class Span:
         }
         with _LOCK:
             _FINISHED.append(record)
-        # Fold span counters and duration into the global metrics
-        # registry so the sweep/perf aggregation sees them without a
-        # second instrumentation pass.
-        from repro.telemetry.metrics import metrics
-
+        # Fold span counters into the global metrics registry so the
+        # sweep/perf aggregation sees them without a second
+        # instrumentation pass.
         reg = metrics()
-        reg.histogram(f"{self.name}.duration_s").observe(dur)
         for cname, cvalue in self.counters.items():
             if isinstance(cvalue, bool) or not isinstance(cvalue, (int, float)):
                 continue
@@ -263,7 +264,3 @@ def ingest_spans(records) -> int:
     with _LOCK:
         _FINISHED.extend(records)
     return len(records)
-
-
-if os.environ.get(_ENV_FLAG, "") not in ("", "0", "false", "no"):
-    enable()

@@ -1,9 +1,9 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the rows each experiment reproduces (paper
-statement vs measured value); this module renders those rows in aligned
-monospace tables so the output of ``pytest benchmarks/ --benchmark-only``
-doubles as the experiment log recorded in EXPERIMENTS.md.
+Each experiment prints the rows it reproduces (paper statement vs
+measured value); this module renders those rows in aligned monospace
+tables so the output of ``python -m repro.experiments`` doubles as the
+experiment log recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -125,9 +125,6 @@ class TestDriver:
         reg = telemetry.metrics()
         assert reg.counter("autotune.evaluations").value == res.evaluations
         assert reg.counter("autotune.cache_hits").value == res.cache_hits
-        assert reg.gauge("autotune.best_gap").last == pytest.approx(
-            res.best_gap
-        )
         telemetry.disable()
 
     def test_candidates_reuse_compiled_plans(self, g2):

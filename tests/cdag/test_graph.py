@@ -231,18 +231,3 @@ class TestLimits:
         assert g.n_vertices == 3
         C = g.evaluate(np.array([[3.0]]), np.array([[4.0]]))["C"]
         assert C[0, 0] == 12.0
-
-
-class TestNetworkxExport:
-    def test_roundtrip_counts(self):
-        g = build_base_graph(strassen())
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == g.n_vertices
-        assert nxg.number_of_edges() == g.n_edges
-
-    def test_node_attributes(self):
-        g = build_base_graph(strassen())
-        nxg = g.to_networkx()
-        attrs = nxg.nodes[int(g.products()[0])]
-        assert attrs["region"] == "dec"
-        assert attrs["local_rank"] == 0

@@ -6,7 +6,7 @@ Re-running the same specs against the same store must serve the
 finished jobs from the cache, compute the rest, leave no temp file
 behind, and end with artifacts byte-identical to a sweep that was never
 killed.  A sweep killed alone, without its process group, must not
-leave its job processes running.
+leave its job processes running, whichever start method made them.
 """
 
 import json
@@ -27,33 +27,43 @@ HELPERS = "tests.runner.helpers"
 
 CHILD = """\
 import json
+import multiprocessing
 import sys
 
 from repro.runner import EventLog, JobSpec, ResultStore, run_sweep
 
-store_dir, events_path, docs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-specs = [
-    JobSpec(d["experiment"], d["params"], entrypoint=d["entrypoint"])
-    for d in docs
-]
-with EventLog(events_path) as events:
-    run_sweep(specs, ResultStore(store_dir), workers=2, progress=False,
-              events=events)
+if __name__ == "__main__":
+    store_dir, events_path, docs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+    if len(sys.argv) > 4:
+        multiprocessing.set_start_method(sys.argv[4])
+    specs = [
+        JobSpec(d["experiment"], d["params"], entrypoint=d["entrypoint"])
+        for d in docs
+    ]
+    with EventLog(events_path) as events:
+        run_sweep(specs, ResultStore(store_dir), workers=2, progress=False,
+                  events=events)
 """
 
 
-def _start_sweep(tmp_path: Path, store_dir: Path, events_path: Path, specs):
+def _start_sweep(
+    tmp_path: Path, store_dir: Path, events_path: Path, specs,
+    start_method: str | None = None,
+):
     """Run ``specs`` in a child sweep process leading its own process
-    group, so a test can kill it with or without its job processes."""
+    group, so a test can kill it with or without its job processes.
+    ``start_method`` is the multiprocessing start method the sweep
+    uses (default: the platform's)."""
     script = tmp_path / "child.py"
     script.write_text(CHILD)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")] if p
     )
+    method = [start_method] if start_method else []
     return subprocess.Popen(
         [sys.executable, str(script), str(store_dir), str(events_path),
-         json.dumps([s.describe() for s in specs])],
+         json.dumps([s.describe() for s in specs]), *method],
         env=env,
         start_new_session=True,
         stdout=subprocess.DEVNULL,
@@ -157,28 +167,37 @@ def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
     assert len(_artifacts(reference)) == len(specs)
 
 
-def test_killed_sweep_leaves_no_job_process(tmp_path):
-    pid_file = tmp_path / "job.pid"
-    spec = JobSpec("T-PIDSLEEPY", {"pid_file": str(pid_file)},
-                   entrypoint=f"{HELPERS}:pid_sleepy_job")
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+def test_killed_sweep_leaves_no_job_process(tmp_path, start_method):
+    # Two jobs run at once: under fork the younger one holds a copy of
+    # the elder's parent-sentinel write end, so their exits cascade.
+    pid_files = [tmp_path / f"job{i}.pid" for i in range(2)]
+    specs = [
+        JobSpec("T-PIDSLEEPY", {"pid_file": str(pid_file)},
+                entrypoint=f"{HELPERS}:pid_sleepy_job")
+        for pid_file in pid_files
+    ]
     child = _start_sweep(
-        tmp_path, tmp_path / "store", tmp_path / "events.jsonl", [spec]
+        tmp_path, tmp_path / "store", tmp_path / "events.jsonl", specs,
+        start_method,
     )
     try:
         deadline = time.monotonic() + 60
-        while not pid_file.exists():
+        while not all(p.exists() for p in pid_files):
             if child.poll() is not None:
-                pytest.fail("child sweep exited before its job started")
+                pytest.fail("child sweep exited before its jobs started")
             if time.monotonic() > deadline:
-                pytest.fail("child sweep never started its job")
+                pytest.fail("child sweep never started both jobs")
             time.sleep(0.02)
-        job_pid = int(pid_file.read_text())
+        job_pids = [int(p.read_text()) for p in pid_files]
         os.kill(child.pid, signal.SIGKILL)  # the sweep alone, not its group
         child.wait(timeout=30)
         deadline = time.monotonic() + 5
-        while _running(job_pid) and time.monotonic() < deadline:
+        while any(map(_running, job_pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not _running(job_pid), "job process outlived its sweep"
+        assert not any(map(_running, job_pids)), (
+            "job process outlived its sweep"
+        )
     finally:
         try:
             os.killpg(child.pid, signal.SIGKILL)

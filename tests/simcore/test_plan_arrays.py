@@ -5,19 +5,25 @@ per-occurrence next-use times, the per-vertex first-use times and use
 counts — must equal what a plain per-occurrence Python loop derives
 from the same ``(graph, schedule)`` pair, dtype included.  The graphs
 are Strassen, Winograd and classical(2) at ``r <= 3``; the schedules
-are seeded random topological orders and random product orders.
+are seeded random topological orders and random product orders.  A
+validated compile through :class:`CacheExecutor` reuses the validator's
+operand gather and must give the same arrays.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.schedules.base
+import repro.simcore.plan
 from repro.bilinear import classical, strassen, winograd
 from repro.cdag import build_cdag
+from repro.pebbling import CacheExecutor
 from repro.schedules import (
     random_product_order_schedule,
     random_topological_schedule,
+    recursive_schedule,
 )
-from repro.simcore import SchedulePlan
+from repro.simcore import SchedulePlan, gather_operands
 
 _ALGS = {"strassen": strassen, "winograd": winograd, "classical2": classical}
 _GRAPHS = {}
@@ -74,8 +80,23 @@ def test_plan_arrays_match_per_occurrence_loop(family, r, kind, seed):
     else:
         schedule = random_product_order_schedule(g, seed=seed)
     plan = SchedulePlan(g, schedule, validated=True)
-    assert plan.n_steps == len(schedule)
+    compiled = CacheExecutor(g).compile(schedule)
+    assert plan.n_steps == compiled.n_steps == len(schedule)
     for name, expected in reference_arrays(g, schedule).items():
-        got = getattr(plan, name)
-        assert got.dtype == np.int64, name
-        assert got.tolist() == expected, name
+        for got in (getattr(plan, name), getattr(compiled, name)):
+            assert got.dtype == np.int64, name
+            assert got.tolist() == expected, name
+
+
+def test_validated_compile_gathers_operands_once(monkeypatch):
+    g = graph("strassen", 2)
+    calls = []
+
+    def counting(cdag, schedule):
+        calls.append(len(schedule))
+        return gather_operands(cdag, schedule)
+
+    monkeypatch.setattr(repro.simcore.plan, "gather_operands", counting)
+    monkeypatch.setattr(repro.schedules.base, "gather_operands", counting)
+    CacheExecutor(g).compile(recursive_schedule(g))
+    assert len(calls) == 1

@@ -1,11 +1,10 @@
-"""Exporters: Chrome trace_event, Prometheus text, combined JSON —
-including the CLI ``route --trace-out`` acceptance path."""
+"""Exporters: Chrome trace_event and combined JSON — including the CLI
+``route --trace-out`` acceptance path."""
 
 import json
 
 from repro.cli import main as cli_main
 from repro.telemetry.export import (
-    metrics_to_prometheus,
     spans_to_chrome_trace,
     telemetry_to_json,
     write_chrome_trace,
@@ -53,30 +52,6 @@ def test_write_chrome_trace_round_trips(tmp_path):
     loaded = json.loads(path.read_text())
     assert len(loaded["traceEvents"]) == 2
     assert loaded["displayTimeUnit"] == "ms"
-
-
-def test_prometheus_text_format():
-    reg = MetricsRegistry()
-    reg.counter("cdag.build.vertices").inc(123)
-    reg.gauge("peak_cache").set(8)
-    for v in (0.5, 1.5, 3.0):
-        reg.histogram("run.duration_s").observe(v)
-    text = metrics_to_prometheus(reg, prefix="repro")
-    lines = text.splitlines()
-    assert "# TYPE repro_cdag_build_vertices counter" in lines
-    assert "repro_cdag_build_vertices 123" in lines
-    assert "# TYPE repro_peak_cache gauge" in lines
-    assert "repro_peak_cache 8" in lines
-    assert "# TYPE repro_run_duration_s histogram" in lines
-    assert 'repro_run_duration_s_bucket{le="+Inf"} 3' in lines
-    assert "repro_run_duration_s_count 3" in lines
-    # Cumulative bucket counts are non-decreasing.
-    counts = [
-        int(ln.rsplit(" ", 1)[1])
-        for ln in lines
-        if ln.startswith("repro_run_duration_s_bucket")
-    ]
-    assert counts == sorted(counts)
 
 
 def test_telemetry_to_json_combined():

@@ -12,7 +12,6 @@ import pytest
 
 from repro import telemetry
 from repro.bilinear import strassen
-from repro.bounds.theorem1 import io_lower_bound
 from repro.cdag import build_cdag
 from repro.pebbling import CacheExecutor
 from repro.schedules import recursive_schedule
@@ -88,27 +87,6 @@ def test_run_many_emits_identical_spans(workload):
         assert batched[(M, policy)] == counters
 
 
-def test_belady_gap_gauge_emitted_per_run(workload):
-    """Every run sets the ``pebbling.belady_gap`` registry gauge to the
-    measured total minus the Theorem-1 Ω-form bound — the autotuner's
-    objective.  It is a registry gauge, not a span counter, so the exact
-    span-counter contract above is untouched."""
-    g, sched = workload
-    telemetry.enable()
-    ex = CacheExecutor(g)
-    alg = g.alg
-    n = alg.n0**g.r
-    for i, (cache_size, policy) in enumerate(CONFIGS):
-        telemetry.reset()
-        res = ex.run(sched, cache_size, policy)
-        gauge = telemetry.metrics().gauge("pebbling.belady_gap")
-        assert gauge.count == 1
-        assert gauge.last == res.total - io_lower_bound(alg, n, cache_size)
-        # The span counter set stays exactly the reference contract.
-        (sp,) = _finished()
-        assert "belady_gap" not in sp["counters"]
-
-
 def test_plan_cache_counters(workload):
     """Repeat runs of one schedule hit the executor's content-keyed plan
     cache; the hit/miss counters make that observable (the autotuner's
@@ -144,8 +122,7 @@ def test_kernel_path_counter_per_simulation(workload):
 
 def test_disabled_telemetry_skips_run_counters(workload):
     """With telemetry disabled, runs leave the registry untouched — no
-    belady-gap gauge evaluation, no kernel path counters (the hoisted
-    disabled-path check)."""
+    kernel path counters (the hoisted disabled-path check)."""
     g, sched = workload
     telemetry.disable()
     telemetry.reset()
@@ -153,7 +130,6 @@ def test_disabled_telemetry_skips_run_counters(workload):
     ex.run(sched, 8, "belady")
     ex.run_many(sched, (8, 12), ("lru", "belady"))
     reg = telemetry.metrics()
-    assert reg.gauge("pebbling.belady_gap").count == 0
     assert reg.counter("simcore.kernel.fallback").value == 0
     # Plan cache accounting stays unconditional (cheap, and the
     # autotuner's dedupe contract reads it).

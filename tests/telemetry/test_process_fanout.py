@@ -37,8 +37,9 @@ def test_profile_merges_worker_spans_with_cross_process_parents():
         assert job["parent_id"] == sweep_span["span_id"]
         assert job["pid"] != os.getpid()  # measured inside a worker
     assert sweep_span["counters"]["ok"] == 3
-    # Worker metric shards merged into the parent registry.
-    assert telemetry.metrics().histogram("runner.job.duration_s").count == 3
+    assert all(job["dur"] > 0 for job in jobs)
+    # The sweep span's counters folded into this process's registry.
+    assert telemetry.metrics().get("runner.sweep.ok").value == 3
 
 
 def test_profile_attaches_telemetry_to_outcomes_not_payloads():
@@ -46,7 +47,8 @@ def test_profile_attaches_telemetry_to_outcomes_not_payloads():
     for o in outcomes:
         assert o.telemetry is not None
         assert o.telemetry["span_id"]
-        assert o.telemetry["metrics"]
+        assert [s["name"] for s in o.telemetry["spans"]] == ["runner.job"]
+        assert o.telemetry["metrics"] == {}  # the job bumped no counter
         assert "telemetry" not in o.payload  # artifacts stay clean
 
 

@@ -149,12 +149,13 @@ def test_span_folds_into_metrics_registry():
     with span("fold.me") as sp:
         sp.add("widgets", 7)
         sp.set("level", 3)
+    with span("fold.me") as sp:
+        sp.set("level", 4)
     reg = telemetry.metrics()
     assert reg.counter("fold.me.widgets").value == 7
-    assert reg.counter("fold.me.level").value == 3
-    hist = reg.histogram("fold.me.duration_s")
-    assert hist.count == 1
-    assert hist.sum >= 0
+    # A set counter folds as the sum over spans.
+    assert reg.counter("fold.me.level").value == 7
+    assert reg.names() == ["fold.me.level", "fold.me.widgets"]
 
 
 def test_reset_clears_spans_but_not_enabled_flag():

@@ -38,21 +38,40 @@ class TestParser:
             ["sweep", "--graph-cache", "graphs"],
             ["tune", "--graph-cache", "graphs"],
             ["graph-cache", "ls"],
+            ["route", "--profile"],
+            ["experiments", "--profile"],
+            ["sweep", "--profile"],
+            ["tune", "--profile"],
         ],
         ids=[
             "tune-socket", "tune-journal", "tune-resume", "tune-solver-cmd",
             "tune-solver-timeout", "tune-strategy-external", "sweep-resume",
             "sweep-graph-cache", "tune-graph-cache", "graph-cache-ls",
+            "route-profile", "experiments-profile", "sweep-profile",
+            "tune-profile",
         ],
     )
-    def test_removed_options_exit_2(self, tmp_path, extra):
+    def test_removed_options_exit_2(self, tmp_path, capsys, extra):
         # The sweep daemon, the tune journal, the external solver, both
-        # --resume flags and the graph-cache bundle store are gone
-        # (rerunning against the same --cache-dir resumes; every process
-        # builds its own graphs), so argparse rejects each with status 2.
+        # --resume flags, the graph-cache bundle store and --profile
+        # (--trace-out is the one telemetry switch) are gone (rerunning
+        # against the same --cache-dir resumes; every process builds its
+        # own graphs), so argparse rejects each with status 2.  Only
+        # sweep and tune take --cache-dir, so the others get none: the
+        # error must be the removed option's.
         command, *options = extra
+        cache = ["--cache-dir", str(tmp_path)] if command in ("sweep", "tune") else []
         with pytest.raises(SystemExit) as exc:
-            main([command, "--cache-dir", str(tmp_path), *options])
+            main([command, *cache, *options])
+        assert exc.value.code == 2
+        removed = options[0] if options[0].startswith("--") else command
+        assert removed in capsys.readouterr().err.splitlines()[-1]
+
+    def test_experiments_module_rejects_profile(self):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["E1", "--profile"])
         assert exc.value.code == 2
 
 
