@@ -1,35 +1,26 @@
-"""The autotune driver: budgeted search over schedules.
+"""The autotune driver: simulated annealing over product orders.
 
-The driver owns everything a strategy should not have to know about:
-the evaluation budget, the **ledger** (genome key → measured I/O, so a
-re-proposed candidate costs no simulation), telemetry, and best-so-far
-tracking.  Per generation it asks the strategy for proposals, answers
-what it can from the ledger, sends the rest to the evaluator (a worker
-pool or in-process), and folds the results back into the strategy.
+Per generation the annealer draws ``generation`` neighbours of its
+incumbent (:func:`~repro.autotune.genome.random_move`), measures each
+new one in-process, and accepts them in proposal order (Metropolis,
+geometric cooling from 5% of the start I/O down to ~0.1%).  The
+**ledger** (genome key → measured I/O) answers repeated candidates
+without simulating.  **Every proposal charges the budget**, ledger
+answers included, so a fixed seed replays one trajectory.
 
-Budget semantics match the original hill-climb: **every proposal
-charges the budget**, whether it was simulated or answered from the
-ledger/result store — so fixed-seed trajectories are independent of
-cache warmth.  That is also how a killed search resumes: rerun it
-against the same result store, and it replays the uninterrupted
-trajectory, answering every candidate the killed run stored from the
-store.
-
-Telemetry: one ``autotune.generation`` span per generation (Chrome
-trace shows the search cadence), plus always-on registry counters
-``autotune.evaluations`` / ``autotune.cache_hits`` / ``autotune.failures``.
+Telemetry: one ``autotune.generation`` span per generation, plus
+registry counters ``autotune.evaluations`` / ``autotune.cache_hits``.
 The gap trajectory is :attr:`TuneResult.trajectory`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.autotune.evaluate import EvalRecord
-from repro.autotune.genome import GenomeContext, genome_key
-from repro.autotune.strategies import TuneContext, make_strategy
+from repro.autotune.genome import GenomeContext, genome_key, random_move
 from repro.errors import ReproError
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import span
@@ -43,11 +34,8 @@ __all__ = ["TuneConfig", "TuneResult", "AutoTuner"]
 class TuneConfig:
     """Search configuration."""
 
-    alg: str = "strassen"
-    r: int = 3
     cache_size: int = 24
     policy: str = "belady"
-    strategy: str = "hillclimb"
     budget: int = 64
     generation: int = 8
     seed: int | None = None
@@ -55,7 +43,6 @@ class TuneConfig:
     def __post_init__(self):
         check_positive_int(self.budget, "budget")
         check_positive_int(self.generation, "generation")
-        check_positive_int(self.r, "r")
 
 
 @dataclass
@@ -69,7 +56,6 @@ class TuneResult:
     start_io: int
     evaluations: int
     cache_hits: int
-    failures: int
     generations: int
     trajectory: list = field(default_factory=list)
 
@@ -90,7 +76,6 @@ class TuneResult:
             "start_io": int(self.start_io),
             "evaluations": int(self.evaluations),
             "cache_hits": int(self.cache_hits),
-            "failures": int(self.failures),
             "generations": int(self.generations),
             "improved": self.improved,
             "improvement": round(self.improvement, 6),
@@ -98,171 +83,112 @@ class TuneResult:
 
 
 class AutoTuner:
-    """Drive one search: strategy proposals → evaluator → strategy.
+    """Anneal the product order of ``cdag``'s demand-driven schedule.
 
-    Parameters
-    ----------
-    config:
-        The search settings.
-    evaluator:
-        Any of the :mod:`repro.autotune.evaluate` backends (anything
-        with ``evaluate(orders) -> list[EvalRecord]``).
-    start_order:
-        Initial product permutation; default is the recursive order.
-    algorithm:
-        Explicit :class:`~repro.bilinear.BilinearAlgorithm`; default is
-        the catalog lookup of ``config.alg`` (pass it for algorithms
-        that are not catalog-addressable by name).
+    The objective is measured I/O under ``config.policy`` on one
+    :class:`~repro.pebbling.CacheExecutor`; the reported gap subtracts
+    the Theorem-1 Ω-form bound.  ``start_order`` defaults to the
+    recursive order (the identity).
     """
 
-    def __init__(
-        self,
-        config: TuneConfig,
-        evaluator,
-        *,
-        start_order=None,
-        algorithm=None,
-    ):
-        self.config = config
-        self.evaluator = evaluator
-        if algorithm is None:
-            from repro.bilinear import by_name
+    def __init__(self, config: TuneConfig, cdag, *, start_order=None):
+        from repro.bounds import io_lower_bound
+        from repro.pebbling import CacheExecutor
 
-            algorithm = by_name(config.alg)
-        gctx = GenomeContext(
-            n_products=algorithm.b**config.r, b=algorithm.b, r=config.r
+        alg = cdag.alg
+        self.config = config
+        self.cdag = cdag
+        self.genome = GenomeContext(
+            n_products=alg.b**cdag.r, b=alg.b, r=cdag.r
         )
         order = (
-            np.arange(gctx.n_products, dtype=np.int64)
+            np.arange(self.genome.n_products, dtype=np.int64)
             if start_order is None
             else np.ascontiguousarray(start_order, dtype=np.int64)
         )
-        if len(order) != gctx.n_products:
+        if len(order) != self.genome.n_products:
             raise ReproError(
                 f"start order has {len(order)} entries; expected "
-                f"{gctx.n_products}"
+                f"{self.genome.n_products}"
             )
-        self.ctx = TuneContext(
-            genome=gctx,
-            start_order=order,
-            budget=config.budget,
-            generation=config.generation,
+        self.start_order = order
+        self.executor = CacheExecutor(cdag)
+        self.lower = float(
+            io_lower_bound(alg, alg.n0**cdag.r, config.cache_size)
         )
-        self.strategy = make_strategy(config.strategy)
+
+    def _measure(self, order) -> int:
+        from repro.schedules.base import demand_driven_schedule
+
+        sched = demand_driven_schedule(self.cdag, order)
+        return int(self.executor.run(
+            sched, self.config.cache_size, self.config.policy,
+            validate=False,
+        ).total)
 
     def run(self) -> TuneResult:
         """Search until the budget is spent."""
         config = self.config
-        ctx = self.ctx
-        strategy = self.strategy
         rng = make_rng(config.seed)
         reg = metrics()
-
-        state = strategy.initial_state(ctx)
-        ledger: dict[str, dict] = {}
+        ledger: dict[str, int] = {}
         trajectory: list[dict] = []
-        gen = evaluations = cache_hits = failures = 0
-        best_io = best_gap = None
-        best_order = None
-        start_io = None
-        lower = None
+        gen = evaluations = cache_hits = moves = 0
+        current = best_order = self.start_order
+        start_io = current_io = best_io = t0 = None
 
         while evaluations < config.budget:
             if gen == 0:
-                proposals = strategy.seed_orders(ctx, state, rng)
+                proposals = [self.start_order]
             else:
-                proposals = strategy.propose(ctx, state, rng)
-            proposals = [
-                np.ascontiguousarray(o, dtype=np.int64) for o in proposals
-            ]
-            if not proposals:
-                break
+                proposals = [
+                    random_move(current, rng, self.genome)[1]
+                    for _ in range(config.generation)
+                ]
             proposals = proposals[: config.budget - evaluations]
-            with span(
-                "autotune.generation", gen=gen, strategy=strategy.name
-            ) as sp:
-                keys = [genome_key(o) for o in proposals]
-                fresh_orders, fresh_keys, seen = [], [], set()
-                for key, order in zip(keys, proposals):
-                    if key not in ledger and key not in seen:
-                        seen.add(key)
-                        fresh_keys.append(key)
-                        fresh_orders.append(order)
-                fresh = self.evaluator.evaluate(fresh_orders)
-                batch_hits = batch_failures = 0
-                for key, rec in zip(fresh_keys, fresh):
-                    if rec.ok:
-                        ledger[key] = {"io": rec.io, "gap": rec.gap}
-                        if lower is None:
-                            lower = rec.lower
-                        if rec.cached:
-                            batch_hits += 1
+            with span("autotune.generation", gen=gen) as sp:
+                hits = 0
+                for order in proposals:
+                    key = genome_key(order)
+                    io = ledger.get(key)
+                    if io is None:
+                        io = ledger[key] = self._measure(order)
                     else:
-                        batch_failures += 1
-                # Records aligned with proposals: ledger answers count
-                # as hits (no simulation happened for them).
-                fresh_by_key = dict(zip(fresh_keys, fresh))
-                records = []
-                for key in keys:
-                    rec = fresh_by_key.pop(key, None)
-                    if rec is None:
-                        if key in ledger:
-                            entry = ledger[key]
-                            rec = EvalRecord(
-                                key, entry["io"], entry["gap"],
-                                lower or 0.0, True,
-                            )
-                            batch_hits += 1
-                        else:  # duplicate of a failed fresh evaluation
-                            rec = EvalRecord(key, 0, 0.0, 0.0, False,
-                                             error="evaluation failed")
-                    records.append(rec)
-                strategy.observe(ctx, state, proposals, records, rng)
-                for order, rec in zip(proposals, records):
-                    if not rec.ok:
-                        continue
-                    if best_io is None or rec.io < best_io:
-                        best_io, best_gap = rec.io, rec.gap
-                        best_order = order
-                if gen == 0 and records and records[0].ok:
-                    start_io = records[0].io
-                if start_io is None and best_io is not None:
-                    start_io = best_io  # first proposal failed; degrade
+                        hits += 1
+                    if current_io is None:  # the start order
+                        start_io = current_io = io
+                        t0 = max(1.0, 0.05 * io)
+                    else:
+                        moves += 1
+                        temp = t0 * (0.02 ** min(1.0, moves / config.budget))
+                        delta = io - current_io
+                        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                            current, current_io = order, io
+                    if best_io is None or io < best_io:
+                        best_order, best_io = order, io
                 evaluations += len(proposals)
-                cache_hits += batch_hits
-                failures += batch_failures
+                cache_hits += hits
                 sp.add("evaluations", len(proposals))
-                sp.add("cache_hits", batch_hits)
-                sp.add("failures", batch_failures)
-                if best_io is not None:
-                    sp.set("best_io", best_io)
+                sp.add("cache_hits", hits)
+                sp.set("best_io", best_io)
                 reg.inc("autotune.evaluations", len(proposals))
-                reg.inc("autotune.cache_hits", batch_hits)
-                reg.inc("autotune.failures", batch_failures)
-            if best_io is None:
-                raise ReproError(
-                    "no successful candidate evaluations in the first "
-                    "generation; cannot search"
-                )
+                reg.inc("autotune.cache_hits", hits)
             trajectory.append({
                 "gen": gen,
                 "evaluations": evaluations,
-                "best_io": int(best_io),
-                "best_gap": float(best_gap),
+                "best_io": best_io,
+                "best_gap": best_io - self.lower,
             })
             gen += 1
 
-        if best_io is None:
-            raise ReproError("search made no successful evaluations")
         return TuneResult(
             best_order=best_order,
-            best_io=int(best_io),
-            best_gap=float(best_gap),
-            lower=float(lower if lower is not None else 0.0),
-            start_io=int(start_io),
+            best_io=best_io,
+            best_gap=best_io - self.lower,
+            lower=self.lower,
+            start_io=start_io,
             evaluations=evaluations,
             cache_hits=cache_hits,
-            failures=failures,
             generations=gen,
             trajectory=trajectory,
         )

@@ -1,4 +1,4 @@
-"""Schedule genome: the autotuner's serialisable candidate encoding.
+"""Schedule genome: the autotuner's candidate encoding.
 
 A candidate schedule is encoded as a *product-order permutation* — the
 order in which the ``b^r`` product vertices of ``G_r`` are visited.
@@ -6,20 +6,12 @@ order in which the ``b^r`` product vertices of ``G_r`` are visited.
 permutation to a full valid topological schedule (encoders emitted
 lazily, decoders eagerly), so the genome space needs no topological
 repair: every permutation is executable, and the identity permutation
-is exactly the recursive depth-first schedule.
-
-The genome is deliberately tiny and JSON-native (a list of ints; the
-job params carry :data:`GENOME_VERSION` beside it), because candidates
-travel as parameters of content-addressed runner jobs: two searches
-proposing the same permutation — in one process or across machines —
-hash to the same job key and dedupe through the sweep result store.
+is exactly the recursive depth-first schedule.  :func:`genome_key`
+content-addresses a permutation for the annealer's ledger.
 
 Local moves
 -----------
-- :func:`move_block_swap` — swap two equal-length contiguous blocks
-  (the classic hill-climb neighbourhood; draw-compatible with the
-  pre-autotuner hill-climb loop so fixed-seed trajectories are
-  preserved);
+- :func:`move_block_swap` — swap two equal-length contiguous blocks;
 - :func:`move_block_rotate` — rotate a contiguous block by a random
   shift (a cheaper perturbation that keeps block contents together);
 - :func:`move_digit_regroup` — *greedy repair*: stable-sort a random
@@ -34,8 +26,7 @@ axis directly — ``d = 0`` is the recursive order, intermediate ``d``
 iterates inner subtrees across the ``b^d`` outer blocks (a blocked
 traversal over subtree tiles; the endpoints ``d = 0`` and ``d = r``
 both degenerate to the recursive order, since rotating *every* digit
-out leaves nothing inner) — and is what the portfolio strategy seeds
-its population with.
+out leaves nothing inner) — and is one of E15's fixed families.
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GENOME_VERSION",
     "GenomeContext",
     "genome_key",
     "hybrid_order",
@@ -57,12 +47,6 @@ __all__ = [
     "MOVES",
     "random_move",
 ]
-
-#: Version of the genome encoding; folded into genome keys (and thus
-#: into evaluation job keys via the params) so a format change can
-#: never alias an old artifact.
-GENOME_VERSION = "1"
-
 
 @dataclass(frozen=True)
 class GenomeContext:
@@ -91,10 +75,9 @@ def _as_order(order, n_products: int | None = None) -> np.ndarray:
 
 def genome_key(order) -> str:
     """Stable content key of a candidate (blake2b over the canonical
-    int64 bytes plus the encoding version)."""
+    int64 bytes)."""
     arr = _as_order(order)
     h = hashlib.blake2b(digest_size=16)
-    h.update(GENOME_VERSION.encode())
     h.update(len(arr).to_bytes(8, "little"))
     h.update(arr.tobytes())
     return h.hexdigest()
@@ -136,12 +119,9 @@ def hybrid_order(ctx: GenomeContext, d: int) -> np.ndarray:
 
 
 def move_block_swap(order, rng, ctx: GenomeContext) -> np.ndarray | None:
-    """Swap two random equal-length contiguous blocks.
-
-    Draw-for-draw identical to the pre-autotuner hill-climb loop (one
-    ``integers`` call for the length, one for the endpoints; overlapping
-    draws return None).
-    """
+    """Swap two random equal-length contiguous blocks (one ``integers``
+    call for the length, one for the endpoints; overlapping draws return
+    None)."""
     n = ctx.n_products
     length = int(rng.integers(1, max(2, n // 8)))
     i, j = sorted(rng.integers(0, n - length, size=2).tolist())
@@ -193,8 +173,8 @@ def move_hybrid_level(order, rng, ctx: GenomeContext) -> np.ndarray | None:
     return arr[np.argsort(prefix, kind="stable")]
 
 
-#: Registry of (name, move) pairs in a fixed order — strategies index
-#: into this with rng draws, so the order is part of the reproducibility
+#: The (name, move) pairs in a fixed order — the annealer indexes into
+#: this with rng draws, so the order is part of the reproducibility
 #: contract.
 MOVES: tuple[tuple[str, object], ...] = (
     ("block_swap", move_block_swap),

@@ -13,22 +13,23 @@ Subcommands:
   rerunning a killed sweep serves every finished job from the cache;
 - ``perf``                  — record or compare ``BENCH_<exp>.json``
   perf baselines (``--compare`` exits nonzero on regression);
-- ``tune``                  — schedule search minimising the Belady gap:
-  candidates are content-addressed jobs deduped through the sweep
-  store, so rerunning a killed search replays its trajectory from the
-  store (see :mod:`repro.autotune`);
+- ``tune``                  — in-process simulated annealing over product
+  orders, minimising the Belady gap; a fixed seed replays its
+  trajectory, so a killed search is simply rerun (see
+  :mod:`repro.autotune`);
 - ``render``                — DOT/ASCII rendering of a base graph.
 
 ``sweep`` and ``tune`` accept ``--json``: after the human-readable
-output, one final machine-readable JSON line with the job/hit/failure
-counts and wall time.  Their exit codes: **0** — every job reached a
-successful terminal state (for ``tune``: the search completed, improved
-or not); **1** — at least one job failed (for ``tune``: the search
-failed — no successful evaluation).
+output, one final machine-readable JSON line with the counts and wall
+time.  Their exit codes: **0** — every job reached a successful
+terminal state (for ``tune``: the search completed, improved or not);
+**1** — at least one job failed (for ``tune``: the search raised, e.g.
+a cache too small to execute the graph).
 
 ``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--trace-out
-PATH``: collect telemetry during the run and write the spans as a Chrome
-``trace_event`` file loadable in ``chrome://tracing``/Perfetto.
+PATH``: collect telemetry during the command and write its spans as a
+Chrome ``trace_event`` file loadable in ``chrome://tracing``/Perfetto;
+collection is restored to its prior state when the command ends.
 ``python -m repro.experiments`` is ``experiments`` under another name.
 
 Everything the CLI prints is computed by the same public API the tests
@@ -38,6 +39,7 @@ exercise; the CLI adds no logic of its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.bilinear import by_name, list_catalog
@@ -56,25 +58,32 @@ def _add_trace_out(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _begin_trace(args) -> None:
-    """Enable telemetry when ``--trace-out`` asks for it."""
-    if args.trace_out:
-        from repro import telemetry
-
-        telemetry.enable()
-
-
-def _end_trace(args, command: str) -> None:
-    """Write the Chrome trace ``--trace-out`` asked for, if any."""
+@contextlib.contextmanager
+def _traced(args, command: str):
+    """Collect telemetry over the block when ``--trace-out`` asks for it
+    and write the block's spans there as a Chrome trace.  Whether the
+    block succeeds or raises, telemetry is left as it was: on or off,
+    holding the spans it held before."""
     if not args.trace_out:
+        yield
         return
     from repro import telemetry
 
-    spans = telemetry.collected_spans()
-    telemetry.write_chrome_trace(
-        args.trace_out, spans, metadata={"command": command}
-    )
-    print(f"trace: {args.trace_out} ({len(spans)} spans)")
+    was_enabled = telemetry.enabled()
+    earlier = telemetry.drain_spans()
+    telemetry.enable()
+    try:
+        yield
+        spans = telemetry.collected_spans()
+        telemetry.write_chrome_trace(
+            args.trace_out, spans, metadata={"command": command}
+        )
+        print(f"trace: {args.trace_out} ({len(spans)} spans)")
+    finally:
+        if not was_enabled:
+            telemetry.disable()
+        telemetry.reset_spans()
+        telemetry.ingest_spans(earlier)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,15 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
         "tune",
         help="schedule search that closes the Belady gap",
         description=(
-            "Search demand-driven product orders for schedules whose "
-            "measured I/O under offline-MIN eviction approaches the "
-            "Theorem-1 bound (the Belady gap is the objective).  Every "
-            "candidate evaluation is a content-addressed job deduped "
-            "through the sweep result store, so rerunning a killed "
-            "search with the same --cache-dir replays its trajectory "
-            "and serves what it stored from the store.  Exit codes: "
-            "0 — search completed (improved or not); 1 — search "
-            "failed (no successful evaluation)."
+            "Anneal demand-driven product orders, in-process, for "
+            "schedules whose measured I/O under offline-MIN eviction "
+            "approaches the Theorem-1 bound (the Belady gap is the "
+            "objective).  A fixed seed replays the same trajectory, so "
+            "a killed search is simply rerun.  Exit codes: 0 — search "
+            "completed (improved or not); 1 — search failed (e.g. the "
+            "cache is too small to execute the graph)."
         ),
     )
     p_tune.add_argument("--alg", default="strassen")
@@ -258,39 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(default belady: evaluates the order itself)",
     )
     p_tune.add_argument(
-        "--strategy", default="hillclimb",
-        choices=["anneal", "genetic", "hillclimb", "portfolio"],
-        help="search strategy (default hillclimb)",
-    )
-    p_tune.add_argument(
         "--budget", type=int, default=64, metavar="N",
-        help="candidate evaluations to spend; ledger and store hits "
-             "charge it too, so trajectories are cache-independent "
-             "(default 64)",
+        help="candidate proposals to spend; repeats answered from the "
+             "ledger charge it too (default 64)",
     )
     p_tune.add_argument(
         "--generation", type=int, default=8, metavar="K",
         help="proposals per generation (default 8)",
     )
     p_tune.add_argument("--seed", type=int, default=None)
-    p_tune.add_argument(
-        "--fresh", action="store_true",
-        help="bypass the result store and recompute every candidate",
-    )
-    p_tune.add_argument(
-        "--cache-dir", default=".repro-cache", metavar="DIR",
-        help="result-store root candidate jobs dedupe through "
-             "(default .repro-cache)",
-    )
-    p_tune.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="pool workers per generation (default 2)",
-    )
-    p_tune.add_argument(
-        "--local", action="store_true",
-        help="evaluate in-process against one shared executor instead "
-             "of the worker pool (fastest for small grids)",
-    )
     p_tune.add_argument(
         "--json", action="store_true", dest="json_line",
         help="after the report, print one machine-readable JSON "
@@ -380,10 +363,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_route(args) -> int:
     from repro.routing import theorem2_certificate
 
-    _begin_trace(args)
-    alg = by_name(args.alg)
-    cert = theorem2_certificate(alg, args.k)
-    _end_trace(args, "route")
+    with _traced(args, "route"):
+        alg = by_name(args.alg)
+        cert = theorem2_certificate(alg, args.k)
     print(f"Theorem 2 certificate for {alg.name}, k={args.k}:")
     print(f"  paths: {cert.report.n_paths}")
     print(f"  claimed m = 6a^k = {cert.claimed_m}")
@@ -429,15 +411,14 @@ def _cmd_experiments(args) -> int:
         return 0
 
     ids = args.ids or list_experiments()
-    _begin_trace(args)
     failures = []
-    for experiment_id in ids:
-        result = get_experiment(experiment_id)()
-        print(result.render())
-        print()
-        if not result.all_checks_pass:
-            failures.append(experiment_id)
-    _end_trace(args, "experiments")
+    with _traced(args, "experiments"):
+        for experiment_id in ids:
+            result = get_experiment(experiment_id)()
+            print(result.render())
+            print()
+            if not result.all_checks_pass:
+                failures.append(experiment_id)
     if failures:
         print(f"FAILED experiments: {failures}")
         return 1
@@ -520,8 +501,7 @@ def _cmd_sweep(args) -> int:
     store = ResultStore(args.cache_dir)
     events_path = args.events or str(Path(args.cache_dir) / "events.jsonl")
 
-    _begin_trace(args)
-    with EventLog(events_path) as events:
+    with _traced(args, "sweep"), EventLog(events_path) as events:
         outcomes = run_sweep(
             specs,
             store,
@@ -534,7 +514,6 @@ def _cmd_sweep(args) -> int:
         )
     print(render_sweep(outcomes, show_results=not args.quiet))
     print(f"cache: {args.cache_dir}  events: {events_path}")
-    _end_trace(args, "sweep")
     code = 0 if sweep_ok(outcomes) else 1
     if args.json_line:
         _emit_json_line("sweep", {
@@ -564,45 +543,24 @@ def _cmd_perf(args) -> int:
 def _cmd_tune(args) -> int:
     import time
 
-    from repro.autotune import (
-        AutoTuner,
-        LocalEvaluator,
-        PoolEvaluator,
-        TuneConfig,
-    )
+    from repro.autotune import AutoTuner, TuneConfig
+    from repro.cdag import build_cdag
     from repro.errors import ReproError
 
     t0 = time.monotonic()
     config = TuneConfig(
-        alg=args.alg,
-        r=args.r,
         cache_size=args.cache_size,
         policy=args.policy,
-        strategy=args.strategy,
         budget=args.budget,
         generation=args.generation,
         seed=args.seed,
     )
-
-    _begin_trace(args)
     try:
-        if args.local:
-            from repro.cdag import build_cdag
-
-            evaluator = LocalEvaluator(
-                build_cdag(by_name(args.alg), args.r),
-                args.cache_size, args.policy,
-            )
-        else:
-            from repro.runner import ResultStore
-
-            evaluator = PoolEvaluator(
-                args.alg, args.r, args.cache_size, args.policy,
-                store=ResultStore(args.cache_dir),
-                workers=args.jobs,
-                fresh=args.fresh,
-            )
-        result = AutoTuner(config, evaluator).run()
+        with _traced(args, "tune"):
+            result = AutoTuner(
+                config, build_cdag(by_name(args.alg), args.r)
+            ).run()
+            wall = time.monotonic() - t0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
@@ -614,14 +572,13 @@ def _cmd_tune(args) -> int:
             })
         return code
 
-    wall = time.monotonic() - t0
     s = result.summary()
     n = by_name(args.alg).n0**args.r
     table = TextTable(
         ["quantity", "value"],
         title=(
             f"tune {args.alg} r={args.r} (n={n}) M={args.cache_size} "
-            f"{args.policy} [{args.strategy}]"
+            f"{args.policy}"
         ),
     )
     table.add_row(["start I/O", s["start_io"]])
@@ -631,11 +588,9 @@ def _cmd_tune(args) -> int:
     table.add_row(["improvement", f"{100 * s['improvement']:.2f}%"])
     table.add_row(["evaluations", s["evaluations"]])
     table.add_row(["cache hits", s["cache_hits"]])
-    table.add_row(["failures", s["failures"]])
     table.add_row(["generations", s["generations"]])
     print(table.render())
     print(f"searched in {wall:.2f}s")
-    _end_trace(args, "tune")
     if args.json_line:
         _emit_json_line("tune", {
             **s,

@@ -15,20 +15,14 @@ Findings this records:
    fixed family by several percent — the recursive order is near-optimal
    but not optimal, and the certified gap tightens accordingly;
 2. the gap trajectory is monotone and flattens within a small budget —
-   consistent with the hill-climb finding that local search from the
-   recursive order buys only a few percent, which is what licenses
-   reading E9's recursive measurements as a faithful upper half.
+   local search from the recursive order buys only a few percent,
+   which is what licenses reading E9's recursive measurements as a
+   faithful upper half.
 """
 
 from __future__ import annotations
 
-from repro.autotune import (
-    AutoTuner,
-    GenomeContext,
-    LocalEvaluator,
-    TuneConfig,
-    hybrid_order,
-)
+from repro.autotune import AutoTuner, GenomeContext, TuneConfig, hybrid_order
 from repro.bilinear import strassen
 from repro.bounds import io_lower_bound
 from repro.cdag import build_cdag
@@ -51,7 +45,6 @@ def run(
     cache_size: int = 12,
     budget: int = 64,
     generation: int = 8,
-    strategy: str = "anneal",
 ) -> ExperimentResult:
     alg = strassen()
     g = build_cdag(alg, r)
@@ -87,20 +80,18 @@ def run(
     best_family_io = family_io[best_family]
 
     # ------------------------------------------------------------------
-    # 2. Autotune from the recursive start.
+    # 2. Anneal from the recursive start.
     # ------------------------------------------------------------------
     config = TuneConfig(
-        alg=alg.name, r=r, cache_size=cache_size, policy="belady",
-        strategy=strategy, budget=budget, generation=generation, seed=seed,
+        cache_size=cache_size, policy="belady", budget=budget,
+        generation=generation, seed=seed,
     )
-    result = AutoTuner(
-        config, LocalEvaluator(g, cache_size, "belady")
-    ).run()
+    result = AutoTuner(config, g).run()
 
     trajectory_table = TextTable(
         ["generation", "evaluations", "best I/O", "Belady gap",
          "I/O / bound"],
-        title=f"E15.2: gap trajectory ({strategy}, budget {budget}, "
+        title=f"E15.2: gap trajectory (anneal, budget {budget}, "
               f"seed {seed})",
     )
     for point in result.trajectory:

@@ -69,8 +69,7 @@ QUARANTINE_DIR = "corrupt"
 
 #: Root-level advisory lock file serialising mutations (publication,
 #: quarantine, temp-file GC) across processes — two ``repro sweep`` runs
-#: (or a sweep and a ``repro tune``) can share one cache directory
-#: without racing.
+#: can share one cache directory without racing.
 LOCK_FILE = ".lock"
 
 

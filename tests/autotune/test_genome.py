@@ -82,8 +82,7 @@ class TestMoves:
 
     def test_block_swap_is_draw_compatible_with_legacy(self):
         """Same seed, same two integers() draws per attempt, same swap —
-        the draw discipline the fixed-seed hill-climb trajectories rely
-        on."""
+        the draw discipline the fixed-seed anneal trajectories rely on."""
         n = CTX.n_products
         order = np.arange(n, dtype=np.int64)
         for seed in range(8):

@@ -3,6 +3,7 @@
 
 import json
 
+from repro import telemetry
 from repro.cli import main as cli_main
 from repro.telemetry.export import (
     spans_to_chrome_trace,
@@ -84,3 +85,32 @@ def test_cli_route_trace_out_produces_loadable_trace(tmp_path):
     # Telemetry was flag-scoped: the CLI enabled it for this run only.
     counters = events[-1]["args"]
     assert "span_id" in counters
+    assert not telemetry.enabled()
+    assert telemetry.collected_spans() == []
+
+
+def test_cli_trace_out_failure_leaves_telemetry_off(tmp_path):
+    """A command that fails under --trace-out (tune at a cache too small
+    to execute the graph exits 1) also turns collection back off and
+    keeps none of its spans."""
+    out = tmp_path / "tune_trace.json"
+    assert cli_main(["tune", "--M", "2", "--trace-out", str(out)]) == 1
+    assert not telemetry.enabled()
+    assert telemetry.collected_spans() == []
+
+
+def test_cli_trace_out_keeps_prior_collection(tmp_path):
+    """Under collection already on, --trace-out writes only the
+    command's spans and leaves the earlier spans and the switch as they
+    were."""
+    telemetry.enable()
+    with telemetry.span("before"):
+        pass
+    out = tmp_path / "route_trace.json"
+    assert cli_main(
+        ["route", "--alg", "strassen", "--k", "1", "--trace-out", str(out)]
+    ) == 0
+    names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
+    assert "routing.certificate" in names and "before" not in names
+    assert telemetry.enabled()
+    assert [s["name"] for s in telemetry.collected_spans()] == ["before"]

@@ -89,8 +89,8 @@ def test_run_many_emits_identical_spans(workload):
 
 def test_plan_cache_counters(workload):
     """Repeat runs of one schedule hit the executor's content-keyed plan
-    cache; the hit/miss counters make that observable (the autotuner's
-    satellite requirement: candidate re-evaluation must not recompile)."""
+    cache; the hit/miss counters make that observable (re-running a
+    schedule, e.g. under another cache size, must not recompile)."""
     g, sched = workload
     telemetry.enable()
     telemetry.reset()
@@ -131,8 +131,7 @@ def test_disabled_telemetry_skips_run_counters(workload):
     ex.run_many(sched, (8, 12), ("lru", "belady"))
     reg = telemetry.metrics()
     assert reg.counter("simcore.kernel.fallback").value == 0
-    # Plan cache accounting stays unconditional (cheap, and the
-    # autotuner's dedupe contract reads it).
+    # Plan cache accounting stays unconditional (cheap).
     assert reg.counter("pebbling.plan.miss").value == 1
 
 

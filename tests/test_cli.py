@@ -42,25 +42,32 @@ class TestParser:
             ["experiments", "--profile"],
             ["sweep", "--profile"],
             ["tune", "--profile"],
+            ["tune", "--strategy", "anneal"],
+            ["tune", "--jobs", "2"],
+            ["tune", "--local"],
+            ["tune", "--cache-dir", "tune-cache"],
+            ["tune", "--fresh"],
         ],
         ids=[
             "tune-socket", "tune-journal", "tune-resume", "tune-solver-cmd",
             "tune-solver-timeout", "tune-strategy-external", "sweep-resume",
             "sweep-graph-cache", "tune-graph-cache", "graph-cache-ls",
             "route-profile", "experiments-profile", "sweep-profile",
-            "tune-profile",
+            "tune-profile", "tune-strategy", "tune-jobs", "tune-local",
+            "tune-cache-dir", "tune-fresh",
         ],
     )
     def test_removed_options_exit_2(self, tmp_path, capsys, extra):
         # The sweep daemon, the tune journal, the external solver, both
-        # --resume flags, the graph-cache bundle store and --profile
-        # (--trace-out is the one telemetry switch) are gone (rerunning
-        # against the same --cache-dir resumes; every process builds its
-        # own graphs), so argparse rejects each with status 2.  Only
-        # sweep and tune take --cache-dir, so the others get none: the
-        # error must be the removed option's.
+        # --resume flags, the graph-cache bundle store, --profile
+        # (--trace-out is the one telemetry switch) and tune's
+        # strategies, pool and store options are gone (rerunning a sweep
+        # against the same --cache-dir resumes; tune is one in-process
+        # search; every process builds its own graphs), so argparse
+        # rejects each with status 2.  Only sweep takes --cache-dir, so
+        # the others get none: the error must be the removed option's.
         command, *options = extra
-        cache = ["--cache-dir", str(tmp_path)] if command in ("sweep", "tune") else []
+        cache = ["--cache-dir", str(tmp_path)] if command == "sweep" else []
         with pytest.raises(SystemExit) as exc:
             main([command, *cache, *options])
         assert exc.value.code == 2
@@ -193,26 +200,23 @@ class TestSweepCommand:
 
 
 class TestTuneCommand:
-    def _argv(self, tmp_path, *extra):
+    def _argv(self, *extra):
         return [
             "tune", "--alg", "strassen", "--r", "2", "--M", "12",
-            "--budget", "10", "--generation", "4", "--seed", "3",
-            "--local", "--cache-dir", str(tmp_path), *extra,
+            "--budget", "10", "--generation", "4", "--seed", "3", *extra,
         ]
 
-    def test_tune_runs_and_reports(self, capsys, tmp_path):
-        assert main(self._argv(tmp_path, "--strategy", "anneal")) == 0
+    def test_tune_runs_and_reports(self, capsys):
+        assert main(self._argv()) == 0
         out = capsys.readouterr().out
         assert "best I/O" in out
         assert "Belady gap" in out
         assert "searched in" in out
 
-    def test_tune_json_line(self, capsys, tmp_path):
+    def test_tune_json_line(self, capsys):
         import json
 
-        assert main(
-            self._argv(tmp_path, "--strategy", "portfolio", "--json")
-        ) == 0
+        assert main(self._argv("--json")) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         doc = json.loads(line)
         assert doc["command"] == "tune"
@@ -220,28 +224,22 @@ class TestTuneCommand:
         assert doc["best_io"] <= doc["start_io"]
         assert doc["evaluations"] <= 10
 
-    def test_tune_resume_after_finish_is_idempotent(self, capsys, tmp_path):
+    def test_tune_failure_exits_1_with_json_line(self, capsys):
+        """An evaluation error ends the search: a cache of 2 cannot
+        compute Strassen's widest vertex, so tune exits 1 and its JSON
+        line says why."""
         import json
 
-        argv = [arg for arg in self._argv(tmp_path, "--json")
-                if arg != "--local"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        # Identical best line either way, and the rerun simulates
-        # nothing: every evaluation is a store or ledger hit.
-        pick = [ln for ln in first.splitlines() if "best I/O" in ln]
-        assert pick == [ln for ln in second.splitlines() if "best I/O" in ln]
-        cold = json.loads(first.strip().splitlines()[-1])
-        warm = json.loads(second.strip().splitlines()[-1])
-        assert cold["cache_hits"] < cold["evaluations"]
-        assert warm["cache_hits"] == warm["evaluations"]
+        assert main(["tune", "--M", "2", "--json"]) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out.strip().splitlines()[-1])
+        assert doc["command"] == "tune"
+        assert doc["exit_code"] == 1
+        assert "computing the widest vertex needs 5 slots" in doc["error"]
+        assert "widest vertex" in captured.err
 
     def test_tune_profile_trace_out(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
-        assert main(
-            self._argv(tmp_path, "--trace-out", str(trace))
-        ) == 0
+        assert main(self._argv("--trace-out", str(trace))) == 0
         assert trace.exists()
         assert "trace:" in capsys.readouterr().out
