@@ -41,6 +41,7 @@ class TuneConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        check_positive_int(self.cache_size, "cache_size")
         check_positive_int(self.budget, "budget")
         check_positive_int(self.generation, "generation")
 

@@ -140,18 +140,26 @@ def partition_by_io(
     schedule,
     M: int,
     policy: str = "lru",
+    executor=None,
 ) -> list[np.ndarray]:
     """Hong-Kung's induced partition: cut the execution every ``2M``
     I/Os.
 
     Runs the executor with a per-step I/O trace and splits the schedule
     whenever the cumulative I/O crosses another multiple of ``2M`` —
-    exactly the phases of the HK proof.
+    exactly the phases of the HK proof.  ``executor`` is a
+    :class:`~repro.pebbling.CacheExecutor` of ``cdag`` to run on, so a
+    caller that already ran the schedule reuses its compiled plan; a
+    fresh one by default.  An executor of another graph raises
+    ``ValueError``.
     """
     from repro.pebbling.executor import CacheExecutor
 
     schedule = np.asarray(schedule, dtype=np.int64)
-    executor = CacheExecutor(cdag)
+    if executor is None:
+        executor = CacheExecutor(cdag)
+    elif executor.cdag is not cdag:
+        raise ValueError("executor runs another CDAG")
     trace: list[int] = []
     executor.run(schedule, M, policy=policy, io_trace=trace)
     parts: list[np.ndarray] = []

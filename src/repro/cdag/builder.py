@@ -1,9 +1,11 @@
 """Construction of ``G_r`` from a base bilinear algorithm.
 
 The builder materialises the recursive CDAG described in
-:mod:`repro.cdag.graph` as flat CSR arrays, fully vectorised: one numpy
-block of edges per (rank transition, nonzero coefficient) pair, so the
-cost is ``O(|E|)`` numpy work regardless of ``r``.
+:mod:`repro.cdag.graph` as flat int32 CSR arrays, fully vectorised: the
+predecessor CSR is allocated once at its final size and written in
+place, one numpy outer sum per rank transition, so the cost is
+``O(|E|)`` numpy work regardless of ``r`` and no edge list is ever held
+beside it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def build_cdag(alg: BilinearAlgorithm, r: int) -> CDAG:
     Raises
     ------
     CDAGError
-        If the graph would exceed :data:`MAX_VERTICES`.
+        If the graph would exceed :data:`MAX_VERTICES`, or its vertex
+        and edge counts together would reach ``2**31`` (both are checked
+        before anything is allocated).
     """
     with span("cdag.build", alg=alg.name) as sp:
         g = _build_cdag(alg, r)
@@ -68,101 +72,52 @@ def _build_cdag(alg: BilinearAlgorithm, r: int) -> CDAG:
     # ------------------------------------------------------------------
     slabs, total = slab_layout(a, b, r)
     assert total == n_vertices
-
-    # ------------------------------------------------------------------
-    # Edges, as (child, parent) arrays per transition.  Each rank
-    # transition fills one preallocated (nnz, n_m, n_e) buffer per side:
-    # the heads ``(M*b + m_i) * n_e + offset`` are built on the small
-    # (nnz, n_m, 1) prefix and broadcast-added against the entry tail
-    # directly into the buffer, so peak memory per transition is the two
-    # output blocks themselves — no per-nonzero broadcast_to().copy()
-    # temporaries.  Ravel order (nonzero-major, then M, then E) matches
-    # the per-nonzero emission order exactly, so the stable argsort
-    # below produces byte-identical CSR arrays.
-    # ------------------------------------------------------------------
-    child_blocks: list[np.ndarray] = []
-    parent_blocks: list[np.ndarray] = []
-
-    def emit(children: np.ndarray, parents: np.ndarray) -> None:
-        child_blocks.append(children.ravel())
-        parent_blocks.append(parents.ravel())
-
-    def emit_transition(
-        child_slab: Slab,
-        parent_slab: Slab,
-        n_m: int,
-        n_e: int,
-        child_digits: np.ndarray,
-        parent_digits: np.ndarray,
-        child_base: int,
-        parent_base: int,
-    ) -> None:
-        nnz = len(child_digits)
-        if nnz == 0:
-            return
-        m_head = np.arange(n_m, dtype=np.int64).reshape(1, n_m, 1)
-        e_tail = np.arange(n_e, dtype=np.int64).reshape(1, 1, n_e)
-        c_col = child_digits.astype(np.int64).reshape(nnz, 1, 1)
-        p_col = parent_digits.astype(np.int64).reshape(nnz, 1, 1)
-        # parent (M, p, E): index (M*parent_base + p)*n_e + E
-        p_head = (m_head * parent_base + p_col) * n_e + parent_slab.offset
-        # child (M, c, E): index (M*child_base + c)*n_e + E
-        c_head = (m_head * child_base + c_col) * n_e + child_slab.offset
-        parents = np.empty((nnz, n_m, n_e), dtype=np.int64)
-        children = np.empty((nnz, n_m, n_e), dtype=np.int64)
-        np.add(p_head, e_tail, out=parents)
-        np.add(c_head, e_tail, out=children)
-        emit(children, parents)
-
-    for region, E in ((Region.ENC_A, alg.U), (Region.ENC_B, alg.V)):
-        nz_m, nz_e = np.nonzero(E)
-        for i in range(1, r + 1):
-            emit_transition(
-                child_slab=slabs[(region, i - 1)],
-                parent_slab=slabs[(region, i)],
-                n_m=b ** (i - 1),  # leading multiplication digits
-                n_e=a ** (r - i),  # trailing entry digits
-                child_digits=nz_e,
-                parent_digits=nz_m,
-                child_base=a,
-                parent_base=b,
-            )
-
-    # Multiplication layer: product (m_1..m_r) depends on the two encoder
-    # tops with the same tuple.
-    prod_slab = slabs[(Region.DEC, 0)]
-    prod_ids = np.arange(prod_slab.size, dtype=np.int64)
-    for region in (Region.ENC_A, Region.ENC_B):
-        top = slabs[(region, r)]
-        emit(top.offset + prod_ids, prod_slab.offset + prod_ids)
-
-    # Decoding: rank j-1 -> rank j.
-    nz_e, nz_m = np.nonzero(alg.W)
-    for j in range(1, r + 1):
-        emit_transition(
-            child_slab=slabs[(Region.DEC, j - 1)],
-            parent_slab=slabs[(Region.DEC, j)],
-            n_m=b ** (r - j),  # leading multiplication digits
-            n_e=a ** (j - 1),  # trailing entry digits
-            child_digits=nz_m,
-            parent_digits=nz_e,
-            child_base=b,
-            parent_base=a,
+    layers = _layers(alg, r, slabs)
+    prod = slabs[(Region.DEC, 0)]
+    n_edges = 2 * prod.size + sum(
+        n_m * int(rows.degree.sum()) * n_e for _, _, rows, n_m, n_e in layers
+    )
+    if n_vertices + n_edges >= 2**31:
+        raise CDAGError(
+            f"G_{r} for {alg.name} would have {n_vertices:,} vertices and "
+            f"{n_edges:,} edges; vertex ids, edge offsets and the "
+            f"simulator's touch indices are int32, so their sum must stay "
+            f"below 2**31"
         )
 
-    children = np.concatenate(child_blocks) if child_blocks else np.empty(0, np.int64)
-    parents = np.concatenate(parent_blocks) if parent_blocks else np.empty(0, np.int64)
+    # ------------------------------------------------------------------
+    # The predecessor CSR, written in place.  A vertex's predecessors
+    # are ascending, and a slab's vertices (M, p, E) each take
+    # deg(p) = nnz(row p) of them, (M*cols + c)*n_e + E for the nonzeros
+    # (p, c).  So the slab's block of predecessors, one row per M, is
+    # an outer sum: M*cols*n_e plus the row M = 0 (:meth:`_Rows.block`).
+    # Products take their two encoder tops, A first.
+    # ------------------------------------------------------------------
+    is_copy = np.zeros(n_vertices, dtype=bool)
+    degree = np.zeros(n_vertices, dtype=np.int32)
+    degree[prod.offset : prod.offset + prod.size] = 2
+    for upper, _, rows, n_m, n_e in layers:
+        span = slice(upper.offset, upper.offset + upper.size)
+        degree[span].reshape(n_m, -1, n_e)[:] = rows.degree[:, None]
+        is_copy[span].reshape(n_m, -1, n_e)[:] = rows.copy[:, None]
+    pred_indptr = np.zeros(n_vertices + 1, dtype=np.int32)
+    np.cumsum(degree, out=pred_indptr[1:])
+    del degree
 
-    # Predecessor CSR: sort edges by parent (stable keeps deterministic
-    # child order within a parent).
-    order = np.argsort(parents, kind="stable")
-    sorted_parents = parents[order]
-    pred_indices = children[order]
-    counts = np.bincount(sorted_parents, minlength=n_vertices)
-    pred_indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=pred_indptr[1:])
-
-    is_copy = _copy_flags(alg, r, slabs, n_vertices)
+    pred_indices = np.empty(n_edges, dtype=np.int32)
+    for upper, lower, rows, n_m, n_e in layers:
+        start = int(pred_indptr[upper.offset])
+        first = rows.block(n_e)
+        first += lower.offset
+        block = pred_indices[start : start + n_m * len(first)]
+        heads = np.arange(n_m, dtype=np.int32)
+        heads *= lower.size // n_m
+        np.add(heads[:, None], first, out=block.reshape(n_m, len(first)))
+    start = int(pred_indptr[prod.offset])
+    block = pred_indices[start : start + 2 * prod.size].reshape(prod.size, 2)
+    for k, region in enumerate((Region.ENC_A, Region.ENC_B)):
+        top = slabs[(region, r)]
+        block[:, k] = np.arange(top.offset, top.offset + top.size, dtype=np.int32)
 
     return CDAG(
         alg=alg,
@@ -174,52 +129,57 @@ def _build_cdag(alg: BilinearAlgorithm, r: int) -> CDAG:
     )
 
 
+class _Rows:
+    """The rows of one coefficient matrix as the builder reads them:
+    each row's nonzero count, whether it is a *copy* row (a single
+    nonzero equal to 1: the vertex it computes holds its unique
+    predecessor's value), and the nonzeros (p, c) in row-major order."""
+
+    def __init__(self, E: np.ndarray):
+        support = E != 0
+        self.degree = support.sum(axis=1).astype(np.int32)
+        self.copy = (self.degree == 1) & (E.sum(axis=1) == 1.0)
+        row, self.col = np.nonzero(support)
+        before = np.cumsum(self.degree) - self.degree
+        self.rank = np.arange(len(row)) - before[row]
+        self.before = before[row]
+        self.deg = self.degree[row]
+
+    def block(self, n_e: int) -> np.ndarray:
+        """Row ``M = 0`` of a layer's predecessor block, relative to the
+        lower slab: vertex ``(p, E)`` lists ``c*n_e + E`` for the
+        nonzeros ``(p, c)`` of its row, so the one through the row's
+        ``k``-th nonzero sits at ``before(p)*n_e + E*deg(p) + k``."""
+        e = np.arange(n_e)
+        pos = (self.before * n_e + self.rank)[:, None] + np.outer(self.deg, e)
+        first = np.empty(len(self.col) * n_e, dtype=np.int32)
+        first[pos] = self.col[:, None] * n_e + e
+        return first
+
+
+def _layers(alg: BilinearAlgorithm, r: int, slabs: dict[tuple[int, int], Slab]):
+    """Every slab above rank 0 but the products, as ``(upper, lower,
+    rows, n_m, n_e)``: vertex ``(M, p, E)`` of ``upper`` is row ``p`` of
+    a coefficient matrix (:class:`_Rows`) over the vertices ``(M, c, E)``
+    of ``lower``, with ``n_m`` leading multiplication digits ``M`` and
+    ``n_e`` trailing entry digits ``E``.  Encoder rank ``i`` applies
+    ``U`` (``V``) to the entry digit ``e_i``; decoding rank ``j``
+    applies ``W`` to the multiplication digit ``m_(r-j+1)``."""
+    a, b = alg.a, alg.b
+    layers = []
+    for region, E in ((Region.ENC_A, alg.U), (Region.ENC_B, alg.V)):
+        rows = _Rows(E)
+        for i in range(1, r + 1):
+            layers.append((slabs[(region, i)], slabs[(region, i - 1)], rows,
+                           b ** (i - 1), a ** (r - i)))
+    rows = _Rows(alg.W)
+    for j in range(1, r + 1):
+        layers.append((slabs[(Region.DEC, j)], slabs[(Region.DEC, j - 1)],
+                       rows, b ** (r - j), a ** (j - 1)))
+    return layers
+
+
 def _total_vertices(a: int, b: int, r: int) -> int:
     enc_rank_sizes = [b**i * a ** (r - i) for i in range(r + 1)]
     dec_rank_sizes = [b ** (r - j) * a**j for j in range(r + 1)]
     return 2 * sum(enc_rank_sizes) + sum(dec_rank_sizes)
-
-
-def _copy_flags(
-    alg: BilinearAlgorithm,
-    r: int,
-    slabs: dict[tuple[int, int], Slab],
-    n_vertices: int,
-) -> np.ndarray:
-    """Copy flags per vertex.
-
-    An encoder vertex at rank ``i >= 1`` is a copy iff row ``m_i`` of its
-    encoder matrix has a single nonzero equal to 1 (the vertex then holds
-    the same value as its unique predecessor).  A decoding vertex at rank
-    ``j >= 1`` is a copy iff row ``e_{r-j+1}`` of ``W`` is such a row.
-    """
-    is_copy = np.zeros(n_vertices, dtype=bool)
-
-    def unit_singleton_rows(E: np.ndarray) -> np.ndarray:
-        single = np.count_nonzero(E, axis=1) == 1
-        sums = E.sum(axis=1)
-        return single & (sums == 1.0)
-
-    copy_u = unit_singleton_rows(alg.U)
-    copy_v = unit_singleton_rows(alg.V)
-    copy_w = unit_singleton_rows(alg.W)
-    a, b = alg.a, alg.b
-
-    for region, copy_rows in ((Region.ENC_A, copy_u), (Region.ENC_B, copy_v)):
-        for i in range(1, r + 1):
-            slab = slabs[(region, i)]
-            # The copy predicate depends only on digit m_i, which cycles
-            # with period a^(r-i) and repeats every b * a^(r-i).
-            n_e = a ** (r - i)
-            flags = np.repeat(copy_rows, n_e)  # one period over m_i
-            reps = b ** (i - 1)
-            is_copy[slab.offset : slab.offset + slab.size] = np.tile(flags, reps)
-
-    for j in range(1, r + 1):
-        slab = slabs[(Region.DEC, j)]
-        n_e = a ** (j - 1)
-        flags = np.repeat(copy_w, n_e)
-        reps = b ** (r - j)
-        is_copy[slab.offset : slab.offset + slab.size] = np.tile(flags, reps)
-
-    return is_copy

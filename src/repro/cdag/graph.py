@@ -118,6 +118,9 @@ class CDAG:
     is_copy:
         Whether the vertex is a *copy* (single predecessor, coefficient
         exactly 1 — same value as its predecessor), bool array.
+    pred_indptr, pred_indices, succ_indptr, succ_indices:
+        The predecessor and successor adjacency as int32 CSR arrays
+        (each row ascending).
     """
 
     def __init__(
@@ -136,7 +139,6 @@ class CDAG:
         self.pred_indices = pred_indices
         self.is_copy = is_copy
         self.n_vertices = len(pred_indptr) - 1
-        self._pred_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._edge_keys: np.ndarray | None = None
 
         # Derived per-vertex metadata (flat arrays).
@@ -240,21 +242,15 @@ class CDAG:
     # ------------------------------------------------------------------
 
     def pred_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The predecessor adjacency as cached CSR arrays
-        ``(indptr, indices)``, both contiguous int64.
+        """The predecessor adjacency as CSR arrays ``(indptr, indices)``,
+        both int32, as :func:`~repro.cdag.builder.build_cdag` stores them.
 
         This is the representation the array-backed simulators consume
         (one vectorised gather per schedule instead of per-vertex
         :meth:`predecessors` calls); the arrays are shared, not copied —
         treat them as read-only.
         """
-        csr = self._pred_csr
-        if csr is None:
-            csr = self._pred_csr = (
-                np.ascontiguousarray(self.pred_indptr, dtype=np.int64),
-                np.ascontiguousarray(self.pred_indices, dtype=np.int64),
-            )
-        return csr
+        return self.pred_indptr, self.pred_indices
 
     def edge_key_index(self) -> np.ndarray:
         """Sorted int64 keys of every adjacency in *both* orientations
@@ -264,7 +260,8 @@ class CDAG:
         in either direction?" for whole batches at once — the vectorised
         membership test :func:`repro.routing.verify.verify_path` runs
         instead of per-edge ``in predecessors()`` scans.  Keys fit int64
-        comfortably: ``n_vertices`` is capped well below ``2**31``.
+        comfortably: ``n_vertices`` is capped well below ``2**31``, and
+        the products are formed in int64 although the CSR is int32.
         """
         keys = self._edge_keys
         if keys is None:
@@ -374,31 +371,46 @@ def csr_rows(
     """Rows ``rows`` of a CSR adjacency as a CSR of their own:
     ``(row_indptr, pos, cols)``, where
     ``cols[row_indptr[i]:row_indptr[i + 1]]`` is row ``rows[i]`` and
-    ``cols[j]`` is an entry of row ``rows[pos[j]]``."""
+    ``cols[j]`` is an entry of row ``rows[pos[j]]``.
+
+    All three are int32, like the graph's own CSR; rows that select
+    ``2**31`` entries or more (only a list repeating rows can) raise
+    ``ValueError``."""
     starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    row_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    counts = indptr[1:][rows]
+    counts -= starts
+    if int(counts.sum(dtype=np.int64)) >= 2**31:
+        raise ValueError("csr_rows: the rows select 2**31 entries or more")
+    row_indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum(counts, out=row_indptr[1:])
-    gather = np.repeat(starts - row_indptr[:-1], counts)
-    gather += np.arange(len(gather), dtype=np.int64)
+    starts -= row_indptr[:-1]
+    # np.repeat takes intp repeats: cast once for both.
+    counts = counts.astype(np.intp)
+    pos = np.repeat(np.arange(len(rows), dtype=np.int32), counts)
+    gather = np.repeat(starts.astype(np.int32, copy=False), counts)
+    del starts, counts
+    gather += np.arange(len(gather), dtype=np.int32)
     cols = indices[gather]
-    pos = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    del gather
     return row_indptr, pos, cols
 
 
 def _transpose_csr(
     indptr: np.ndarray, indices: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose a CSR adjacency (preds -> succs) without scipy."""
-    counts = np.bincount(indices, minlength=n)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_indptr[1:])
-    # Stable-sort entries by column: entries for column c then occupy
-    # out_indptr[c]:out_indptr[c+1], in original row order.
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    out_indices = rows[order]
-    return out_indptr, out_indices
+    """Transpose a CSR adjacency (preds -> succs) without scipy: row
+    ``c`` of the result lists, ascending, the rows whose entries hold
+    ``c``.  One in-place sort of packed int64 keys ``c << shift | row``
+    orders the entries; both outputs are int32."""
+    out_indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(indices, minlength=n), out=out_indptr[1:])
+    shift = int(n).bit_length()
+    keys = indices.astype(np.int64)
+    keys <<= shift
+    keys |= np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return out_indptr, keys.astype(np.int32)
 
 
 def _matrix_to_tuple_order(M: np.ndarray, n0: int, r: int) -> np.ndarray:

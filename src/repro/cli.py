@@ -24,7 +24,11 @@ output, one final machine-readable JSON line with the counts and wall
 time.  Their exit codes: **0** — every job reached a successful
 terminal state (for ``tune``: the search completed, improved or not);
 **1** — at least one job failed (for ``tune``: the search raised, e.g.
-a cache too small to execute the graph).
+a cache too small to execute the graph); **2** — a usage error, as
+argparse's own: an unknown ``--alg`` (every command that takes one),
+or for ``tune`` any argument its configuration or graph rejects.  A
+usage error prints ``error: ...`` and, under ``tune --json``, still
+ends with the JSON line.
 
 ``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--trace-out
 PATH``: collect telemetry during the command and write its spans as a
@@ -48,6 +52,21 @@ from repro.telemetry.baseline import DEFAULT_PERF_IDS
 from repro.utils.tables import TextTable
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """An argument names nothing the program has, or a value its
+    target rejects: ``main`` prints ``error: ...`` and exits 2, as
+    argparse does for the arguments it checks itself."""
+
+
+def _algorithm(name: str):
+    """The catalog algorithm ``--alg`` names; an unknown name is a
+    usage error."""
+    try:
+        return by_name(name)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
 
 
 def _add_trace_out(p: argparse.ArgumentParser) -> None:
@@ -249,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
             "objective).  A fixed seed replays the same trajectory, so "
             "a killed search is simply rerun.  Exit codes: 0 — search "
             "completed (improved or not); 1 — search failed (e.g. the "
-            "cache is too small to execute the graph)."
+            "cache is too small to execute the graph); 2 — usage error "
+            "(an unknown --alg, or an argument the configuration or "
+            "the graph rejects)."
         ),
     )
     p_tune.add_argument("--alg", default="strassen")
@@ -315,7 +336,7 @@ def _cmd_bounds(args) -> int:
         recursive_io_upper_bound,
     )
 
-    alg = by_name(args.alg)
+    alg = _algorithm(args.alg)
     print(f"{alg.name}: omega0 = {alg.omega0:.4f}")
     print(f"n = {args.n}, M = {args.M}, P = {args.P}")
     print(f"  Theorem 1 sequential I/O >= "
@@ -342,7 +363,7 @@ def _cmd_simulate(args) -> int:
         recursive_schedule,
     )
 
-    alg = by_name(args.alg)
+    alg = _algorithm(args.alg)
     g = build_cdag(alg, args.r)
     sched = {
         "recursive": lambda: recursive_schedule(g),
@@ -363,8 +384,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_route(args) -> int:
     from repro.routing import theorem2_certificate
 
+    alg = _algorithm(args.alg)
     with _traced(args, "route"):
-        alg = by_name(args.alg)
         cert = theorem2_certificate(alg, args.k)
     print(f"Theorem 2 certificate for {alg.name}, k={args.k}:")
     print(f"  paths: {cert.report.n_paths}")
@@ -381,7 +402,7 @@ def _cmd_route(args) -> int:
 def _cmd_caps(args) -> int:
     from repro.parallel import DistributedMachine, simulate_caps
 
-    alg = by_name(args.alg)
+    alg = _algorithm(args.alg)
     run = simulate_caps(
         alg, args.n, DistributedMachine(args.P, args.M), args.strategy
     )
@@ -548,22 +569,27 @@ def _cmd_tune(args) -> int:
     from repro.errors import ReproError
 
     t0 = time.monotonic()
-    config = TuneConfig(
-        cache_size=args.cache_size,
-        policy=args.policy,
-        budget=args.budget,
-        generation=args.generation,
-        seed=args.seed,
-    )
     try:
         with _traced(args, "tune"):
-            result = AutoTuner(
-                config, build_cdag(by_name(args.alg), args.r)
-            ).run()
+            # Everything the search is given comes from the arguments,
+            # so an error building it is a usage error.
+            try:
+                alg = _algorithm(args.alg)
+                config = TuneConfig(
+                    cache_size=args.cache_size,
+                    policy=args.policy,
+                    budget=args.budget,
+                    generation=args.generation,
+                    seed=args.seed,
+                )
+                cdag = build_cdag(alg, args.r)
+            except (ValueError, ReproError) as exc:
+                raise _UsageError(str(exc)) from exc
+            result = AutoTuner(config, cdag).run()
             wall = time.monotonic() - t0
-    except ReproError as exc:
+    except (_UsageError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 1
+        code = 2 if isinstance(exc, _UsageError) else 1
         if args.json_line:
             _emit_json_line("tune", {
                 "error": str(exc),
@@ -573,7 +599,7 @@ def _cmd_tune(args) -> int:
         return code
 
     s = result.summary()
-    n = by_name(args.alg).n0**args.r
+    n = alg.n0**args.r
     table = TextTable(
         ["quantity", "value"],
         title=(
@@ -603,7 +629,7 @@ def _cmd_tune(args) -> int:
 def _cmd_render(args) -> int:
     from repro.cdag import ascii_ranks, build_cdag, to_dot
 
-    alg = by_name(args.alg)
+    alg = _algorithm(args.alg)
     g = build_cdag(alg, args.r)
     print(to_dot(g) if args.format == "dot" else ascii_ranks(g))
     return 0
@@ -611,6 +637,14 @@ def _cmd_render(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "catalog":
         return _cmd_catalog()
     if args.command == "bounds":

@@ -20,7 +20,9 @@ Strassen-like CDAG, including the disconnected ones.
 
 Each graph gets its own :class:`CacheExecutor` (as in E9, E13 and E15),
 not :func:`simulate_io`'s process-wide one, so one run's plan-cache
-counters do not depend on the runs before it in the same process.
+counters do not depend on the runs before it in the same process.  The
+Hong-Kung partition of an execution runs on the executor that measured
+it, so each schedule is compiled once.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def run(M: int = 8) -> ExperimentResult:
             if sched_kind == "ijk"
             else recursive_schedule(g)
         )
-        measured = CacheExecutor(g).run(sched, M).total
-        parts = partition_by_io(g, sched, M)
+        executor = CacheExecutor(g)
+        measured = executor.run(sched, M).total
+        parts = partition_by_io(g, sched, M, executor=executor)
         report = verify_hk_partition(g, parts, M)
         certified = hong_kung_bound_from_partition(report["n_parts"], M)
         hk_table.add_row(
@@ -112,12 +115,13 @@ def run(M: int = 8) -> ExperimentResult:
     sched = recursive_schedule(g3)
     analysis = SegmentAnalysis(g3, meta, cache_size=M, k=1, threshold=24)
     routing_certified = analysis.implied_lower_bound(sched)
-    measured = CacheExecutor(g3).run(sched, M, policy="belady").total
+    executor = CacheExecutor(g3)
+    measured = executor.run(sched, M, policy="belady").total
     compare_table = TextTable(
         ["certifier", "certified I/O lower bound", "measured I/O (Belady)"],
         title="E14.3: certified bounds on strassen G_3 (recursive schedule)",
     )
-    parts = partition_by_io(g3, sched, M)
+    parts = partition_by_io(g3, sched, M, executor=executor)
     compare_table.add_row(
         ["Hong-Kung witnessed partition",
          hong_kung_bound_from_partition(len(parts), M), measured]

@@ -30,7 +30,8 @@ The simulator is a thin view over the unified columnar core
 arrays gathered from the CDAG's predecessor CSR, per-occurrence
 *next-use* times (a backward-scan linked list, so Belady needs no
 per-vertex Python lists or cursor dicts), per-vertex first-use times
-and initial use counts.
+and initial use counts, the last three built when the simulation loop
+first runs.
 
 Every simulation then goes through one core entry point,
 :func:`repro.simcore.run_configs`, which checks the policy name, takes

@@ -72,7 +72,9 @@ def validate_schedule(cdag: CDAG, schedule) -> np.ndarray:
 def _validate_gather(cdag: CDAG, schedule):
     """:func:`validate_schedule`, also returning the operand gather
     ``(step_indptr, step_ops, occ_time)`` its topological check made,
-    so a plan compiled next need not gather again."""
+    so a plan compiled next need not gather again.  The schedule is
+    int64; the gather and the first-occurrence steps are int32, as
+    vertex ids and steps are."""
     schedule = np.ascontiguousarray(schedule, dtype=np.int64)
     n = cdag.n_vertices
     is_input = cdag.in_degree() == 0
@@ -90,19 +92,21 @@ def _validate_gather(cdag: CDAG, schedule):
     # First occurrence of each vertex (reverse assignment: the earliest
     # index wins); an occurrence that is not the first, or that names
     # an input, is rejected.
-    first_occ = np.full(n, -1, dtype=np.int64)
-    first_occ[schedule[::-1]] = np.arange(T - 1, -1, -1, dtype=np.int64)
+    first_occ = np.full(n, -1, dtype=np.int32)
+    first_occ[schedule[::-1]] = np.arange(T - 1, -1, -1, dtype=np.int32)
     bad = is_input[schedule]
-    bad |= first_occ[schedule] != np.arange(T, dtype=np.int64)
+    bad |= first_occ[schedule] != np.arange(T, dtype=np.int32)
     if bad.any():
         v = int(schedule[int(np.argmax(bad))])
         raise ScheduleError(f"vertex {v} scheduled twice (or is an input)")
+    del bad
     # Topological: every non-input operand must be scheduled strictly
     # before its use.
     operands = gather_operands(cdag, schedule)
     _, step_ops, occ_time = operands
     viol = ~is_input[step_ops]
     viol &= first_occ[step_ops] >= occ_time
+    del first_occ
     if viol.any():
         i = int(np.argmax(viol))
         raise ScheduleError(

@@ -108,7 +108,9 @@ def lru_counts(plan, is_input, is_output, cache_sizes):
     if touches is None:
         return None
     vertex, prev, starts = touches
-    width = np.diff(starts).astype(np.int32)
+    del touches
+    width = np.diff(starts)
+    wmax = int(width.max())
     N = len(vertex)
     reuse = prev >= 0
     vq = vertex[reuse]
@@ -120,19 +122,27 @@ def lru_counts(plan, is_input, is_output, cache_sizes):
     # before B (the prefix its dominance count runs over).
     rank = np.zeros(N + 1, dtype=np.int32)
     np.cumsum(reuse, dtype=np.int32, out=rank[1:])
-    B = np.repeat(starts[:-1].astype(np.int32), width)[reuse]
-    del reuse
+    B = np.repeat(starts[:-1], width)[reuse]
+    del reuse, starts, width
     prefix = rank[B]
     del rank
-    d = B - P - 1
+    d = B  # becomes B - P - 1, in place
     del B
+    d -= P
+    d -= 1
     # d <= B - P - 1, so a shorter gap than the smallest M hits at
-    # every M and needs no count.
+    # every M: it needs no count and adds to no tally.
+    distinct = N - len(d)
     ask = d >= min(Ms)
-    d[ask] -= _count_at_least(P, P[ask] + 1, prefix[ask])
-    del prefix, P, ask
+    vq = vq[ask]
+    d = d[ask]
+    y = P[ask]
+    prefix = prefix[ask]
+    del ask
+    _subtract_greater(P, y, prefix, d)
+    del P, y, prefix
     return _tally(plan, is_input, is_output, Ms, vq, d, first_inputs,
-                  N - len(d), int(width.max()))
+                  distinct, wmax)
 
 
 def belady_counts(plan, is_input, is_output, cache_sizes):
@@ -151,25 +161,35 @@ def belady_counts(plan, is_input, is_output, cache_sizes):
     if touches is None:
         return None
     vertex, prev, starts = touches
+    del touches
     T = plan.n_steps
-    width = np.diff(starts).astype(np.int32)
+    width = np.diff(starts)
     N = len(vertex)
-    step = np.repeat(np.arange(T, dtype=np.int32), width)
+    reuse = prev >= 0
+    first_inputs = int(np.count_nonzero(is_input[vertex[~reuse]]))
+    distinct = N - int(np.count_nonzero(reuse))
     # The greedy order, (t ascending, x descending): each step's touches
     # reversed, then the reuse touches among them.
-    order = np.repeat((starts[:-1] + starts[1:] - 1).astype(np.int32), width)
+    order = np.repeat(starts[:-1] + starts[1:] - 1, width)
+    del starts
     order -= np.arange(N, dtype=np.int32)
-    order = order[prev[order] >= 0]
-    first = prev < 0
-    first_inputs = int(np.count_nonzero(is_input[vertex[first]]))
-    distinct = int(np.count_nonzero(first))
-    del first
+    order = order[reuse[order]]
+    del reuse
     vq = vertex[order]
     del vertex
+    lo = prev[order]
+    del prev
+    # Each interval's steps: the touches' steps, one gather each.
+    step = np.repeat(np.arange(T, dtype=np.int32), width)
     hi = step[order]
-    lo = step[prev[order]]
+    del order
+    lo = step[lo]
+    del step
     lo += 1
-    del step, prev, order
+    # An empty interior is a hit at every M: it adds to no tally.
+    live = lo < hi
+    vq, lo, hi = vq[live], lo[live], hi[live]
+    del live
     wmax = int(width.max())
     # Every interval is kept at M >= D, so a larger M runs as D: the
     # thresholds stay int32 whatever M is.
@@ -186,68 +206,83 @@ def _touches(plan, is_input):
     its first), and the position of each step's first touch (``T + 1``
     entries).  None for an unvalidated plan outside the derivation.
 
-    Per-touch arrays are int32 but the two sort keys, and each is
-    dropped once used: at n = 32 (334,515 touches) the LRU pass
-    allocates at most ~12 MiB, against ~24 MiB for one loop run.
+    All three are int32: the graph keeps vertices plus edges, which
+    bound the touches, below ``2**31``.  Only the two sort keys are
+    int64, each sorted in place and dropped once used.  At n = 32
+    (334,515 touches) this allocates at most ~6.3 MiB and the whole LRU
+    pass ~8.1 MiB, against ~24 MiB for one loop run (tracemalloc).
     """
     n = len(is_input)
     T = plan.n_steps
     sched = plan.schedule
     ops = plan.step_ops
-    occ_step = np.repeat(np.arange(T, dtype=np.int32),
-                         np.diff(plan.step_indptr))
+    n_ops = np.diff(plan.step_indptr)
+    occ_step = np.repeat(np.arange(T, dtype=np.int32), n_ops)
     if not plan.validated and not _topological(sched, ops, occ_step,
                                                is_input, n):
         return None
 
-    # The touch sequence: distinct (step, vertex) pairs in key order.
+    # The touch sequence: distinct (step, vertex) pairs in key order,
+    # from one in-place sort of keys ``step << shift | vertex``.  Each
+    # step touches its operands and its result, less repeated operands.
+    shift = n.bit_length()
     n_occ = len(occ_step)
     key = np.empty(n_occ + T, dtype=np.int64)
-    np.multiply(occ_step, np.int64(n), out=key[:n_occ])
+    key[:n_occ] = occ_step
     del occ_step
-    key[:n_occ] += ops
-    np.multiply(np.arange(T, dtype=np.int64), np.int64(n), out=key[n_occ:])
-    key[n_occ:] += sched
+    key[n_occ:] = np.arange(T, dtype=np.int32)
+    key <<= shift
+    key[:n_occ] |= ops
+    key[n_occ:] |= sched
     key.sort()
+    width = n_ops + 1
+    del n_ops
     keep = np.empty(len(key), dtype=bool)
     keep[0] = True
     np.not_equal(key[1:], key[:-1], out=keep[1:])
-    key = key[keep]
+    if not keep.all():
+        width -= np.bincount(key[~keep] >> shift, minlength=T).astype(np.int32)
+        key = key[keep]
     del keep
-    starts = np.searchsorted(key, np.arange(T + 1, dtype=np.int64) * n)
-    np.remainder(key, n, out=key)
-    vertex = key.astype(np.int32)
+    starts = np.zeros(T + 1, dtype=np.int32)
+    np.cumsum(width, out=starts[1:])
+    vertex = np.empty(len(key), dtype=np.int32)
+    np.bitwise_and(key, (1 << shift) - 1, out=vertex, casting="unsafe")
     del key
     N = len(vertex)
 
     # prev[j]: the position of the previous touch of the same vertex,
-    # from the touches sorted by (vertex, position).
+    # from the touches sorted by keys ``vertex << shift | position``.
+    shift = N.bit_length()
     key = vertex.astype(np.int64)
-    key *= N
-    key += np.arange(N, dtype=np.int64)
+    key <<= shift
+    key |= np.arange(N, dtype=np.int32)
     key.sort()
-    same = key[1:] // N == key[:-1] // N
-    np.remainder(key, N, out=key)
-    pos = key.astype(np.int32)
+    pos = np.empty(N, dtype=np.int32)
+    np.bitwise_and(key, (1 << shift) - 1, out=pos, casting="unsafe")
+    key >>= shift
+    same = key[1:] == key[:-1]
     del key
     prev = np.full(N, -1, dtype=np.int32)
-    prev[pos[1:][same]] = pos[:-1][same]
+    prev[pos[1:]] = np.where(same, pos[:-1], -1)
     return vertex, prev, starts
 
 
 def _tally(plan, is_input, is_output, Ms, vq, d, first_inputs, distinct,
            wmax):
     """The count tuples from the reuse touches' vertices ``vq`` and
-    values ``d``, where a touch misses at ``M`` iff ``d >= M``."""
+    values ``d``, where a touch misses at ``M`` iff ``d >= M``.  Sorts
+    ``d`` in place."""
     T = plan.n_steps
     is_in = is_input[vq]
-    d_all = np.sort(d)
-    d_in = np.sort(d[is_in])
     spill = ~is_in & ~is_output[vq]
     maxd = np.full(len(is_input), -1, dtype=np.int32)
     np.maximum.at(maxd, vq[spill], d[spill])
     maxd.sort()
-    del is_in, spill
+    del spill
+    d_in = np.sort(d[is_in])
+    del is_in
+    d.sort()
     output_writes = int(np.count_nonzero(is_output[plan.schedule]))
 
     out = []
@@ -255,7 +290,7 @@ def _tally(plan, is_input, is_output, Ms, vq, d, first_inputs, distinct,
         if M < wmax:
             out.append(CacheError("no eviction candidate available"))
             continue
-        reads = first_inputs + _at_least(d_all, M)
+        reads = first_inputs + _at_least(d, M)
         input_reads = first_inputs + _at_least(d_in, M)
         spill_writes = _at_least(maxd, M)
         peak = min(M, distinct)
@@ -269,18 +304,17 @@ def _hit_thresholds(lo, hi, width, Ms):
     """Each Belady interval's smallest ``M`` in ``Ms`` (ascending, none
     below ``width.max()``) at which it is kept, minus one; the largest
     ``M`` for an interval kept at none.  Intervals ``[lo, hi)`` of interior
-    steps come in greedy order."""
+    steps are non-empty and come in greedy order."""
     d = np.full(len(lo), max(Ms, default=0), dtype=np.int32)
-    # An empty interior is a hit at every M.
-    kept = lo >= hi
-    d[kept] = 0
+    pending = np.ones(len(lo), dtype=bool)
     load = width.astype(np.int32)
     for M in Ms:
-        cand = np.flatnonzero(~kept)
-        if not len(cand):
+        if not pending.any():
             break
-        take = cand[_greedy(lo[cand], hi[cand], (M - load).tolist())]
-        kept[take] = True
+        take = np.zeros(len(lo), dtype=bool)
+        take[pending] = _greedy(lo[pending], hi[pending],
+                                (M - load).tolist())
+        pending &= ~take
         d[take] = M - 1
         # Seed the next M with the intervals kept at this one.
         cover = np.bincount(lo[take], minlength=len(load) + 1)
@@ -348,33 +382,42 @@ def _at_least(sorted_values, M: int) -> int:
     return len(sorted_values) - int(np.searchsorted(sorted_values, M))
 
 
-def _count_at_least(values, x, prefix):
-    """For each query ``i``: ``#{j < prefix[i] : values[j] >= x[i]}``.
+def _subtract_greater(values, y, hi, d):
+    """For each query ``i``: ``d[i] -= #{j < hi[i] : values[j] > y[i]}``.
+    Overwrites ``values`` and ``hi``.
 
     A wavelet matrix over ``values`` (non-negative), built and queried
     one bit level at a time from the top.  Each query follows the
     ``[lo, hi)`` range of the values whose higher bits equal its
-    ``x``'s; at a level where ``x`` has a 0, the range's values with a 1
-    there are the larger ones and are counted.
+    ``y``'s; at a level where ``y`` has a 0, the range's values with a 1
+    there are the larger ones and are counted.  What is left at the end
+    equals ``y``.  The level's value order and the next one's share two
+    buffers, written in place level after level.
     """
-    levels = int(max(values.max(initial=0), x.max(initial=0))).bit_length()
-    lo = np.zeros_like(prefix)
-    hi = prefix
-    count = np.zeros_like(prefix)
-    zeros_before = np.zeros(len(values) + 1, dtype=np.int32)
+    levels = int(max(values.max(initial=0), y.max(initial=0))).bit_length()
+    lo = np.zeros_like(hi)
+    ones_before = np.zeros(len(values) + 1, dtype=np.int32)
+    bit = np.empty(len(values), dtype=bool)
+    spare = np.empty_like(values)
     for b in range(levels - 1, -1, -1):
-        bit = ((values >> b) & 1).astype(bool)
-        np.cumsum(~bit, dtype=np.int32, out=zeros_before[1:])
-        n_zeros = int(zeros_before[-1])
-        lo0 = zeros_before[lo]
-        hi0 = zeros_before[hi]
-        one = (x >> b) & 1 == 1
-        count += np.where(one, 0, (hi - hi0) - (lo - lo0))
-        # Follow x's bit: into the zeros' block, or into the ones'
-        # block, which starts at n_zeros.
-        lo = np.where(one, n_zeros + lo - lo0, lo0)
-        hi = np.where(one, n_zeros + hi - hi0, hi0)
-        del lo0, hi0, one
+        np.bitwise_and(values, 1 << b, out=spare)
+        np.not_equal(spare, 0, out=bit)
+        np.cumsum(bit, dtype=np.int32, out=ones_before[1:])
+        n_zeros = len(values) - int(ones_before[-1])
+        lo1 = ones_before[lo]
+        hi1 = ones_before[hi]
+        one = (y & (1 << b)) != 0
+        # Where y has a 0: count the range's ones and follow its zeros;
+        # where it has a 1: follow its ones, whose block starts at
+        # n_zeros.
+        lo -= lo1
+        hi -= hi1
+        d -= np.where(one, 0, hi1 - lo1)
+        lo = np.where(one, lo1 + n_zeros, lo)
+        hi = np.where(one, hi1 + n_zeros, hi)
+        del lo1, hi1, one
         if b:
-            values = np.concatenate((values[~bit], values[bit]))
-    return count + (hi - lo)
+            np.compress(bit, values, out=spare[n_zeros:])
+            np.logical_not(bit, out=bit)
+            np.compress(bit, values, out=spare[:n_zeros])
+            values, spare = spare, values

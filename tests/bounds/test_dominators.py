@@ -165,6 +165,33 @@ class TestHKPartition:
         certified = hong_kung_bound_from_partition(len(parts), M)
         assert certified <= simulate_io(g, sched, M).total
 
+    def test_given_executor_reuses_its_plan(self):
+        """The executor that measured the schedule partitions it from
+        its compiled plan (a hit, no second compile), into the parts a
+        fresh executor gives; another graph's executor is refused."""
+        from repro.pebbling import CacheExecutor
+        from repro.telemetry.metrics import metrics
+
+        def count(name):
+            counter = metrics().get(f"pebbling.plan.{name}")
+            return 0 if counter is None else counter.value
+
+        g = build_cdag(strassen(), 2)
+        sched = recursive_schedule(g)
+        executor = CacheExecutor(g)
+        executor.run(sched, 8)
+        miss, hit = count("miss"), count("hit")
+        parts = partition_by_io(g, sched, 8, executor=executor)
+        assert (count("miss"), count("hit")) == (miss, hit + 1)
+        fresh = partition_by_io(g, sched, 8)
+        assert count("miss") == miss + 1
+        assert len(parts) == len(fresh)
+        for got, want in zip(parts, fresh):
+            np.testing.assert_array_equal(got, want)
+        other = CacheExecutor(build_cdag(strassen(), 2))
+        with pytest.raises(ValueError, match="another CDAG"):
+            partition_by_io(g, sched, 8, executor=other)
+
     def test_bound_formula(self):
         assert hong_kung_bound_from_partition(10, 4) == 36
         assert hong_kung_bound_from_partition(0, 4) == 0

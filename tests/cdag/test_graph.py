@@ -1,12 +1,22 @@
 """Tests for the CDAG data structure and its numeric self-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bilinear import classical, laderman, strassen, winograd
+from repro.bilinear import (
+    BilinearAlgorithm,
+    classical,
+    laderman,
+    strassen,
+    winograd,
+)
 from repro.cdag import Region, build_base_graph, build_cdag
-from repro.errors import CDAGError
+from repro.cdag.graph import csr_rows
+from repro.errors import CDAGError, RoutingError
+from repro.routing.verify import verify_path
 from repro.utils.rngs import make_rng
 
 
@@ -140,6 +150,43 @@ class TestAdjacencyConsistency:
         assert g.in_degree().sum() == g.n_edges
         assert g.out_degree().sum() == g.n_edges
 
+    def test_csr_is_int32(self, strassen_g2):
+        g = strassen_g2
+        for arr in (*g.pred_csr(), g.succ_indptr, g.succ_indices):
+            assert arr.dtype == np.int32
+
+    def test_csr_rows_refuses_int32_overflow(self):
+        """Rows selecting 2**31 entries or more raise before any gather:
+        one row of 2**30 entries, asked for three times."""
+        indptr = np.array([0, 2**30], dtype=np.int32)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            csr_rows(indptr, np.empty(0, dtype=np.int32), np.zeros(3, dtype=np.int64))
+
+    def test_edge_key_index_at_r5(self):
+        """n = 32: keys ``u * n_vertices + v`` reach ~1.3e10, past
+        int32, built over the int32 CSR.  Every (parent, child) pair is
+        found in both orientations, and a non-edge is not."""
+        g = build_cdag(strassen(), 5)
+        keys = g.edge_key_index()
+        assert keys.dtype == np.int64 and len(keys) == 2 * g.n_edges
+        n = g.n_vertices
+        parent = np.repeat(np.arange(n, dtype=np.int64), g.in_degree())
+        child = g.pred_indices.astype(np.int64)
+        assert parent.max() * n > 2**31
+        for u, v in ((parent, child), (child, parent)):
+            want = u * n + v
+            pos = np.searchsorted(keys, want)
+            assert (pos < len(keys)).all()
+            assert (keys[pos] == want).all()
+        u, v = int(g.outputs()[-1]), int(g.inputs()[0])
+        assert v not in g.predecessors(u) and u not in g.predecessors(v)
+        for key in (u * n + v, v * n + u):
+            pos = int(np.searchsorted(keys, key))
+            assert pos == len(keys) or keys[pos] != key
+        verify_path(g, np.array([int(child[-1]), int(parent[-1])]))
+        with pytest.raises(RoutingError):
+            verify_path(g, np.array([u, v]))
+
 
 class TestEvaluate:
     @pytest.mark.parametrize(
@@ -221,6 +268,28 @@ class TestLimits:
     def test_vertex_limit_enforced(self):
         with pytest.raises(CDAGError):
             build_cdag(strassen(), 12)
+
+    def test_edge_limit_enforced_before_allocating(self):
+        """Vertex ids, edge offsets and the simulator's touch indices
+        are int32, so vertices plus edges must stay below 2**31.  A
+        dense 16x16 base with 2,401 products passes MAX_VERTICES at
+        r = 2 but not that: it has the support, and so the counts, of
+        ``tensor_power(random_equivalent(strassen(), seed=0,
+        integer=False), 4)`` (fully dense), whose own construction
+        takes over a minute.  The refusal comes before any edge block
+        is allocated."""
+        dense = BilinearAlgorithm(
+            n0=16, U=np.ones((2401, 256)), V=np.ones((2401, 256)),
+            W=np.ones((256, 2401)), name="dense-16x16",
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(CDAGError, match="4,910,952,578 edges"):
+                build_cdag(dense, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_bad_r_rejected(self):
         with pytest.raises(ValueError):

@@ -3,14 +3,18 @@
 Every array a plan compiles — the operand occurrences in CSR form, the
 per-occurrence next-use times, the per-vertex first-use times and use
 counts — must equal what a plain per-occurrence Python loop derives
-from the same ``(graph, schedule)`` pair, dtype included.  The graphs
-are Strassen, Winograd and classical(2) at ``r <= 3``; the schedules
-are seeded random topological orders and random product orders.  A
-validated compile through :class:`CacheExecutor` reuses the validator's
-operand gather and must give the same arrays.
+from the same ``(graph, schedule)`` pair, dtype included: the schedule
+is int64 and every other array int32.  The graphs are Strassen,
+Winograd and classical(2) at ``r <= 3``; the schedules are seeded
+random topological orders and random product orders.  A validated
+compile through :class:`CacheExecutor` reuses the validator's operand
+gather and must give the same arrays.  Strassen at ``r = 5`` is the
+smallest graph whose packed next-use key ``vertex << shift`` passes
+``2**31``, so an int32 overflow there shows.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.schedules.base
@@ -66,6 +70,17 @@ def reference_arrays(g, schedule) -> dict[str, list[int]]:
     }
 
 
+def assert_plan_arrays(g, schedule):
+    plan = SchedulePlan(g, schedule, validated=True)
+    compiled = CacheExecutor(g).compile(schedule)
+    assert plan.n_steps == compiled.n_steps == len(schedule)
+    for name, expected in reference_arrays(g, schedule).items():
+        dtype = np.int64 if name == "schedule" else np.int32
+        for got in (getattr(plan, name), getattr(compiled, name)):
+            assert got.dtype == dtype, name
+            assert got.tolist() == expected, name
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(sorted(_ALGS)),
@@ -79,13 +94,18 @@ def test_plan_arrays_match_per_occurrence_loop(family, r, kind, seed):
         schedule = random_topological_schedule(g, seed=seed)
     else:
         schedule = random_product_order_schedule(g, seed=seed)
-    plan = SchedulePlan(g, schedule, validated=True)
-    compiled = CacheExecutor(g).compile(schedule)
-    assert plan.n_steps == compiled.n_steps == len(schedule)
-    for name, expected in reference_arrays(g, schedule).items():
-        for got in (getattr(plan, name), getattr(compiled, name)):
-            assert got.dtype == np.int64, name
-            assert got.tolist() == expected, name
+    assert_plan_arrays(g, schedule)
+
+
+@pytest.mark.parametrize("order", ["recursive", "product"])
+def test_plan_arrays_at_r5(order):
+    """113,553 vertices and 223,010 occurrences: the next-use key
+    ``vertex << 18`` passes ``2**34``."""
+    g = graph("strassen", 5)
+    schedule = (recursive_schedule(g) if order == "recursive"
+                else random_product_order_schedule(g, seed=3))
+    assert (g.n_vertices << len(g.pred_indices).bit_length()) > 2**31
+    assert_plan_arrays(g, schedule)
 
 
 def test_validated_compile_gathers_operands_once(monkeypatch):

@@ -174,6 +174,24 @@ class TestAgreement:
                 simulate_py(plan, is_input, is_output, M, code) for M in Ms
             ]
 
+    def test_strassen_r5_keys_past_int32(self):
+        """n = 32, the smallest Strassen graph whose touch keys
+        ``step << 17 | vertex`` and ``vertex << 19 | position`` pass
+        ``2**31``: both passes still give the loop's counts, pinned."""
+        g = build_cdag(strassen(), 5)
+        sched = recursive_schedule(g)
+        assert len(sched) << g.n_vertices.bit_length() > 2**31
+        is_input, is_output = masks(g)
+        plan = SchedulePlan(g, sched, validated=True)
+        pinned = {
+            "lru": (122510, 68270, 6144, 116366, 67246, 1024, 12, 234003),
+            "belady": (81160, 47234, 6144, 75016, 46210, 1024, 12, 192653),
+        }
+        for policy, (count, code) in PASSES.items():
+            (got,) = count(plan, is_input, is_output, [12])
+            assert got == simulate_py(plan, is_input, is_output, 12, code)
+            assert got == pinned[policy], policy
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_random_dags_and_broken_schedules(self, seed):

@@ -117,6 +117,17 @@ class TestCommands:
         assert main(["route", "--alg", "strassen", "--k", "1"]) == 0
         assert "VERIFIED: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["route", "--k", "1"],
+        ["bounds", "--n", "4", "--M", "2"],
+        ["render"],
+    ])
+    def test_unknown_alg_is_a_usage_error(self, capsys, command):
+        assert main([*command, "--alg", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: no catalog algorithm named 'nope'"
+        assert captured.out == ""
+
     def test_caps(self, capsys):
         assert main(
             ["caps", "--n", "64", "--P", "7", "--M", "100000"]
@@ -237,6 +248,31 @@ class TestTuneCommand:
         assert doc["exit_code"] == 1
         assert "computing the widest vertex needs 5 slots" in doc["error"]
         assert "widest vertex" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--alg", "nope"], "no catalog algorithm named 'nope'"),
+            (["--budget", "0"], "budget must be positive, got 0"),
+            (["--M", "0"], "cache_size must be positive, got 0"),
+            (["--r", "-1"], "r must be nonnegative, got -1"),
+        ],
+        ids=["unknown-alg", "zero-budget", "zero-cache", "negative-r"],
+    )
+    def test_tune_usage_error_exits_2_with_json_line(self, capsys, argv,
+                                                     message):
+        """An argument the search's inputs reject is a usage error, as
+        argparse's own are: ``error: ...`` on stderr, exit 2, and the
+        JSON line under ``--json``; no traceback."""
+        import json
+
+        assert main(["tune", *argv, "--json"]) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out.strip().splitlines()[-1])
+        assert doc["command"] == "tune"
+        assert doc["exit_code"] == 2
+        assert doc["error"] == message
+        assert captured.err.strip() == f"error: {message}"
 
     def test_tune_profile_trace_out(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
