@@ -34,7 +34,6 @@ from repro.utils.flow import Dinic
 __all__ = [
     "minimum_dominator_size",
     "minimum_set",
-    "segments_to_partition",
     "partition_by_io",
     "verify_hk_partition",
     "hong_kung_bound_from_partition",
@@ -127,12 +126,6 @@ def _vertex_array(cdag: CDAG, vertices, name: str) -> np.ndarray:
             f"{name} must be vertex ids in [0, {cdag.n_vertices})"
         )
     return ids
-
-
-def segments_to_partition(segments) -> list[np.ndarray]:
-    """Identity adapter: executor segments (consecutive schedule slices)
-    are already a vertex partition of the computed vertices."""
-    return [np.asarray(seg, dtype=np.int64) for seg in segments]
 
 
 def partition_by_io(

@@ -9,8 +9,9 @@ Subcommands:
 - ``caps``                  — simulate parallel bandwidth for (n, P, M);
 - ``experiments``           — run the reproduction experiments;
 - ``sweep``                 — parallel experiment sweep with an on-disk
-  result cache, per-job timeouts, retries, and a JSONL event log;
-  rerunning a killed sweep serves every finished job from the cache;
+  result cache and per-job timeouts; each job runs once, and rerunning
+  the sweep (after a failure or a kill) serves every finished job from
+  the cache;
 - ``perf``                  — record or compare ``BENCH_<exp>.json``
   perf baselines (``--compare`` exits nonzero on regression);
 - ``tune``                  — in-process simulated annealing over product
@@ -26,9 +27,11 @@ terminal state (for ``tune``: the search completed, improved or not);
 **1** — at least one job failed (for ``tune``: the search raised, e.g.
 a cache too small to execute the graph); **2** — a usage error, as
 argparse's own: an unknown ``--alg`` (every command that takes one),
-or for ``tune`` any argument its configuration or graph rejects.  A
-usage error prints ``error: ...`` and, under ``tune --json``, still
-ends with the JSON line.
+an unknown experiment id (``experiments``, ``sweep``, ``perf``), a
+malformed ``sweep --param``/``--seeds`` or a ``--param`` key the
+experiment does not take, or for ``tune`` any argument its
+configuration or graph rejects.  A usage error prints ``error: ...``,
+starts no job and, under ``--json``, still ends with the JSON line.
 
 ``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--trace-out
 PATH``: collect telemetry during the command and write its spans as a
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import time
 
 from repro.bilinear import by_name, list_catalog
 from repro.bilinear.compose import named_compositions
@@ -65,6 +69,17 @@ def _algorithm(name: str):
     usage error."""
     try:
         return by_name(name)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
+def _experiment(experiment_id: str):
+    """The registered experiment an id names; an unknown id is a usage
+    error."""
+    from repro.experiments import get_experiment
+
+    try:
+        return get_experiment(experiment_id)
     except KeyError as exc:
         raise _UsageError(exc.args[0]) from None
 
@@ -161,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="run experiments in parallel with caching and retries",
+        help="run experiments in parallel, each job once, with caching",
         description=(
             "Expand experiment ids (optionally with parameter grids and "
-            "seeds) into jobs, run each in its own process, cache every "
-            "artifact on disk, and aggregate the results.  Re-running an "
-            "identical sweep is served from the cache, so rerunning an "
-            "interrupted sweep resumes where it stopped."
+            "seeds) into jobs, run each once in its own process, cache "
+            "every artifact on disk, and aggregate the results.  Re-running "
+            "an identical sweep is served from the cache, so a failed or "
+            "interrupted sweep, run again, computes only what did not finish."
         ),
     )
     p_sweep.add_argument("ids", nargs="*", help="experiment ids (default all)")
@@ -188,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock limit (default: none)",
     )
     p_sweep.add_argument(
-        "--retries", type=int, default=1, metavar="K",
-        help="failed attempts each job may absorb beyond the first "
-             "(default 1)",
-    )
-    p_sweep.add_argument(
         "--param", action="append", default=[], metavar="[EXP:]key=v1,v2",
         help="sweep a parameter over values, e.g. 'E9:r_max=3,4' "
              "(repeatable; without EXP: applies to every selected id)",
@@ -201,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", default=None, metavar="S1,S2,...",
         help="fan seed-aware experiments over explicit seeds "
              "(each seed is a distinct cached job)",
-    )
-    p_sweep.add_argument(
-        "--events", default=None, metavar="PATH",
-        help="JSONL event log (default <cache-dir>/events.jsonl)",
     )
     p_sweep.add_argument(
         "--quiet", action="store_true",
@@ -424,7 +430,7 @@ def _describe(experiment_id: str) -> str:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.experiments import get_experiment, list_experiments
+    from repro.experiments import list_experiments
 
     if args.list_only:
         for experiment_id in list_experiments():
@@ -432,10 +438,11 @@ def _cmd_experiments(args) -> int:
         return 0
 
     ids = args.ids or list_experiments()
+    runs = [_experiment(experiment_id) for experiment_id in ids]
     failures = []
     with _traced(args, "experiments"):
-        for experiment_id in ids:
-            result = get_experiment(experiment_id)()
+        for experiment_id, run in zip(ids, runs):
+            result = run()
             print(result.render())
             print()
             if not result.all_checks_pass:
@@ -463,7 +470,7 @@ def _parse_param_specs(specs: list[str], ids: list[str]) -> dict[str, dict]:
     for spec in specs:
         head, _, values = spec.partition("=")
         if not values:
-            raise SystemExit(
+            raise _UsageError(
                 f"--param needs the form [EXP:]key=v1,v2 (got {spec!r})"
             )
         exp, _, key = head.rpartition(":")
@@ -471,7 +478,7 @@ def _parse_param_specs(specs: list[str], ids: list[str]) -> dict[str, dict]:
         parsed = [_parse_value(v) for v in values.split(",")]
         for eid in targets:
             if eid not in grids:
-                raise SystemExit(
+                raise _UsageError(
                     f"--param {spec!r} names {eid!r}, which is not in the "
                     f"selected experiments {ids}"
                 )
@@ -481,19 +488,35 @@ def _parse_param_specs(specs: list[str], ids: list[str]) -> dict[str, dict]:
 
 def _build_specs(args) -> list:
     """Expand the ``ids``/``--param``/``--seeds`` grammar into job
-    specs."""
+    specs.  Anything no job could run is a usage error, raised before
+    any job starts."""
+    import inspect
+
     from repro.experiments import list_experiments
     from repro.runner import expand_grid, experiment_accepts_seed
 
     ids = args.ids or list_experiments()
+    runs = {eid: _experiment(eid) for eid in ids}
     grids = _parse_param_specs(args.param, ids)
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    )
+    for eid, grid in grids.items():
+        signature = inspect.signature(runs[eid])
+        for key in grid:
+            try:
+                signature.bind_partial(**{key: None})
+            except TypeError:
+                raise _UsageError(
+                    f"--param: experiment {eid} takes no parameter {key!r}"
+                ) from None
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    except ValueError:
+        raise _UsageError(
+            f"--seeds needs comma-separated integers (got {args.seeds!r})"
+        ) from None
     specs = []
     for eid in ids:
         fan = seeds if (seeds and experiment_accepts_seed(eid)) else None
-        specs.extend(expand_grid(eid, grids.get(eid), seeds=fan))
+        specs.extend(expand_grid(eid, grids[eid], seeds=fan))
     return specs
 
 
@@ -505,36 +528,40 @@ def _emit_json_line(command: str, summary: dict) -> None:
     print(json.dumps({"command": command, **summary}, sort_keys=True))
 
 
-def _cmd_sweep(args) -> int:
-    import time
-    from pathlib import Path
+def _report_error(args, command: str, exc: Exception, code: int, t0: float) -> int:
+    """Print ``error: ...`` for an error that ends ``command`` and, under
+    ``--json``, the JSON line that carries it; returns ``code``."""
+    print(f"error: {exc}", file=sys.stderr)
+    if args.json_line:
+        _emit_json_line(command, {
+            "error": str(exc),
+            "wall_s": round(time.monotonic() - t0, 6),
+            "exit_code": code,
+        })
+    return code
 
-    from repro.runner import (
-        EventLog,
-        ResultStore,
-        render_sweep,
-        run_sweep,
-        sweep_ok,
-    )
+
+def _cmd_sweep(args) -> int:
+    from repro.runner import ResultStore, render_sweep, run_sweep, sweep_ok
 
     t0 = time.monotonic()
-    specs = _build_specs(args)
+    try:
+        specs = _build_specs(args)
+    except _UsageError as exc:
+        return _report_error(args, "sweep", exc, 2, t0)
     store = ResultStore(args.cache_dir)
-    events_path = args.events or str(Path(args.cache_dir) / "events.jsonl")
 
-    with _traced(args, "sweep"), EventLog(events_path) as events:
+    with _traced(args, "sweep"):
         outcomes = run_sweep(
             specs,
             store,
             workers=args.jobs,
             timeout=args.timeout,
-            retries=args.retries,
             fresh=args.fresh,
-            events=events,
             profile=bool(args.trace_out),
         )
     print(render_sweep(outcomes, show_results=not args.quiet))
-    print(f"cache: {args.cache_dir}  events: {events_path}")
+    print(f"cache: {args.cache_dir}")
     code = 0 if sweep_ok(outcomes) else 1
     if args.json_line:
         _emit_json_line("sweep", {
@@ -550,6 +577,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_perf(args) -> int:
     from repro.telemetry.baseline import run_perf
 
+    for experiment_id in args.ids:
+        _experiment(experiment_id)
     return run_perf(
         args.ids or None,
         repeats=args.repeats,
@@ -562,8 +591,6 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    import time
-
     from repro.autotune import AutoTuner, TuneConfig
     from repro.cdag import build_cdag
     from repro.errors import ReproError
@@ -588,15 +615,8 @@ def _cmd_tune(args) -> int:
             result = AutoTuner(config, cdag).run()
             wall = time.monotonic() - t0
     except (_UsageError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         code = 2 if isinstance(exc, _UsageError) else 1
-        if args.json_line:
-            _emit_json_line("tune", {
-                "error": str(exc),
-                "wall_s": round(time.monotonic() - t0, 6),
-                "exit_code": code,
-            })
-        return code
+        return _report_error(args, "tune", exc, code, t0)
 
     s = result.summary()
     n = alg.n0**args.r

@@ -28,7 +28,6 @@ from repro.pebbling.segments import (
     partition_schedule,
     SegmentRecord,
     SegmentAnalysis,
-    paper_k,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "partition_schedule",
     "SegmentRecord",
     "SegmentAnalysis",
-    "paper_k",
 ]

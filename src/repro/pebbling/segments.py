@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds.theorem1 import paper_k_section6
 from repro.cdag.decompose import Subcomputation, input_disjoint_family
 from repro.cdag.graph import CDAG, Region, csr_rows
 from repro.cdag.metavertex import MetaVertexPartition
@@ -221,7 +222,7 @@ class SegmentAnalysis:
         self.meta = meta
         self.cache_size = cache_size
         if k is None:
-            k = paper_k(cdag.a, cache_size)
+            k = paper_k_section6(cdag.a, cache_size)
             if k > cdag.r:
                 raise PartitionError(
                     f"paper's k = ceil(log_a 72M) = {k} exceeds r = {cdag.r}; "
@@ -268,9 +269,3 @@ class SegmentAnalysis:
         guarantee per segment."""
         return sum(rec.implied_io for rec in self.analyze(schedule))
 
-
-def paper_k(a: int, cache_size: int) -> int:
-    """The paper's choice ``k = ceil(log_a 72 M)`` (Section 6)."""
-    import math
-
-    return max(0, math.ceil(math.log(72 * cache_size, a)))

@@ -53,7 +53,10 @@ def _entry_row_col(
     """Global (row, col) arrays of vertices of one entry slab (a side's
     inputs, or the outputs)."""
     slab = cdag.slab(region, local_rank)
-    return _digits_row_col(slab.radix.unpack_array(ids - slab.offset), cdag.alg.n0)
+    digits = slab.radix.unpack_array(ids - slab.offset)
+    if not digits:  # G_0: each matrix is its single entry (0, 0)
+        return np.zeros_like(ids), np.zeros_like(ids)
+    return _digits_row_col(digits, cdag.alg.n0)
 
 
 def _check_rank(cdag: CDAG, ids: np.ndarray, rank: int, what: str) -> None:

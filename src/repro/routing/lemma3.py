@@ -71,6 +71,8 @@ def _level_mults(
     matching has no entry for.
     """
     mults = [table[ea, ec] for ea, ec in zip(in_digits, out_digits)]
+    if not mults:  # G_0 has no level to route through
+        return mults
     missing = np.stack(mults) < 0
     if missing.any():
         d = int(np.argmax(missing.any(axis=0)))
@@ -99,6 +101,11 @@ def _chain_block(
     digits replaced by output entries).
     """
     r = cdag.r
+    if r == 0:  # G_0: one dependency per side, one vertex per slab
+        return np.array(
+            [[cdag.slab(region_in, 0).offset, cdag.slab(Region.DEC, 0).offset]],
+            dtype=np.int64,
+        )
 
     def column(region: int, local_rank: int, digits: list[np.ndarray]) -> np.ndarray:
         slab = cdag.slab(region, local_rank)

@@ -10,14 +10,15 @@ descriptions* that are
   id, canonical parameters, explicit seed and package version, so
   identical jobs are served from disk and interrupted sweeps resume
   (:mod:`repro.runner.store`),
-- **executed** one process per job, at most ``workers`` at once, with
-  per-job timeouts and bounded retries; a job that crashes or runs
-  overdue fails alone, with its attempt history, while the rest of the
-  sweep completes (:mod:`repro.runner.pool`),
-- **logged** to a structured JSONL event stream plus a live progress
-  line (:mod:`repro.runner.events`), and
+- **executed** once each, one process per job, at most ``workers`` at
+  once, with per-job timeouts; a job that raises, crashes or runs
+  overdue fails alone, with the reason as its outcome's ``error``,
+  while the rest of the sweep completes (:mod:`repro.runner.pool`), and
 - **aggregated** back into the harness's :class:`ExperimentResult`
   tables (:mod:`repro.runner.report`).
+
+A failed job is not retried in the run: rerunning the sweep is the
+retry, and the store serves every job that finished.
 
 Quick start::
 
@@ -25,31 +26,20 @@ Quick start::
 
     specs = [JobSpec("E1"), JobSpec("E9", {"r_max": 4})]
     store = ResultStore(".repro-cache")
-    outcomes = run_sweep(specs, store, workers=4, retries=2)
+    outcomes = run_sweep(specs, store, workers=4)
     print(render_sweep(outcomes))
 
 or from the command line: ``python -m repro sweep --jobs 4``.
 """
 
-from repro.runner.events import (
-    EventLog,
-    ProgressLine,
-    read_events,
-    validate_event,
-)
 from repro.runner.jobs import (
     JobSpec,
     expand_grid,
     experiment_accepts_seed,
     job_key,
 )
-from repro.runner.pool import Attempt, JobOutcome, run_sweep
-from repro.runner.report import (
-    fault_summary,
-    render_sweep,
-    sweep_ok,
-    sweep_summary,
-)
+from repro.runner.pool import JobOutcome, run_sweep
+from repro.runner.report import render_sweep, sweep_ok, sweep_summary
 from repro.runner.store import (
     ResultStore,
     payload_checksum,
@@ -66,15 +56,9 @@ __all__ = [
     "result_to_payload",
     "payload_to_result",
     "payload_checksum",
-    "EventLog",
-    "ProgressLine",
-    "read_events",
-    "validate_event",
-    "Attempt",
     "JobOutcome",
     "run_sweep",
     "sweep_summary",
     "sweep_ok",
-    "fault_summary",
     "render_sweep",
 ]

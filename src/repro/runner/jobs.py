@@ -105,7 +105,7 @@ class JobSpec:
 
     @property
     def label(self) -> str:
-        """Short human-readable name for logs and progress lines."""
+        """Short human-readable name for the sweep report and spans."""
         bits = [f"{k}={v}" for k, v in sorted(self.params.items())]
         if self.seed is not None:
             bits.append(f"seed={self.seed}")
@@ -139,7 +139,6 @@ def expand_grid(
     experiment_id: str,
     grid: Mapping[str, Iterable] | None = None,
     seeds: Sequence[int] | None = None,
-    entrypoint: str | None = None,
 ) -> list[JobSpec]:
     """Expand a parameter grid into job specs (cartesian product).
 
@@ -156,11 +155,10 @@ def expand_grid(
     for values in product(*axes) if axes else [()]:
         params = dict(zip(names, values))
         if seeds is None:
-            specs.append(JobSpec(experiment_id, params, entrypoint=entrypoint))
+            specs.append(JobSpec(experiment_id, params))
         else:
             specs.extend(
-                JobSpec(experiment_id, params, seed=int(s), entrypoint=entrypoint)
-                for s in seeds
+                JobSpec(experiment_id, params, seed=int(s)) for s in seeds
             )
     return specs
 

@@ -1,7 +1,7 @@
-"""Sweep scheduler: one process per job, with timeouts and retries.
+"""Sweep scheduler: one process per job, with per-job timeouts.
 
 :func:`run_sweep` drives a set of :class:`JobSpec` and returns one
-:class:`JobOutcome` per spec.  Every attempt of a job runs in its own
+:class:`JobOutcome` per spec.  Every job runs once, in its own
 ``multiprocessing.Process`` (default start method), at most ``workers``
 of them alive at once.  The child sends back its result, or the text of
 the exception it raised, over a one-way ``Pipe``; the scheduler waits on
@@ -11,15 +11,18 @@ the read ends.  Fault model:
   answered without starting a process (skipped with ``fresh=True``);
   orphaned ``.tmp-*`` files from a killed writer are garbage-collected
   before the cache pass;
-- **exceptions** raised by a job are recorded as ``error`` attempts and
-  the job is resubmitted at once, up to ``retries`` times; the final
-  failure keeps the full attempt history;
+- **exceptions** raised by a job fail it, with the exception's text as
+  the outcome's ``error``;
 - **crashes** (segfault, ``os._exit``, OOM kill) — the dead child's
-  pipe reads EOF, so the crash is charged to exactly that job as a
-  ``crash`` attempt; jobs running beside it carry on;
+  pipe reads EOF, so the crash fails exactly that job
+  (``job process died (exit code N)``); jobs running beside it carry on;
 - **per-job timeouts** — a job running past ``timeout`` seconds has its
-  process killed and is charged a ``timeout`` attempt; no other job is
-  touched.
+  process killed and fails (``exceeded per-job timeout of Ts``); no
+  other job is touched.
+
+A failed job is not resubmitted: jobs are seeded and deterministic, so
+a second attempt would fail the same way.  Rerunning the sweep is the
+retry; the store serves every job that finished.
 
 No job process outlives :func:`run_sweep`: whatever ends the scheduling
 loop, including an exception, every child still alive is killed and
@@ -40,43 +43,16 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Sequence
 
 from repro import telemetry
 from repro.experiments.harness import ExperimentResult
-from repro.runner.events import EventLog, ProgressLine
 from repro.runner.jobs import JobSpec, accepts_seed, resolve_entrypoint
 from repro.runner.store import ResultStore, result_to_payload
 
-__all__ = ["Attempt", "JobOutcome", "run_sweep"]
-
-
-@dataclass
-class Attempt:
-    """One execution attempt of a job."""
-
-    index: int
-    kind: str  # "ok" | "error" | "crash" | "timeout"
-    error: str | None = None
-    duration: float | None = None
-    worker: int | None = None
-
-    @property
-    def charged(self) -> bool:
-        """Whether the attempt counts against the retry budget: every
-        failed attempt does, since each is attributable to its job."""
-        return self.kind != "ok"
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "error": self.error,
-            "duration": self.duration,
-            "worker": self.worker,
-        }
+__all__ = ["JobOutcome", "run_sweep"]
 
 
 @dataclass
@@ -86,7 +62,6 @@ class JobOutcome:
     spec: JobSpec
     key: str
     status: str  # "ok" | "cached" | "failed"
-    attempts: list[Attempt] = field(default_factory=list)
     payload: dict | None = None
     error: str | None = None
     duration: float | None = None
@@ -103,22 +78,6 @@ class JobOutcome:
     @property
     def cached(self) -> bool:
         return self.status == "cached"
-
-    @property
-    def retry_history(self) -> list[dict]:
-        return [a.as_dict() for a in self.attempts]
-
-
-class _JobState:
-    """Scheduler-internal mutable companion of a spec."""
-
-    __slots__ = ("index", "spec", "key", "attempts")
-
-    def __init__(self, index: int, spec: JobSpec):
-        self.index = index
-        self.spec = spec
-        self.key = spec.cache_key
-        self.attempts: list[Attempt] = []
 
 
 def _execute_job(spec: JobSpec, parent_span: str | None) -> dict:
@@ -152,29 +111,19 @@ def _execute_job(spec: JobSpec, parent_span: str | None) -> dict:
     finally:
         if job_span is not None:
             job_span.__exit__(None, None, None)
-    if isinstance(result, ExperimentResult):
-        payload = result_to_payload(result)
-    elif isinstance(result, dict):
-        payload = {
-            "experiment_id": spec.experiment_id,
-            "title": spec.label,
-            "tables": [],
-            "checks": {},
-            "data": result,
-        }
-    else:
+    if not isinstance(result, ExperimentResult):
         raise TypeError(
             f"job {spec.label!r} returned {type(result).__name__}; expected "
-            f"ExperimentResult or dict"
+            f"ExperimentResult"
         )
     res = {
-        "payload": payload,
+        "payload": result_to_payload(result),
         "worker": os.getpid(),
         "duration": time.perf_counter() - t0,
     }
     if job_span is not None:
         # Telemetry rides next to the payload, never inside it: stored
-        # artifacts stay byte-deterministic, timings stay in the log.
+        # artifacts stay byte-deterministic.
         res["telemetry"] = {
             "spans": telemetry.drain_spans(),
             "metrics": telemetry.metrics().as_dict(),
@@ -214,14 +163,11 @@ def run_sweep(
     *,
     workers: int = 2,
     timeout: float | None = None,
-    retries: int = 1,
     fresh: bool = False,
-    events: EventLog | None = None,
-    progress: ProgressLine | bool | None = None,
     profile: bool = False,
 ) -> list[JobOutcome]:
-    """Run ``specs``, one process per job attempt; one outcome per
-    spec, in input order.
+    """Run ``specs``, one process per job; one outcome per spec, in
+    input order.
 
     Parameters
     ----------
@@ -231,30 +177,16 @@ def run_sweep(
         Most job processes alive at once (at least 1).
     timeout:
         Per-job wall-clock limit in seconds; ``None`` disables.
-    retries:
-        How many failed attempts (error / crash / timeout) each job may
-        absorb beyond its first; ``retries=2`` allows 3 attempts.  A
-        failed job is resubmitted at once.
     fresh:
         Recompute every job, overwriting cached artifacts.
-    events:
-        Structured log sink; an in-memory :class:`EventLog` is created
-        when omitted (counters still work).
-    progress:
-        ``None`` auto-enables a live line on a tty; ``False`` disables;
-        a :class:`ProgressLine` instance is used as-is.
     profile:
         Collect telemetry: the sweep runs under a ``runner.sweep`` span,
         each job opens a ``runner.job`` span parented to it, and job
         spans and counters are merged back into this process (see
-        :mod:`repro.telemetry`).  Events carry the owning span ids.
+        :mod:`repro.telemetry`).
     """
     workers = max(1, int(workers))
-    retries = max(0, int(retries))
-    if events is None:
-        events = EventLog()
-    states = [_JobState(i, spec) for i, spec in enumerate(specs)]
-    outcomes: dict[int, JobOutcome] = {}
+    outcomes: list[JobOutcome | None] = [None] * len(specs)
 
     sweep_span = None
     parent_span = None
@@ -262,138 +194,64 @@ def run_sweep(
     if profile:
         telemetry.enable()
         sweep_span = telemetry.span(
-            "runner.sweep", jobs=len(states), workers=workers
+            "runner.sweep", jobs=len(specs), workers=workers
         )
         sweep_span.__enter__()
         parent_span = sweep_span.span_id
-        events.bind(span=parent_span)
 
-    t_sweep = time.monotonic()
     if store is not None:
-        orphans = store.gc_orphans()
-        if orphans:
-            events.emit("store_gc", orphans=len(orphans))
-    events.emit("sweep_start", jobs=len(states), workers=workers)
-
-    if progress is False:
-        progress = ProgressLine(len(states), enabled=False)
-    elif progress is None or progress is True:
-        progress = ProgressLine(len(states), enabled=True if progress else None)
+        store.gc_orphans()
 
     # ---- cache pass -------------------------------------------------
-    pending: deque[_JobState] = deque()
-    for st in states:
-        artifact = None if (store is None or fresh) else store.get(st.spec)
+    pending: deque[int] = deque()
+    for i, spec in enumerate(specs):
+        artifact = None if (store is None or fresh) else store.get(spec)
         if artifact is not None:
-            outcomes[st.index] = JobOutcome(
-                st.spec, st.key, "cached", payload=artifact["result"]
-            )
-            events.emit(
-                "cache_hit",
-                job=st.spec.label,
-                experiment=st.spec.experiment_id,
-                key=st.key,
+            outcomes[i] = JobOutcome(
+                spec, spec.cache_key, "cached", payload=artifact["result"]
             )
         else:
-            pending.append(st)
+            pending.append(i)
 
-    #: read end of each live job's pipe -> (state, process, start time)
+    #: read end of each live job's pipe -> (spec index, process, start time)
     running: dict = {}
 
-    def _progress():
-        done = len(outcomes)
-        cached = sum(1 for o in outcomes.values() if o.cached)
-        failed = sum(1 for o in outcomes.values() if not o.ok)
-        progress.update(done, cached, failed, len(running))
-
-    def _start(st: _JobState):
+    def _start(i: int):
         reader, writer = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
             target=_job_process_main,
-            args=(writer, st.spec, parent_span),
+            args=(writer, specs[i], parent_span),
         )
         proc.start()
         # Drop this process's copy of the write end: the child's copy is
         # then the only one, so its death reads as EOF on ``reader``.
         writer.close()
-        running[reader] = (st, proc, time.monotonic())
-        events.emit(
-            "job_start",
-            job=st.spec.label,
-            experiment=st.spec.experiment_id,
-            key=st.key,
-            attempt=len(st.attempts) + 1,
-        )
+        running[reader] = (i, proc, time.monotonic())
 
-    def _finish_ok(st: _JobState, res: dict):
-        st.attempts.append(
-            Attempt(
-                len(st.attempts) + 1, "ok",
-                duration=res["duration"], worker=res["worker"],
-            )
-        )
+    def _finish(i: int, res: dict):
+        spec = specs[i]
         payload = res["payload"]
         if store is not None:
-            store.put(st.spec, payload)
+            store.put(spec, payload)
         tele = res.get("telemetry")
         if tele is not None:
             # Merge the job's snapshot into this process so exporters
             # see the whole sweep; the artifact store never sees it.
             telemetry.ingest_spans(tele.get("spans", ()))
             telemetry.metrics().ingest(tele.get("metrics", {}))
-        outcomes[st.index] = JobOutcome(
-            st.spec, st.key, "ok",
-            attempts=st.attempts, payload=payload,
-            duration=res["duration"], worker=res["worker"],
-            telemetry=tele,
-        )
-        extra = {}
-        if tele is not None and tele.get("span_id") is not None:
-            extra["job_span"] = tele["span_id"]
-        events.emit(
-            "job_finish",
-            job=st.spec.label,
-            experiment=st.spec.experiment_id,
-            key=st.key,
-            attempt=len(st.attempts),
-            duration=round(res["duration"], 6),
-            worker=res["worker"],
-            **extra,
+        outcomes[i] = JobOutcome(
+            spec, spec.cache_key, "ok", payload=payload,
+            duration=res["duration"], worker=res["worker"], telemetry=tele,
         )
 
-    def _charge(st: _JobState, kind: str, reason: str, worker: int):
-        """Record a failed attempt; resubmit the job or fail it."""
-        st.attempts.append(
-            Attempt(len(st.attempts) + 1, kind, error=reason, worker=worker)
-        )
-        if len(st.attempts) > retries:
-            outcomes[st.index] = JobOutcome(
-                st.spec, st.key, "failed", attempts=st.attempts, error=reason
-            )
-            events.emit(
-                "job_failed",
-                job=st.spec.label,
-                experiment=st.spec.experiment_id,
-                key=st.key,
-                attempts=len(st.attempts),
-                reason=reason,
-                retry_history=[a.as_dict() for a in st.attempts],
-            )
-            return
-        pending.append(st)
-        events.emit(
-            "job_retry",
-            job=st.spec.label,
-            experiment=st.spec.experiment_id,
-            key=st.key,
-            attempt=len(st.attempts),
-            kind=kind,
-            reason=reason,
+    def _fail(i: int, reason: str):
+        outcomes[i] = JobOutcome(
+            specs[i], specs[i].cache_key, "failed", error=reason
         )
 
     def _collect(reader):
         """Read the message of a job whose pipe became ready."""
-        st, proc, _ = running.pop(reader)
+        i, proc, _ = running.pop(reader)
         try:
             kind, value = reader.recv()
         except EOFError:
@@ -401,16 +259,12 @@ def run_sweep(
         reader.close()
         proc.join()
         if kind == "ok":
-            _finish_ok(st, value)
+            _finish(i, value)
         elif kind == "error":
-            _charge(st, "error", value, proc.pid)
+            _fail(i, value)
         else:
-            _charge(
-                st, "crash", f"job process died (exit code {proc.exitcode})",
-                proc.pid,
-            )
+            _fail(i, f"job process died (exit code {proc.exitcode})")
 
-    _progress()
     try:
         while pending or running:
             while pending and len(running) < workers:
@@ -423,43 +277,26 @@ def run_sweep(
                 _collect(reader)
             if timeout is not None:
                 now = time.monotonic()
-                for reader, (st, proc, start) in list(running.items()):
+                for reader, (i, proc, start) in list(running.items()):
                     if now - start <= timeout:
                         continue
                     del running[reader]
                     proc.kill()
                     proc.join()
                     reader.close()
-                    _charge(
-                        st, "timeout",
-                        f"exceeded per-job timeout of {timeout:g}s", proc.pid,
-                    )
-            _progress()
+                    _fail(i, f"exceeded per-job timeout of {timeout:g}s")
     finally:
         for reader, (_, proc, _) in running.items():
             proc.kill()
             proc.join()
             reader.close()
         running.clear()
-        progress.finish()
 
-    ordered = [outcomes[i] for i in range(len(states))]
-    n_ok = sum(1 for o in ordered if o.status == "ok")
-    n_cached = sum(1 for o in ordered if o.cached)
-    n_failed = sum(1 for o in ordered if not o.ok)
-    events.emit(
-        "sweep_finish",
-        ok=n_ok,
-        failed=n_failed,
-        cached=n_cached,
-        duration=round(time.monotonic() - t_sweep, 6),
-    )
     if sweep_span is not None:
-        sweep_span.add("ok", n_ok)
-        sweep_span.add("cached", n_cached)
-        sweep_span.add("failed", n_failed)
+        sweep_span.add("ok", sum(1 for o in outcomes if o.status == "ok"))
+        sweep_span.add("cached", sum(1 for o in outcomes if o.cached))
+        sweep_span.add("failed", sum(1 for o in outcomes if not o.ok))
         sweep_span.__exit__(None, None, None)
-        events.bind(span=None)
         if not was_enabled:
             telemetry.disable()
-    return ordered
+    return outcomes

@@ -9,33 +9,19 @@ passed).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.experiments.harness import ExperimentResult
 from repro.runner.pool import JobOutcome
 from repro.runner.store import payload_to_result
 from repro.utils.tables import TextTable
 
-__all__ = [
-    "results_of",
-    "sweep_summary",
-    "sweep_ok",
-    "fault_summary",
-    "render_sweep",
-]
-
-
-def results_of(outcomes: Iterable[JobOutcome]) -> list[ExperimentResult]:
-    """Rebuilt :class:`ExperimentResult` for every completed outcome."""
-    return [
-        payload_to_result(o.payload) for o in outcomes if o.payload is not None
-    ]
+__all__ = ["sweep_summary", "sweep_ok", "render_sweep"]
 
 
 def sweep_summary(outcomes: Sequence[JobOutcome]) -> TextTable:
-    """One row per job: status, cache/attempt accounting, checks."""
+    """One row per job: status, duration, checks, error."""
     table = TextTable(
-        ["job", "status", "attempts", "duration (s)", "checks", "error"],
+        ["job", "status", "duration (s)", "checks", "error"],
         title="Sweep summary",
     )
     for o in outcomes:
@@ -47,7 +33,6 @@ def sweep_summary(outcomes: Sequence[JobOutcome]) -> TextTable:
             [
                 o.spec.label,
                 o.status,
-                len(o.attempts) if o.attempts else (0 if o.cached else 1),
                 "-" if o.duration is None else round(o.duration, 3),
                 checks,
                 (o.error or "")[:60],
@@ -68,33 +53,6 @@ def sweep_ok(outcomes: Sequence[JobOutcome]) -> bool:
     return True
 
 
-def fault_summary(outcomes: Sequence[JobOutcome]) -> TextTable | None:
-    """Attempt-kind accounting for sweeps that saw failures.
-
-    One row per job that needed more than a single clean attempt:
-    how many error / crash / timeout attempts it absorbed and how it
-    ended.  Returns None for a fault-free sweep so reports stay quiet
-    on the happy path.
-    """
-    kinds = ["error", "crash", "timeout"]
-    rows = []
-    for o in outcomes:
-        tallies = {k: 0 for k in kinds}
-        for a in o.attempts:
-            if a.kind in tallies:
-                tallies[a.kind] += 1
-        if any(tallies.values()):
-            rows.append([o.spec.label] + [tallies[k] for k in kinds] + [o.status])
-    if not rows:
-        return None
-    table = TextTable(
-        ["job"] + kinds + ["final"], title="Fault summary (non-clean attempts)"
-    )
-    for row in rows:
-        table.add_row(row)
-    return table
-
-
 def render_sweep(
     outcomes: Sequence[JobOutcome], show_results: bool = True
 ) -> str:
@@ -107,21 +65,12 @@ def render_sweep(
             lines.append(payload_to_result(o.payload).render())
             lines.append("")
     lines.append(sweep_summary(outcomes).render())
-    faults = fault_summary(outcomes)
-    if faults is not None:
-        lines.append("")
-        lines.append(faults.render())
     failures = [o for o in outcomes if not o.ok]
     if failures:
         lines.append("")
         lines.append(f"FAILED jobs: {[o.spec.label for o in failures]}")
         for o in failures:
             lines.append(f"  {o.spec.label}: {o.error}")
-            for a in o.attempts:
-                lines.append(
-                    f"    attempt {a.index}: {a.kind}"
-                    + (f" — {a.error}" if a.error else "")
-                )
     unchecked = [
         o.spec.label
         for o in outcomes

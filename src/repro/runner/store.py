@@ -25,9 +25,8 @@ that produced it.  Properties the sweep machinery relies on:
   strict parsers instead of round-tripping only within Python.
 
 ``<root>/corrupt/`` is reserved for quarantined files and dot-prefixed
-``.tmp-*`` files are in-flight writes; neither is counted or yielded by
-the artifact iteration API, and :meth:`gc_orphans` removes temp files a
-killed process left behind.
+``.tmp-*`` files are in-flight writes; :meth:`gc_orphans` removes temp
+files a killed process left behind.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 try:  # advisory cross-process locking; absent off-POSIX (lock is a no-op)
     import fcntl
@@ -177,9 +176,6 @@ class ResultStore:
     def quarantine_root(self) -> Path:
         return self.root / QUARANTINE_DIR
 
-    def has(self, spec: JobSpec) -> bool:
-        return self.path_for(spec).is_file()
-
     def get(self, spec: JobSpec) -> dict | None:
         """The stored artifact for ``spec``, or None (a miss) when the
         artifact is absent, unreadable, keyed differently, or fails
@@ -297,36 +293,6 @@ class ResultStore:
                 raise
         return path
 
-    def discard(self, spec: JobSpec) -> bool:
-        """Remove the artifact for ``spec``; True when one existed."""
-        try:
-            self.path_for(spec).unlink()
-            return True
-        except OSError:
-            return False
-
-    def _artifact_paths(self) -> Iterator[Path]:
-        """Paths of real artifacts: skips in-flight/orphaned ``.tmp-*``
-        files and the quarantine directory."""
-        for path in sorted(self.root.glob("*/*.json")):
-            if path.parent.name == QUARANTINE_DIR or path.name.startswith("."):
-                continue
-            yield path
-
-    def iter_artifacts(self) -> Iterator[dict]:
-        """Yield every decodable artifact under the root."""
-        for path in self._artifact_paths():
-            try:
-                with path.open("r", encoding="utf-8") as fh:
-                    artifact = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(artifact, dict) and artifact.get("schema") == SCHEMA_VERSION:
-                yield artifact
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._artifact_paths())
-
     def gc_orphans(self) -> list[Path]:
         """Remove ``.tmp-*.json`` files a killed process left behind.
 
@@ -349,14 +315,3 @@ class ResultStore:
         if removed:
             telemetry.metrics().inc("store.orphans_removed", len(removed))
         return removed
-
-    def clear(self) -> int:
-        """Delete all artifacts; returns how many were removed."""
-        n = 0
-        for path in list(self._artifact_paths()):
-            try:
-                path.unlink()
-                n += 1
-            except OSError:
-                pass
-        return n

@@ -16,7 +16,6 @@ from repro.pebbling import (
     meta_boundary,
     min_cache_size,
     partition_schedule,
-    paper_k,
 )
 from repro.schedules import (
     rank_order_schedule,
@@ -183,10 +182,6 @@ class TestPartition:
 
 
 class TestSegmentAnalysis:
-    def test_paper_k(self):
-        # k = ceil(log_a 72M): a=4, M=1 -> ceil(log_4 72) = 4.
-        assert paper_k(4, 1) == 4
-
     def test_eq2_holds_on_schedules(self, g3, meta3):
         """Equation (2): |delta'(S')| >= |S_bar| / 12 on every segment of
         every schedule family (the paper's keystone, measured)."""

@@ -2,9 +2,10 @@
 verifier must reproduce the frozen per-path versions kept in
 ``tests/routing/_reference.py``.
 
-Covers Strassen and Winograd at k = 1..3, classical(2) at k = 1..2,
-Laderman and strassen^2 at k = 1, and two single-use violators (built
-as the Theorem-2 routing with ``allow_assumption_violation=True``):
+Covers Strassen at k = 0..3, Winograd at k = 1..3, classical(2) at
+k = 0..2, Laderman and strassen^2 at k = 1, and two single-use
+violators (built as the Theorem-2 routing with
+``allow_assumption_violation=True``):
 paths byte-identical, endpoints, chain-usage dicts, vertex and
 meta-vertex hit arrays and verification outcomes equal.  A hypothesis
 test mutates valid routings and asserts both verifiers agree.
@@ -42,12 +43,14 @@ from repro.routing.hall import base_matching
 from . import _reference as ref
 
 CASES = {
+    "strassen-k0": (strassen, 0),
     "strassen-k1": (strassen, 1),
     "strassen-k2": (strassen, 2),
     "strassen-k3": (strassen, 3),
     "winograd-k1": (winograd, 1),
     "winograd-k2": (winograd, 2),
     "winograd-k3": (winograd, 3),
+    "classical2-k0": (lambda: classical(2), 0),
     "classical2-k1": (lambda: classical(2), 1),
     "classical2-k2": (lambda: classical(2), 2),
     "laderman-k1": (laderman, 1),

@@ -4,9 +4,9 @@ These must live in an importable module (not a test function) so job
 processes can resolve them: specs reference them by entrypoint string,
 and the scheduler passes only the job description.
 
-Stateful behaviours (fail-N-times-then-succeed) coordinate through
-marker files in a directory passed as a job parameter, because each
-attempt runs in its own process.
+A job that counts its runs (``flaky_job``) leaves marker files in a
+directory passed as a job parameter, because each run is its own
+process.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ def crash_job(exit_code: int = 17) -> ExperimentResult:
     os._exit(exit_code)
 
 
-def flaky_crash_job(marker_dir: str, crash_times: int = 1) -> ExperimentResult:
-    """Crash the worker on the first ``crash_times`` attempts."""
-    root = Path(marker_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    attempt = len(list(root.glob("attempt-*"))) + 1
-    (root / f"attempt-{attempt}-{os.getpid()}").touch()
-    if attempt <= crash_times:
-        os._exit(23)
-    return _result("T-FLAKYCRASH", attempts_needed=attempt)
-
-
 def sleepy_job(duration: float = 30.0) -> ExperimentResult:
     time.sleep(duration)
     return _result("T-SLEEPY", slept=duration)
@@ -88,10 +77,6 @@ def seeded_job(seed: int | None = None) -> ExperimentResult:
 
 def seedless_job() -> ExperimentResult:
     return _result("T-SEEDLESS")
-
-
-def dict_job(value: int = 7) -> dict:
-    return {"value": value}
 
 
 def store_hammer(root: str, tag: int, rounds: int = 30) -> None:

@@ -65,7 +65,7 @@ class TestKeys:
     def test_entrypoint_changes_key(self):
         assert (
             JobSpec("X", entrypoint="tests.runner.helpers:ok_job").cache_key
-            != JobSpec("X", entrypoint="tests.runner.helpers:dict_job").cache_key
+            != JobSpec("X", entrypoint="tests.runner.helpers:error_job").cache_key
         )
 
     def test_specs_are_hashable_and_setable(self):

@@ -2,12 +2,7 @@
 
 from repro.runner.jobs import JobSpec
 from repro.runner.pool import run_sweep
-from repro.runner.report import (
-    render_sweep,
-    results_of,
-    sweep_ok,
-    sweep_summary,
-)
+from repro.runner.report import render_sweep, sweep_ok, sweep_summary
 from repro.runner.store import ResultStore
 
 HELPERS = "tests.runner.helpers"
@@ -15,7 +10,6 @@ HELPERS = "tests.runner.helpers"
 
 def _sweep(specs, store=None, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("progress", False)
     return run_sweep(specs, store, **kw)
 
 
@@ -27,27 +21,19 @@ class TestSummaries:
     def test_summary_row_per_job(self, tmp_path):
         outcomes = _sweep(
             [_spec("T-OK", {"x": 1}), _spec("T-ERR", fn="error_job")],
-            ResultStore(tmp_path), retries=0,
+            ResultStore(tmp_path),
         )
         table = sweep_summary(outcomes)
         assert len(table.rows) == 2
         text = table.render()
         assert "ok" in text and "failed" in text
 
-    def test_results_of_skips_failures(self, tmp_path):
-        outcomes = _sweep(
-            [_spec("T-OK"), _spec("T-ERR", fn="error_job")], retries=0
-        )
-        results = results_of(outcomes)
-        assert [r.experiment_id for r in results] == ["T-OK"]
-        assert results[0].all_checks_pass
-
-    def test_render_includes_retry_history_for_failures(self):
-        outcomes = _sweep([_spec("T-ERR", fn="error_job")], retries=1)
+    def test_render_lists_each_failure_with_its_error(self):
+        outcomes = _sweep([_spec("T-ERR", fn="error_job")])
         text = render_sweep(outcomes)
-        assert "FAILED jobs" in text
-        assert "attempt 1: error" in text
-        assert "attempt 2: error" in text
+        assert "FAILED jobs: ['T-ERR']" in text
+        assert "  T-ERR: RuntimeError: boom" in text
+        assert "attempt" not in text
 
 
 class TestVerdicts:
@@ -56,7 +42,7 @@ class TestVerdicts:
         assert sweep_ok(outcomes)
 
     def test_failed_job_fails_sweep(self):
-        outcomes = _sweep([_spec("T-ERR", fn="error_job")], retries=0)
+        outcomes = _sweep([_spec("T-ERR", fn="error_job")])
         assert not sweep_ok(outcomes)
 
     def test_failed_check_fails_sweep(self):

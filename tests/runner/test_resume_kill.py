@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import EventLog, JobSpec, ResultStore, run_sweep
+from repro.runner import JobSpec, ResultStore, run_sweep
 from repro.runner.store import QUARANTINE_DIR
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -30,25 +30,22 @@ import json
 import multiprocessing
 import sys
 
-from repro.runner import EventLog, JobSpec, ResultStore, run_sweep
+from repro.runner import JobSpec, ResultStore, run_sweep
 
 if __name__ == "__main__":
-    store_dir, events_path, docs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-    if len(sys.argv) > 4:
-        multiprocessing.set_start_method(sys.argv[4])
+    store_dir, docs = sys.argv[1], json.loads(sys.argv[2])
+    if len(sys.argv) > 3:
+        multiprocessing.set_start_method(sys.argv[3])
     specs = [
         JobSpec(d["experiment"], d["params"], entrypoint=d["entrypoint"])
         for d in docs
     ]
-    with EventLog(events_path) as events:
-        run_sweep(specs, ResultStore(store_dir), workers=2, progress=False,
-                  events=events)
+    run_sweep(specs, ResultStore(store_dir), workers=2)
 """
 
 
 def _start_sweep(
-    tmp_path: Path, store_dir: Path, events_path: Path, specs,
-    start_method: str | None = None,
+    tmp_path: Path, store_dir: Path, specs, start_method: str | None = None
 ):
     """Run ``specs`` in a child sweep process leading its own process
     group, so a test can kill it with or without its job processes.
@@ -62,7 +59,7 @@ def _start_sweep(
     )
     method = [start_method] if start_method else []
     return subprocess.Popen(
-        [sys.executable, str(script), str(store_dir), str(events_path),
+        [sys.executable, str(script), str(store_dir),
          json.dumps([s.describe() for s in specs]), *method],
         env=env,
         start_new_session=True,
@@ -95,39 +92,33 @@ def _specs():
     return specs
 
 
-def _finished_keys(events_path: Path) -> set:
-    """Keys with a ``job_finish`` record; a line still being written is
-    skipped."""
-    if not events_path.exists():
-        return set()
-    keys = set()
-    for line in events_path.read_text(encoding="utf-8").splitlines():
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if record.get("event") == "job_finish":
-            keys.add(record["key"])
-    return keys
+def _artifact_paths(root: Path) -> list:
+    """Every published artifact under ``root``: not an in-flight
+    ``.tmp-*`` file, not a quarantined one."""
+    return [
+        p for p in sorted(root.glob("*/*.json"))
+        if p.parent.name != QUARANTINE_DIR and not p.name.startswith(".")
+    ]
+
+
+def _published_keys(root: Path) -> set:
+    """Keys of the jobs whose artifact the store holds (artifacts are
+    published by atomic rename, so a visible one is complete)."""
+    return {p.stem for p in _artifact_paths(root)}
 
 
 def _artifacts(root: Path) -> dict:
     """Relative path -> bytes of every real artifact under ``root``."""
-    return {
-        p.relative_to(root): p.read_bytes()
-        for p in sorted(root.glob("*/*.json"))
-        if p.parent.name != QUARANTINE_DIR and not p.name.startswith(".")
-    }
+    return {p.relative_to(root): p.read_bytes() for p in _artifact_paths(root)}
 
 
 def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
     specs = _specs()
     store_dir = tmp_path / "store"
-    killed_log = tmp_path / "killed.jsonl"
-    child = _start_sweep(tmp_path, store_dir, killed_log, specs)
+    child = _start_sweep(tmp_path, store_dir, specs)
     try:
         deadline = time.monotonic() + 60
-        while not _finished_keys(killed_log):
+        while not _published_keys(store_dir):
             if child.poll() is not None:
                 pytest.fail("child sweep exited before any job finished")
             if time.monotonic() > deadline:
@@ -141,19 +132,13 @@ def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    finished = _finished_keys(killed_log)
+    finished = _published_keys(store_dir)
     sleeper = specs[1].cache_key
     assert finished and sleeper not in finished
 
-    events = EventLog()
-    outcomes = run_sweep(
-        specs, ResultStore(store_dir), workers=2, progress=False,
-        events=events,
-    )
-    hits = {r["key"] for r in events.records if r["event"] == "cache_hit"}
-    computed = {
-        r["key"] for r in events.records if r["event"] == "job_finish"
-    }
+    outcomes = run_sweep(specs, ResultStore(store_dir), workers=2)
+    hits = {o.key for o in outcomes if o.cached}
+    computed = {o.key for o in outcomes if o.status == "ok"}
     assert finished <= hits
     assert sleeper in computed
     assert hits | computed == {s.cache_key for s in specs}
@@ -162,7 +147,7 @@ def test_sigkilled_sweep_resumes_from_the_store(tmp_path):
     assert not list(store_dir.rglob(".tmp-*"))
 
     reference = tmp_path / "reference"
-    run_sweep(specs, ResultStore(reference), workers=2, progress=False)
+    run_sweep(specs, ResultStore(reference), workers=2)
     assert _artifacts(store_dir) == _artifacts(reference)
     assert len(_artifacts(reference)) == len(specs)
 
@@ -177,10 +162,7 @@ def test_killed_sweep_leaves_no_job_process(tmp_path, start_method):
                 entrypoint=f"{HELPERS}:pid_sleepy_job")
         for pid_file in pid_files
     ]
-    child = _start_sweep(
-        tmp_path, tmp_path / "store", tmp_path / "events.jsonl", specs,
-        start_method,
-    )
+    child = _start_sweep(tmp_path, tmp_path / "store", specs, start_method)
     try:
         deadline = time.monotonic() + 60
         while not all(p.exists() for p in pid_files):

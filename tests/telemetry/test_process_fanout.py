@@ -3,7 +3,6 @@
 import os
 
 from repro import telemetry
-from repro.runner.events import EventLog, validate_event
 from repro.runner.jobs import JobSpec
 from repro.runner.pool import run_sweep
 from repro.runner.store import ResultStore
@@ -20,7 +19,6 @@ def _specs(n=3):
 
 def _sweep(specs, store=None, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("progress", False)
     return run_sweep(specs, store, **kw)
 
 
@@ -52,30 +50,12 @@ def test_profile_attaches_telemetry_to_outcomes_not_payloads():
         assert "telemetry" not in o.payload  # artifacts stay clean
 
 
-def test_profile_events_carry_span_ids():
-    events = EventLog()
-    _sweep(_specs(2), events=events, profile=True)
-    sweep_id = next(
-        s["span_id"]
-        for s in telemetry.collected_spans()
-        if s["name"] == "runner.sweep"
-    )
-    for record in events.records:
-        assert validate_event(record) == []
-        if record["event"] in ("sweep_start", "job_start", "job_finish"):
-            assert record["span"] == sweep_id
-        if record["event"] == "job_finish":
-            assert record["job_span"].split(".")[0] != str(os.getpid())
-
-
 def test_profile_false_leaves_telemetry_dark():
-    events = EventLog()
-    outcomes = _sweep(_specs(2), events=events, profile=False)
+    outcomes = _sweep(_specs(2), profile=False)
     assert all(o.status == "ok" for o in outcomes)
     assert all(o.telemetry is None for o in outcomes)
     assert telemetry.collected_spans() == []
     assert not telemetry.enabled()
-    assert all("span" not in r for r in events.records)
 
 
 def test_profile_restores_prior_disabled_state():

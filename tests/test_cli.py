@@ -47,6 +47,8 @@ class TestParser:
             ["tune", "--local"],
             ["tune", "--cache-dir", "tune-cache"],
             ["tune", "--fresh"],
+            ["sweep", "--retries", "1"],
+            ["sweep", "--events", "events.jsonl"],
         ],
         ids=[
             "tune-socket", "tune-journal", "tune-resume", "tune-solver-cmd",
@@ -54,15 +56,16 @@ class TestParser:
             "sweep-graph-cache", "tune-graph-cache", "graph-cache-ls",
             "route-profile", "experiments-profile", "sweep-profile",
             "tune-profile", "tune-strategy", "tune-jobs", "tune-local",
-            "tune-cache-dir", "tune-fresh",
+            "tune-cache-dir", "tune-fresh", "sweep-retries", "sweep-events",
         ],
     )
     def test_removed_options_exit_2(self, tmp_path, capsys, extra):
         # The sweep daemon, the tune journal, the external solver, both
         # --resume flags, the graph-cache bundle store, --profile
         # (--trace-out is the one telemetry switch) and tune's
-        # strategies, pool and store options are gone (rerunning a sweep
-        # against the same --cache-dir resumes; tune is one in-process
+        # strategies, pool and store options are gone, as are sweep's
+        # in-run retries and JSONL event log (rerunning a sweep against
+        # the same --cache-dir resumes and retries; tune is one in-process
         # search; every process builds its own graphs), so argparse
         # rejects each with status 2.  Only sweep takes --cache-dir, so
         # the others get none: the error must be the removed option's.
@@ -117,6 +120,12 @@ class TestCommands:
         assert main(["route", "--alg", "strassen", "--k", "1"]) == 0
         assert "VERIFIED: True" in capsys.readouterr().out
 
+    def test_route_k0_verified(self, capsys):
+        # G_0 is one product: one chain per side, 4 <= 6a^0 hits.
+        assert main(["route", "--alg", "strassen", "--k", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "paths: 2" in out and "VERIFIED: True" in out
+
     @pytest.mark.parametrize("command", [
         ["route", "--k", "1"],
         ["bounds", "--n", "4", "--M", "2"],
@@ -153,6 +162,13 @@ class TestCommands:
             assert experiment_id in out
         assert "reproduced" not in out  # nothing was run
 
+    @pytest.mark.parametrize("command", ["experiments", "perf"])
+    def test_unknown_experiment_is_a_usage_error(self, capsys, command):
+        assert main([command, "E99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown experiment 'E99'")
+        assert captured.out == ""
+
     def test_experiments_exit_nonzero_on_failed_check(self, capsys):
         from repro.experiments.harness import ExperimentResult, _REGISTRY
 
@@ -170,16 +186,38 @@ class TestCommands:
 
 
 class TestSweepCommand:
+    def _usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
+        """``sweep ARGV --json`` is a usage error: exit 2, ``error: ...``
+        on stderr, the JSON line last, and no job process started."""
+        import json
+        import multiprocessing.process
+
+        def no_job(self):
+            raise AssertionError("a job process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_job)
+        assert main(["sweep", *argv, "--json", "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: {message}"
+        doc = json.loads(captured.out.strip().splitlines()[-1])
+        assert doc["command"] == "sweep"
+        assert doc["exit_code"] == 2
+        assert doc["error"] == message
+
     def test_sweep_runs_and_caches(self, capsys, tmp_path):
+        import json
+
         cache = tmp_path / "cache"
-        argv = ["sweep", "E1", "--jobs", "2", "--cache-dir", str(cache)]
+        argv = ["sweep", "E1", "--jobs", "2", "--cache-dir", str(cache), "--json"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "1 computed, 0 from cache" in out
-        assert (cache / "events.jsonl").is_file()
+        assert json.loads(out.splitlines()[-1])["hits"] == 0
         # identical rerun: served from cache
         assert main(argv) == 0
-        assert "0 computed, 1 from cache" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 computed, 1 from cache" in out
+        assert json.loads(out.splitlines()[-1])["hits"] == 1
 
     def test_sweep_param_grid(self, capsys, tmp_path):
         assert main(
@@ -199,15 +237,42 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "seed=1" in out and "seed=2" in out
 
-    def test_sweep_rejects_bad_param(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "E1", "--param", "nonsense",
-                  "--cache-dir", str(tmp_path)])
+    def test_sweep_rejects_bad_param(self, capsys, monkeypatch, tmp_path):
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E1", "--param", "nonsense"],
+            "--param needs the form [EXP:]key=v1,v2 (got 'nonsense')",
+        )
 
-    def test_sweep_rejects_param_for_unselected_experiment(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "E1", "--param", "E9:r_max=3",
-                  "--cache-dir", str(tmp_path)])
+    def test_sweep_rejects_param_for_unselected_experiment(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E1", "--param", "E9:r_max=3"],
+            "--param 'E9:r_max=3' names 'E9', which is not in the selected "
+            "experiments ['E1']",
+        )
+
+    def test_sweep_rejects_unknown_experiment(self, capsys, monkeypatch, tmp_path):
+        from repro.experiments import list_experiments
+
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E99"],
+            f"unknown experiment 'E99'; known: {list_experiments()}",
+        )
+
+    def test_sweep_rejects_bad_seeds(self, capsys, monkeypatch, tmp_path):
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E2", "--seeds", "a,b"],
+            "--seeds needs comma-separated integers (got 'a,b')",
+        )
+
+    def test_sweep_rejects_param_the_experiment_does_not_take(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E2", "--param", "E2:nope=1"],
+            "--param: experiment E2 takes no parameter 'nope'",
+        )
 
 
 class TestTuneCommand:
