@@ -31,6 +31,7 @@ from repro.schedules import (
     demand_driven_schedule,
     rank_order_schedule,
     recursive_schedule,
+    validate_schedule,
 )
 from repro.simcore import SchedulePlan, simulate_py
 from repro.simcore.stack import belady_counts
@@ -75,7 +76,7 @@ def make_cases() -> dict:
     builds only the inputs of the cases it picks.  Graphs, and the
     executors with their validated recursive schedules, come from one
     memo shared by every builder, so cases run together share them
-    (and the executors' plan caches) as a single setup would.
+    (and the plan each executor keeps) as a single setup would.
     """
     memo: dict = {}
 
@@ -91,7 +92,7 @@ def make_cases() -> dict:
         """``(executor, validated recursive schedule)`` on G_r."""
         def build():
             ex = CacheExecutor(graph(r))
-            return ex, ex.validate_schedule(recursive_schedule(graph(r)))
+            return ex, validate_schedule(graph(r), recursive_schedule(graph(r)))
         return shared(("executor", r), build)
 
     e9_Ms = (12, 24, 48, 96)
@@ -173,7 +174,7 @@ def make_cases() -> dict:
 
         def run():
             for M in e9_Ms:
-                simulate_py(plan4, is_input4, is_output4, M, 2)
+                simulate_py(plan4, is_input4, is_output4, M, "belady")
         return run
 
     # Paired schedule cases: the r = 4 recursive order through

@@ -35,7 +35,6 @@ class TuneConfig:
     """Search configuration."""
 
     cache_size: int = 24
-    policy: str = "belady"
     budget: int = 64
     generation: int = 8
     seed: int | None = None
@@ -86,8 +85,8 @@ class TuneResult:
 class AutoTuner:
     """Anneal the product order of ``cdag``'s demand-driven schedule.
 
-    The objective is measured I/O under ``config.policy`` on one
-    :class:`~repro.pebbling.CacheExecutor`; the reported gap subtracts
+    The objective is measured I/O under Belady (offline-MIN) eviction on
+    one :class:`~repro.pebbling.CacheExecutor`; the reported gap subtracts
     the Theorem-1 Ω-form bound.  ``start_order`` defaults to the
     recursive order (the identity).
     """
@@ -123,8 +122,7 @@ class AutoTuner:
 
         sched = demand_driven_schedule(self.cdag, order)
         return int(self.executor.run(
-            sched, self.config.cache_size, self.config.policy,
-            validate=False,
+            sched, self.config.cache_size, "belady", validate=False,
         ).total)
 
     def run(self) -> TuneResult:

@@ -18,10 +18,12 @@ the algorithm has no multiple copying, e.g. Strassen).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.cdag.graph import CDAG, Region
+from repro.cdag.builder import build_cdag
+from repro.cdag.graph import CDAG, Region, slab_layout
 from repro.cdag.metavertex import MetaVertexPartition
 from repro.errors import CDAGError
 from repro.telemetry.spans import add_counter, traced
@@ -56,6 +58,12 @@ class Subcomputation:
     cdag: CDAG
     k: int
     index: int
+
+    @cached_property
+    def _gk_slabs(self) -> dict:
+        """The slabs of a standalone ``G_k`` built from the same base
+        algorithm: its layout depends only on ``a``, ``b`` and ``k``."""
+        return slab_layout(self.cdag.a, self.cdag.b, self.k)[0]
 
     @property
     def prefix(self) -> tuple[int, ...]:
@@ -132,16 +140,19 @@ class Subcomputation:
             radix = MixedRadix([cdag.b] * (k - inner_rank) + [cdag.a] * inner_rank)
         else:
             radix = MixedRadix([cdag.b] * inner_rank + [cdag.a] * (k - inner_rank))
-        # Standalone G_k uses the same slab layout with r=k.
-        gk = _gk_cache(cdag.alg, k)
-        return gk.slab(reg, inner_rank).offset + radix.pack(rest)
+        return self._gk_slabs[(reg, inner_rank)].offset + radix.pack(rest)
 
     def global_id(self, local_vertex: int) -> int:
         """Inverse of :meth:`local_id`: map a vertex of the standalone
         ``G_k`` into this copy inside ``G_r``."""
         cdag, k = self.cdag, self.k
-        gk = _gk_cache(cdag.alg, k)
-        reg, inner_rank, digits = gk.vertex_digits(local_vertex)
+        for slab in self._gk_slabs.values():
+            if 0 <= local_vertex - slab.offset < slab.size:
+                break
+        else:
+            raise CDAGError(f"vertex {local_vertex} out of range")
+        reg, inner_rank = slab.region, slab.local_rank
+        digits = slab.radix.unpack(local_vertex - slab.offset)
         if reg == Region.DEC:
             outer_rank = inner_rank
             radix = MixedRadix(
@@ -157,20 +168,6 @@ class Subcomputation:
 
     def __repr__(self) -> str:
         return f"Subcomputation(k={self.k}, index={self.index}, prefix={self.prefix})"
-
-
-_GK_CACHE: dict[tuple[str, int, int, int], CDAG] = {}
-
-
-def _gk_cache(alg, k: int) -> CDAG:
-    """Cache standalone G_k graphs keyed by algorithm identity."""
-    from repro.cdag.builder import build_cdag
-
-    key = (alg.name, alg.a, alg.b, k)
-    if key not in _GK_CACHE:
-        add_counter("gk_cache_misses")
-        _GK_CACHE[key] = build_cdag(alg, k)
-    return _GK_CACHE[key]
 
 
 def subcomputation_count(cdag: CDAG, k: int) -> int:
@@ -329,7 +326,7 @@ def verify_fact1(cdag: CDAG, k: int) -> dict:
     # predecessor sets must map exactly onto the standalone G_k's
     # predecessor sets under local_id.  (Bottom-rank vertices have no
     # in-copy predecessors, matching G_k's inputs, which have none.)
-    gk = _gk_cache(cdag.alg, k)
+    gk = build_cdag(cdag.alg, k)
     for i in range(min(n_copies, 4)):
         sub = Subcomputation(cdag, k, i)
         vset = set(sub.all_vertices().tolist())

@@ -28,15 +28,17 @@ terminal state (for ``tune``: the search completed, improved or not);
 a cache too small to execute the graph); **2** — a usage error, as
 argparse's own: an unknown ``--alg`` (every command that takes one),
 an unknown experiment id (``experiments``, ``sweep``, ``perf``), a
-malformed ``sweep --param``/``--seeds`` or a ``--param`` key the
-experiment does not take, or for ``tune`` any argument its
+malformed ``sweep --param``/``--seeds``, a ``--param`` key the
+experiment does not take, a ``sweep --jobs`` below 1 or ``--timeout``
+that is not a finite positive number, or for ``tune`` any argument its
 configuration or graph rejects.  A usage error prints ``error: ...``,
 starts no job and, under ``--json``, still ends with the JSON line.
 
-``route``, ``experiments``, ``sweep`` and ``tune`` accept ``--trace-out
-PATH``: collect telemetry during the command and write its spans as a
-Chrome ``trace_event`` file loadable in ``chrome://tracing``/Perfetto;
-collection is restored to its prior state when the command ends.
+``route``, ``experiments``, ``sweep``, ``perf`` and ``tune`` accept
+``--trace-out PATH``: collect telemetry during the command and write its
+spans as a Chrome ``trace_event`` file loadable in
+``chrome://tracing``/Perfetto; collection is restored to its prior state
+when the command ends.
 ``python -m repro.experiments`` is ``experiments`` under another name.
 
 Everything the CLI prints is computed by the same public API the tests
@@ -256,13 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="where BENCH_<exp>.json files live (default: repo root '.')",
     )
     p_perf.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also write the measurement spans as a Chrome trace",
-    )
-    p_perf.add_argument(
         "--json-out", default=None, metavar="PATH",
         help="also write combined spans+metrics JSON",
     )
+    _add_trace_out(p_perf)
 
     p_tune = sub.add_parser(
         "tune",
@@ -284,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--M", type=int, default=24, dest="cache_size",
         help="cache size for the objective (default 24)",
-    )
-    p_tune.add_argument(
-        "--policy", default="belady",
-        choices=["belady", "lru", "fifo"],
-        help="eviction policy the objective is measured under "
-             "(default belady: evaluates the order itself)",
     )
     p_tune.add_argument(
         "--budget", type=int, default=64, metavar="N",
@@ -495,6 +488,13 @@ def _build_specs(args) -> list:
     from repro.experiments import list_experiments
     from repro.runner import expand_grid, experiment_accepts_seed
 
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1 (got {args.jobs})")
+    if args.timeout is not None and not 0 < args.timeout < float("inf"):
+        raise _UsageError(
+            "--timeout must be a finite positive number of seconds "
+            f"(got {args.timeout:g})"
+        )
     ids = args.ids or list_experiments()
     runs = {eid: _experiment(eid) for eid in ids}
     grids = _parse_param_specs(args.param, ids)
@@ -579,15 +579,15 @@ def _cmd_perf(args) -> int:
 
     for experiment_id in args.ids:
         _experiment(experiment_id)
-    return run_perf(
-        args.ids or None,
-        repeats=args.repeats,
-        root=args.bench_dir,
-        compare=args.compare,
-        threshold=args.threshold,
-        trace_out=args.trace_out,
-        json_out=args.json_out,
-    )
+    with _traced(args, "perf"):
+        return run_perf(
+            args.ids or None,
+            repeats=args.repeats,
+            root=args.bench_dir,
+            compare=args.compare,
+            threshold=args.threshold,
+            json_out=args.json_out,
+        )
 
 
 def _cmd_tune(args) -> int:
@@ -604,7 +604,6 @@ def _cmd_tune(args) -> int:
                 alg = _algorithm(args.alg)
                 config = TuneConfig(
                     cache_size=args.cache_size,
-                    policy=args.policy,
                     budget=args.budget,
                     generation=args.generation,
                     seed=args.seed,
@@ -623,8 +622,7 @@ def _cmd_tune(args) -> int:
     table = TextTable(
         ["quantity", "value"],
         title=(
-            f"tune {args.alg} r={args.r} (n={n}) M={args.cache_size} "
-            f"{args.policy}"
+            f"tune {args.alg} r={args.r} (n={n}) M={args.cache_size} belady"
         ),
     )
     table.add_row(["start I/O", s["start_io"]])

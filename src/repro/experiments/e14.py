@@ -19,10 +19,9 @@ the path-routing segment argument certifies bounds for *every*
 Strassen-like CDAG, including the disconnected ones.
 
 Each graph gets its own :class:`CacheExecutor` (as in E9, E13 and E15),
-not :func:`simulate_io`'s process-wide one, so one run's plan-cache
-counters do not depend on the runs before it in the same process.  The
-Hong-Kung partition of an execution runs on the executor that measured
-it, so each schedule is compiled once.
+and the Hong-Kung partition of an execution runs on the executor that
+measured it, which still holds that schedule's plan: each schedule is
+compiled once.
 """
 
 from __future__ import annotations

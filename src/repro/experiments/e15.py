@@ -83,7 +83,7 @@ def run(
     # 2. Anneal from the recursive start.
     # ------------------------------------------------------------------
     config = TuneConfig(
-        cache_size=cache_size, policy="belady", budget=budget,
+        cache_size=cache_size, budget=budget,
         generation=generation, seed=seed,
     )
     result = AutoTuner(config, g).run()

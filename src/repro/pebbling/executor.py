@@ -24,47 +24,51 @@ measurement should track the matching upper bound (experiment E9).
 
 Implementation notes (the hot path)
 -----------------------------------
-The simulator is a thin view over the unified columnar core
-(:mod:`repro.simcore`): a schedule is compiled once into a
-:class:`~repro.simcore.plan.SchedulePlan` — flat CSR-style operand
-arrays gathered from the CDAG's predecessor CSR, per-occurrence
-*next-use* times (a backward-scan linked list, so Belady needs no
-per-vertex Python lists or cursor dicts), per-vertex first-use times
-and initial use counts, the last three built when the simulation loop
-first runs.
+:class:`CacheExecutor` is the simulator's one entry point.  A schedule
+is compiled once into a :class:`~repro.simcore.plan.SchedulePlan` —
+flat CSR-style operand arrays gathered from the CDAG's predecessor CSR,
+per-occurrence *next-use* times (a backward-scan linked list, so Belady
+needs no per-vertex Python lists or cursor dicts), per-vertex first-use
+times and initial use counts, the last three built when the simulation
+loop first runs.  The executor keeps the last schedule's plan.
 
-Every simulation then goes through one core entry point,
-:func:`repro.simcore.run_configs`, which checks the policy name, takes
-the count-only LRU and Belady configurations from one pass per policy
-and runs the rest on the pure-Python loop, and maps failures onto
-:class:`ScheduleError` / :class:`CacheError`.  Both routes make the
-exact victim choices of the golden reference simulator retained under
-``tests/pebbling/_reference.py`` — the golden-equivalence tests enforce
-bit-identity across schedules x policies x cache sizes, and the core's
-``simcore.kernel.fallback`` counter counts each configuration run.
+:meth:`CacheExecutor.run_many` checks every cache size and policy name
+before any configuration runs, then sends each ``(cache size, policy)``
+configuration to one of two places in :mod:`repro.simcore`:
 
-The executor keeps what is specific to one CDAG: schedule validation
-(through :func:`repro.schedules.validate_schedule`, the one validator),
-a content-keyed plan cache shared across cache sizes and policies, the
-machine model's I/O accounting, and one ``pebbling.run`` span per
-configuration.  :meth:`CacheExecutor.run_many` exposes the plan reuse
-as a batched sweep API (validate once, precompute once, run every
-``(M, policy)`` configuration in one core call).
+- count-only LRU and Belady configurations to their policy's *pass*
+  (:func:`~repro.simcore.stack.lru_counts`,
+  :func:`~repro.simcore.stack.belady_counts`), which counts every cache
+  size of that policy in one sweep over the plan, inside the span of the
+  policy's first configuration;
+- everything else to the *loop*
+  (:func:`~repro.simcore.pyloops.simulate_py`): FIFO, and any plan a
+  pass leaves to it.
+
+It builds every :class:`IOResult` in one place, under one
+``pebbling.run`` span per configuration.  :meth:`CacheExecutor.run` is
+``run_many`` of one configuration, or the loop when given an
+``io_trace``.  Both routes make the exact victim choices of the golden
+reference simulator retained under ``tests/pebbling/_reference.py`` —
+the golden-equivalence tests enforce bit-identity across schedules x
+policies x cache sizes — and each configuration adds one
+``simcore.kernel.fallback`` count.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.errors import CacheError
-from repro.pebbling.machine import MachineModel
+from repro.pebbling.machine import check_cache_size
 from repro.schedules.base import _validate_gather, validate_schedule
-from repro.simcore import SchedulePlan, run_configs
+from repro.simcore.plan import SchedulePlan
+from repro.simcore.pyloops import POLICIES, count_simulation, simulate_py
+from repro.simcore.stack import belady_counts, lru_counts
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 from repro.telemetry.spans import span
@@ -108,91 +112,55 @@ class IOResult:
         return self.reads + self.writes
 
 
-def _counts_to_result(
-    counts, cache_size: int, policy: str, machine: MachineModel
-) -> tuple[IOResult, int]:
-    """Fold a raw count tuple into an :class:`IOResult` under the
-    machine's I/O accounting switches; returns ``(result, evictions)``."""
-    (reads, writes, input_reads, spill_reads, spill_writes,
-     output_writes, peak, evictions) = counts
-    if not machine.count_input_reads:
-        reads -= input_reads
-    if not machine.count_output_writes:
-        writes -= output_writes
-    result = IOResult(
-        cache_size=cache_size,
-        policy=policy,
-        reads=reads,
-        writes=writes,
-        input_reads=input_reads if machine.count_input_reads else 0,
-        spill_reads=spill_reads,
-        spill_writes=spill_writes,
-        output_writes=output_writes if machine.count_output_writes else 0,
-        peak_cache=peak,
-    )
-    return result, evictions
+#: The policies whose pass counts every cache size in one sweep.
+_PASSES = {"lru": lru_counts, "belady": belady_counts}
 
 
 class CacheExecutor:
-    """Reusable executor for one CDAG (precomputes use lists once)."""
-
-    _MAX_CACHED_PLANS = 8
+    """The simulator for one CDAG: compiles schedules into plans and
+    runs ``(cache size, policy)`` configurations on them."""
 
     def __init__(self, cdag: CDAG):
         self.cdag = cdag
         self.is_output = np.zeros(cdag.n_vertices, dtype=bool)
         self.is_output[cdag.outputs()] = True
-        self.is_input = cdag.in_degree() == 0
-        self._plans: dict[bytes, SchedulePlan] = {}
+        in_degree = cdag.in_degree()
+        self.is_input = in_degree == 0
+        self._min_cache_size = int(in_degree.max(initial=0)) + 1
+        self._key: bytes | None = None
+        self._plan: SchedulePlan | None = None
 
-    # ------------------------------------------------------------------
+    def compile(self, schedule, validate: bool = True) -> SchedulePlan:
+        """The :class:`SchedulePlan` of ``schedule``, checked by
+        :func:`repro.schedules.validate_schedule` unless
+        ``validate=False``.
 
-    def validate_schedule(self, schedule: np.ndarray) -> np.ndarray:
-        """Check the schedule is a topological permutation of the
-        non-input vertices (:func:`repro.schedules.validate_schedule`);
-        returns it as a contiguous int64 array."""
-        return validate_schedule(self.cdag, schedule)
-
-    # ------------------------------------------------------------------
-
-    def _plan(self, schedule, validate: bool) -> SchedulePlan:
-        """Fetch or build the :class:`SchedulePlan` for ``schedule``
-        (small content-keyed cache, so repeated ``run`` calls on the
-        same schedule reuse the precompute like ``run_many`` does).
+        The executor keeps the last schedule's plan, keyed by a digest
+        of its content: compiling or running that schedule again reuses
+        it (``pebbling.plan.hit``), and any other schedule replaces it
+        (``pebbling.plan.miss``).  The benchmarks call this to time the
+        compile apart from the simulation.
         """
         schedule = np.ascontiguousarray(schedule, dtype=np.int64)
         key = hashlib.blake2b(schedule.tobytes(), digest_size=16).digest()
-        plan = self._plans.get(key)
-        if plan is None:
-            metrics().inc("pebbling.plan.miss")
-            operands = None
-            if validate:
-                schedule, operands = _validate_gather(self.cdag, schedule)
-            plan = SchedulePlan(
-                self.cdag, schedule, validated=validate, operands=operands
-            )
-            if len(self._plans) >= self._MAX_CACHED_PLANS:
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[key] = plan
-        else:
-            # LRU touch: re-insert so neighbourhood searches that cycle
-            # through more than _MAX_CACHED_PLANS candidates keep their
-            # frequently re-evaluated incumbents compiled.
+        if key == self._key:
             metrics().inc("pebbling.plan.hit")
-            self._plans.pop(key)
-            self._plans[key] = plan
-            if validate and not plan.validated:
-                self.validate_schedule(schedule)
-                plan.validated = True
-        return plan
-
-    def compile(self, schedule, validate: bool = True) -> SchedulePlan:
-        """Public access to the compiled plan for ``schedule``.
-
-        Used by the benchmarks to time the acquisition cost (validate +
-        occurrence precompute) apart from the simulation.
-        """
-        return self._plan(schedule, validate)
+            if validate and not self._plan.validated:
+                validate_schedule(self.cdag, schedule)
+                self._plan.validated = True
+            return self._plan
+        metrics().inc("pebbling.plan.miss")
+        # Drop the old plan first: at most one plan is alive while the
+        # new one is built.
+        self._key = self._plan = None
+        operands = None
+        if validate:
+            schedule, operands = _validate_gather(self.cdag, schedule)
+        self._plan = SchedulePlan(
+            self.cdag, schedule, validated=validate, operands=operands
+        )
+        self._key = key
+        return self._plan
 
     def run(
         self,
@@ -200,27 +168,28 @@ class CacheExecutor:
         cache_size: int,
         policy: str = "lru",
         validate: bool = True,
-        machine: MachineModel | None = None,
         io_trace: list[int] | None = None,
     ) -> IOResult:
         """Execute ``schedule`` with the given cache size and policy.
 
-        When ``io_trace`` is a list, the cumulative I/O count after each
-        scheduled computation is appended to it (one entry per schedule
-        step) — used by the Hong-Kung partition machinery to cut
-        executions every ``2M`` I/Os.
+        When ``io_trace`` is a list, the loop appends to it the
+        cumulative I/O count after each scheduled computation (one entry
+        per schedule step) — used by the Hong-Kung partition machinery
+        to cut executions every ``2M`` I/Os.
         """
-        with span(
-            "pebbling.run", policy=policy, cache_size=cache_size
-        ) as sp:
-            result, evictions = self._run(
-                schedule, cache_size, policy, validate, machine, io_trace
-            )
-            # One enabled-check for the whole telemetry block: while
-            # disabled, a run pays nothing beyond this bool.
-            if _telemetry_enabled():
-                self._record_run_counters(sp, result, evictions)
+        if io_trace is None:
+            (result,) = self.run_many(
+                schedule, (cache_size,), (policy,), validate
+            ).values()
             return result
+        plan = self.compile(schedule, validate)
+        M, policy = int(cache_size), str(policy)
+        self._check([M], [policy])
+        with span("pebbling.run", policy=policy, cache_size=M) as sp:
+            counts = simulate_py(
+                plan, self.is_input, self.is_output, M, policy, io_trace
+            )
+            return self._result(sp, counts, M, policy)
 
     def run_many(
         self,
@@ -229,91 +198,60 @@ class CacheExecutor:
         policies=("lru",),
         validate: bool = True,
     ) -> dict[tuple[int, str], IOResult]:
-        """Batched sweep: run every ``(cache_size, policy)``
-        configuration over one schedule, validating it and building the
-        use-list precompute exactly once.
-
-        The whole grid is one :func:`~repro.simcore.run_configs` call:
-        one pass for the LRU configurations, one for the Belady ones and
-        a loop for each FIFO one, serially.
-
-        Returns ``{(cache_size, policy): IOResult}``.  Telemetry is
-        identical to the equivalent sequence of :meth:`run` calls (one
-        ``pebbling.run`` span per configuration, counters included).
-        """
-        plan = self._plan(schedule, validate)
-        configs = [(int(M), str(p)) for M in cache_sizes for p in policies]
-        machines: dict[int, MachineModel] = {}
-        for M, _ in configs:
-            if M not in machines:
-                machines[M] = MachineModel(cache_size=M)
-                machines[M].check_executable(self.cdag)
-        record = _telemetry_enabled()
-        counts = run_configs(plan, self.is_input, self.is_output, configs)
+        """Run every ``(cache_size, policy)`` configuration over one
+        schedule, compiled once, each in its own ``pebbling.run`` span;
+        returns ``{(cache_size, policy): IOResult}``."""
+        plan = self.compile(schedule, validate)
+        Ms = [int(M) for M in cache_sizes]
+        policies = [str(p) for p in policies]
+        self._check(Ms, policies)
+        counted: dict[str, dict] = {}
         results: dict[tuple[int, str], IOResult] = {}
-        for M, policy in configs:
-            with span("pebbling.run", policy=policy, cache_size=M) as sp:
-                # next() inside the span: it runs this configuration's
-                # simulation (for the first LRU or Belady configuration,
-                # the pass that counts every one of that policy).
-                result, evictions = _counts_to_result(
-                    next(counts), M, policy, machines[M]
-                )
-                if record:
-                    self._record_run_counters(sp, result, evictions)
-            results[(M, policy)] = result
+        for M in Ms:
+            for policy in policies:
+                with span("pebbling.run", policy=policy, cache_size=M) as sp:
+                    count = _PASSES.get(policy)
+                    if count is not None and policy not in counted:
+                        group = sorted(set(Ms))
+                        out = count(plan, self.is_input, self.is_output, group)
+                        counted[policy] = {} if out is None else dict(zip(group, out))
+                    counts = counted.get(policy, {}).get(M)
+                    if counts is None:
+                        counts = simulate_py(
+                            plan, self.is_input, self.is_output, M, policy
+                        )
+                    else:
+                        count_simulation()
+                        if isinstance(counts, Exception):
+                            raise counts
+                    results[(M, policy)] = self._result(sp, counts, M, policy)
         return results
 
-    def _record_run_counters(self, sp, result: IOResult, evictions: int) -> None:
-        sp.add("scheduled", self.cdag.n_vertices - int(self.is_input.sum()))
-        sp.add("reads", result.reads)
-        sp.add("writes", result.writes)
-        sp.add("evictions", evictions)
-        sp.add("spill_reads", result.spill_reads)
-        sp.add("spill_writes", result.spill_writes)
-        sp.set("peak_cache", result.peak_cache)
+    def _check(self, cache_sizes, policies) -> None:
+        """Raise for a cache size no schedule runs in
+        (:func:`~repro.pebbling.machine.check_cache_size`) or an unknown
+        policy name (:class:`CacheError`)."""
+        for M in cache_sizes:
+            check_cache_size(self.cdag, M, self._min_cache_size)
+        for policy in policies:
+            if policy not in POLICIES:
+                raise CacheError(f"unknown eviction policy {policy!r}")
 
-    # ------------------------------------------------------------------
-
-    def _run(
-        self, schedule, cache_size, policy, validate, machine, io_trace
-    ) -> tuple[IOResult, int]:
-        machine = machine or MachineModel(cache_size=cache_size)
-        if machine.cache_size != cache_size:
-            raise CacheError("machine.cache_size disagrees with cache_size")
-        plan = self._plan(schedule, validate)
-        machine.check_executable(self.cdag)
-        (counts,) = run_configs(
-            plan, self.is_input, self.is_output, [(cache_size, policy)],
-            io_trace,
-        )
-        return _counts_to_result(counts, cache_size, policy, machine)
-
-
-# ----------------------------------------------------------------------
-# Shared executors for the one-shot convenience path.
-# ----------------------------------------------------------------------
-
-_MAX_SHARED_EXECUTORS = 4
-_shared_executors: "OrderedDict[int, CacheExecutor]" = OrderedDict()
-
-
-def _shared_executor(cdag: CDAG) -> CacheExecutor:
-    """A process-local :class:`CacheExecutor` per CDAG object — so
-    repeated :func:`simulate_io` calls (tests, notebooks) reuse compiled
-    plans instead of recompiling per call.  The map is keyed by
-    ``id(cdag)``; the executor holds the graph, so a live entry's id is
-    never reused by another object."""
-    key = id(cdag)
-    executor = _shared_executors.get(key)
-    if executor is None:
-        executor = CacheExecutor(cdag)
-        while len(_shared_executors) >= _MAX_SHARED_EXECUTORS:
-            _shared_executors.popitem(last=False)
-        _shared_executors[key] = executor
-    else:
-        _shared_executors.move_to_end(key)
-    return executor
+    def _result(self, sp, counts, cache_size: int, policy: str) -> IOResult:
+        """The :class:`IOResult` of a raw count tuple; records the
+        configuration's counters on its span ``sp``."""
+        result = IOResult(cache_size, policy, *counts[:7])
+        # One enabled-check for the whole telemetry block: while
+        # disabled, a run pays nothing beyond this bool.
+        if _telemetry_enabled():
+            sp.add("scheduled", self.cdag.n_vertices - int(self.is_input.sum()))
+            sp.add("reads", result.reads)
+            sp.add("writes", result.writes)
+            sp.add("evictions", counts[7])
+            sp.add("spill_reads", result.spill_reads)
+            sp.add("spill_writes", result.spill_writes)
+            sp.set("peak_cache", result.peak_cache)
+        return result
 
 
 def simulate_io(
@@ -323,11 +261,7 @@ def simulate_io(
     policy: str = "lru",
     validate: bool = True,
 ) -> IOResult:
-    """One-shot convenience wrapper around :class:`CacheExecutor`.
-
-    Executors are shared per graph object, so back-to-back calls on the
-    same (graph, schedule) hit the in-process plan cache — the
-    ``pebbling.plan.{hit,miss}`` counters make the reuse observable."""
-    return _shared_executor(cdag).run(
-        schedule, cache_size=cache_size, policy=policy, validate=validate
-    )
+    """One run of ``schedule`` on a fresh :class:`CacheExecutor`.  A
+    caller that runs one schedule several times keeps an executor of its
+    own, which keeps the plan."""
+    return CacheExecutor(cdag).run(schedule, cache_size, policy, validate)

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.errors import PebbleGameError, ScheduleError
-from repro.simcore.grid import policy_code
 from repro.simcore.plan import SchedulePlan
 from repro.simcore.pyloops import simulate_py
 
@@ -134,16 +133,17 @@ def trace_from_executor(
 ) -> PebbleGame:
     """Replay an executor run as pebble-game moves and return the game.
 
-    The simulation core's pure-Python loops emit every implied machine
-    move — load / store / delete / compute, in execution order — through
-    their ``events`` hook; forwarding those events into a
-    :class:`PebbleGame` replays the *same* simulation (same eviction
-    decisions, no second policy implementation) under the game's
-    legality checks, so ``game.io_count`` equals the executor's
-    ``IOResult.total`` — asserted by the integration tests.  Raises
-    :class:`PebbleGameError` if any implied move would be illegal.
+    The executor's loop (:func:`~repro.simcore.pyloops.simulate_py`,
+    given the policy name as it is) emits every implied machine move —
+    load / store / delete / compute, in execution order — through its
+    ``events`` hook; forwarding those events into a :class:`PebbleGame`
+    replays the *same* simulation (same eviction decisions, no second
+    policy implementation) under the game's legality checks, so
+    ``game.io_count`` equals the executor's ``IOResult.total``, whichever
+    route the executor took — asserted by the integration tests.  Raises
+    :class:`PebbleGameError` if any implied move would be illegal, and
+    :class:`~repro.errors.CacheError` for an unknown policy name.
     """
-    code = policy_code(policy)
     schedule = np.ascontiguousarray(schedule, dtype=np.int64)
     game = PebbleGame(cdag, cache_size)
     is_input = cdag.in_degree() == 0
@@ -163,7 +163,7 @@ def trace_from_executor(
 
     try:
         simulate_py(
-            plan, is_input, is_output, cache_size, code,
+            plan, is_input, is_output, cache_size, policy,
             events=forward,
         )
     except ScheduleError as exc:

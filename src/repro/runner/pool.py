@@ -38,6 +38,7 @@ serialises the result before it crosses the process boundary.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -51,6 +52,7 @@ from repro import telemetry
 from repro.experiments.harness import ExperimentResult
 from repro.runner.jobs import JobSpec, accepts_seed, resolve_entrypoint
 from repro.runner.store import ResultStore, result_to_payload
+from repro.utils.validation import check_positive_int
 
 __all__ = ["JobOutcome", "run_sweep"]
 
@@ -174,31 +176,48 @@ def run_sweep(
     store:
         Result cache.  ``None`` disables caching entirely.
     workers:
-        Most job processes alive at once (at least 1).
+        Most job processes alive at once; ``ValueError`` below 1.
     timeout:
-        Per-job wall-clock limit in seconds; ``None`` disables.
+        Per-job wall-clock limit in seconds, a finite positive number
+        (``ValueError`` otherwise); ``None`` disables.
     fresh:
         Recompute every job, overwriting cached artifacts.
     profile:
         Collect telemetry: the sweep runs under a ``runner.sweep`` span,
         each job opens a ``runner.job`` span parented to it, and job
         spans and counters are merged back into this process (see
-        :mod:`repro.telemetry`).
+        :mod:`repro.telemetry`).  Whether the sweep returns or raises,
+        the span is closed and collection is left as it was.
     """
-    workers = max(1, int(workers))
-    outcomes: list[JobOutcome | None] = [None] * len(specs)
-
-    sweep_span = None
-    parent_span = None
-    was_enabled = telemetry.enabled()
-    if profile:
-        telemetry.enable()
-        sweep_span = telemetry.span(
-            "runner.sweep", jobs=len(specs), workers=workers
+    workers = check_positive_int(workers, "workers")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(
+            f"timeout must be a finite positive number of seconds, got {timeout}"
         )
-        sweep_span.__enter__()
-        parent_span = sweep_span.span_id
+    if not profile:
+        return _run_jobs(specs, store, workers, timeout, fresh, None)
+    was_enabled = telemetry.enabled()
+    telemetry.enable()
+    try:
+        with telemetry.span(
+            "runner.sweep", jobs=len(specs), workers=workers
+        ) as sweep_span:
+            outcomes = _run_jobs(
+                specs, store, workers, timeout, fresh, sweep_span.span_id
+            )
+            sweep_span.add("ok", sum(1 for o in outcomes if o.status == "ok"))
+            sweep_span.add("cached", sum(1 for o in outcomes if o.cached))
+            sweep_span.add("failed", sum(1 for o in outcomes if not o.ok))
+    finally:
+        if not was_enabled:
+            telemetry.disable()
+    return outcomes
 
+
+def _run_jobs(specs, store, workers, timeout, fresh, parent_span):
+    """:func:`run_sweep`'s cache pass and scheduling loop; job processes
+    parent their spans to ``parent_span`` (None: not profiled)."""
+    outcomes: list[JobOutcome | None] = [None] * len(specs)
     if store is not None:
         store.gc_orphans()
 
@@ -291,12 +310,4 @@ def run_sweep(
             proc.join()
             reader.close()
         running.clear()
-
-    if sweep_span is not None:
-        sweep_span.add("ok", sum(1 for o in outcomes if o.status == "ok"))
-        sweep_span.add("cached", sum(1 for o in outcomes if o.cached))
-        sweep_span.add("failed", sum(1 for o in outcomes if not o.ok))
-        sweep_span.__exit__(None, None, None)
-        if not was_enabled:
-            telemetry.disable()
     return outcomes

@@ -57,7 +57,10 @@ from repro.errors import CacheError, ScheduleError
 from repro.telemetry.metrics import metrics
 from repro.telemetry.spans import enabled as _telemetry_enabled
 
-__all__ = ["count_simulation", "simulate_py"]
+__all__ = ["POLICIES", "count_simulation", "simulate_py"]
+
+#: The eviction policies the loop plays.
+POLICIES = ("lru", "fifo", "belady")
 
 
 def count_simulation() -> None:
@@ -69,14 +72,17 @@ def count_simulation() -> None:
 
 
 def simulate_py(plan, is_input_arr, is_output_arr, cache_size,
-                policy_code, io_trace=None, events=None):
+                policy, io_trace=None, events=None):
     """Run one ``(cache_size, policy)`` configuration over a plan with
     the pure-Python loop; returns the raw count tuple ``(reads, writes,
     input_reads, spill_reads, spill_writes, output_writes, peak,
-    evictions)``.  Policy codes: 0 = LRU, 1 = FIFO, 2 = Belady."""
+    evictions)``.  ``policy`` is one of :data:`POLICIES`; any other name
+    raises :class:`CacheError`."""
+    if policy not in POLICIES:
+        raise CacheError(f"unknown eviction policy {policy!r}")
     count_simulation()
-    belady = policy_code == 2
-    refresh_on_use = policy_code == 0
+    belady = policy == "belady"
+    refresh_on_use = policy == "lru"
     plan.ensure_lists(belady)
     sched = plan._sched_l
     indptr = plan._indptr_l

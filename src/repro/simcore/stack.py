@@ -96,8 +96,8 @@ def lru_counts(plan, is_input, is_output, cache_sizes):
     """LRU's raw count tuples over ``plan``, one per cache size, from
     one stack-distance pass.
 
-    Each entry equals ``simulate_py(plan, is_input, is_output, M, 0)``;
-    for an ``M`` below the widest step it is the loop's
+    Each entry equals ``simulate_py(plan, is_input, is_output, M,
+    "lru")``; for an ``M`` below the widest step it is the loop's
     :class:`CacheError`, unraised.  Returns None for an unvalidated plan
     outside the derivation, which only the loop runs.
     """
@@ -149,8 +149,8 @@ def belady_counts(plan, is_input, is_output, cache_sizes):
     """Belady's raw count tuples over ``plan``, one per cache size, from
     one interval pass.
 
-    Each entry equals ``simulate_py(plan, is_input, is_output, M, 2)``;
-    for an ``M`` below the widest step it is the loop's
+    Each entry equals ``simulate_py(plan, is_input, is_output, M,
+    "belady")``; for an ``M`` below the widest step it is the loop's
     :class:`CacheError`, unraised.  Returns None for an unvalidated plan
     outside the derivation, which only the loop runs.
     """

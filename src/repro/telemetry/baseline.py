@@ -194,7 +194,6 @@ def run_perf(
     root=".",
     compare: bool = False,
     threshold: float = 1.5,
-    trace_out=None,
     json_out=None,
     params_by_id: Mapping[str, Mapping] | None = None,
     out=print,
@@ -267,15 +266,6 @@ def run_perf(
             )
         out(table.render())
 
-    if trace_out is not None:
-        from repro.telemetry.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            trace_out,
-            _spans_mod.collected_spans(),
-            metadata={"command": "perf", "experiments": ids},
-        )
-        out(f"chrome trace: {path} ({len(_spans_mod.collected_spans())} spans)")
     if json_out is not None:
         from repro.telemetry.export import telemetry_to_json, write_json
 

@@ -49,7 +49,7 @@ class TestPinnedTrajectories:
 class TestDriver:
     def _tune(self, g2, **overrides):
         defaults = dict(
-            cache_size=12, policy="belady", budget=20, generation=4, seed=3,
+            cache_size=12, budget=20, generation=4, seed=3,
         )
         defaults.update(overrides)
         return AutoTuner(TuneConfig(**defaults), g2).run()

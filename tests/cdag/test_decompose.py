@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bilinear import classical, laderman, strassen, strassen_x_classical
+from repro.bilinear.compose import random_equivalent
 from repro.cdag import (
     build_cdag,
     compute_metavertices,
@@ -40,6 +41,14 @@ class TestFact1:
     def test_verify_fact1_classical(self):
         g = build_cdag(classical(2), 3)
         assert verify_fact1(g, 1)["ok"]
+
+    def test_verify_fact1_same_name_other_algorithm(self):
+        """Random equivalents share one name: each draw is checked
+        against its own G_k, not an earlier draw's."""
+        for seed in (0, 1):
+            g = build_cdag(random_equivalent(strassen(), seed=seed), 3)
+            report = verify_fact1(g, 1)
+            assert report["ok"], (seed, report)
 
     def test_copies_partition_middle_ranks(self, g3):
         k = 1
@@ -111,6 +120,8 @@ class TestSubcomputation:
         v = int(g3.inputs()[0])
         with pytest.raises(CDAGError):
             sub.local_id(v)
+        with pytest.raises(CDAGError):
+            sub.global_id(-1)
 
     def test_encoder_rank_bounds(self, g3):
         sub = subcomputation(g3, 1, 0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import CacheError, PartitionError, ScheduleError
 from repro.pebbling.executor import IOResult
-from repro.pebbling.machine import MachineModel
+from repro.pebbling.machine import check_cache_size
 
 _INF = float("inf")
 
@@ -123,14 +123,12 @@ def reference_run(
     schedule,
     cache_size: int,
     policy: str = "lru",
-    machine: MachineModel | None = None,
     io_trace: list[int] | None = None,
 ) -> tuple[IOResult, int]:
     """The original ``CacheExecutor._run`` (sets, dicts, per-step
     ``predecessors(v).tolist()`` and the duplicated ``on_use`` per
     cached operand), returning ``(IOResult, evictions)``."""
-    machine = machine or MachineModel(cache_size=cache_size)
-    machine.check_executable(cdag)
+    check_cache_size(cdag, cache_size)
     schedule = np.asarray(schedule, dtype=np.int64)
 
     is_output = np.zeros(cdag.n_vertices, dtype=bool)
@@ -215,20 +213,15 @@ def reference_run(
             output_writes += 1
             output_written.add(v)
 
-    if not machine.count_input_reads:
-        reads -= input_reads
-    if not machine.count_output_writes:
-        writes -= output_writes
-
     result = IOResult(
         cache_size=cache_size,
         policy=policy,
         reads=reads,
         writes=writes,
-        input_reads=input_reads if machine.count_input_reads else 0,
+        input_reads=input_reads,
         spill_reads=spill_reads,
         spill_writes=spill_writes,
-        output_writes=output_writes if machine.count_output_writes else 0,
+        output_writes=output_writes,
         peak_cache=peak,
     )
     return result, evictions

@@ -1,11 +1,14 @@
 """Tests for the cache executor (I/O counting)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bilinear import classical, strassen
 from repro.cdag import build_base_graph, build_cdag
 from repro.errors import CacheError, ScheduleError
-from repro.pebbling import CacheExecutor, MachineModel, min_cache_size, simulate_io
+from repro.pebbling import CacheExecutor, min_cache_size, simulate_io
 from repro.schedules import (
     rank_order_schedule,
     random_topological_schedule,
@@ -97,6 +100,19 @@ class TestValidation:
         with pytest.raises(CacheError):
             simulate_io(g2, sched2, min_cache_size(g2) - 1)
 
+    def test_schedule_error_on_every_path(self, g2, sched2):
+        """A non-topological schedule raises ScheduleError through the
+        passes' hand-off to the loop and on the loop itself, one
+        configuration or several."""
+        ex = CacheExecutor(g2)
+        bad = sched2[::-1].copy()
+        for policies in (("lru",), ("lru", "belady"), ("fifo",)):
+            with pytest.raises(ScheduleError):
+                ex.run_many(bad, (12,), policies, validate=False)
+            for policy in policies:
+                with pytest.raises(ScheduleError):
+                    ex.run(bad, 12, policy, validate=False, io_trace=[])
+
 
 class TestMachineModel:
     def test_min_cache_size(self):
@@ -104,21 +120,20 @@ class TestMachineModel:
         # Widest vertex: decoder output c11/c22 with 4 preds -> 5.
         assert min_cache_size(g) == 5
 
-    def test_exclude_input_reads(self, g2, sched2):
-        machine = MachineModel(cache_size=16, count_input_reads=False)
-        res = CacheExecutor(g2).run(sched2, 16, machine=machine)
-        default = simulate_io(g2, sched2, 16)
-        assert res.reads == default.reads - default.input_reads
-
-    def test_exclude_output_writes(self, g2, sched2):
-        machine = MachineModel(cache_size=16, count_output_writes=False)
-        res = CacheExecutor(g2).run(sched2, 16, machine=machine)
-        default = simulate_io(g2, sched2, 16)
-        assert res.writes == default.writes - default.output_writes
-
-    def test_bad_cache_size(self):
+    def test_bad_cache_size(self, g2, sched2):
         with pytest.raises(ValueError):
-            MachineModel(cache_size=0)
+            simulate_io(g2, sched2, 0)
+
+
+def test_simulate_io_holds_no_graph():
+    """simulate_io runs on a fresh executor: once the caller drops the
+    graph, nothing keeps it alive."""
+    g = build_cdag(strassen(), 2)
+    simulate_io(g, recursive_schedule(g), 12)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 class TestScheduleQualityOrdering:

@@ -18,6 +18,7 @@ and once counting only, which takes the LRU and Belady passes
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.bilinear import classical, strassen
 from repro.cdag import build_cdag
 from repro.cdag.graph import CDAG
@@ -71,15 +72,33 @@ def _cases():
 CASES = _cases()
 
 
+@pytest.fixture()
+def telemetry_on():
+    """Telemetry state is process-global: enable it for one test."""
+    telemetry.enable()
+    yield
+    telemetry.disable()
+    telemetry.reset()
+
+
+def _run(ex, sched, cache_size, policy, io_trace=None):
+    """``ex.run``'s result and the evictions its ``pebbling.run`` span
+    counted."""
+    telemetry.reset()
+    res = ex.run(sched, cache_size, policy, io_trace=io_trace)
+    (sp,) = [s for s in telemetry.collected_spans() if s["name"] == "pebbling.run"]
+    return res, sp["counters"]["evictions"]
+
+
 @pytest.mark.parametrize("label,g,sched", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_bit_identical_to_reference(label, g, sched, policy):
+def test_bit_identical_to_reference(label, g, sched, policy, telemetry_on):
     ex = CacheExecutor(g)
     m0 = min_cache_size(g)
     for cache_size in (m0, m0 + 3, 2 * m0, g.n_vertices + 1):
         trace_new: list[int] = []
         trace_ref: list[int] = []
-        res_new, ev_new = ex._run(sched, cache_size, policy, True, None, trace_new)
+        res_new, ev_new = _run(ex, sched, cache_size, policy, trace_new)
         res_ref, ev_ref = reference_run(
             g, sched, cache_size, policy, io_trace=trace_ref
         )
@@ -87,7 +106,7 @@ def test_bit_identical_to_reference(label, g, sched, policy):
         assert ev_new == ev_ref, (label, policy, cache_size)
         assert trace_new == trace_ref, (label, policy, cache_size)
         # Count-only: LRU and Belady take their passes.
-        res_cnt, ev_cnt = ex._run(sched, cache_size, policy, True, None, None)
+        res_cnt, ev_cnt = _run(ex, sched, cache_size, policy)
         assert res_cnt == res_ref, (label, policy, cache_size, "count-only")
         assert ev_cnt == ev_ref, (label, policy, cache_size, "count-only")
 
@@ -106,7 +125,8 @@ def test_run_many_matches_reference():
 
 
 def test_run_matches_run_many():
-    """run() and run_many() share the plan cache and agree exactly."""
+    """run() and run_many() share the executor's plan and agree
+    exactly."""
     g = build_cdag(strassen(), 2)
     sched = recursive_schedule(g)
     ex = CacheExecutor(g)

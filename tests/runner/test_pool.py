@@ -4,10 +4,12 @@ These tests exercise real job processes but keep every job body
 trivial, so the whole module runs in a few seconds.
 """
 
+import math
 import multiprocessing
 
 import pytest
 
+from repro import telemetry
 from repro.runner.jobs import JobSpec
 from repro.runner.pool import run_sweep
 from repro.runner.store import ResultStore
@@ -230,6 +232,40 @@ class TestCleanup:
         with pytest.raises(OSError, match="disk full"):
             sweep(specs, FailingStore(tmp_path), workers=2)
         assert set(multiprocessing.active_children()) <= before
+
+
+class TestArguments:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep([spec("T-OK")], workers=workers)
+
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan, math.inf])
+    def test_unusable_timeout_raises(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            sweep([spec("T-OK")], timeout=timeout)
+
+
+class TestTelemetry:
+    def test_raising_sweep_closes_its_span_and_restores_collection(
+        self, tmp_path
+    ):
+        class FailingStore(ResultStore):
+            def put(self, spec, result_payload):
+                raise OSError("disk full")
+
+        telemetry.disable()
+        telemetry.reset()
+        try:
+            with pytest.raises(OSError, match="disk full"):
+                sweep([spec("T-OK")], FailingStore(tmp_path), profile=True)
+            assert not telemetry.enabled()
+            (record,) = [s for s in telemetry.collected_spans()
+                         if s["name"] == "runner.sweep"]
+            assert record["error"] == "OSError"
+        finally:
+            telemetry.disable()
+            telemetry.reset()
 
 
 class TestEventStream:

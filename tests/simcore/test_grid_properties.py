@@ -1,7 +1,7 @@
 """Hypothesis property suite for configuration grids.
 
 Random ``(graph family, schedule, policy, cache size)`` grids run as
-one :func:`simcore.run_configs` batch (count-only LRU and Belady rows
+one :meth:`CacheExecutor.run_many` batch (count-only LRU and Belady rows
 from their passes, FIFO rows on the loop) must be bit-identical, row
 for row, to
 
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.bilinear import strassen, winograd
 from repro.cdag import build_cdag
 from repro.errors import CacheError
-from repro.pebbling import min_cache_size
-from repro.simcore import SchedulePlan, run_configs
+from repro.pebbling import CacheExecutor, min_cache_size
+from repro.simcore import POLICIES, SchedulePlan
 from repro.simcore.pyloops import simulate_py
 from repro.schedules import (
     random_product_order_schedule,
@@ -26,8 +27,6 @@ from repro.schedules import (
 )
 
 from tests.pebbling._reference import reference_run
-
-POLICY_NAMES = {0: "lru", 1: "fifo", 2: "belady"}
 
 _GRAPHS = {}
 
@@ -61,28 +60,47 @@ MIN_M = max(min_cache_size(graph(f)) for f in ("strassen", "winograd"))
 
 configs_strategy = st.lists(
     st.tuples(st.integers(min_value=MIN_M, max_value=64),
-              st.sampled_from([0, 1, 2])),
+              st.sampled_from(POLICIES)),
     min_size=1, max_size=5,
 )
 
 
-def reference_counts(g, sched, M, code):
-    res, evictions = reference_run(g, sched, M, POLICY_NAMES[code])
+def reference_counts(g, sched, M, policy):
+    res, evictions = reference_run(g, sched, M, policy)
     return (res.reads, res.writes, res.input_reads, res.spill_reads,
             res.spill_writes, res.output_writes, res.peak_cache, evictions)
 
 
-def grid_rows(plan, is_input, is_output, configs):
-    """One ``run_configs`` batch: each row's count tuple, or the
-    exception it raised at its own ``next()``."""
-    counts = run_configs(plan, is_input, is_output,
-                         [(M, POLICY_NAMES[code]) for M, code in configs])
+def run_many_spans(g, sched, cache_sizes, policies):
+    """One ``run_many`` batch over an unvalidated schedule, with
+    telemetry on: its results and its ``pebbling.run`` span records."""
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        results = CacheExecutor(g).run_many(sched, cache_sizes, policies,
+                                            validate=False)
+        spans = [s for s in telemetry.collected_spans()
+                 if s["name"] == "pebbling.run"]
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    return results, spans
+
+
+def grid_rows(g, sched, configs):
+    """One ``run_many`` batch over the cache sizes and policies of
+    ``configs``: each configuration's ``IOResult`` fields in count-tuple
+    order, plus the evictions its ``pebbling.run`` span counted."""
+    results, spans = run_many_spans(g, sched, sorted({M for M, _ in configs}),
+                                    sorted({p for _, p in configs}))
+    evictions = {(s["attrs"]["cache_size"], s["attrs"]["policy"]):
+                 s["counters"]["evictions"] for s in spans}
     rows = []
-    for _ in configs:
-        try:
-            rows.append(next(counts))
-        except CacheError as exc:
-            rows.append(exc)
+    for config in configs:
+        res = results[config]
+        rows.append((res.reads, res.writes, res.input_reads,
+                     res.spill_reads, res.spill_writes, res.output_writes,
+                     res.peak_cache, evictions[config]))
     return rows
 
 
@@ -101,11 +119,11 @@ class TestGridProperties:
         sched = make_schedule(g, kind, seed)
         is_input, is_output = masks(g)
         plan = SchedulePlan(g, sched, validated=False)
-        rows = grid_rows(plan, is_input, is_output, configs)
-        for (M, code), row in zip(configs, rows):
-            want = reference_counts(g, sched, M, code)
-            assert row == want, (M, code)
-            assert simulate_py(plan, is_input, is_output, M, code) == want
+        rows = grid_rows(g, sched, configs)
+        for (M, policy), row in zip(configs, rows):
+            want = reference_counts(g, sched, M, policy)
+            assert row == want, (M, policy)
+            assert simulate_py(plan, is_input, is_output, M, policy) == want
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -117,30 +135,41 @@ class TestGridProperties:
         with different neighbours — always produces the same row."""
         g = graph("strassen")
         sched = make_schedule(g, "topo", seed)
-        is_input, is_output = masks(g)
-        plan = SchedulePlan(g, sched, validated=False)
-        for code in sorted(POLICY_NAMES):
-            configs = [(M, code), (M + 8, 0), (M, code), (8, 1), (M, code)]
-            rows = grid_rows(plan, is_input, is_output, configs)
-            assert rows[0] == rows[2] == rows[4]
+        _, spans = run_many_spans(g, sched, [M, M + 8, M, 8, M], POLICIES)
+        for policy in POLICIES:
+            rows = [s["counters"] for s in spans
+                    if s["attrs"] == {"policy": policy, "cache_size": M}]
+            assert len(rows) >= 3
+            assert all(row == rows[0] for row in rows)
 
-    @pytest.mark.parametrize("code", sorted(POLICY_NAMES))
-    def test_failed_row_does_not_stop_the_grid(self, code):
-        """Rows with an impossibly small cache raise CacheError under
-        every policy; their neighbours still finish with correct counts,
-        and the loop raises for the same configurations.  M = 1 fails at
-        the first step; one below ``min_cache_size`` fails only at a step
-        whose operands and result fill the cache (product order 4
-        reaches such a step with a cached operand)."""
+    @pytest.mark.parametrize("policy", POLICIES, ids=["0", "1", "2"])
+    def test_failed_row_does_not_stop_the_grid(self, policy):
+        """The loop raises CacheError under every policy at M = 1, which
+        fails at the first step, and one below ``min_cache_size``,
+        which fails only at a step whose operands and result fill the
+        cache (product order 4 reaches such a step with a cached
+        operand).  The executor refuses a grid holding such a size
+        before any configuration runs; the grid's other sizes, run
+        alone, match the reference."""
         g = graph("strassen")
         is_input, is_output = masks(g)
-        configs = [(1, code), (min_cache_size(g) - 1, code), (24, code)]
+        small = (1, min_cache_size(g) - 1)
         for sched in (make_schedule(g, "topo", 7),
                       make_schedule(g, "product", 4)):
             plan = SchedulePlan(g, sched, validated=False)
-            rows = grid_rows(plan, is_input, is_output, configs)
-            assert [type(r) for r in rows[:2]] == [CacheError, CacheError]
-            assert rows[2] == reference_counts(g, sched, 24, code)
-            for M, _ in configs[:2]:
+            for M in small:
                 with pytest.raises(CacheError):
-                    simulate_py(plan, is_input, is_output, M, code)
+                    simulate_py(plan, is_input, is_output, M, policy)
+                telemetry.enable()
+                telemetry.reset()
+                try:
+                    with pytest.raises(CacheError):
+                        CacheExecutor(g).run_many(sched, (24, M), (policy,),
+                                                  validate=False)
+                    assert telemetry.collected_spans() == []
+                finally:
+                    telemetry.disable()
+                    telemetry.reset()
+            assert grid_rows(g, sched, [(24, policy)]) == [
+                reference_counts(g, sched, 24, policy)
+            ]

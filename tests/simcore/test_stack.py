@@ -4,7 +4,7 @@
 
 Their counts must equal the simulation loop's and the golden reference's
 at every cache size.  They leave a plan outside their derivation to the
-loop, so ``run_configs``, which takes every count-only LRU and Belady
+loop, so the executor, which takes every count-only LRU and Belady
 configuration from them, fails where the loop fails, with the loop's
 error.
 """
@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import simcore
+from repro import telemetry
 from repro.bilinear import strassen, winograd
 from repro.bilinear.synthetic import with_duplicate_product, with_split_output
 from repro.cdag import build_cdag
 from repro.errors import CacheError, ScheduleError
-from repro.pebbling import min_cache_size
+from repro.pebbling import CacheExecutor, min_cache_size
+from repro.pebbling import executor as executor_module
 from repro.schedules import (
     random_product_order_schedule,
     random_topological_schedule,
@@ -54,30 +55,23 @@ def masks(g):
     return is_input, is_output
 
 
-#: The passes and the loop's policy code each one reproduces.
-PASSES = {"lru": (lru_counts, 0), "belady": (belady_counts, 2)}
+#: The passes, by the policy each one reproduces.
+PASSES = {"lru": lru_counts, "belady": belady_counts}
 
 
-def loop_outcome(plan, is_input, is_output, M, code=0):
+def loop_outcome(plan, is_input, is_output, M, policy="lru"):
     """The loop's count tuple at ``M``, or the exception it raises."""
     try:
-        return simulate_py(plan, is_input, is_output, M, code)
+        return simulate_py(plan, is_input, is_output, M, policy)
     except (CacheError, ScheduleError) as exc:
         return exc
 
 
-def batch_outcomes(plan, is_input, is_output, Ms, policy="lru"):
-    """``run_configs``' count tuple or error at each ``M``, taken one
-    ``next()`` at a time."""
-    out = []
-    counts = simcore.run_configs(plan, is_input, is_output,
-                                 [(M, policy) for M in Ms])
-    for _ in Ms:
-        try:
-            out.append(next(counts))
-        except (CacheError, ScheduleError) as exc:
-            out.append(exc)
-    return out
+def counts_of(res):
+    """An ``IOResult``'s fields in the loop's count-tuple order (all but
+    the evictions)."""
+    return (res.reads, res.writes, res.input_reads, res.spill_reads,
+            res.spill_writes, res.output_writes, res.peak_cache)
 
 
 def same_outcome(got, want) -> bool:
@@ -138,11 +132,11 @@ class TestAgreement:
             st.integers(min_value=MIN_M - 1, max_value=g.n_vertices + 8),
             min_size=1, max_size=6,
         )) + [2**31]
-        for policy, (count, code) in PASSES.items():
+        for policy, count in PASSES.items():
             got = count(plan, is_input, is_output, Ms)
             assert len(got) == len(Ms)
             for M, counts in zip(Ms, got):
-                want = loop_outcome(plan, is_input, is_output, M, code)
+                want = loop_outcome(plan, is_input, is_output, M, policy)
                 assert same_outcome(counts, want), (policy, M)
                 if isinstance(counts, CacheError):
                     with pytest.raises(CacheError):
@@ -169,9 +163,9 @@ class TestAgreement:
         is_input, is_output = masks(g)
         plan = SchedulePlan(g, sched, validated=True)
         Ms = (12, 24, 48, 96)
-        for count, code in PASSES.values():
+        for policy, count in PASSES.items():
             assert count(plan, is_input, is_output, Ms) == [
-                simulate_py(plan, is_input, is_output, M, code) for M in Ms
+                simulate_py(plan, is_input, is_output, M, policy) for M in Ms
             ]
 
     def test_strassen_r5_keys_past_int32(self):
@@ -187,9 +181,9 @@ class TestAgreement:
             "lru": (122510, 68270, 6144, 116366, 67246, 1024, 12, 234003),
             "belady": (81160, 47234, 6144, 75016, 46210, 1024, 12, 192653),
         }
-        for policy, (count, code) in PASSES.items():
+        for policy, count in PASSES.items():
             (got,) = count(plan, is_input, is_output, [12])
-            assert got == simulate_py(plan, is_input, is_output, 12, code)
+            assert got == simulate_py(plan, is_input, is_output, 12, policy)
             assert got == pinned[policy], policy
 
     @settings(max_examples=60, deadline=None)
@@ -223,13 +217,13 @@ class TestAgreement:
                             validated=kind == 0)
         Ms = list(range(1, 9))
         valid = in_derivation(preds, plan.schedule, is_input)
-        for count, code in PASSES.values():
+        for policy, count in PASSES.items():
             got = count(plan, is_input, is_output, Ms)
             assert (got is None) != valid
             if got is None:
                 continue
             for M, outcome in zip(Ms, got):
-                want = loop_outcome(plan, is_input, is_output, M, code)
+                want = loop_outcome(plan, is_input, is_output, M, policy)
                 assert same_outcome(outcome, want), (M, outcome, want)
 
 
@@ -237,50 +231,45 @@ class TestErrors:
     def test_reversed_schedule_raises_the_loops_schedule_error(self):
         g = graph("strassen")
         is_input, is_output = masks(g)
-        plan = SchedulePlan(g, recursive_schedule(g)[::-1].copy(),
-                            validated=False)
-        for policy, (count, code) in PASSES.items():
+        reversed_sched = recursive_schedule(g)[::-1].copy()
+        plan = SchedulePlan(g, reversed_sched, validated=False)
+        for policy, count in PASSES.items():
             assert count(plan, is_input, is_output, [12]) is None
             with pytest.raises(ScheduleError) as loop_err:
-                simulate_py(plan, is_input, is_output, 12, code)
-            (outcome,) = batch_outcomes(plan, is_input, is_output, [12],
-                                           policy)
-            assert same_outcome(outcome, loop_err.value)
+                simulate_py(plan, is_input, is_output, 12, policy)
+            with pytest.raises(ScheduleError) as executor_err:
+                CacheExecutor(g).run(reversed_sched, 12, policy,
+                                     validate=False)
+            assert same_outcome(executor_err.value, loop_err.value)
 
     def test_cache_error_for_the_narrow_configuration_only(self):
         g = graph("strassen")
         is_input, is_output = masks(g)
         plan = SchedulePlan(g, recursive_schedule(g), validated=True)
         w = min_cache_size(g)
-        for policy, (_, code) in PASSES.items():
-            counts = simcore.run_configs(plan, is_input, is_output,
-                                         [(w - 1, policy), (w, policy)])
-            with pytest.raises(CacheError):
-                next(counts)
-            assert next(counts) == simulate_py(plan, is_input, is_output,
-                                               w, code)
+        for policy, count in PASSES.items():
+            narrow, wide = count(plan, is_input, is_output, [w - 1, w])
+            assert isinstance(narrow, CacheError)
+            assert wide == simulate_py(plan, is_input, is_output, w, policy)
 
     def test_pinned_operands_fail_before_a_missing_one(self):
         """Vertex 5 reads 3, 4, 2, 0 and the not yet computed 6.  At
         M = 3 the cache holds 3 and 4 when step 2 starts, so loading 2
         and then 0 finds every cached value pinned: CacheError before
-        the missing operand's ScheduleError (M >= 4).  Each
-        configuration raises the loop's error at its own ``next()``."""
+        the missing operand's ScheduleError (M >= 4).  The passes leave
+        the plan to the loop, which raises at every M."""
         g = _Graph([[], [], [], [0], [1], [3, 4, 2, 0, 6], [0]])
         is_input = np.array([1, 1, 1, 0, 0, 0, 0], dtype=bool)
         is_output = np.array([0, 0, 0, 0, 0, 1, 1], dtype=bool)
         plan = SchedulePlan(g, np.array([3, 4, 5, 6]), validated=False)
         Ms = list(range(1, 8))
-        for policy, (count, code) in PASSES.items():
+        for policy, count in PASSES.items():
             assert count(plan, is_input, is_output, Ms) is None
-            got = batch_outcomes(plan, is_input, is_output, Ms, policy)
+            got = [loop_outcome(plan, is_input, is_output, M, policy)
+                   for M in Ms]
             assert [type(o) for o in got] == (
                 [CacheError] * 3 + [ScheduleError] * 4
             )
-            for M, outcome in zip(Ms, got):
-                assert same_outcome(
-                    outcome, loop_outcome(plan, is_input, is_output, M, code)
-                )
 
     def test_partial_schedule_counts_only_scheduled_outputs(self):
         g = graph("strassen")
@@ -289,11 +278,11 @@ class TestErrors:
         plan = SchedulePlan(g, sched, validated=False)
         n_scheduled = int(is_output[sched].sum())
         assert 0 < n_scheduled < int(is_output.sum())
-        for count, code in PASSES.values():
+        for policy, count in PASSES.items():
             got = count(plan, is_input, is_output, [MIN_M, 24])
             for M, counts in zip([MIN_M, 24], got):
                 assert counts == simulate_py(plan, is_input, is_output, M,
-                                             code)
+                                             policy)
                 assert counts[5] == n_scheduled
 
     def test_schedule_outside_the_derivation_runs_on_the_loop(self):
@@ -301,49 +290,54 @@ class TestErrors:
         g = graph("strassen")
         is_input, is_output = masks(g)
         sched = recursive_schedule(g)
-        plan = SchedulePlan(g, np.concatenate([sched, sched[-1:]]),
-                            validated=False)
-        for count, _ in PASSES.values():
+        twice = np.concatenate([sched, sched[-1:]])
+        plan = SchedulePlan(g, twice, validated=False)
+        for count in PASSES.values():
             assert count(plan, is_input, is_output, [12]) is None
-        configs = [(12, "lru"), (24, "lru"), (12, "belady"), (24, "belady")]
-        got = list(simcore.run_configs(plan, is_input, is_output, configs))
-        assert got == [simulate_py(plan, is_input, is_output, M,
-                                   PASSES[policy][1])
-                       for M, policy in configs]
+        got = CacheExecutor(g).run_many(twice, (12, 24), tuple(PASSES),
+                                        validate=False)
+        assert len(got) == 4
+        for (M, policy), res in got.items():
+            want = simulate_py(plan, is_input, is_output, M, policy)
+            assert counts_of(res) == want[:7]
 
 
 def test_fallback_runs_the_pass_at_the_first_lru_configuration(monkeypatch):
-    """No pass before the iterator reaches the first configuration of
-    its policy, then one pass for every configuration of that policy in
-    the call; a mixed LRU/FIFO/Belady batch gets the loop's counts, in
-    configuration order."""
-    from repro.simcore import grid
-
+    """run_many calls each policy's pass once, with that policy's
+    sorted cache sizes, inside the span of its first configuration; a
+    mixed LRU/FIFO/Belady batch gets the loop's counts."""
     g = graph("strassen")
     is_input, is_output = masks(g)
-    plan = SchedulePlan(g, recursive_schedule(g), validated=True)
+    sched = recursive_schedule(g)
+    plan = SchedulePlan(g, sched, validated=True)
     calls = []
 
     def spy(count):
         def counted(*args):
-            calls.append((count.__name__, args[3]))
+            calls.append((count.__name__, args[3],
+                          telemetry.current_span().attrs))
             return count(*args)
         return counted
 
-    monkeypatch.setattr(grid, "lru_counts", spy(lru_counts))
-    monkeypatch.setattr(grid, "belady_counts", spy(belady_counts))
-    configs = [(12, "fifo"), (24, "lru"), (12, "lru"), (48, "belady"),
-               (12, "belady")]
-    counts = simcore.run_configs(plan, is_input, is_output, configs)
-    assert calls == []
-    got = [next(counts)]
-    assert calls == []
-    got += [next(counts), next(counts)]
-    assert calls == [("lru_counts", [12, 24])]
-    got += [next(counts), next(counts)]
-    assert calls == [("lru_counts", [12, 24]), ("belady_counts", [12, 48])]
-    assert got == [simulate_py(plan, is_input, is_output, M, code)
-                   for M, code in ((12, 1), (24, 0), (12, 0), (48, 2), (12, 2))]
+    monkeypatch.setitem(executor_module._PASSES, "lru", spy(lru_counts))
+    monkeypatch.setitem(executor_module._PASSES, "belady",
+                        spy(belady_counts))
+    telemetry.enable()
+    try:
+        got = CacheExecutor(g).run_many(sched, (24, 12, 48),
+                                        ("fifo", "lru", "belady"))
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert calls == [
+        ("lru_counts", [12, 24, 48], {"policy": "lru", "cache_size": 24}),
+        ("belady_counts", [12, 24, 48],
+         {"policy": "belady", "cache_size": 24}),
+    ]
+    assert len(got) == 9
+    for (M, policy), res in got.items():
+        want = simulate_py(plan, is_input, is_output, M, policy)
+        assert counts_of(res) == want[:7]
 
 
 class TestFreeSlotStack:

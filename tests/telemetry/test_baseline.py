@@ -129,12 +129,14 @@ def test_run_perf_detects_synthetic_slowdown(tmp_path, capsys, monkeypatch):
 
 
 def test_run_perf_trace_and_json_outputs(tmp_path):
+    from repro.cli import main
+
     trace = tmp_path / "perf_trace.json"
     combined = tmp_path / "perf.json"
-    rc = bl.run_perf(
-        ["E1"], repeats=1, root=tmp_path,
-        trace_out=trace, json_out=combined,
-    )
+    rc = main([
+        "perf", "E1", "--repeats", "1", "--bench-dir", str(tmp_path),
+        "--trace-out", str(trace), "--json-out", str(combined),
+    ])
     assert rc == 0
     assert json.loads(trace.read_text())["traceEvents"]
     doc = json.loads(combined.read_text())

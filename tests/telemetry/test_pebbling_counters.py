@@ -14,7 +14,7 @@ from repro import telemetry
 from repro.bilinear import strassen
 from repro.cdag import build_cdag
 from repro.pebbling import CacheExecutor
-from repro.schedules import recursive_schedule
+from repro.schedules import rank_order_schedule, recursive_schedule
 
 from ..pebbling._reference import reference_run
 
@@ -88,9 +88,9 @@ def test_run_many_emits_identical_spans(workload):
 
 
 def test_plan_cache_counters(workload):
-    """Repeat runs of one schedule hit the executor's content-keyed plan
-    cache; the hit/miss counters make that observable (re-running a
-    schedule, e.g. under another cache size, must not recompile)."""
+    """Repeat runs of one schedule hit the plan the executor keeps; the
+    hit/miss counters make that observable (re-running a schedule, e.g.
+    under another cache size, must not recompile)."""
     g, sched = workload
     telemetry.enable()
     telemetry.reset()
@@ -103,6 +103,20 @@ def test_plan_cache_counters(workload):
         ex.run(sched, 8, "belady")
     assert reg.counter("pebbling.plan.miss").value == 1
     assert reg.counter("pebbling.plan.hit").value == 3
+
+
+def test_executor_keeps_only_the_last_plan(workload):
+    """Compiling schedules A, B, A on one executor misses three times:
+    B's plan replaces A's."""
+    g, sched = workload
+    telemetry.enable()
+    telemetry.reset()
+    ex = CacheExecutor(g)
+    for schedule in (sched, rank_order_schedule(g), sched):
+        ex.compile(schedule)
+    reg = telemetry.metrics()
+    assert reg.counter("pebbling.plan.miss").value == 3
+    assert reg.counter("pebbling.plan.hit").value == 0
 
 
 def test_kernel_path_counter_per_simulation(workload):
@@ -133,21 +147,3 @@ def test_disabled_telemetry_skips_run_counters(workload):
     assert reg.counter("simcore.kernel.fallback").value == 0
     # Plan cache accounting stays unconditional (cheap).
     assert reg.counter("pebbling.plan.miss").value == 1
-
-
-def test_simulate_io_reuses_plans_across_calls(workload):
-    """The simulate_io convenience path shares one executor per graph
-    object, so repeated calls hit the in-process plan cache instead of
-    recompiling."""
-    from repro.pebbling import simulate_io
-
-    g, sched = workload
-    telemetry.enable()
-    telemetry.reset()
-    first = simulate_io(g, sched, 8, "belady")
-    reg = telemetry.metrics()
-    misses = reg.counter("pebbling.plan.miss").value
-    for _ in range(3):
-        assert simulate_io(g, sched, 8, "belady") == first
-    assert reg.counter("pebbling.plan.miss").value == misses
-    assert reg.counter("pebbling.plan.hit").value >= 3

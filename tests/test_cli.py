@@ -49,6 +49,7 @@ class TestParser:
             ["tune", "--fresh"],
             ["sweep", "--retries", "1"],
             ["sweep", "--events", "events.jsonl"],
+            ["tune", "--policy", "lru"],
         ],
         ids=[
             "tune-socket", "tune-journal", "tune-resume", "tune-solver-cmd",
@@ -57,13 +58,14 @@ class TestParser:
             "route-profile", "experiments-profile", "sweep-profile",
             "tune-profile", "tune-strategy", "tune-jobs", "tune-local",
             "tune-cache-dir", "tune-fresh", "sweep-retries", "sweep-events",
+            "tune-policy",
         ],
     )
     def test_removed_options_exit_2(self, tmp_path, capsys, extra):
         # The sweep daemon, the tune journal, the external solver, both
         # --resume flags, the graph-cache bundle store, --profile
         # (--trace-out is the one telemetry switch) and tune's
-        # strategies, pool and store options are gone, as are sweep's
+        # strategies, pool, store and policy options are gone, as are sweep's
         # in-run retries and JSONL event log (rerunning a sweep against
         # the same --cache-dir resumes and retries; tune is one in-process
         # search; every process builds its own graphs), so argparse
@@ -272,6 +274,23 @@ class TestSweepCommand:
         self._usage_error(
             capsys, monkeypatch, tmp_path, ["E2", "--param", "E2:nope=1"],
             "--param: experiment E2 takes no parameter 'nope'",
+        )
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+         ("--timeout", "inf"), ("--jobs", "0"), ("--jobs", "-3")],
+    )
+    def test_sweep_rejects_unusable_limits(
+        self, capsys, monkeypatch, tmp_path, option, value
+    ):
+        if option == "--jobs":
+            message = f"--jobs must be at least 1 (got {value})"
+        else:
+            message = ("--timeout must be a finite positive number of "
+                       f"seconds (got {value})")
+        self._usage_error(
+            capsys, monkeypatch, tmp_path, ["E1", option, value], message
         )
 
 
