@@ -30,7 +30,9 @@ argparse's own: an unknown ``--alg`` (every command that takes one),
 an unknown experiment id (``experiments``, ``sweep``, ``perf``), a
 malformed ``sweep --param``/``--seeds``, a ``--param`` key the
 experiment does not take, a ``sweep --jobs`` below 1 or ``--timeout``
-that is not a finite positive number, or for ``tune`` any argument its
+that is not a finite positive number, a ``perf --repeats`` below 1,
+``--threshold`` that is not a finite number above 0 or ``--bench-dir``
+that is not a directory, or for ``tune`` any argument its
 configuration or graph rejects.  A usage error prints ``error: ...``,
 starts no job and, under ``--json``, still ends with the JSON line.
 
@@ -575,10 +577,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.telemetry.baseline import run_perf
+    from repro.telemetry.baseline import check_perf_args, run_perf
 
     for experiment_id in args.ids:
         _experiment(experiment_id)
+    try:
+        check_perf_args(args.repeats, args.threshold, args.bench_dir)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     with _traced(args, "perf"):
         return run_perf(
             args.ids or None,

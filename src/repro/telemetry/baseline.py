@@ -19,6 +19,7 @@ use a tight one against baselines recorded on the same machine.
 from __future__ import annotations
 
 import json
+import math
 import re
 import statistics
 import time
@@ -35,6 +36,7 @@ __all__ = [
     "DEFAULT_PERF_PARAMS",
     "bench_filename",
     "bench_path",
+    "check_perf_args",
     "measure_experiment",
     "write_baseline",
     "load_baseline",
@@ -88,8 +90,9 @@ def measure_experiment(
     repeats: int = 3,
     params: Mapping | None = None,
 ) -> dict:
-    """Run an experiment ``repeats`` times under telemetry; return its
-    baseline document (median wall time + counters of one run).
+    """Run an experiment ``repeats`` times (at least 1, ``ValueError``
+    otherwise) under telemetry; return its baseline document (median
+    wall time + counters of one run).
 
     Counters are captured from the final repeat with the metrics
     registry reset per repeat, so they describe *one* execution and are
@@ -100,13 +103,15 @@ def measure_experiment(
     from repro._version import __version__
     from repro.experiments import get_experiment
 
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1 (got {repeats})")
     fn = get_experiment(experiment_id)
     kwargs = dict(params or {})
     was_enabled = _spans_mod.enabled()
     _spans_mod.enable()
     times = []
     try:
-        for _ in range(max(1, int(repeats))):
+        for _ in range(repeats):
             _metrics_mod.reset_metrics()
             times.append(_time_once(fn, kwargs))
         registry = _metrics_mod.metrics()
@@ -187,6 +192,20 @@ def compare_docs(
     }
 
 
+def check_perf_args(repeats, threshold, root) -> None:
+    """Raise ``ValueError`` for arguments no perf run can use: fewer
+    than 1 repeat, a threshold that is not a finite number above 0, or
+    a baseline directory that does not exist."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1 (got {repeats})")
+    if not 0 < threshold < math.inf:
+        raise ValueError(
+            f"threshold must be a finite number above 0 (got {threshold:g})"
+        )
+    if not Path(root).is_dir():
+        raise ValueError(f"bench dir {str(root)!r} is not a directory")
+
+
 def run_perf(
     ids: Sequence[str] | None = None,
     *,
@@ -205,8 +224,10 @@ def run_perf(
     With ``compare=True``: loads the committed baselines, diffs, prints
     a verdict table, and returns nonzero when any experiment regresses
     past ``threshold``, drifts from its baseline's counters, or has no
-    baseline to compare against.
+    baseline to compare against.  Arguments :func:`check_perf_args`
+    rejects raise its ``ValueError`` before any experiment runs.
     """
+    check_perf_args(repeats, threshold, root)
     ids = list(ids) if ids else list(DEFAULT_PERF_IDS)
     params_by_id = dict(params_by_id or {})
     _spans_mod.reset_spans()

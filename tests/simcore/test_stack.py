@@ -28,7 +28,14 @@ from repro.schedules import (
 )
 from repro.simcore import SchedulePlan
 from repro.simcore.pyloops import simulate_py
-from repro.simcore.stack import _greedy, belady_counts, lru_counts
+from repro.simcore import stack as stack_module
+from repro.simcore.stack import (
+    _greedy,
+    _subtract_greater,
+    _touches,
+    belady_counts,
+    lru_counts,
+)
 
 from tests.pebbling._reference import reference_run
 
@@ -128,30 +135,38 @@ class TestAgreement:
         plan = SchedulePlan(g, sched, validated=False)
         # From below the widest step to past the distinct count, where
         # nothing is ever evicted, and one size no int32 holds.
-        Ms = data.draw(st.lists(
+        with_sentinel = data.draw(st.lists(
             st.integers(min_value=MIN_M - 1, max_value=g.n_vertices + 8),
             min_size=1, max_size=6,
         )) + [2**31]
-        for policy, count in PASSES.items():
-            got = count(plan, is_input, is_output, Ms)
-            assert len(got) == len(Ms)
-            for M, counts in zip(Ms, got):
-                want = loop_outcome(plan, is_input, is_output, M, policy)
-                assert same_outcome(counts, want), (policy, M)
-                if isinstance(counts, CacheError):
-                    with pytest.raises(CacheError):
-                        reference_run(g, sched, M, policy)
-                    continue
-                res, evictions = reference_run(g, sched, M, policy)
-                assert tuple(counts) == (
-                    res.reads, res.writes, res.input_reads, res.spill_reads,
-                    res.spill_writes, res.output_writes, res.peak_cache,
-                    evictions,
-                ), (policy, M)
-            ran = sorted((M, c) for M, c in zip(Ms, got)
-                         if not isinstance(c, Exception))
-            for (_, small), (_, large) in zip(ran, ran[1:]):
-                assert large[0] <= small[0] and large[1] <= small[1]
+        # Single sizes and small sets up to the distinct count, without
+        # that size: there LRU settles the touches with at least max(Ms)
+        # interior steps without counting them.
+        without = data.draw(st.lists(
+            st.integers(min_value=MIN_M - 1, max_value=g.n_vertices),
+            min_size=1, max_size=3,
+        ))
+        for Ms in (with_sentinel, without):
+            for policy, count in PASSES.items():
+                got = count(plan, is_input, is_output, Ms)
+                assert len(got) == len(Ms)
+                for M, counts in zip(Ms, got):
+                    want = loop_outcome(plan, is_input, is_output, M, policy)
+                    assert same_outcome(counts, want), (policy, M)
+                    if isinstance(counts, CacheError):
+                        with pytest.raises(CacheError):
+                            reference_run(g, sched, M, policy)
+                        continue
+                    res, evictions = reference_run(g, sched, M, policy)
+                    assert tuple(counts) == (
+                        res.reads, res.writes, res.input_reads,
+                        res.spill_reads, res.spill_writes, res.output_writes,
+                        res.peak_cache, evictions,
+                    ), (policy, M)
+                ran = sorted((M, c) for M, c in zip(Ms, got)
+                             if not isinstance(c, Exception))
+                for (_, small), (_, large) in zip(ran, ran[1:]):
+                    assert large[0] <= small[0] and large[1] <= small[1]
 
     @pytest.mark.parametrize("order", ["recursive", "rank"])
     def test_strassen_r4(self, order):
@@ -225,6 +240,71 @@ class TestAgreement:
             for M, outcome in zip(Ms, got):
                 want = loop_outcome(plan, is_input, is_output, M, policy)
                 assert same_outcome(outcome, want), (M, outcome, want)
+
+
+class TestInteriorSteps:
+    """LRU counts a reuse touch's stack distance only when its interior
+    steps leave ``d >= M`` open at some asked ``M``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.sampled_from(["topo", "product", "prefix"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_stack_distance_is_at_least_the_interior_steps(
+        self, family, kind, seed
+    ):
+        """Each reuse touch's stack distance, from Python sets over the
+        touch sequence, is at least the number of steps strictly between
+        its previous touch's step and its own."""
+        g = graph(family)
+        if kind == "product":
+            sched = random_product_order_schedule(g, seed=seed)
+        else:
+            sched = random_topological_schedule(g, seed=seed)
+        if kind == "prefix":
+            sched = sched[:1 + seed % len(sched)]
+        indptr, indices = g.pred_csr()
+        touches = []
+        for t, v in enumerate(sched.tolist()):
+            ops = set(indices[indptr[v]:indptr[v + 1]].tolist())
+            touches.extend((t, x) for x in sorted(ops | {v}))
+        last, first_of_step, reuses = {}, {}, 0
+        for j, (t, x) in enumerate(touches):
+            B = first_of_step.setdefault(t, j)
+            if x in last:
+                P = last[x]
+                d = len({y for _, y in touches[P + 1:B]})
+                assert d >= t - touches[P][0] - 1, (j, x)
+                reuses += 1
+            last[x] = j
+        assert reuses or kind == "prefix"
+
+    def test_only_open_touches_reach_the_dominance_count(self, monkeypatch):
+        """Strassen r = 4, recursive, M = 12: 16,989 reuse touches have a
+        gap of at least 12, and at most 4,702 of them have fewer than 12
+        interior steps.  Only those reach the dominance count, and the
+        counts stay the loop's."""
+        g = build_cdag(strassen(), 4)
+        is_input, is_output = masks(g)
+        plan = SchedulePlan(g, recursive_schedule(g), validated=True)
+        _, prev, starts = _touches(plan, is_input)
+        step = np.repeat(np.arange(plan.n_steps), np.diff(starts))
+        reuse = np.flatnonzero(prev >= 0)
+        gap = starts[step[reuse]] - prev[reuse] - 1
+        assert np.count_nonzero(gap >= 12) == 16989
+        queries = []
+
+        def counted(values, y, hi, d):
+            queries.append(len(y))
+            return _subtract_greater(values, y, hi, d)
+
+        monkeypatch.setattr(stack_module, "_subtract_greater", counted)
+        assert lru_counts(plan, is_input, is_output, [12]) == [
+            simulate_py(plan, is_input, is_output, 12, "lru")
+        ]
+        assert len(queries) == 1 and queries[0] <= 4702
 
 
 class TestErrors:

@@ -142,3 +142,37 @@ def test_run_perf_trace_and_json_outputs(tmp_path):
     doc = json.loads(combined.read_text())
     assert doc["schema"] == 1
     assert "E1" in doc["measurements"]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"repeats": 0},
+        {"repeats": -5},
+        {"threshold": -1.0},
+        {"threshold": 0.0},
+        {"threshold": float("nan")},
+        {"threshold": float("inf")},
+        {"compare": True, "threshold": -1.0},
+        {"root": "missing"},
+        {"root": "missing", "compare": True},
+    ],
+    ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_run_perf_rejects_unusable_arguments(tmp_path, monkeypatch, kwargs):
+    """ValueError before any experiment runs; nothing is written."""
+    runs = []
+    monkeypatch.setattr(bl, "_time_once",
+                        lambda fn, kw: runs.append(fn) or 0.0)
+    kwargs = dict(kwargs)
+    root = tmp_path / kwargs.pop("root", "")
+    with pytest.raises(ValueError):
+        bl.run_perf(["E1"], root=root, **kwargs)
+    assert runs == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("repeats", [0, -5])
+def test_measure_experiment_rejects_fewer_than_one_repeat(repeats):
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        bl.measure_experiment("E1", repeats=repeats)

@@ -294,6 +294,50 @@ class TestSweepCommand:
         )
 
 
+class TestPerfCommand:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--repeats", "0"], "repeats must be at least 1 (got 0)"),
+            (["--repeats", "-5"], "repeats must be at least 1 (got -5)"),
+            (["--compare", "--threshold", "-1"],
+             "threshold must be a finite number above 0 (got -1)"),
+            (["--threshold", "0"],
+             "threshold must be a finite number above 0 (got 0)"),
+            (["--threshold", "nan"],
+             "threshold must be a finite number above 0 (got nan)"),
+            (["--threshold", "inf"],
+             "threshold must be a finite number above 0 (got inf)"),
+            (["--bench-dir", "{missing}"],
+             "bench dir '{missing}' is not a directory"),
+            (["--compare", "--bench-dir", "{missing}"],
+             "bench dir '{missing}' is not a directory"),
+        ],
+        ids=["repeats=0", "repeats=-5", "compare-threshold=-1",
+             "threshold=0", "threshold=nan", "threshold=inf",
+             "bench-dir=missing", "compare-bench-dir=missing"],
+    )
+    def test_unusable_arguments_are_usage_errors(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        """Exit 2 with ``error: ...`` before any experiment runs."""
+        from repro.telemetry import baseline
+
+        runs = []
+        monkeypatch.setattr(baseline, "_time_once",
+                            lambda fn, kwargs: runs.append(fn) or 0.0)
+        missing = str(tmp_path / "missing")
+        argv = [a.format(missing=missing) for a in argv]
+        if "--bench-dir" not in argv:
+            argv += ["--bench-dir", str(tmp_path)]
+        assert main(["perf", "E1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(missing=missing)}\n"
+        assert captured.out == ""
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTuneCommand:
     def _argv(self, *extra):
         return [
